@@ -1,10 +1,12 @@
 """Command-line pipeline: prepare raw logs, train a variant, evaluate a
 checkpoint.
 
-Run configs are INI files with [run]/[data]/[model]/[training] sections;
-every section key has a default matching the published settings (lr 0.001,
-implicit weight 0.5, 9 negatives per positive, 2 transformer layers with 2
-heads, 20-item sequences, batch 512 for sequence models and 2048 otherwise).
+Run configs are INI files with [run]/[data]/[model]/[training] sections whose
+keys are the fields of ``RunConfig``, ``ModelConfig`` and ``TrainingConfig``;
+unknown keys and the keys the program derives itself are rejected. Every key
+has a default matching the published settings (lr 0.001, implicit weight 0.5,
+9 negatives per positive, 2 transformer layers with 2 heads, 20-item
+sequences, batch 512 for sequence models and 2048 otherwise).
 The effective merged config is written next to the outputs so a run can be
 reproduced byte-for-byte from its own artifacts.
 
@@ -19,7 +21,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -48,62 +50,62 @@ def _needs_side(variant: str) -> bool:
     return VARIANTS[variant][1] != "none"
 
 
+# Config fields the program sets itself, never read from or written to an INI
+# file: key -> where its value comes from.
+DERIVED_KEYS = {
+    "model": {"side_info_mode": "the variant", "side_dim": "the dataset's category count"},
+    "training": {"seed": "[run] seed"},
+}
+
+
+def _ini_sections(cfg: RunConfig) -> dict[str, tuple[object, list[str]]]:
+    """INI section -> (the object its keys set, those keys in file order)."""
+    run = [f.name for f in fields(RunConfig) if f.name not in ("prepared", "model", "training")]
+    sections = {"run": (cfg, run), "data": (cfg, ["prepared"])}
+    for name, derived in DERIVED_KEYS.items():
+        obj = getattr(cfg, name)
+        sections[name] = (obj, [f.name for f in fields(obj) if f.name not in derived])
+    return sections
+
+
 def load_run_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(" ".join(str(exc).split())) from None
     if not read:
         raise OSError(f"cannot read config file {path!r}")
     cfg = RunConfig()
-    run = parser["run"] if parser.has_section("run") else {}
-    cfg.variant = run.get("variant", cfg.variant)
+    sections = _ini_sections(cfg)
+    for section in parser.sections():
+        if section not in sections:
+            raise ConfigError(f"{path}: unknown section [{section}]; expected {list(sections)}")
+        obj, keys = sections[section]
+        for key, raw in parser.items(section):
+            source = DERIVED_KEYS.get(section, {}).get(key)
+            if source is not None:
+                raise ConfigError(f"{path}: [{section}] {key} is set from {source}; remove it")
+            if key not in keys:
+                raise ConfigError(f"{path}: unknown key [{section}] {key}")
+            kind = type(getattr(obj, key))
+            try:
+                setattr(obj, key, kind(raw))
+            except ValueError:
+                raise ConfigError(f"{path}: [{section}] {key} = {raw!r} is not "
+                                  f"a valid {kind.__name__}") from None
     if cfg.variant not in VARIANTS:
         raise ConfigError(f"unknown variant {cfg.variant!r}; expected one of {sorted(VARIANTS)}")
-    cfg.seed = int(run.get("seed", cfg.seed))
-    cfg.out = run.get("out", cfg.out)
-    cfg.eval_topk = int(run.get("eval_topk", cfg.eval_topk))
-    if parser.has_section("data"):
-        cfg.prepared = parser["data"].get("prepared", cfg.prepared)
-    m = parser["model"] if parser.has_section("model") else {}
-    base = ModelConfig()
-    cfg.model = ModelConfig(
-        embedding_dim=int(m.get("embedding_dim", base.embedding_dim)),
-        seq_len=int(m.get("seq_len", base.seq_len)),
-        transformer_layers=int(m.get("transformer_layers", base.transformer_layers)),
-        attention_heads=int(m.get("attention_heads", base.attention_heads)),
-        implicit_mlp_layers=int(m.get("implicit_mlp_layers", base.implicit_mlp_layers)),
-        explicit_mlp_layers=int(m.get("explicit_mlp_layers", base.explicit_mlp_layers)),
-        dropout=float(m.get("dropout", base.dropout)),
-    )
-    t = parser["training"] if parser.has_section("training") else {}
-    tbase = training.TrainingConfig()
-    default_batch = 512 if VARIANTS[cfg.variant][0] == "bert" else 2048
-    cfg.training = training.TrainingConfig(
-        learning_rate=float(t.get("learning_rate", tbase.learning_rate)),
-        batch_size=int(t.get("batch_size", default_batch)),
-        implicit_weight=float(t.get("implicit_weight", tbase.implicit_weight)),
-        l2_weight=float(t.get("l2_weight", tbase.l2_weight)),
-        negatives_per_positive=int(t.get("negatives_per_positive", tbase.negatives_per_positive)),
-        epochs=int(t.get("epochs", tbase.epochs)),
-        seed=cfg.seed,
-        adam_beta1=float(t.get("adam_beta1", tbase.adam_beta1)),
-        adam_beta2=float(t.get("adam_beta2", tbase.adam_beta2)),
-        adam_eps=float(t.get("adam_eps", tbase.adam_eps)),
-    )
+    if not parser.has_option("training", "batch_size"):
+        cfg.training.batch_size = 512 if VARIANTS[cfg.variant][0] == "bert" else 2048
+    cfg.training.seed = cfg.seed
     return cfg
 
 
 def write_run_config(path: Path, cfg: RunConfig) -> None:
     parser = configparser.ConfigParser()
-    parser["run"] = {
-        "variant": cfg.variant,
-        "seed": str(cfg.seed),
-        "out": cfg.out,
-        "eval_topk": str(cfg.eval_topk),
-    }
-    parser["data"] = {"prepared": cfg.prepared}
-    parser["model"] = {k: str(v) for k, v in cfg.model.to_dict().items()
-                       if k not in ("side_info_mode", "side_dim")}
-    parser["training"] = {k: str(v) for k, v in cfg.training.to_dict().items() if k != "seed"}
+    for section, (obj, keys) in _ini_sections(cfg).items():
+        parser[section] = {key: str(getattr(obj, key)) for key in keys}
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
 

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-
-from .models import encode_side_user
 
 log = logging.getLogger(__name__)
 
@@ -66,14 +64,7 @@ class DatasetStats:
         ]
 
     def to_dict(self) -> dict:
-        return {
-            "users": self.users,
-            "items": self.items,
-            "implicit": self.implicit,
-            "explicit": self.explicit,
-            "labels": self.labels,
-            "sparsity": self.sparsity,
-        }
+        return asdict(self)
 
 
 class InteractionStore:
@@ -209,6 +200,9 @@ def ingest(log_path: str, classification: Optional[dict] = None, min_interaction
         except ValueError as exc:
             raise DataError(f"{log_path}: missing column ({exc}); have {header}") from exc
         for row in reader:
+            if len(row) < len(header):
+                raise DataError(f"{log_path}: data row {seq} has {len(row)} fields, "
+                                f"the header has {len(header)}")
             event = row[col_e]
             kind = classification.get(event)
             if kind is None:
@@ -276,11 +270,23 @@ class SideInfo:
             view[pos, idx] = val
         return out
 
-    def item_vector(self, item: int, dtype=np.float32) -> np.ndarray:
-        return self.item_matrix(np.asarray([item]), dtype)[0]
 
-    def user_vector(self, user: int, dtype=np.float32) -> np.ndarray:
-        return self.user_matrix(np.asarray([user]), dtype)[0]
+def encode_side_user(items: Sequence[int], item_categories: Sequence[Sequence[int]],
+                     num_categories: int) -> np.ndarray:
+    """Category-frequency vector over a user's interacted items.
+
+    Each item increments every category it belongs to; the vector is
+    normalized by the total count. A user whose items carry no categories
+    gets the all-zero vector (degenerate but valid input downstream).
+    """
+    counts = np.zeros(num_categories, dtype=np.float64)
+    for item in items:
+        for c in item_categories[item]:
+            counts[c] += 1.0
+    total = counts.sum()
+    if total > 0:
+        counts /= total
+    return counts
 
 
 def read_category_pairs(path: str, delimiter: str = ",") -> tuple[dict[str, set], int]:

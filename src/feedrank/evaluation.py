@@ -48,30 +48,20 @@ def rank_of_first(scores: np.ndarray, item_ids: np.ndarray) -> int:
 def _case_scores(model, case: EvalCase, store: Optional[InteractionStore],
                  side_info: Optional[SideInfo], seed: int, chunk: int) -> np.ndarray:
     candidates = np.concatenate([[case.item], case.negatives]).astype(np.int64)
-    mode = model.config.side_info_mode
     scores = np.empty(candidates.size, dtype=np.float64)
+    seq = None
     if model.kind == "bert":
         if store is None:
             raise ValueError("evaluating a sequence model requires the training store for padding")
         rng = np.random.default_rng([seed, case.user])
-        n = model.config.seq_len
         observed = store.observed_any(case.user) | {case.item}
-        seq = pad_sequence(case.history, n, store.num_items, observed, rng)
+        seq = pad_sequence(case.history, model.config.seq_len, store.num_items, observed, rng)
     for start in range(0, candidates.size, chunk):
         part = candidates[start:start + chunk]
         users = np.full(part.size, case.user, dtype=np.int64)
-        user_side = side_info.user_matrix(users) if mode == "user_and_item" else None
+        contexts = None if seq is None else np.broadcast_to(seq, (part.size, seq.size))
         with T.no_grad():
-            if model.kind == "ite":
-                item_side = side_info.item_matrix(part) if mode != "none" else None
-                res = model.forward(users, part, user_side, item_side)
-            else:
-                seqs = np.broadcast_to(seq, (part.size, n))
-                seq_side = target_side = None
-                if mode != "none":
-                    seq_side = side_info.item_matrix(seqs)
-                    target_side = side_info.item_matrix(part)
-                res = model.forward(users, seqs, part, user_side, seq_side, target_side)
+            res = model.forward_batch(users, part, contexts, side_info)
         scores[start:start + part.size] = predict_score(
             res.x_hat.data.astype(np.float64), res.y_hat.data.astype(np.float64))
     return scores

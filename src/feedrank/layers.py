@@ -93,12 +93,6 @@ class EmbeddingTable:
         return out
 
 
-def embed(table: EmbeddingTable, index: int, side: Optional[np.ndarray] = None) -> Tensor:
-    """Single-id lookup returning a [dim] vector."""
-    row = table.lookup(np.asarray([index]), None if side is None else np.asarray(side)[None, :])
-    return T.reshape(row, (table.dim,))
-
-
 class TransformerLayer:
     """One bidirectional encoder layer: multi-head self-attention and a
     position-wise feed-forward net, each followed by dropout, a residual

@@ -17,8 +17,8 @@ ranking score is their product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Optional
 
 import numpy as np
 
@@ -64,21 +64,11 @@ class ModelConfig:
             raise ConfigError("seq_len must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "embedding_dim": self.embedding_dim,
-            "seq_len": self.seq_len,
-            "transformer_layers": self.transformer_layers,
-            "attention_heads": self.attention_heads,
-            "implicit_mlp_layers": self.implicit_mlp_layers,
-            "explicit_mlp_layers": self.explicit_mlp_layers,
-            "dropout": self.dropout,
-            "side_info_mode": self.side_info_mode,
-            "side_dim": self.side_dim,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: d[k] for k in cls().to_dict() if k in d})
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 @dataclass
@@ -106,10 +96,27 @@ def _head_scores(phi: Tensor, head: Tensor) -> Tensor:
     return T.sigmoid(T.reshape(T.matmul(phi, col), (phi.shape[0],)))
 
 
-class ITEModel:
-    """GMF/MLP fusion front end with a chained explicit tower."""
+def _check_side(mode: str, user_side, *item_sides) -> None:
+    """Side matrices must be given exactly when ``mode`` uses them."""
+    want_user = mode == "user_and_item"
+    want_item = mode != "none"
+    if want_user != (user_side is not None):
+        raise ConfigError(f"side_info_mode={mode!r}: user side vectors "
+                          + ("required" if want_user else "not accepted"))
+    if any(want_item != (side is not None) for side in item_sides):
+        raise ConfigError(f"side_info_mode={mode!r}: item side vectors "
+                          + ("required" if want_item else "not accepted"))
 
-    kind = "ite"
+
+class _ImplicitExplicitModel:
+    """What every variant shares: the side widths, the implicit head, the
+    chained explicit tower and head, and the batched input path.
+
+    A subclass builds its encoder in ``_build_encoder`` (returning the width
+    of its implicit-layer representation) and defines ``forward``.
+    """
+
+    kind: str
 
     def __init__(self, num_users: int, num_items: int, config: ModelConfig,
                  seed: int = 0, dtype=T.DEFAULT_DTYPE):
@@ -118,43 +125,68 @@ class ITEModel:
         self.num_items = num_items
         self.config = config
         self.dtype = np.dtype(dtype)
+        self.params = params = ParameterRegistry()
         rng = np.random.default_rng(seed)
-        params = ParameterRegistry()
-        k = config.embedding_dim
-        mlp_widths = _implicit_tower_widths(k, config.implicit_mlp_layers)
-        mlp_emb = mlp_widths[0]  # concat of two such embeddings feeds the tower
+        mode = config.side_info_mode
+        user_side = config.side_dim if mode == "user_and_item" else 0
+        item_side = config.side_dim if mode != "none" else 0
+        phi_dim = self._build_encoder(params, rng, user_side, item_side, dtype)
+        self.implicit_head = params.add("implicit_head", L.glorot_uniform(rng, phi_dim, 1, (phi_dim,), dtype))
+        expl_widths = _explicit_tower_widths(phi_dim, config.explicit_mlp_layers)
+        self.explicit_tower = L.dense_tower(params, "explicit_mlp", phi_dim, expl_widths, "relu", rng, dtype)
+        self.explicit_head = params.add("explicit_head",
+                                        L.glorot_uniform(rng, expl_widths[-1], 1, (expl_widths[-1],), dtype))
 
-        user_side = config.side_dim if config.side_info_mode == "user_and_item" else 0
-        item_side = config.side_dim if config.side_info_mode in ("user_and_item", "item_only") else 0
+    def _heads(self, phi_implicit: Tensor, embedding_rows: list) -> ForwardResult:
+        x_hat = _head_scores(phi_implicit, self.implicit_head.value)
+        phi_explicit = L.apply_tower(self.explicit_tower, phi_implicit)
+        y_hat = _head_scores(phi_explicit, self.explicit_head.value)
+        return ForwardResult(x_hat, y_hat, embedding_rows)
 
-        self.gmf_user = L.EmbeddingTable.build(params, "gmf.user", num_users, k, rng, user_side, dtype)
-        self.gmf_item = L.EmbeddingTable.build(params, "gmf.item", num_items, k, rng, item_side, dtype)
-        self.mlp_user = L.EmbeddingTable.build(params, "mlp.user", num_users, mlp_emb, rng, user_side, dtype)
-        self.mlp_item = L.EmbeddingTable.build(params, "mlp.item", num_items, mlp_emb, rng, item_side, dtype)
-        self.implicit_tower = L.dense_tower(params, "implicit_mlp", 2 * mlp_emb, mlp_widths, "relu", rng, dtype)
-        self.implicit_head = params.add("implicit_head", L.glorot_uniform(rng, 2 * k, 1, (2 * k,), dtype))
-        expl_widths = _explicit_tower_widths(2 * k, config.explicit_mlp_layers)
-        self.explicit_tower = L.dense_tower(params, "explicit_mlp", 2 * k, expl_widths, "relu", rng, dtype)
-        self.explicit_head = params.add("explicit_head", L.glorot_uniform(rng, expl_widths[-1], 1, (expl_widths[-1],), dtype))
-        self.params = params
+    def forward_batch(self, users: np.ndarray, candidates: np.ndarray,
+                      contexts: Optional[np.ndarray] = None, side_info=None,
+                      training: bool = False,
+                      rng: Optional[np.random.Generator] = None) -> ForwardResult:
+        """Score (user, candidate) rows, looking up the side matrices the
+        variant uses in ``side_info`` (a ``data.SideInfo``).
 
-    def _check_side(self, user_side, item_side) -> None:
+        ``contexts`` is the [B, n] padded session ahead of each candidate;
+        sequence models need it, the others ignore it.
+        """
         mode = self.config.side_info_mode
-        want_user = mode == "user_and_item"
-        want_item = mode in ("user_and_item", "item_only")
-        if want_user != (user_side is not None):
-            raise ConfigError(f"side_info_mode={mode!r}: user side vectors "
-                              + ("required" if want_user else "not accepted"))
-        if want_item != (item_side is not None):
-            raise ConfigError(f"side_info_mode={mode!r}: item side vectors "
-                              + ("required" if want_item else "not accepted"))
+        if mode != "none" and side_info is None:
+            raise ConfigError(f"model variant needs side info ({mode})")
+        items = (contexts, candidates) if self.kind == "bert" else (candidates,)
+        user_side = side_info.user_matrix(users) if mode == "user_and_item" else None
+        item_sides = [side_info.item_matrix(x) if mode != "none" else None for x in items]
+        return self.forward(users, *items, user_side, *item_sides, training=training, rng=rng)
+
+
+class ITEModel(_ImplicitExplicitModel):
+    """GMF/MLP fusion front end with a chained explicit tower."""
+
+    kind = "ite"
+
+    def _build_encoder(self, params, rng, user_side, item_side, dtype) -> int:
+        k = self.config.embedding_dim
+        mlp_widths = _implicit_tower_widths(k, self.config.implicit_mlp_layers)
+        mlp_emb = mlp_widths[0]  # concat of two such embeddings feeds the tower
+        self.gmf_user = L.EmbeddingTable.build(params, "gmf.user", self.num_users, k, rng, user_side, dtype)
+        self.gmf_item = L.EmbeddingTable.build(params, "gmf.item", self.num_items, k, rng, item_side, dtype)
+        self.mlp_user = L.EmbeddingTable.build(params, "mlp.user", self.num_users, mlp_emb, rng, user_side, dtype)
+        self.mlp_item = L.EmbeddingTable.build(params, "mlp.item", self.num_items, mlp_emb, rng, item_side, dtype)
+        self.implicit_tower = L.dense_tower(params, "implicit_mlp", 2 * mlp_emb, mlp_widths, "relu", rng, dtype)
+        return 2 * k
 
     def forward(self, users: np.ndarray, items: np.ndarray,
                 user_side: Optional[np.ndarray] = None,
-                item_side: Optional[np.ndarray] = None) -> ForwardResult:
+                item_side: Optional[np.ndarray] = None,
+                training: bool = False,
+                rng: Optional[np.random.Generator] = None) -> ForwardResult:
         """Score a batch of (user, item) pairs. ``users``/``items`` are int
-        arrays [B]; side matrices are [B, T] when the variant uses them."""
-        self._check_side(user_side, item_side)
+        arrays [B]; side matrices are [B, T] when the variant uses them.
+        The model has no dropout, so ``training`` and ``rng`` change nothing."""
+        _check_side(self.config.side_info_mode, user_side, item_side)
         users = np.asarray(users)
         items = np.asarray(items)
         pg = self.gmf_user.lookup(users, user_side)
@@ -164,55 +196,24 @@ class ITEModel:
 
         phi_gmf = T.elementwise_mul(pg, qg)
         phi_mlp = L.apply_tower(self.implicit_tower, T.concat(pm, qm, axis=-1))
-        phi_implicit = T.concat(phi_gmf, phi_mlp, axis=-1)
-        x_hat = _head_scores(phi_implicit, self.implicit_head.value)
-        phi_explicit = L.apply_tower(self.explicit_tower, phi_implicit)
-        y_hat = _head_scores(phi_explicit, self.explicit_head.value)
-        return ForwardResult(x_hat, y_hat, [pg, qg, pm, qm])
+        return self._heads(T.concat(phi_gmf, phi_mlp, axis=-1), [pg, qg, pm, qm])
 
 
-class BertITEModel:
+class BertITEModel(_ImplicitExplicitModel):
     """Transformer session encoder feeding the implicit/explicit heads."""
 
     kind = "bert"
 
-    def __init__(self, num_users: int, num_items: int, config: ModelConfig,
-                 seed: int = 0, dtype=T.DEFAULT_DTYPE):
-        config.validate()
-        self.num_users = num_users
-        self.num_items = num_items
-        self.config = config
-        self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(seed)
-        params = ParameterRegistry()
-        k = config.embedding_dim
-
-        user_side = config.side_dim if config.side_info_mode == "user_and_item" else 0
-        item_side = config.side_dim if config.side_info_mode in ("user_and_item", "item_only") else 0
-
-        self.user_table = L.EmbeddingTable.build(params, "user", num_users, k, rng, user_side, dtype)
+    def _build_encoder(self, params, rng, user_side, item_side, dtype) -> int:
+        k = self.config.embedding_dim
+        self.user_table = L.EmbeddingTable.build(params, "user", self.num_users, k, rng, user_side, dtype)
         # one item table shared by sequence rows and the target item
-        self.item_table = L.EmbeddingTable.build(params, "item", num_items, k, rng, item_side, dtype)
+        self.item_table = L.EmbeddingTable.build(params, "item", self.num_items, k, rng, item_side, dtype)
         self.transformer = [
-            L.TransformerLayer(params, f"trm{l}", k, config.attention_heads, rng, config.dropout, dtype)
-            for l in range(config.transformer_layers)
+            L.TransformerLayer(params, f"trm{l}", k, self.config.attention_heads, rng, self.config.dropout, dtype)
+            for l in range(self.config.transformer_layers)
         ]
-        self.implicit_head = params.add("implicit_head", L.glorot_uniform(rng, k, 1, (k,), dtype))
-        expl_widths = _explicit_tower_widths(k, config.explicit_mlp_layers)
-        self.explicit_tower = L.dense_tower(params, "explicit_mlp", k, expl_widths, "relu", rng, dtype)
-        self.explicit_head = params.add("explicit_head", L.glorot_uniform(rng, expl_widths[-1], 1, (expl_widths[-1],), dtype))
-        self.params = params
-
-    def _check_side(self, user_side, seq_side, target_side) -> None:
-        mode = self.config.side_info_mode
-        want_user = mode == "user_and_item"
-        want_item = mode in ("user_and_item", "item_only")
-        if want_user != (user_side is not None):
-            raise ConfigError(f"side_info_mode={mode!r}: user side vectors "
-                              + ("required" if want_user else "not accepted"))
-        if want_item != (seq_side is not None) or want_item != (target_side is not None):
-            raise ConfigError(f"side_info_mode={mode!r}: item side vectors "
-                              + ("required" if want_item else "not accepted"))
+        return k
 
     def forward(self, users: np.ndarray, sequences: np.ndarray, targets: np.ndarray,
                 user_side: Optional[np.ndarray] = None,
@@ -225,7 +226,7 @@ class BertITEModel:
         ``sequences`` is int [B, n] (pre-padded); side matrices are
         [B, T] / [B, n, T] when the variant uses them.
         """
-        self._check_side(user_side, seq_side, target_side)
+        _check_side(self.config.side_info_mode, user_side, seq_side, target_side)
         users = np.asarray(users)
         sequences = np.asarray(sequences)
         targets = np.asarray(targets)
@@ -247,12 +248,7 @@ class BertITEModel:
         for layer in self.transformer:
             x = L.transformer_layer(x, layer, training, rng)
         u_rep = T.select_row(x, 0)                                # [B, K]
-
-        phi_implicit = T.elementwise_mul(u_rep, tgt_emb)
-        x_hat = _head_scores(phi_implicit, self.implicit_head.value)
-        phi_explicit = L.apply_tower(self.explicit_tower, phi_implicit)
-        y_hat = _head_scores(phi_explicit, self.explicit_head.value)
-        return ForwardResult(x_hat, y_hat, [u_emb, seq_emb, tgt_emb])
+        return self._heads(T.elementwise_mul(u_rep, tgt_emb), [u_emb, seq_emb, tgt_emb])
 
 
 def build_model(variant: str, num_users: int, num_items: int, config: ModelConfig,
@@ -272,64 +268,3 @@ def build_model(variant: str, num_users: int, num_items: int, config: ModelConfi
 def predict_score(x_hat, y_hat):
     """Ranking score: the product of the implicit and explicit probabilities."""
     return x_hat * y_hat
-
-
-def ite_forward(model: ITEModel, user: int, item: int,
-                side: Optional[tuple] = None) -> tuple[float, float]:
-    """Single-pair convenience wrapper returning (implicit, explicit) probs.
-
-    ``side`` is (user_vec, item_vec); pass only the vectors the variant needs.
-    """
-    user_side = item_side = None
-    if side is not None:
-        u_vec, i_vec = side
-        user_side = None if u_vec is None else np.asarray(u_vec)[None, :]
-        item_side = None if i_vec is None else np.asarray(i_vec)[None, :]
-    with T.no_grad():
-        res = model.forward(np.array([user]), np.array([item]), user_side, item_side)
-    return res.x_hat.item(), res.y_hat.item()
-
-
-def bert_ite_forward(model: BertITEModel, user: int, sequence: Sequence[int], target: int,
-                     side: Optional[tuple] = None, training: bool = False,
-                     rng: Optional[np.random.Generator] = None) -> tuple[float, float]:
-    """Single-example convenience wrapper returning (implicit, explicit) probs.
-
-    ``sequence`` must already be padded to the configured length.
-    ``side`` is (user_vec, seq_mat, target_vec).
-    """
-    seq = np.asarray(sequence)
-    if seq.shape != (model.config.seq_len,):
-        raise ConfigError(f"sequence must have exactly {model.config.seq_len} entries, got {seq.shape}")
-    user_side = seq_side = target_side = None
-    if side is not None:
-        u_vec, s_mat, t_vec = side
-        user_side = None if u_vec is None else np.asarray(u_vec)[None, :]
-        seq_side = None if s_mat is None else np.asarray(s_mat)[None, :, :]
-        target_side = None if t_vec is None else np.asarray(t_vec)[None, :]
-    if training:
-        res = model.forward(np.array([user]), seq[None, :], np.array([target]),
-                            user_side, seq_side, target_side, training=True, rng=rng)
-    else:
-        with T.no_grad():
-            res = model.forward(np.array([user]), seq[None, :], np.array([target]),
-                                user_side, seq_side, target_side)
-    return res.x_hat.item(), res.y_hat.item()
-
-
-def encode_side_user(items: Sequence[int], item_categories: Sequence[Sequence[int]],
-                     num_categories: int) -> np.ndarray:
-    """Category-frequency vector over a user's interacted items.
-
-    Each item increments every category it belongs to; the vector is
-    normalized by the total count. A user whose items carry no categories
-    gets the all-zero vector (degenerate but valid input downstream).
-    """
-    counts = np.zeros(num_categories, dtype=np.float64)
-    for item in items:
-        for c in item_categories[item]:
-            counts[c] += 1.0
-    total = counts.sum()
-    if total > 0:
-        counts /= total
-    return counts

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -56,22 +56,11 @@ class TrainingConfig:
             raise ConfigError("epochs must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "implicit_weight": self.implicit_weight,
-            "l2_weight": self.l2_weight,
-            "negatives_per_positive": self.negatives_per_positive,
-            "epochs": self.epochs,
-            "seed": self.seed,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_eps": self.adam_eps,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainingConfig":
-        return cls(**{k: d[k] for k in cls().to_dict() if k in d})
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 def bce_sum(predictions: Tensor, labels: np.ndarray) -> Tensor:
@@ -221,55 +210,35 @@ def _session_contexts(store: InteractionStore, users: np.ndarray, anchors: np.nd
     return out
 
 
-def _forward_group(model, rows: np.ndarray, store: InteractionStore,
-                   side_info: Optional[SideInfo], training: bool,
-                   rng: np.random.Generator):
-    users = rows[:, 1]
-    anchors = rows[:, 2]
-    candidates = rows[:, 3]
-    mode = model.config.side_info_mode
-    user_side = side_info.user_matrix(users) if mode == "user_and_item" else None
-    if model.kind == "ite":
-        item_side = side_info.item_matrix(candidates) if mode != "none" else None
-        return model.forward(users, candidates, user_side, item_side)
-    seqs = _session_contexts(store, users, anchors, model.config.seq_len, rng)
-    seq_side = target_side = None
-    if mode != "none":
-        seq_side = side_info.item_matrix(seqs)
-        target_side = side_info.item_matrix(candidates)
-    return model.forward(users, seqs, candidates, user_side, seq_side, target_side,
-                         training=training, rng=rng)
-
-
 def train_epoch(model, store: InteractionStore, config: TrainingConfig,
                 rng: np.random.Generator, side_info: Optional[SideInfo] = None,
                 optimizer: Optional[Adam] = None) -> EpochReport:
     """One pass over freshly sampled examples: a combined backward and one
     Adam step per shuffled batch. Deterministic for a given rng state."""
     config.validate()
-    if model.config.side_info_mode != "none" and side_info is None:
-        raise ConfigError(f"model variant needs side info ({model.config.side_info_mode})")
     if optimizer is None:
         optimizer = Adam.from_config(model.params, config)
     examples = build_epoch_examples(store, config.negatives_per_positive, rng)
     losses = []
     for start in range(0, examples.shape[0], config.batch_size):
         batch = examples[start:start + config.batch_size]
-        implicit_rows = batch[batch[:, 0] == _KIND_IMPLICIT]
-        explicit_rows = batch[batch[:, 0] == _KIND_EXPLICIT]
-        implicit_pred = implicit_labels = None
-        explicit_pred = explicit_labels = None
+        preds: list[Optional[Tensor]] = [None, None]      # indexed by example kind
+        labels: list[Optional[np.ndarray]] = [None, None]
         embedding_rows: list[Tensor] = []
-        if implicit_rows.shape[0]:
-            res = _forward_group(model, implicit_rows, store, side_info, True, rng)
-            implicit_pred, implicit_labels = res.x_hat, implicit_rows[:, 4].astype(np.float64)
+        for kind in (_KIND_IMPLICIT, _KIND_EXPLICIT):
+            rows = batch[batch[:, 0] == kind]
+            if not rows.shape[0]:
+                continue
+            users, anchors, candidates = rows[:, 1], rows[:, 2], rows[:, 3]
+            contexts = None
+            if model.kind == "bert":
+                contexts = _session_contexts(store, users, anchors, model.config.seq_len, rng)
+            res = model.forward_batch(users, candidates, contexts, side_info, training=True, rng=rng)
+            preds[kind] = res.x_hat if kind == _KIND_IMPLICIT else res.y_hat
+            labels[kind] = rows[:, 4].astype(np.float64)
             embedding_rows.extend(res.embedding_rows)
-        if explicit_rows.shape[0]:
-            res = _forward_group(model, explicit_rows, store, side_info, True, rng)
-            explicit_pred, explicit_labels = res.y_hat, explicit_rows[:, 4].astype(np.float64)
-            embedding_rows.extend(res.embedding_rows)
-        loss = joint_loss(implicit_pred, implicit_labels, explicit_pred, explicit_labels,
-                          embedding_rows, config)
+        loss = joint_loss(preds[_KIND_IMPLICIT], labels[_KIND_IMPLICIT],
+                          preds[_KIND_EXPLICIT], labels[_KIND_EXPLICIT], embedding_rows, config)
         loss.backward()
         optimizer.step()
         losses.append(loss.item())

@@ -5,11 +5,13 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from feedrank.cli import main
+from feedrank.cli import RunConfig, load_run_config, main, write_run_config
 from feedrank.container import load_checkpoint
 from feedrank.data import load_prepared
-from feedrank.models import build_model
+from feedrank.models import VARIANTS, ModelConfig, build_model
+from feedrank.training import TrainingConfig
 
 from conftest import planted_dataset
 
@@ -74,6 +76,13 @@ class TestPrepare:
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["prepare", "--events", str(tmp_path / "nope.csv")]) == 2
+
+    def test_blank_and_short_rows_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("timestamp,visitorid,event,itemid\n1,2,view,3\n\n1,2\n")
+        assert main(["prepare", "--events", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "data row 1" in err and len(err.splitlines()) == 1
 
     def test_prepare_idempotent_byte_for_byte(self, tmp_path):
         events, cats = planted_dataset(tmp_path, num_groups=2, users_per_group=3,
@@ -288,3 +297,43 @@ class TestConfigParsing:
         assert parser["run"]["variant"] == "ite"
         assert parser["training"]["learning_rate"] == "0.01"
         assert parser["model"]["embedding_dim"] == "8"
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("[run]\nvariant = ite\n[training]\nlearning_rte = 0.5\n",
+                     "unknown key [training] learning_rte", id="training-typo"),
+        pytest.param("[run]\nvariant = ite\nsed = 3\n", "unknown key [run] sed", id="run-typo"),
+        pytest.param("[data]\nprepard = x\n", "unknown key [data] prepard", id="data-typo"),
+        pytest.param("[model]\nembeding_dim = 4\n", "unknown key [model] embeding_dim",
+                     id="model-typo"),
+        pytest.param("[trainig]\nepochs = 3\n", "unknown section [trainig]", id="section-typo"),
+        pytest.param("[model]\nside_dim = 4\n", "[model] side_dim is set from", id="side-dim"),
+        pytest.param("[model]\nside_info_mode = item_only\n", "[model] side_info_mode is set from",
+                     id="side-info-mode"),
+        pytest.param("[training]\nseed = 3\n", "[training] seed is set from", id="training-seed"),
+        pytest.param("[training]\nepochs = two\n", "[training] epochs = 'two' is not a valid int",
+                     id="bad-int"),
+        pytest.param("[run]\nseed = 1\n[run]\nseed = 2\n", "section 'run' already exists",
+                     id="duplicate-section"),
+        pytest.param("variant = ite\n", "no section headers", id="no-section"),
+    ])
+    def test_unknown_derived_and_malformed_keys_exit_one(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_text(text)
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(variant=st.sampled_from(sorted(VARIANTS)),
+           seed=st.integers(-2**31, 2**31),
+           names=st.lists(st.text(alphabet="abz09/._-", max_size=12), min_size=2, max_size=2),
+           ints=st.lists(st.integers(-2**31, 2**31), min_size=9, max_size=9),
+           reals=st.lists(st.floats(allow_nan=False), min_size=7, max_size=7))
+    def test_written_config_loads_back_equal(self, tmp_path, variant, seed, names, ints, reals):
+        model = ModelConfig(*ints[:6], reals[0])
+        training = TrainingConfig(reals[1], ints[6], reals[2], reals[3], ints[7], ints[8], seed,
+                                  *reals[4:])
+        cfg = RunConfig(variant, seed, names[0], ints[0], names[1], model, training)
+        path = tmp_path / "round-trip.ini"
+        write_run_config(path, cfg)
+        assert load_run_config(str(path)) == cfg

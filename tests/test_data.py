@@ -63,6 +63,13 @@ class TestIngest:
         with pytest.raises(DataError, match="visitorid"):
             ingest(str(path), min_interactions=1)
 
+    @pytest.mark.parametrize("bad_row", ["", "2,u"])
+    def test_blank_or_short_row_is_fatal(self, tmp_path, bad_row):
+        path = tmp_path / "short.csv"
+        path.write_text(f"timestamp,visitorid,event,itemid\n1,u,view,a\n{bad_row}\n3,u,view,b\n")
+        with pytest.raises(DataError, match="data row 1 has"):
+            ingest(str(path), min_interactions=1)
+
     def test_configurable_columns_and_classification(self, tmp_path):
         path = write_events_csv(tmp_path / "alt.csv",
                                 [(1, "u", "look", "a"), (2, "u", "buy", "a")],
@@ -87,7 +94,7 @@ class TestSideInfo:
         ])
         side = build_side_info(tiny_store, str(cats))
         assert side.num_categories == 4  # c0, c1, c2, c5
-        vec = side.item_vector(tiny_store.item_index["a"])
+        vec = side.item_matrix([tiny_store.item_index["a"]])[0]
         np.testing.assert_array_equal(vec, [0.0, 0.0, 1.0, 1.0])
 
     def test_user_frequency_vector_three_one(self, tmp_path):
@@ -98,13 +105,13 @@ class TestSideInfo:
             ("a", "A"), ("b", "A"), ("c", "A"), ("d", "B"),
         ])
         side = build_side_info(store, str(cats))
-        np.testing.assert_allclose(side.user_vector(0), [0.75, 0.25])
+        np.testing.assert_allclose(side.user_matrix([0])[0], [0.75, 0.25])
 
     def test_uncategorized_user_zero_vector(self, tiny_store, tmp_path):
         cats = write_categories_csv(tmp_path / "c.csv", [("a", "A")])
         side = build_side_info(tiny_store, str(cats))
         u2 = tiny_store.user_index["u2"]  # interacted only with e, f
-        np.testing.assert_array_equal(side.user_vector(u2), [0.0])
+        np.testing.assert_array_equal(side.user_matrix([u2])[0], [0.0])
 
     def test_malformed_rows_skipped_and_counted(self, tmp_path, tiny_store, caplog):
         path = tmp_path / "c.csv"
@@ -229,4 +236,4 @@ class TestPreparedRoundTrip:
                                     [("a", "A"), ("b", "A"), ("c", "A"), ("d", "B")])
         train, _ = leave_one_out_split(store)
         side = build_side_info(train, str(cats))
-        np.testing.assert_allclose(side.user_vector(0), [1.0, 0.0])
+        np.testing.assert_allclose(side.user_matrix([0])[0], [1.0, 0.0])

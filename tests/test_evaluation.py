@@ -19,13 +19,10 @@ class FakeModel:
     kind = "ite"
 
     def __init__(self, scores: np.ndarray):
-        from types import SimpleNamespace
-
         self.scores = np.asarray(scores, dtype=np.float64)
-        self.config = SimpleNamespace(side_info_mode="none")
 
-    def forward(self, users, items, user_side=None, item_side=None):
-        x = self.scores[np.asarray(users), np.asarray(items)]
+    def forward_batch(self, users, candidates, contexts=None, side_info=None):
+        x = self.scores[np.asarray(users), np.asarray(candidates)]
         return ForwardResult(Tensor(x), Tensor(np.ones_like(x)), [])
 
 

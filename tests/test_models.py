@@ -6,8 +6,8 @@ import pytest
 from scipy.special import expit
 
 from feedrank import tensor as T
-from feedrank.models import (BertITEModel, ITEModel, ModelConfig, bert_ite_forward, build_model,
-                             encode_side_user, ite_forward, predict_score)
+from feedrank.data import encode_side_user
+from feedrank.models import BertITEModel, ITEModel, ModelConfig, build_model, predict_score
 from feedrank.tensor import ConfigError
 
 from conftest import check_gradients
@@ -18,6 +18,21 @@ def ite_config(k=2, x=1, y=1, side_mode="none", side_dim=0):
     return ModelConfig(embedding_dim=k, attention_heads=1, implicit_mlp_layers=x,
                        explicit_mlp_layers=y, dropout=0.0, side_info_mode=side_mode,
                        side_dim=side_dim)
+
+
+def ite_forward(model: ITEModel, user: int, item: int, item_side=None):
+    """(implicit, explicit) probabilities of one pair, dropout-free."""
+    side = None if item_side is None else np.asarray(item_side)[None, :]
+    with T.no_grad():
+        res = model.forward(np.array([user]), np.array([item]), item_side=side)
+    return res.x_hat.item(), res.y_hat.item()
+
+
+def bert_ite_forward(model: BertITEModel, user: int, sequence, target: int):
+    """(implicit, explicit) probabilities of one padded session, dropout-free."""
+    with T.no_grad():
+        res = model.forward(np.array([user]), np.array([sequence]), np.array([target]))
+    return res.x_hat.item(), res.y_hat.item()
 
 
 def oracle_ite_forward(model: ITEModel, u: int, i: int):
@@ -122,8 +137,8 @@ class TestITEForward:
 
     def test_item_only_mode(self):
         model = ITEModel(4, 4, ite_config(side_mode="item_only", side_dim=3), seed=9, dtype=np.float64)
-        x0, y0 = ite_forward(model, 0, 1, side=(None, np.zeros(3)))
-        x1, y1 = ite_forward(model, 0, 1, side=(None, np.ones(3)))
+        x0, y0 = ite_forward(model, 0, 1, item_side=np.zeros(3))
+        x1, y1 = ite_forward(model, 0, 1, item_side=np.ones(3))
         assert (x0, y0) != (x1, y1)  # side vector reaches the item embedding
 
 
@@ -189,7 +204,7 @@ class TestBertITEForward:
 
     def test_wrong_sequence_length(self):
         model = BertITEModel(3, 5, self.cfg(n=2), seed=16)
-        with pytest.raises(ConfigError, match="exactly 2"):
+        with pytest.raises(ConfigError, match=r"sequences must be \[batch, 2\]"):
             bert_ite_forward(model, 0, [1, 2, 3], 4)
 
     def test_eval_forward_has_no_dropout(self):

@@ -8,7 +8,8 @@ import pytest
 
 from feedrank import tensor as T
 from feedrank.data import InteractionStore, ingest, leave_one_out_split
-from feedrank.models import ITEModel, ModelConfig
+from feedrank.evaluation import evaluate
+from feedrank.models import ITEModel, ModelConfig, build_model
 from feedrank.tensor import ConfigError, ParameterRegistry, Tensor
 from feedrank.training import (Adam, TrainingConfig,bce_sum, build_epoch_examples, fit,
                                joint_loss, pad_sequence, sample_negatives, train_epoch)
@@ -312,3 +313,13 @@ class TestEpochLoop:
         best = max(result.history, key=lambda r: (r["hr"], r["ndcg"]))
         assert result.best_epoch == best["epoch"]
         assert result.best_hr == best["hr"]
+
+    @pytest.mark.parametrize("variant", ["ite-si", "ite-ossi", "bert-ite-si", "bert-ite-ossi"])
+    def test_side_variant_without_side_info_is_a_config_error(self, small_prepared, variant):
+        store, cases = small_prepared
+        config = ModelConfig(embedding_dim=4, seq_len=3, transformer_layers=1, side_dim=5)
+        model = build_model(variant, store.num_users, store.num_items, config, seed=8)
+        with pytest.raises(ConfigError, match="needs side info"):
+            train_epoch(model, store, cfg(), np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="needs side info"):
+            evaluate(model, cases, store=store)
