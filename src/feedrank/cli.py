@@ -171,6 +171,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         cfg.out = args.out
     if not cfg.prepared:
         raise ConfigError("config is missing [data] prepared = <path>")
+    cfg.training.validate()
     prepared = data.load_prepared(cfg.prepared)
     if _needs_side(cfg.variant):
         if prepared.side_info is None:

@@ -21,6 +21,8 @@ deterministic, so save -> load -> save round-trips byte-identically.
 from __future__ import annotations
 
 import json
+import os
+import secrets
 import struct
 from typing import BinaryIO
 
@@ -37,22 +39,38 @@ class FormatError(ValueError):
 
 
 def write_container(path: str, config: dict, arrays: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        blob = json.dumps(config, separators=(",", ":")).encode("utf-8")
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr)
-            dt = arr.dtype.newbyteorder("<")
-            if dt not in _TAG_BY_DTYPE:
-                raise FormatError(f"record {name!r}: unsupported dtype {arr.dtype}")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<BI", _TAG_BY_DTYPE[dt], arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype(dt, copy=False).tobytes())
+    """Write to a temporary file beside ``path``, then rename it onto
+    ``path``: a failed or interrupted write leaves any old file as it was.
+    There is no fsync, so this guards against a process crash, not against
+    power loss."""
+    path = os.fspath(path)
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            _write_records(fh, config, arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def _write_records(fh: BinaryIO, config: dict, arrays: dict[str, np.ndarray]) -> None:
+    fh.write(MAGIC)
+    blob = json.dumps(config, separators=(",", ":")).encode("utf-8")
+    fh.write(struct.pack("<I", len(blob)))
+    fh.write(blob)
+    for name, arr in arrays.items():
+        arr = np.ascontiguousarray(arr)
+        dt = arr.dtype.newbyteorder("<")
+        if dt not in _TAG_BY_DTYPE:
+            raise FormatError(f"record {name!r}: unsupported dtype {arr.dtype}")
+        encoded = name.encode("utf-8")
+        fh.write(struct.pack("<I", len(encoded)))
+        fh.write(encoded)
+        fh.write(struct.pack("<BI", _TAG_BY_DTYPE[dt], arr.ndim))
+        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        fh.write(arr.astype(dt, copy=False).tobytes())
 
 
 def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:

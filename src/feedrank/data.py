@@ -10,6 +10,7 @@ Item-category side information is read from a companion file.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -250,16 +251,32 @@ class SideInfo:
     item_categories: list[list[int]]
     user_vectors: list[tuple]  # per user: (category indices, weights)
     skipped_rows: int = 0
+    # item_categories as one flat array with per-item starts and counts,
+    # built once so item_matrix fills its multi-hot in a single assignment
+    _item_flat: np.ndarray = field(init=False, repr=False, compare=False)
+    _item_starts: np.ndarray = field(init=False, repr=False, compare=False)
+    _item_counts: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        counts = np.fromiter(map(len, self.item_categories), dtype=np.int64,
+                             count=len(self.item_categories))
+        self._item_counts = counts
+        self._item_starts = np.cumsum(counts) - counts
+        self._item_flat = np.fromiter(itertools.chain.from_iterable(self.item_categories),
+                                      dtype=np.int64, count=int(counts.sum()))
 
     def item_matrix(self, items: np.ndarray, dtype=np.float32) -> np.ndarray:
         items = np.asarray(items)
-        out = np.zeros(items.shape + (self.num_categories,), dtype=dtype)
         flat = items.reshape(-1)
-        view = out.reshape(-1, self.num_categories)
-        for pos, item in enumerate(flat):
-            for c in self.item_categories[int(item)]:
-                view[pos, c] = 1.0
-        return out
+        counts = self._item_counts[flat]
+        ends = np.cumsum(counts)
+        # the j-th 1 of the output lies in row rows[j]; its category is the
+        # item's start in _item_flat plus j's rank among that row's 1s
+        rows = np.repeat(np.arange(flat.size), counts)
+        src = np.arange(rows.size) + np.repeat(self._item_starts[flat] - (ends - counts), counts)
+        out = np.zeros((flat.size, self.num_categories), dtype=dtype)
+        out[rows, self._item_flat[src]] = 1.0
+        return out.reshape(items.shape + (self.num_categories,))
 
     def user_matrix(self, users: np.ndarray, dtype=np.float32) -> np.ndarray:
         users = np.asarray(users)

@@ -124,19 +124,25 @@ class TransformerLayer:
         self.ln2_bias = params.add(f"{name}.ln2.bias", np.zeros(dim, dtype=dtype))
 
 
-def multi_head_self_attention(h: Tensor, layer: TransformerLayer, return_weights: bool = False):
+def multi_head_self_attention(h: Tensor, layer: TransformerLayer, return_weights: bool = False,
+                              query: Optional[Tensor] = None):
     """Scaled dot-product attention per head, heads concatenated then mixed
     by the output projection. Bidirectional: no causal mask, no positions.
 
-    ``h`` is [t, d] or [batch, t, d].
+    ``h`` is [t, d] or [batch, t, d]. Keys and values come from every row of
+    ``h``; queries come from ``query`` ([t_q, d] or [batch, t_q, d]) when it
+    is given, else from ``h``, and the output has one row per query row.
     """
-    if h.shape[-1] != layer.dim:
-        raise ShapeError(f"input dim {h.shape[-1]} vs layer dim {layer.dim}")
+    if query is None:
+        query = h
+    for x in (h, query):
+        if x.shape[-1] != layer.dim:
+            raise ShapeError(f"input dim {x.shape[-1]} vs layer dim {layer.dim}")
     inv_scale = 1.0 / math.sqrt(layer.dim / layer.heads)
     heads = []
     weights = []
     for i in range(layer.heads):
-        q = T.matmul(h, layer.wq[i].value)
+        q = T.matmul(query, layer.wq[i].value)
         k = T.matmul(h, layer.wk[i].value)
         v = T.matmul(h, layer.wv[i].value)
         scores = T.scale(T.matmul(q, T.transpose_last2(k)), inv_scale)
@@ -156,10 +162,18 @@ def pffn(a: Tensor, layer: TransformerLayer) -> Tensor:
 
 
 def transformer_layer(x: Tensor, layer: TransformerLayer, training: bool = False,
-                      rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Two sublayers: LN(x + Drop(MH(x))) then LN(a + Drop(PFFN(a)))."""
-    mh = T.dropout(multi_head_self_attention(x, layer), layer.dropout_rate, training, rng)
-    a = T.layer_norm(T.add(x, mh), layer.ln1_gain.value, layer.ln1_bias.value)
+                      rng: Optional[np.random.Generator] = None,
+                      query: Optional[Tensor] = None) -> Tensor:
+    """Two sublayers: LN(x + Drop(MH(x))) then LN(a + Drop(PFFN(a))).
+
+    With ``query`` (rows of ``x``), only those rows are computed: they
+    attend to every row of ``x``, and the residuals, dropouts, layer norms
+    and PFFN run on them alone.
+    """
+    if query is None:
+        query = x
+    mh = T.dropout(multi_head_self_attention(x, layer, query=query), layer.dropout_rate, training, rng)
+    a = T.layer_norm(T.add(query, mh), layer.ln1_gain.value, layer.ln1_bias.value)
     ff = T.dropout(pffn(a, layer), layer.dropout_rate, training, rng)
     return T.layer_norm(T.add(a, ff), layer.ln2_gain.value, layer.ln2_bias.value)
 

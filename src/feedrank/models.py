@@ -205,6 +205,8 @@ class BertITEModel(_ImplicitExplicitModel):
     kind = "bert"
 
     def _build_encoder(self, params, rng, user_side, item_side, dtype) -> int:
+        if self.config.transformer_layers < 1:
+            raise ConfigError("transformer_layers must be >= 1 for a bert variant")
         k = self.config.embedding_dim
         self.user_table = L.EmbeddingTable.build(params, "user", self.num_users, k, rng, user_side, dtype)
         # one item table shared by sequence rows and the target item
@@ -245,9 +247,12 @@ class BertITEModel(_ImplicitExplicitModel):
             seq_emb,
             T.reshape(tgt_emb, (b, 1, k)),
         ], axis=-2)                                               # [B, n+2, K]
-        for layer in self.transformer:
+        # the heads read only the user row, so the last layer computes it alone
+        *lower, last = self.transformer
+        for layer in lower:
             x = L.transformer_layer(x, layer, training, rng)
-        u_rep = T.select_row(x, 0)                                # [B, K]
+        user_row = T.reshape(T.select_row(x, 0), (b, 1, k))
+        u_rep = T.reshape(L.transformer_layer(x, last, training, rng, query=user_row), (b, k))
         return self._heads(T.elementwise_mul(u_rep, tgt_emb), [u_emb, seq_emb, tgt_emb])
 
 

@@ -30,6 +30,10 @@ _KIND_IMPLICIT = 0
 _KIND_EXPLICIT = 1
 
 
+class NonFiniteLossError(ValueError):
+    """A training step produced a NaN or infinite loss."""
+
+
 @dataclass
 class TrainingConfig:
     learning_rate: float = 0.001
@@ -239,9 +243,13 @@ def train_epoch(model, store: InteractionStore, config: TrainingConfig,
             embedding_rows.extend(res.embedding_rows)
         loss = joint_loss(preds[_KIND_IMPLICIT], labels[_KIND_IMPLICIT],
                           preds[_KIND_EXPLICIT], labels[_KIND_EXPLICIT], embedding_rows, config)
+        value = loss.item()
+        if not np.isfinite(value):
+            # stop before the update spreads the bad value into the parameters
+            raise NonFiniteLossError(f"non-finite training loss {value} at step {len(losses) + 1}")
         loss.backward()
         optimizer.step()
-        losses.append(loss.item())
+        losses.append(value)
     return EpochReport(mean_loss=float(np.mean(losses)), steps=len(losses))
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from feedrank import cli
 from feedrank.cli import RunConfig, load_run_config, main, write_run_config
 from feedrank.container import load_checkpoint
 from feedrank.data import load_prepared
@@ -158,6 +159,28 @@ class TestTrain:
         cfg = write_config(tmp_path / "cfg-si.ini", plain, variant="ite-si")
         assert main(["train", "--config", str(cfg)]) == 1
         assert "side information" in capsys.readouterr().err
+
+    def test_invalid_training_config_creates_no_run_dir(self, tmp_path, prepared_path, capsys):
+        run_dir = tmp_path / "run-bad"
+        cfg = write_config(tmp_path / "bad.ini", prepared_path, out=run_dir)
+        text = cfg.read_text().replace("negatives_per_positive = 3", "negatives_per_positive = -1")
+        cfg.write_text(text)
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "negatives_per_positive must be >= 0" in err and len(err.splitlines()) == 1
+        assert not run_dir.exists()
+
+    def test_non_finite_loss_exits_one(self, tmp_path, prepared_path, capsys, monkeypatch):
+        def poisoned_build(*args, **kwargs):
+            model = build_model(*args, **kwargs)
+            model.gmf_user.rows.value.data[0] = np.nan
+            return model
+
+        monkeypatch.setattr(cli, "build_model", poisoned_build)
+        cfg = write_config(tmp_path / "nan.ini", prepared_path, out=tmp_path / "run-nan")
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "non-finite training loss nan at step" in err and len(err.splitlines()) == 1
 
     def test_five_epoch_smoke_loss_decreases(self, tmp_path, prepared_path):
         import json

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from feedrank.container import (MAGIC, FormatError, load_checkpoint, read_container,
                                 save_checkpoint, write_container)
@@ -62,6 +64,27 @@ class TestContainer:
     def test_unsupported_dtype_rejected(self, tmp_path):
         with pytest.raises(FormatError, match="unsupported dtype"):
             write_container(str(tmp_path / "x.bin"), {}, {"bad": np.zeros(2, dtype=np.int16)})
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(bad_at=st.integers(0, 4))
+    def test_failed_write_keeps_old_file(self, tmp_path, bad_at):
+        # the write fails after ``bad_at`` good records reached the file
+        path = tmp_path / "keep.bin"
+        write_container(str(path), {"k": 1}, self.arrays())
+        before = path.read_bytes()
+        arrays = list(self.arrays().items())
+        arrays.insert(bad_at, ("bad", np.zeros(2, dtype=np.int16)))
+        with pytest.raises(FormatError, match="unsupported dtype"):
+            write_container(str(path), {"k": 2}, dict(arrays))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["keep.bin"]
+
+    def test_overwrite_replaces_old_file(self, tmp_path):
+        path = tmp_path / "c.bin"
+        write_container(path, {"k": 1}, self.arrays())
+        write_container(path, {"k": 2}, {})
+        assert read_container(str(path)) == ({"k": 2}, {})
+        assert [p.name for p in tmp_path.iterdir()] == ["c.bin"]
 
 
 class TestCheckpoint:

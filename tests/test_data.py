@@ -3,10 +3,12 @@ fixtures."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from feedrank.data import (ColumnSpec, DataError, DatasetStats, PreparedDataset, build_side_info,
-                           ingest, leave_one_out_split, load_prepared, read_category_pairs,
-                           read_retailrocket_properties, save_prepared)
+from feedrank.data import (ColumnSpec, DataError, DatasetStats, PreparedDataset, SideInfo,
+                           build_side_info, ingest, leave_one_out_split, load_prepared,
+                           read_category_pairs, read_retailrocket_properties, save_prepared)
 
 from conftest import write_categories_csv, write_events_csv
 
@@ -96,6 +98,38 @@ class TestSideInfo:
         assert side.num_categories == 4  # c0, c1, c2, c5
         vec = side.item_matrix([tiny_store.item_index["a"]])[0]
         np.testing.assert_array_equal(vec, [0.0, 0.0, 1.0, 1.0])
+
+    @staticmethod
+    def loop_item_matrix(side, items, dtype=np.float32):
+        """The per-(row, category) loop the vectorised item_matrix replaced."""
+        items = np.asarray(items)
+        out = np.zeros(items.shape + (side.num_categories,), dtype=dtype)
+        view = out.reshape(-1, side.num_categories)
+        for pos, item in enumerate(items.reshape(-1)):
+            for c in side.item_categories[int(item)]:
+                view[pos, c] = 1.0
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), num_categories=st.integers(1, 12), num_items=st.integers(1, 15),
+           shape=st.sampled_from([(0,), (1,), (7,), (3, 4), (2, 0), (2, 3, 2)]),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_item_matrix_equals_loop(self, data, num_categories, num_items, shape, dtype):
+        cats = [sorted(data.draw(st.sets(st.integers(0, num_categories - 1), max_size=num_categories)))
+                for _ in range(num_items)]
+        side = SideInfo(num_categories, [str(c) for c in range(num_categories)], cats, [])
+        items = np.array(data.draw(st.lists(st.integers(-num_items, num_items - 1),
+                                            min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
+                         dtype=np.int64).reshape(shape)
+        got = side.item_matrix(items, dtype=dtype)
+        expected = self.loop_item_matrix(side, items, dtype=dtype)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected)
+
+    def test_item_matrix_out_of_range_item(self):
+        side = SideInfo(2, ["A", "B"], [[0], [1]], [])
+        with pytest.raises(IndexError):
+            side.item_matrix([0, 2])
 
     def test_user_frequency_vector_three_one(self, tmp_path):
         rows = [(t, "u", "view", item) for t, item in

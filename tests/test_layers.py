@@ -240,6 +240,31 @@ class TestTransformerLayer:
         c = L.transformer_layer(x, layer, training=True, rng=np.random.default_rng(0)).data
         assert np.max(np.abs(a - c)) > 0  # dropout actually does something in training
 
+    def test_query_rows_match_full_layer(self):
+        # a query block computes exactly the rows of the full layer it names
+        rng = np.random.default_rng(19)
+        layer, _ = make_transformer(4, 2, rng)
+        x = Tensor(rng.standard_normal((2, 5, 4)))
+        full = L.transformer_layer(x, layer).data
+        for r in range(5):
+            part = L.transformer_layer(x, layer, query=Tensor(x.data[:, r:r + 1]))
+            assert part.shape == (2, 1, 4)
+            np.testing.assert_allclose(part.data, full[:, r:r + 1], atol=1e-12)
+        _, weights = L.multi_head_self_attention(x, layer, return_weights=True,
+                                                 query=Tensor(x.data[:, :2]))
+        assert [w.shape for w in weights] == [(2, 2, 5)] * 2
+
+    def test_query_gradients(self):
+        rng = np.random.default_rng(20)
+        layer, reg = make_transformer(4, 2, rng)
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        tensors = [x] + [p.value for p in reg]
+        def loss():
+            user_row = T.reshape(T.select_row(x, 0), (2, 1, 4))
+            return T.l2_sq(L.transformer_layer(x, layer, query=user_row))
+
+        check_gradients(loss, tensors, tol=1e-5, h=1e-3)
+
     def test_full_layer_gradients(self):
         # h=1e-3: the double layer-norm composition amplifies float64
         # rounding noise in the difference quotient at smaller steps

@@ -3,8 +3,11 @@ side-encoding and scoring contracts."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
+from feedrank import layers as L
 from feedrank import tensor as T
 from feedrank.data import encode_side_user
 from feedrank.models import BertITEModel, ITEModel, ModelConfig, build_model, predict_score
@@ -221,6 +224,63 @@ class TestBertITEForward:
         assert [l.weight.value.shape for l in model.explicit_tower] == [(8, 8), (4, 8), (2, 4)]
 
 
+def full_encoder_forward(model: BertITEModel, users, sequences, targets, user_side=None,
+                         seq_side=None, target_side=None):
+    """The encoder without pruning: every layer on every row, then the user row."""
+    b, k = len(users), model.config.embedding_dim
+    u_emb = model.user_table.lookup(users, user_side)
+    seq_emb = model.item_table.lookup(sequences, seq_side)
+    tgt_emb = model.item_table.lookup(targets, target_side)
+    x = T.concat_many([T.reshape(u_emb, (b, 1, k)), seq_emb, T.reshape(tgt_emb, (b, 1, k))], axis=-2)
+    for layer in model.transformer:
+        x = L.transformer_layer(x, layer)
+    return model._heads(T.elementwise_mul(T.select_row(x, 0), tgt_emb), [])
+
+
+class TestPrunedEncoder:
+    @settings(max_examples=40, deadline=None)
+    @given(b=st.integers(1, 4), n=st.integers(1, 5), heads=st.integers(1, 3), head_dim=st.integers(1, 3),
+           layers=st.integers(1, 3), variant=st.sampled_from(["bert-ite", "bert-ite-si", "bert-ite-ossi"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_full_encoder(self, b, n, heads, head_dim, layers, variant, seed):
+        side_dim = 3
+        cfg = ModelConfig(embedding_dim=heads * head_dim, seq_len=n, transformer_layers=layers,
+                          attention_heads=heads, explicit_mlp_layers=2, dropout=0.1, side_dim=side_dim)
+        model = build_model(variant, 4, 7, cfg, seed=seed, dtype=np.float64)
+        randomize_away_from_kinks(model, seed)
+        rng = np.random.default_rng(seed)
+        users, seqs, targets = rng.integers(0, 4, b), rng.integers(0, 7, (b, n)), rng.integers(0, 7, b)
+        mode = model.config.side_info_mode
+        user_side = rng.random((b, side_dim)) if mode == "user_and_item" else None
+        seq_side = rng.integers(0, 2, (b, n, side_dim)).astype(float) if mode != "none" else None
+        target_side = rng.integers(0, 2, (b, side_dim)).astype(float) if mode != "none" else None
+        with T.no_grad():
+            got = model.forward(users, seqs, targets, user_side, seq_side, target_side)
+            want = full_encoder_forward(model, users, seqs, targets, user_side, seq_side, target_side)
+        np.testing.assert_allclose(got.x_hat.data, want.x_hat.data, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got.y_hat.data, want.y_hat.data, rtol=0, atol=1e-10)
+
+    def test_last_layer_dropout_acts_on_user_row(self, monkeypatch):
+        shapes = []
+        dropout = T.dropout
+
+        def recording_dropout(x, rate, training, rng=None):
+            shapes.append(x.shape)
+            return dropout(x, rate, training, rng)
+
+        monkeypatch.setattr(T, "dropout", recording_dropout)
+        cfg = ModelConfig(embedding_dim=4, seq_len=3, transformer_layers=2, attention_heads=2, dropout=0.5)
+        model = BertITEModel(3, 6, cfg, seed=22)
+        res = model.forward(np.array([0, 1]), np.array([[1, 2, 3], [0, 4, 5]]), np.array([5, 1]),
+                            training=True, rng=np.random.default_rng(0))
+        assert res.x_hat.shape == (2,)
+        assert shapes == [(2, 5, 4), (2, 5, 4), (2, 1, 4), (2, 1, 4)]
+
+    def test_zero_layers_rejected(self):
+        with pytest.raises(ConfigError, match="transformer_layers must be >= 1"):
+            build_model("bert-ite", 3, 5, ModelConfig(embedding_dim=4, transformer_layers=0))
+
+
 class TestPredictScore:
     def test_hand_values(self):
         assert predict_score(1.0, 0.5) == 0.5
@@ -299,6 +359,23 @@ class TestModelGradients:
                           attention_heads=2, explicit_mlp_layers=2, dropout=0.0)
         model = BertITEModel(3, 5, cfg, seed=21, dtype=np.float64)
         randomize_away_from_kinks(model, seed=101)
+        users = np.array([0, 2])
+        seqs = np.array([[1, 2], [0, 4]])
+        targets = np.array([3, 1])
+        tensors = [p.value for p in model.params]
+
+        def loss():
+            res = model.forward(users, seqs, targets)
+            return T.add(T.sum_all(res.x_hat), T.sum_all(res.y_hat))
+
+        check_gradients(loss, tensors, tol=1e-5, h=1e-3)
+
+    def test_two_layer_bert_forward_gradient(self):
+        # a full first layer feeds the pruned last layer
+        cfg = ModelConfig(embedding_dim=4, seq_len=2, transformer_layers=2,
+                          attention_heads=2, explicit_mlp_layers=2, dropout=0.0)
+        model = BertITEModel(3, 5, cfg, seed=23, dtype=np.float64)
+        randomize_away_from_kinks(model, seed=102)
         users = np.array([0, 2])
         seqs = np.array([[1, 2], [0, 4]])
         targets = np.array([3, 1])

@@ -5,14 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from feedrank import tensor as T
 from feedrank.data import InteractionStore, ingest, leave_one_out_split
 from feedrank.evaluation import evaluate
 from feedrank.models import ITEModel, ModelConfig, build_model
 from feedrank.tensor import ConfigError, ParameterRegistry, Tensor
-from feedrank.training import (Adam, TrainingConfig,bce_sum, build_epoch_examples, fit,
-                               joint_loss, pad_sequence, sample_negatives, train_epoch)
+from feedrank.training import (Adam, NonFiniteLossError, TrainingConfig, bce_sum,
+                               build_epoch_examples, fit, joint_loss, pad_sequence,
+                               sample_negatives, train_epoch)
 
 from conftest import planted_dataset
 
@@ -313,6 +316,24 @@ class TestEpochLoop:
         best = max(result.history, key=lambda r: (r["hr"], r["ndcg"]))
         assert result.best_epoch == best["epoch"]
         assert result.best_hr == best["hr"]
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(user=st.integers(0, 19), batch_size=st.sampled_from([16, 64, 1000]))
+    def test_non_finite_loss_stops_at_first_bad_step(self, small_prepared, user, batch_size):
+        # bce_sum's clamp keeps overflowing logits finite but passes NaN through
+        store, _ = small_prepared
+        model = ITEModel(store.num_users, store.num_items,
+                         ModelConfig(embedding_dim=4, attention_heads=2), seed=9)
+        model.gmf_user.rows.value.data[user] = np.nan
+        config = cfg(batch_size=batch_size)
+        rows = build_epoch_examples(store, config.negatives_per_positive, np.random.default_rng(3))
+        step = int(np.flatnonzero(rows[:, 1] == user)[0]) // batch_size + 1
+        before = {k: v.copy() for k, v in model.params.state_arrays().items()}
+        with pytest.raises(NonFiniteLossError, match=f"non-finite training loss nan at step {step}$"):
+            train_epoch(model, store, config, np.random.default_rng(3))
+        if step == 1:  # the failing step updates nothing
+            for name, arr in model.params.state_arrays().items():
+                np.testing.assert_array_equal(arr, before[name])
 
     @pytest.mark.parametrize("variant", ["ite-si", "ite-ossi", "bert-ite-si", "bert-ite-ossi"])
     def test_side_variant_without_side_info_is_a_config_error(self, small_prepared, variant):
