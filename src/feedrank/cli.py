@@ -25,8 +25,6 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import container, data, evaluation, training
 from .models import VARIANTS, ModelConfig, build_model
 from .tensor import ConfigError
@@ -203,7 +201,6 @@ def cmd_train(args: argparse.Namespace) -> int:
                              repr(record["mean_loss"]),
                              "" if args.no_timestamps else f"{seconds:.3f}"])
         csv_fh.flush()
-        hr = record.get("hr")
         status = f" hr@{cfg.eval_topk}={hr:.4f} ndcg@{cfg.eval_topk}={record['ndcg']:.4f}" if hr is not None else ""
         print(f"epoch {record['epoch']}: loss={record['mean_loss']:.5f}{status}")
 

@@ -21,6 +21,7 @@ deterministic, so save -> load -> save round-trips byte-identically.
 from __future__ import annotations
 
 import json
+import math
 import os
 import secrets
 import struct
@@ -73,39 +74,42 @@ def _write_records(fh: BinaryIO, config: dict, arrays: dict[str, np.ndarray]) ->
         fh.write(arr.astype(dt, copy=False).tobytes())
 
 
-def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise FormatError(f"truncated container while reading {what}")
-    return buf
-
-
 def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(count: int, what: str) -> bytes:
+            # checked before reading, so a corrupt length never becomes a huge allocation
+            if count > size - fh.tell():
+                raise FormatError(f"{path}: truncated container while reading {what}: "
+                                  f"{count} bytes declared, {size - fh.tell()} left")
+            return fh.read(count)
+
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}; not a container file")
-        (config_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
+        (config_len,) = struct.unpack("<I", read(4, "config length"))
         try:
-            config = json.loads(_read_exact(fh, config_len, "config").decode("utf-8"))
+            config = json.loads(read(config_len, "config").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"{path}: corrupt config record") from exc
+        if not isinstance(config, dict):
+            raise FormatError(f"{path}: corrupt config record (not a JSON object)")
         arrays: dict[str, np.ndarray] = {}
-        while True:
-            head = fh.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise FormatError("truncated container while reading record header")
-            (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(fh, name_len, "record name").decode("utf-8")
-            tag, rank = struct.unpack("<BI", _read_exact(fh, 5, f"record {name!r} header"))
+        while fh.tell() < size:
+            (name_len,) = struct.unpack("<I", read(4, "record header"))
+            try:
+                name = read(name_len, "record name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: corrupt record name") from exc
+            if name in arrays:
+                raise FormatError(f"{path}: duplicate record {name!r}")
+            tag, rank = struct.unpack("<BI", read(5, f"record {name!r} header"))
             if tag not in _DTYPE_BY_TAG:
-                raise FormatError(f"record {name!r}: unknown dtype tag {tag}")
-            shape = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"record {name!r} extents"))
+                raise FormatError(f"{path}: record {name!r}: unknown dtype tag {tag}")
+            shape = struct.unpack(f"<{rank}I", read(4 * rank, f"record {name!r} extents"))
             dt = _DTYPE_BY_TAG[tag]
-            count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-            raw = _read_exact(fh, count * dt.itemsize, f"record {name!r} data")
+            raw = read(math.prod(shape) * dt.itemsize, f"record {name!r} data")
             arrays[name] = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
     return config, arrays
 

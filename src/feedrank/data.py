@@ -10,7 +10,6 @@ Item-category side information is read from a companion file.
 from __future__ import annotations
 
 import csv
-import itertools
 import logging
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -68,29 +67,48 @@ class DatasetStats:
         return asdict(self)
 
 
-class InteractionStore:
-    """Dense-indexed per-user event lists plus membership sets.
+def _row_offsets(rows: np.ndarray, num_rows: int) -> np.ndarray:
+    """CSR offsets of a table whose row-id column ``rows`` is sorted."""
+    offsets = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=offsets[1:])
+    return offsets
 
-    ``implicit_items`` is the augmented implicit matrix: every explicit
-    interaction also counts as an implicit one. ``excluded_items`` holds
-    per-user items removed by the evaluation split; they stay out of both
-    training data and negative-sampling pools.
+
+def _row_ids(offsets: np.ndarray) -> np.ndarray:
+    """The row id of every flat entry of a CSR layout."""
+    return np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+
+
+class InteractionStore:
+    """Every event in one table sorted by (user, timestamp, file order),
+    plus per-user membership sets.
+
+    The table's columns are ``times``, ``seqs`` (the event's data row in the
+    log), ``items`` and the behaviour flag ``explicit``; user u's events are
+    rows ``offsets[u]:offsets[u + 1]``. ``implicit_items`` is the augmented
+    implicit matrix: every explicit interaction also counts as an implicit
+    one. ``excluded_items`` holds per-user items removed by the evaluation
+    split; they stay out of both training data and negative-sampling pools.
     """
 
-    def __init__(self, user_ids: list[str], item_ids: list[str],
-                 implicit_events: list[tuple], explicit_events: list[tuple],
+    def __init__(self, user_ids: list[str], item_ids: list[str], users: np.ndarray,
+                 times: np.ndarray, seqs: np.ndarray, items: np.ndarray, explicit: np.ndarray,
                  excluded_items: Optional[list[set]] = None):
         self.user_ids = user_ids
         self.item_ids = item_ids
         self.user_index = {u: idx for idx, u in enumerate(user_ids)}
         self.item_index = {i: idx for idx, i in enumerate(item_ids)}
-        self.implicit_events = implicit_events  # per user: (times, seqs, items) sorted
-        self.explicit_events = explicit_events
-        self.implicit_items = [set(ev[2].tolist()) | set(ex[2].tolist())
-                               for ev, ex in zip(implicit_events, explicit_events)]
-        self.explicit_items = [set(ev[2].tolist()) for ev in explicit_events]
+        users, times, seqs, items = (np.asarray(col, dtype=np.int64) for col in (users, times, seqs, items))
+        order = np.lexsort((seqs, times, users))
+        self.times, self.seqs, self.items = times[order], seqs[order], items[order]
+        self.explicit = np.asarray(explicit, dtype=bool)[order]
+        self.offsets = _row_offsets(users[order], len(user_ids))
+        self.implicit_items, self.explicit_items = [], []
+        for lo, hi in zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist()):
+            row = self.items[lo:hi]
+            self.implicit_items.append(set(row.tolist()))
+            self.explicit_items.append(set(row[self.explicit[lo:hi]].tolist()))
         self.excluded_items = excluded_items if excluded_items is not None else [set() for _ in user_ids]
-        self._merged: dict[int, np.ndarray] = {}
         self._first_pos: dict[int, dict[int, int]] = {}
 
     @property
@@ -107,17 +125,7 @@ class InteractionStore:
 
     def merged_sequence(self, user: int) -> np.ndarray:
         """All of the user's interactions in (timestamp, file-order) order."""
-        cached = self._merged.get(user)
-        if cached is None:
-            ti, si, ii = self.implicit_events[user]
-            te, se, ie = self.explicit_events[user]
-            times = np.concatenate([ti, te])
-            seqs = np.concatenate([si, se])
-            items = np.concatenate([ii, ie])
-            order = np.lexsort((seqs, times))
-            cached = items[order]
-            self._merged[user] = cached
-        return cached
+        return self.items[self.offsets[user]:self.offsets[user + 1]]
 
     def first_positions(self, user: int) -> dict[int, int]:
         cached = self._first_pos.get(user)
@@ -148,31 +156,14 @@ class InteractionStore:
 
     def without_pairs(self, removals: dict[int, int]) -> "InteractionStore":
         """Training view with one (user -> item) pair dropped entirely."""
-        impl, expl, excluded = [], [], []
-        for u in range(self.num_users):
-            drop = removals.get(u)
-            for source, dest in ((self.implicit_events, impl), (self.explicit_events, expl)):
-                times, seqs, items = source[u]
-                if drop is None:
-                    dest.append((times, seqs, items))
-                else:
-                    keep = items != drop
-                    dest.append((times[keep], seqs[keep], items[keep]))
-            exc = set(self.excluded_items[u])
-            if drop is not None:
-                exc.add(drop)
-            excluded.append(exc)
-        return InteractionStore(self.user_ids, self.item_ids, impl, expl, excluded)
-
-
-def _sorted_event_arrays(events: list[tuple]) -> tuple:
-    if not events:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    arr = np.array(events, dtype=np.int64)  # columns: t, seq, item
-    order = np.lexsort((arr[:, 1], arr[:, 0]))
-    arr = arr[order]
-    return arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy()
+        drop = np.full(self.num_users, -1, dtype=np.int64)
+        drop[list(removals)] = list(removals.values())
+        users = _row_ids(self.offsets)
+        keep = self.items != drop[users]
+        excluded = [self.excluded_items[u] | ({removals[u]} if u in removals else set())
+                    for u in range(self.num_users)]
+        return InteractionStore(self.user_ids, self.item_ids, users[keep], self.times[keep],
+                                self.seqs[keep], self.items[keep], self.explicit[keep], excluded)
 
 
 def ingest(log_path: str, classification: Optional[dict] = None, min_interactions: int = 5,
@@ -180,14 +171,16 @@ def ingest(log_path: str, classification: Optional[dict] = None, min_interaction
     """Read a delimiter-separated event log into an InteractionStore.
 
     Users with fewer than ``min_interactions`` raw events are dropped;
-    remaining users and their items are reindexed densely in order of first
-    appearance. Duplicate (user, item, type) events collapse into one
-    membership but every event keeps its timestamp for ordering.
+    remaining users are reindexed densely in order of first appearance, and
+    items in order of first appearance when the log is read user by user.
+    Duplicate (user, item, type) events collapse into one membership but
+    every event keeps its timestamp for ordering.
     """
     classification = classification or DEFAULT_CLASSIFICATION
     cols = columns or ColumnSpec()
-    by_user: dict[str, list[tuple]] = {}
-    seq = 0
+    user_index: dict[str, int] = {}
+    item_index: dict[str, int] = {}
+    users, times, explicit, items = [], [], [], []
     with open(log_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         header = next(reader, None)
@@ -200,7 +193,7 @@ def ingest(log_path: str, classification: Optional[dict] = None, min_interaction
             col_i = header.index(cols.item)
         except ValueError as exc:
             raise DataError(f"{log_path}: missing column ({exc}); have {header}") from exc
-        for row in reader:
+        for seq, row in enumerate(reader):
             if len(row) < len(header):
                 raise DataError(f"{log_path}: data row {seq} has {len(row)} fields, "
                                 f"the header has {len(header)}")
@@ -209,32 +202,38 @@ def ingest(log_path: str, classification: Optional[dict] = None, min_interaction
             if kind is None:
                 raise DataError(f"{log_path}: unknown event type {event!r}; extend the classification map")
             try:
-                t = int(row[col_t])
+                times.append(int(row[col_t]))
             except ValueError as exc:
                 raise DataError(f"{log_path}: bad timestamp {row[col_t]!r} at data row {seq}") from exc
-            by_user.setdefault(row[col_u], []).append((t, seq, kind, row[col_i]))
-            seq += 1
-    if seq == 0:
+            users.append(user_index.setdefault(row[col_u], len(user_index)))
+            items.append(item_index.setdefault(row[col_i], len(item_index)))
+            explicit.append(kind != IMPLICIT)
+    if not times:
         raise DataError(f"{log_path}: no event rows")
 
-    user_ids = [u for u, events in by_user.items() if len(events) >= min_interactions]
-    if not user_ids:
+    try:
+        times = np.array(times, dtype=np.int64)
+    except OverflowError:
+        seq = next(seq for seq, t in enumerate(times) if not -2**63 <= t < 2**63)
+        raise DataError(f"{log_path}: timestamp {times[seq]} at data row {seq} "
+                        "does not fit in 64 bits") from None
+    users = np.array(users, dtype=np.int64)
+    kept = np.bincount(users) >= min_interactions
+    if not kept.any():
         raise DataError(f"{log_path}: no user has >= {min_interactions} interactions")
-    item_index: dict[str, int] = {}
-    item_ids: list[str] = []
-    implicit_events, explicit_events = [], []
-    for u in user_ids:
-        impl, expl = [], []
-        for t, s, kind, item_ext in by_user[u]:
-            idx = item_index.get(item_ext)
-            if idx is None:
-                idx = len(item_ids)
-                item_index[item_ext] = idx
-                item_ids.append(item_ext)
-            (impl if kind == IMPLICIT else expl).append((t, s, idx))
-        implicit_events.append(_sorted_event_arrays(impl))
-        explicit_events.append(_sorted_event_arrays(expl))
-    return InteractionStore(user_ids, item_ids, implicit_events, explicit_events)
+    rows = np.flatnonzero(kept[users])
+    users = (np.cumsum(kept) - 1)[users[rows]]
+    # number items as they first appear when each user's events are read in file order
+    raw_items = np.array(items, dtype=np.int64)[rows]
+    by_user = np.argsort(users, kind="stable")
+    seen, first = np.unique(raw_items[by_user], return_index=True)
+    numbered = seen[np.argsort(first)]
+    new_item = np.empty(len(item_index), dtype=np.int64)  # read only at seen items
+    new_item[numbered] = np.arange(numbered.size)
+    user_names, item_names = list(user_index), list(item_index)
+    return InteractionStore([user_names[u] for u in np.flatnonzero(kept)],
+                            [item_names[i] for i in numbered], users, times[rows], rows,
+                            new_item[raw_items], np.array(explicit, dtype=bool)[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -242,50 +241,48 @@ def ingest(log_path: str, classification: Optional[dict] = None, min_interaction
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+def _csr_to_dense(offsets: np.ndarray, columns: np.ndarray, values: Optional[np.ndarray],
+                  rows: np.ndarray, width: int, dtype) -> np.ndarray:
+    """[*rows.shape, width] array whose entry for row r holds CSR row r:
+    ``values`` (1 where None) at ``columns``. Row ids index like a list."""
+    rows = np.asarray(rows)
+    flat = np.arange(offsets.size - 1)[rows.reshape(-1)]  # bounds-checks, wraps negatives
+    starts = offsets[flat]
+    counts = offsets[flat + 1] - starts
+    ends = np.cumsum(counts)
+    # the j-th entry written lies in output row dest[j] and comes from the
+    # CSR entry at that row's start plus j's rank within the row
+    dest = np.repeat(np.arange(flat.size), counts)
+    src = np.arange(dest.size) + np.repeat(starts - (ends - counts), counts)
+    out = np.zeros((flat.size, width), dtype=dtype)
+    out[dest, columns[src]] = 1.0 if values is None else values[src]
+    return out.reshape(rows.shape + (width,))
+
+
+@dataclass(eq=False)
 class SideInfo:
-    """Item category multi-hots and per-user category-frequency vectors."""
+    """Item category multi-hots and per-user category-frequency vectors,
+    both as CSR rows: item i's categories are
+    ``item_categories[item_offsets[i]:item_offsets[i + 1]]``, and user u's
+    nonzero categories and their weights the same slice of
+    ``user_categories`` and ``user_weights`` under ``user_offsets``."""
 
     num_categories: int
     labels: list[str]
-    item_categories: list[list[int]]
-    user_vectors: list[tuple]  # per user: (category indices, weights)
+    item_offsets: np.ndarray
+    item_categories: np.ndarray
+    user_offsets: np.ndarray
+    user_categories: np.ndarray
+    user_weights: np.ndarray
     skipped_rows: int = 0
-    # item_categories as one flat array with per-item starts and counts,
-    # built once so item_matrix fills its multi-hot in a single assignment
-    _item_flat: np.ndarray = field(init=False, repr=False, compare=False)
-    _item_starts: np.ndarray = field(init=False, repr=False, compare=False)
-    _item_counts: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        counts = np.fromiter(map(len, self.item_categories), dtype=np.int64,
-                             count=len(self.item_categories))
-        self._item_counts = counts
-        self._item_starts = np.cumsum(counts) - counts
-        self._item_flat = np.fromiter(itertools.chain.from_iterable(self.item_categories),
-                                      dtype=np.int64, count=int(counts.sum()))
 
     def item_matrix(self, items: np.ndarray, dtype=np.float32) -> np.ndarray:
-        items = np.asarray(items)
-        flat = items.reshape(-1)
-        counts = self._item_counts[flat]
-        ends = np.cumsum(counts)
-        # the j-th 1 of the output lies in row rows[j]; its category is the
-        # item's start in _item_flat plus j's rank among that row's 1s
-        rows = np.repeat(np.arange(flat.size), counts)
-        src = np.arange(rows.size) + np.repeat(self._item_starts[flat] - (ends - counts), counts)
-        out = np.zeros((flat.size, self.num_categories), dtype=dtype)
-        out[rows, self._item_flat[src]] = 1.0
-        return out.reshape(items.shape + (self.num_categories,))
+        return _csr_to_dense(self.item_offsets, self.item_categories, None, items,
+                             self.num_categories, dtype)
 
     def user_matrix(self, users: np.ndarray, dtype=np.float32) -> np.ndarray:
-        users = np.asarray(users)
-        out = np.zeros(users.shape + (self.num_categories,), dtype=dtype)
-        view = out.reshape(-1, self.num_categories)
-        for pos, user in enumerate(users.reshape(-1)):
-            idx, val = self.user_vectors[int(user)]
-            view[pos, idx] = val
-        return out
+        return _csr_to_dense(self.user_offsets, self.user_categories, self.user_weights, users,
+                             self.num_categories, dtype)
 
 
 def encode_side_user(items: Sequence[int], item_categories: Sequence[Sequence[int]],
@@ -373,22 +370,21 @@ def build_side_info(store: InteractionStore, category_path: Optional[str] = None
         mapping, skipped = read_category_pairs(category_path, delimiter)
     labels = sorted({c for item, cats in mapping.items() if item in store.item_index for c in cats})
     label_index = {c: j for j, c in enumerate(labels)}
-    item_categories: list[list[int]] = []
-    for ext in store.item_ids:
-        cats = mapping.get(ext, ())
-        item_categories.append(sorted(label_index[c] for c in cats))
-    user_vectors = []
-    uncategorized_users = 0
+    item_categories = [sorted(label_index[c] for c in mapping.get(ext, ())) for ext in store.item_ids]
+    user_categories, user_weights = [], []
     for u in range(store.num_users):
         vec = encode_side_user(sorted(store.implicit_items[u]), item_categories, len(labels))
-        idx = np.flatnonzero(vec).astype(np.int64)
-        if idx.size == 0:
-            uncategorized_users += 1
-        user_vectors.append((idx, vec[idx]))
+        idx = np.flatnonzero(vec)
+        user_categories.append(idx)
+        user_weights.append(vec[idx])
+    uncategorized_users = sum(idx.size == 0 for idx in user_categories)
     if uncategorized_users:
         log.warning("%d users have no categorized interactions; their side vectors are zero",
                     uncategorized_users)
-    return SideInfo(len(labels), labels, item_categories, user_vectors, skipped)
+    item_flat, item_offsets = _flatten(item_categories)
+    user_flat, user_offsets = _flatten(user_categories)
+    weights, _ = _flatten(user_weights, dtype=np.float64)
+    return SideInfo(len(labels), labels, item_offsets, item_flat, user_offsets, user_flat, weights, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -454,23 +450,14 @@ def leave_one_out_split(store: InteractionStore, num_negatives: int = 999,
     removals: dict[int, int] = {}
     cases: list[EvalCase] = []
     for u in range(store.num_users):
-        times, seqs, items = store.explicit_events[u]
-        if items.size == 0:
+        lo, hi = store.offsets[u], store.offsets[u + 1]
+        explicit = np.flatnonzero(store.explicit[lo:hi])
+        if explicit.size == 0:
             continue
-        last = np.lexsort((seqs, times))[-1]
-        gt = int(items[last])
-        cutoff = (int(times[last]), int(seqs[last]))
+        last = lo + explicit[-1]
+        gt = int(store.items[last])
         removals[u] = gt
-
-        ti, si, ii = store.implicit_events[u]
-        te, se, ie = store.explicit_events[u]
-        all_t = np.concatenate([ti, te])
-        all_s = np.concatenate([si, se])
-        all_i = np.concatenate([ii, ie])
-        order = np.lexsort((all_s, all_t))
-        all_t, all_s, all_i = all_t[order], all_s[order], all_i[order]
-        before = (all_t < cutoff[0]) | ((all_t == cutoff[0]) & (all_s < cutoff[1]))
-        history = all_i[before & (all_i != gt)]
+        history = store.items[lo:last][store.items[lo:last] != gt]
 
         rng = np.random.default_rng([seed, u])
         negatives = sample_unobserved(store.num_items, store.observed_any(u) | {gt},
@@ -496,15 +483,79 @@ class PreparedDataset:
 
 def _flatten(ragged: Iterable[np.ndarray], dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
     parts = [np.asarray(part, dtype=dtype) for part in ragged]
-    offsets = np.zeros(len(parts) + 1, dtype=np.int64)
-    for j, part in enumerate(parts):
-        offsets[j + 1] = offsets[j] + part.size
+    offsets = np.cumsum([0, *(part.size for part in parts)], dtype=np.int64)
     flat = np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
     return flat, offsets
 
 
 def _unflatten(flat: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
     return [flat[offsets[j]:offsets[j + 1]] for j in range(offsets.size - 1)]
+
+
+# a dataset file's CSR records: offsets record -> (the records it splits into
+# rows, what those rows are)
+_DATASET_ROWS = {
+    "implicit_offsets": (("implicit_times", "implicit_seqs", "implicit_items"), "users"),
+    "explicit_offsets": (("explicit_times", "explicit_seqs", "explicit_items"), "users"),
+    "excluded_offsets": (("excluded_flat",), "users"),
+    "case_neg_offsets": (("case_neg_flat",), "cases"),
+    "case_hist_offsets": (("case_hist_flat",), "cases"),
+}
+_SIDE_ROWS = {
+    "side_item_offsets": (("side_item_flat",), "items"),
+    "side_user_offsets": (("side_user_idx", "side_user_val"), "users"),
+}
+# records of ids -> what they index
+_ID_RECORDS = {
+    "implicit_items": "items", "explicit_items": "items", "excluded_flat": "items",
+    "case_users": "users", "case_items": "items", "case_neg_flat": "items",
+    "case_hist_flat": "items", "side_item_flat": "labels", "side_user_idx": "labels",
+}
+
+
+def _check_dataset(path: str, config: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Raise a one-line FormatError unless the records of a dataset file fit
+    together: every record present, 1-D and of its dtype, offsets that start
+    at 0, never decrease, end at their flat records' length and have one row
+    per user, item or case, and ids inside their range."""
+    from .container import FormatError
+
+    missing = [key for key in ("user_ids", "item_ids", "labels", "stats") if key not in config]
+    if missing:
+        raise FormatError(f"{path}: missing config key(s) {', '.join(missing)}")
+    layout = dict(_DATASET_ROWS, **(_SIDE_ROWS if config.get("has_side_info") else {}))
+    names = ["case_users", "case_items", *(n for off, (flat, _) in layout.items() for n in (off, *flat))]
+    missing = [name for name in names if name not in arrays]
+    if missing:
+        raise FormatError(f"{path}: missing record(s) {', '.join(missing)}")
+    counts = {"users": len(config["user_ids"]), "items": len(config["item_ids"]),
+              "labels": len(config["labels"]), "cases": arrays["case_users"].size}
+    for name in names:
+        arr, kind = arrays[name], _ID_RECORDS.get(name)
+        want = np.dtype(np.float64 if name == "side_user_val" else np.int64)
+        if arr.ndim != 1 or arr.dtype != want:
+            problem = f"is {arr.dtype} of shape {arr.shape}, not a 1-D {want} array"
+        elif kind and arr.size and (arr.min() < 0 or arr.max() >= counts[kind]):
+            problem = f"holds ids outside [0, {counts[kind]}) {kind}"
+        elif name == "case_items" and arr.size != counts["cases"]:
+            problem = f"has {arr.size} entries for {counts['cases']} case users"
+        else:
+            continue
+        raise FormatError(f"{path}: record {name!r} {problem}")
+    for name, (flat, rows) in layout.items():
+        offsets = arrays[name]
+        if offsets.size != counts[rows] + 1:
+            problem = f"has {offsets.size} entries for {counts[rows]} {rows}"
+        elif offsets[0] != 0:
+            problem = f"starts at {offsets[0]}, not 0"
+        elif np.any(offsets[1:] < offsets[:-1]):
+            problem = "decreases"
+        else:
+            short = [f for f in flat if arrays[f].size != offsets[-1]]
+            if not short:
+                continue
+            problem = f"ends at {offsets[-1]} but {short[0]!r} holds {arrays[short[0]].size} values"
+        raise FormatError(f"{path}: record {name!r} {problem}")
 
 
 def save_prepared(path: str, prepared: PreparedDataset) -> None:
@@ -523,23 +574,23 @@ def save_prepared(path: str, prepared: PreparedDataset) -> None:
         "meta": prepared.meta,
     }
     arrays: dict[str, np.ndarray] = {}
-    for name, events in (("implicit", store.implicit_events), ("explicit", store.explicit_events)):
-        for col, idx in (("times", 0), ("seqs", 1), ("items", 2)):
-            flat, offsets = _flatten([ev[idx] for ev in events])
-            arrays[f"{name}_{col}"] = flat
-            if col == "times":
-                arrays[f"{name}_offsets"] = offsets
+    users = _row_ids(store.offsets)
+    for name, rows in (("implicit", ~store.explicit), ("explicit", store.explicit)):
+        arrays[f"{name}_times"] = store.times[rows]
+        arrays[f"{name}_offsets"] = _row_offsets(users[rows], store.num_users)
+        arrays[f"{name}_seqs"] = store.seqs[rows]
+        arrays[f"{name}_items"] = store.items[rows]
     arrays["excluded_flat"], arrays["excluded_offsets"] = _flatten(
         [np.array(sorted(s), dtype=np.int64) for s in store.excluded_items])
     arrays["case_users"] = np.array([c.user for c in prepared.cases], dtype=np.int64)
     arrays["case_items"] = np.array([c.item for c in prepared.cases], dtype=np.int64)
     arrays["case_neg_flat"], arrays["case_neg_offsets"] = _flatten([c.negatives for c in prepared.cases])
     arrays["case_hist_flat"], arrays["case_hist_offsets"] = _flatten([c.history for c in prepared.cases])
-    if prepared.side_info is not None:
-        side = prepared.side_info
-        arrays["side_item_flat"], arrays["side_item_offsets"] = _flatten(side.item_categories)
-        arrays["side_user_idx"], arrays["side_user_offsets"] = _flatten([v[0] for v in side.user_vectors])
-        arrays["side_user_val"], _ = _flatten([v[1] for v in side.user_vectors], dtype=np.float64)
+    side = prepared.side_info
+    if side is not None:
+        arrays["side_item_flat"], arrays["side_item_offsets"] = side.item_categories, side.item_offsets
+        arrays["side_user_idx"], arrays["side_user_offsets"] = side.user_categories, side.user_offsets
+        arrays["side_user_val"] = side.user_weights
     container.write_container(path, config, arrays)
 
 
@@ -549,28 +600,24 @@ def load_prepared(path: str) -> PreparedDataset:
     config, arrays = container.read_container(path)
     if config.get("kind") != "dataset":
         raise container.FormatError(f"{path}: not a prepared-dataset file")
-    num_users = config["num_users"]
-    events = {}
-    for name in ("implicit", "explicit"):
-        offsets = arrays[f"{name}_offsets"]
-        cols = [_unflatten(arrays[f"{name}_{col}"], offsets) for col in ("times", "seqs", "items")]
-        events[name] = [tuple(col[u] for col in cols) for u in range(num_users)]
+    _check_dataset(path, config, arrays)
+    behaviours = ("implicit", "explicit")
+    times, seqs, items = (np.concatenate([arrays[f"{b}_{col}"] for b in behaviours])
+                          for col in ("times", "seqs", "items"))
+    users = np.concatenate([_row_ids(arrays[f"{b}_offsets"]) for b in behaviours])
+    explicit = np.repeat([False, True], [arrays[f"{b}_items"].size for b in behaviours])
     excluded = [set(part.tolist()) for part in
                 _unflatten(arrays["excluded_flat"], arrays["excluded_offsets"])]
-    store = InteractionStore(config["user_ids"], config["item_ids"],
-                             events["implicit"], events["explicit"], excluded)
+    store = InteractionStore(config["user_ids"], config["item_ids"], users, times, seqs, items,
+                             explicit, excluded)
     negatives = _unflatten(arrays["case_neg_flat"], arrays["case_neg_offsets"])
     histories = _unflatten(arrays["case_hist_flat"], arrays["case_hist_offsets"])
     cases = [EvalCase(int(u), int(i), neg, hist) for u, i, neg, hist in
              zip(arrays["case_users"], arrays["case_items"], negatives, histories)]
     side = None
     if config.get("has_side_info"):
-        item_categories = [part.tolist() for part in
-                           _unflatten(arrays["side_item_flat"], arrays["side_item_offsets"])]
-        idx_parts = _unflatten(arrays["side_user_idx"], arrays["side_user_offsets"])
-        val_flat = arrays["side_user_val"]
-        offsets = arrays["side_user_offsets"]
-        user_vectors = [(idx_parts[u], val_flat[offsets[u]:offsets[u + 1]]) for u in range(num_users)]
-        side = SideInfo(len(config["labels"]), config["labels"], item_categories, user_vectors)
+        side = SideInfo(len(config["labels"]), config["labels"],
+                        arrays["side_item_offsets"], arrays["side_item_flat"],
+                        arrays["side_user_offsets"], arrays["side_user_idx"], arrays["side_user_val"])
     stats = DatasetStats(**config["stats"])
     return PreparedDataset(store, cases, side, stats, config.get("meta", {}))

@@ -51,8 +51,12 @@ class ModelConfig:
     side_dim: int = 0                    # T (category count)
 
     def validate(self) -> None:
-        if self.embedding_dim < 1:
-            raise ConfigError("embedding_dim must be >= 1")
+        for name in ("embedding_dim", "attention_heads", "implicit_mlp_layers", "explicit_mlp_layers",
+                     "seq_len"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if not 0 <= self.dropout < 1:
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.embedding_dim % self.attention_heads != 0:
             raise ConfigError(
                 f"embedding_dim {self.embedding_dim} not divisible by attention_heads {self.attention_heads}")
@@ -60,8 +64,6 @@ class ModelConfig:
             raise ConfigError(f"side_info_mode must be one of {SIDE_MODES}, got {self.side_info_mode!r}")
         if self.side_info_mode != "none" and self.side_dim <= 0:
             raise ConfigError("side_info_mode requires side_dim > 0")
-        if self.seq_len < 1:
-            raise ConfigError("seq_len must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)

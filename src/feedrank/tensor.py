@@ -206,14 +206,8 @@ class ParameterRegistry:
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __iter__(self) -> Iterator[Parameter]:
         return iter(self._params.values())
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return list(self._params.keys())
@@ -226,6 +220,9 @@ class ParameterRegistry:
         return {name: p.value.data for name, p in self._params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        unknown = [name for name in arrays if name not in self._params]
+        if unknown:
+            raise ConfigError(f"state names no parameter of this model: {', '.join(map(repr, unknown))}")
         for name, p in self._params.items():
             if name not in arrays:
                 raise ConfigError(f"missing parameter in state: {name!r}")

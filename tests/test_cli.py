@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from feedrank import cli
 from feedrank.cli import RunConfig, load_run_config, main, write_run_config
-from feedrank.container import load_checkpoint
+from feedrank.container import load_checkpoint, read_container, write_container
 from feedrank.data import load_prepared
 from feedrank.models import VARIANTS, ModelConfig, build_model
 from feedrank.training import TrainingConfig
@@ -170,6 +170,34 @@ class TestTrain:
         assert "negatives_per_positive must be >= 0" in err and len(err.splitlines()) == 1
         assert not run_dir.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("attention_heads", "0"), ("attention_heads", "-2"), ("implicit_mlp_layers", "0"),
+        ("explicit_mlp_layers", "0"), ("dropout", "1.5"), ("dropout", "-0.1"),
+    ])
+    @pytest.mark.parametrize("variant", ["ite", "bert-ite"])
+    def test_invalid_model_config_creates_no_run_dir(self, tmp_path, prepared_path, capsys,
+                                                     variant, key, value):
+        run_dir = tmp_path / "run-bad"
+        cfg = write_config(tmp_path / "bad.ini", prepared_path, variant=variant, out=run_dir)
+        lines = [line for line in cfg.read_text().splitlines() if not line.startswith(f"{key} =")]
+        lines.insert(lines.index("[model]") + 1, f"{key} = {value}")
+        cfg.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert key in err and len(err.splitlines()) == 1
+        assert not run_dir.exists()
+
+    def test_dataset_missing_a_record_exits_one(self, tmp_path, prepared_path, capsys):
+        config, arrays = read_container(str(prepared_path))
+        del arrays["implicit_offsets"]
+        write_container(str(prepared_path), config, arrays)
+        run_dir = tmp_path / "run-bad"
+        cfg = write_config(tmp_path / "cfg.ini", prepared_path, out=run_dir)
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "missing record(s) implicit_offsets" in err and len(err.splitlines()) == 1
+        assert not run_dir.exists()
+
     def test_non_finite_loss_exits_one(self, tmp_path, prepared_path, capsys, monkeypatch):
         def poisoned_build(*args, **kwargs):
             model = build_model(*args, **kwargs)
@@ -270,6 +298,20 @@ class TestEvaluate:
         bad.write_bytes(b"FEEDRANK1garbage-but-not-a-container")
         assert main(["evaluate", "--checkpoint", str(bad), "--dataset", str(prepared_path)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_checkpoint_with_huge_extents_exits_one(self, tmp_path, prepared_path, trained, capsys):
+        # every extent of the first record, rewritten to 2**32 - 1
+        bad = tmp_path / "huge.ckpt"
+        blob = bytearray(trained.read_bytes())
+        config_len = int.from_bytes(blob[9:13], "little")
+        name_len = int.from_bytes(blob[13 + config_len:17 + config_len], "little")
+        extents = 13 + config_len + 4 + name_len + 5
+        rank = int.from_bytes(blob[extents - 4:extents], "little")
+        blob[extents:extents + 4 * rank] = b"\xff" * 4 * rank
+        bad.write_bytes(bytes(blob))
+        assert main(["evaluate", "--checkpoint", str(bad), "--dataset", str(prepared_path)]) == 1
+        err = capsys.readouterr().err
+        assert "bytes declared" in err and len(err.splitlines()) == 1
 
     def test_missing_checkpoint_exits_two(self, tmp_path, prepared_path):
         assert main(["evaluate", "--checkpoint", str(tmp_path / "none.ckpt"),

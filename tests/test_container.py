@@ -1,5 +1,8 @@
 """Container format round trips and corruption handling."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,6 +13,7 @@ from feedrank.container import (MAGIC, FormatError, load_checkpoint, read_contai
 from feedrank.data import EvalCase, ingest, leave_one_out_split
 from feedrank.evaluation import evaluate
 from feedrank.models import ModelConfig, build_model
+from feedrank.tensor import ConfigError
 
 from conftest import planted_dataset
 
@@ -79,6 +83,63 @@ class TestContainer:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["keep.bin"]
 
+    def test_huge_declared_extents_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "huge.bin"
+        header = struct.pack("<I", 1) + b"x" + struct.pack("<BI", 0, 3) + struct.pack("<3I", *[2**32 - 1] * 3)
+        path.write_bytes(MAGIC + struct.pack("<I", 2) + b"{}" + header + b"\0" * 16)
+        with pytest.raises(FormatError, match="record 'x' data: .* bytes declared, 16 left"):
+            read_container(str(path))
+
+    def test_huge_declared_name_and_config_lengths_rejected(self, tmp_path):
+        path = tmp_path / "name.bin"
+        path.write_bytes(MAGIC + struct.pack("<I", 2) + b"{}" + struct.pack("<I", 2**32 - 1) + b"ab")
+        with pytest.raises(FormatError, match="record name"):
+            read_container(str(path))
+        path.write_bytes(MAGIC + struct.pack("<I", 2**32 - 1) + b"{}")
+        with pytest.raises(FormatError, match="config"):
+            read_container(str(path))
+
+    def test_duplicate_record_rejected(self, tmp_path):
+        path = tmp_path / "dup.bin"
+        write_container(str(path), {}, {"a": np.arange(3)})
+        blob = path.read_bytes()
+        record = blob[len(MAGIC) + 4 + 2:]
+        path.write_bytes(blob + record)
+        with pytest.raises(FormatError, match="duplicate record 'a'"):
+            read_container(str(path))
+
+    @pytest.mark.parametrize("payload", [b"[1, 2]", b"3", b"null"])
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, payload):
+        path = tmp_path / "c.bin"
+        path.write_bytes(MAGIC + struct.pack("<I", len(payload)) + payload)
+        with pytest.raises(FormatError, match="not a JSON object"):
+            read_container(str(path))
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_overwritten_header_parses_or_raises_format_error(self, tmp_path, data):
+        path = tmp_path / "h.bin"
+        config = {"kind": "test", "n": 12}
+        write_container(str(path), config, self.arrays())
+        blob = bytearray(path.read_bytes())
+        # every byte that is not array data: magic, config, record headers
+        header = list(range(len(MAGIC) + 4 + len(json.dumps(config, separators=(",", ":")))))
+        pos = len(header)
+        for name, arr in self.arrays().items():
+            size = 4 + len(name) + 5 + 4 * arr.ndim
+            header += range(pos, pos + size)
+            pos += size + arr.nbytes
+        assert pos == len(blob)
+        start = data.draw(st.sampled_from(header))
+        patch = data.draw(st.binary(min_size=1, max_size=8))
+        blob[start:start + len(patch)] = patch
+        path.write_bytes(bytes(blob[:data.draw(st.integers(start, len(blob)))]))
+        try:
+            got_config, got_arrays = read_container(str(path))
+        except FormatError:
+            return
+        assert isinstance(got_config, dict) and all(isinstance(a, np.ndarray) for a in got_arrays.values())
+
     def test_overwrite_replaces_old_file(self, tmp_path):
         path = tmp_path / "c.bin"
         write_container(path, {"k": 1}, self.arrays())
@@ -123,6 +184,14 @@ class TestCheckpoint:
         loaded, _, _ = load_checkpoint(str(path))
         after = evaluate(loaded, cases, store=train, k=5, seed=2)
         assert before == after
+
+    def test_record_naming_no_parameter_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), self.build(), "bert-ite")
+        config, arrays = read_container(str(path))
+        write_container(str(path), config, {**arrays, "trm9.stray": np.zeros(2, dtype=np.float32)})
+        with pytest.raises(ConfigError, match="names no parameter.*'trm9.stray'"):
+            load_checkpoint(str(path))
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "d.bin"

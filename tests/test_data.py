@@ -1,16 +1,50 @@
 """Ingestion, side info, and leave-one-out split against hand-counted
 fixtures."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from feedrank.data import (ColumnSpec, DataError, DatasetStats, PreparedDataset, SideInfo,
-                           build_side_info, ingest, leave_one_out_split, load_prepared,
-                           read_category_pairs, read_retailrocket_properties, save_prepared)
+from feedrank.container import FormatError, read_container, write_container
+from feedrank.data import (DEFAULT_CLASSIFICATION, EXPLICIT, ColumnSpec, DataError, DatasetStats,
+                           PreparedDataset, SideInfo, build_side_info, ingest, leave_one_out_split,
+                           load_prepared, read_category_pairs, read_retailrocket_properties,
+                           save_prepared)
 
 from conftest import write_categories_csv, write_events_csv
+
+
+def side_from_lists(num_categories, item_categories, user_vectors=()):
+    """SideInfo from per-item category lists and per-user (categories, weights)."""
+    def csr(rows, dtype):
+        offsets = np.cumsum([0] + [len(row) for row in rows])
+        flat = np.concatenate([np.asarray(row, dtype=dtype) for row in rows]) if rows else []
+        return offsets.astype(np.int64), np.asarray(flat, dtype=dtype)
+
+    item_offsets, item_flat = csr(item_categories, np.int64)
+    user_offsets, user_flat = csr([idx for idx, _ in user_vectors], np.int64)
+    _, weights = csr([val for _, val in user_vectors], np.float64)
+    return SideInfo(num_categories, [str(c) for c in range(num_categories)],
+                    item_offsets, item_flat, user_offsets, user_flat, weights)
+
+
+# small logs with many tied timestamps: (time, user, event type, item)
+small_logs = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4),
+                                st.sampled_from(sorted(DEFAULT_CLASSIFICATION)), st.integers(0, 7)),
+                      min_size=1, max_size=40)
+
+
+def write_log(tmp_path, rows):
+    rows = [(t, f"u{u}", event, f"i{i}") for t, u, event, i in rows]
+    return rows, str(write_events_csv(tmp_path / "log.csv", rows))
+
+
+def implicit_events(store, user):
+    lo, hi = store.offsets[user], store.offsets[user + 1]
+    return store.items[lo:hi][~store.explicit[lo:hi]]
 
 
 class TestIngest:
@@ -24,7 +58,7 @@ class TestIngest:
         e = tiny_store.item_index["e"]
         assert list(tiny_store.implicit_items[u2]).count(e) == 1
         # but the event list keeps all three timestamped views
-        assert (tiny_store.implicit_events[u2][2] == e).sum() == 3
+        assert (implicit_events(tiny_store, u2) == e).sum() == 3
 
     def test_explicit_implies_implicit_augmentation(self, tiny_store):
         u0 = tiny_store.user_index["u0"]
@@ -72,6 +106,12 @@ class TestIngest:
         with pytest.raises(DataError, match="data row 1 has"):
             ingest(str(path), min_interactions=1)
 
+    @pytest.mark.parametrize("stamp", [2**63, -2**63 - 1, 10**30])
+    def test_timestamp_beyond_64_bits_is_fatal(self, tmp_path, stamp):
+        path = write_events_csv(tmp_path / "big.csv", [(1, "u", "view", "a"), (stamp, "u", "view", "b")])
+        with pytest.raises(DataError, match=f"timestamp {stamp} at data row 1 does not fit"):
+            ingest(str(path), min_interactions=1)
+
     def test_configurable_columns_and_classification(self, tmp_path):
         path = write_events_csv(tmp_path / "alt.csv",
                                 [(1, "u", "look", "a"), (2, "u", "buy", "a")],
@@ -88,6 +128,76 @@ class TestIngest:
         assert seq == ["a", "b", "c", "d", "b", "d"]
 
 
+class TestEventTable:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=small_logs, min_interactions=st.integers(1, 4))
+    def test_rows_are_each_users_events_by_time_then_file_order(self, tmp_path, rows, min_interactions):
+        rows, path = write_log(tmp_path, rows)
+        counts = Counter(user for _, user, _, _ in rows)
+        users = [u for u in dict.fromkeys(user for _, user, _, _ in rows) if counts[u] >= min_interactions]
+        if not users:
+            with pytest.raises(DataError, match="no user has"):
+                ingest(path, min_interactions=min_interactions)
+            return
+        store = ingest(path, min_interactions=min_interactions)
+        assert store.user_ids == users
+        # items are numbered as they first appear when the log is read user by user
+        assert store.item_ids == list(dict.fromkeys(item for u in users for _, user, _, item in rows
+                                                    if user == u))
+        assert store.offsets[0] == 0 and store.offsets[-1] == store.items.size
+        for u, name in enumerate(users):
+            events = sorted((t, seq, item, DEFAULT_CLASSIFICATION[event] == EXPLICIT)
+                            for seq, (t, user, event, item) in enumerate(rows) if user == name)
+            lo, hi = store.offsets[u], store.offsets[u + 1]
+            assert [store.item_ids[j] for j in store.merged_sequence(u)] == [e[2] for e in events]
+            assert store.times[lo:hi].tolist() == [e[0] for e in events]
+            assert store.seqs[lo:hi].tolist() == [e[1] for e in events]
+            assert store.explicit[lo:hi].tolist() == [e[3] for e in events]
+            assert store.implicit_items[u] == {store.item_index[e[2]] for e in events}
+            assert store.explicit_items[u] == {store.item_index[e[2]] for e in events if e[3]}
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=small_logs)
+    def test_split_holds_out_each_users_last_explicit_event(self, tmp_path, rows):
+        rows, path = write_log(tmp_path, rows)
+        store = ingest(path, min_interactions=1)
+        train, cases = leave_one_out_split(store, num_negatives=0)
+        by_user = {case.user: case for case in cases}
+        for u, name in enumerate(store.user_ids):
+            events = sorted((t, seq, item, DEFAULT_CLASSIFICATION[event] == EXPLICIT)
+                            for seq, (t, user, event, item) in enumerate(rows) if user == name)
+            explicit = [e for e in events if e[3]]
+            if not explicit:
+                assert u not in by_user and train.excluded_items[u] == set()
+                continue
+            held = explicit[-1]
+            case = by_user[u]
+            assert store.item_ids[case.item] == held[2]
+            assert [store.item_ids[j] for j in case.history] == [
+                e[2] for e in events if e[:2] < held[:2] and e[2] != held[2]]
+            assert [store.item_ids[j] for j in train.merged_sequence(u)] == [
+                e[2] for e in events if e[2] != held[2]]
+            assert train.excluded_items[u] == {case.item}
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=small_logs, negatives=st.integers(0, 6), seed=st.integers(0, 3),
+           categories=st.one_of(st.none(), st.dictionaries(st.integers(0, 7),
+                                                            st.sets(st.integers(0, 3), max_size=3))))
+    def test_prepare_save_load_save_is_byte_identical(self, tmp_path, rows, negatives, seed, categories):
+        _, path = write_log(tmp_path, rows)
+        store = ingest(path, min_interactions=1)
+        train, cases = leave_one_out_split(store, num_negatives=negatives, seed=seed)
+        side = None
+        if categories is not None:
+            side = build_side_info(train, mapping={f"i{i}": {f"c{c}" for c in cats}
+                                                   for i, cats in categories.items()})
+        prepared = PreparedDataset(train, cases, side, store.stats(), meta={"seed": seed})
+        first, second = tmp_path / "a.bin", tmp_path / "b.bin"
+        save_prepared(str(first), prepared)
+        save_prepared(str(second), load_prepared(str(first)))
+        assert first.read_bytes() == second.read_bytes()
+
+
 class TestSideInfo:
     def test_item_multi_hot(self, tiny_store, tmp_path):
         cats = write_categories_csv(tmp_path / "c.csv", [
@@ -100,13 +210,14 @@ class TestSideInfo:
         np.testing.assert_array_equal(vec, [0.0, 0.0, 1.0, 1.0])
 
     @staticmethod
-    def loop_item_matrix(side, items, dtype=np.float32):
-        """The per-(row, category) loop the vectorised item_matrix replaced."""
+    def loop_item_matrix(side, cats, items, dtype=np.float32):
+        """The per-(row, category) loop the vectorised item_matrix replaced,
+        over the per-item category lists ``side`` was built from."""
         items = np.asarray(items)
         out = np.zeros(items.shape + (side.num_categories,), dtype=dtype)
         view = out.reshape(-1, side.num_categories)
         for pos, item in enumerate(items.reshape(-1)):
-            for c in side.item_categories[int(item)]:
+            for c in cats[int(item)]:
                 view[pos, c] = 1.0
         return out
 
@@ -117,19 +228,50 @@ class TestSideInfo:
     def test_item_matrix_equals_loop(self, data, num_categories, num_items, shape, dtype):
         cats = [sorted(data.draw(st.sets(st.integers(0, num_categories - 1), max_size=num_categories)))
                 for _ in range(num_items)]
-        side = SideInfo(num_categories, [str(c) for c in range(num_categories)], cats, [])
+        side = side_from_lists(num_categories, cats)
         items = np.array(data.draw(st.lists(st.integers(-num_items, num_items - 1),
                                             min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
                          dtype=np.int64).reshape(shape)
         got = side.item_matrix(items, dtype=dtype)
-        expected = self.loop_item_matrix(side, items, dtype=dtype)
+        expected = self.loop_item_matrix(side, cats, items, dtype=dtype)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         np.testing.assert_array_equal(got, expected)
 
     def test_item_matrix_out_of_range_item(self):
-        side = SideInfo(2, ["A", "B"], [[0], [1]], [])
+        side = side_from_lists(2, [[0], [1]])
         with pytest.raises(IndexError):
             side.item_matrix([0, 2])
+
+    @staticmethod
+    def loop_user_matrix(num_categories, user_vectors, users, dtype=np.float32):
+        """The per-row loop the CSR user_matrix replaced, over per-user
+        (categories, weights) pairs."""
+        users = np.asarray(users)
+        out = np.zeros(users.shape + (num_categories,), dtype=dtype)
+        view = out.reshape(-1, num_categories)
+        for pos, user in enumerate(users.reshape(-1)):
+            idx, val = user_vectors[int(user)]
+            view[pos, idx] = val
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), num_categories=st.integers(1, 12), num_users=st.integers(1, 8),
+           shape=st.sampled_from([(0,), (1,), (7,), (3, 4), (2, 0), (2, 3, 2)]),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_user_matrix_equals_loop(self, data, num_categories, num_users, shape, dtype):
+        vectors = []
+        for _ in range(num_users):
+            idx = sorted(data.draw(st.sets(st.integers(0, num_categories - 1), max_size=num_categories)))
+            val = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(idx), max_size=len(idx)))
+            vectors.append((np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64)))
+        side = side_from_lists(num_categories, [], vectors)
+        users = np.array(data.draw(st.lists(st.integers(-num_users, num_users - 1),
+                                            min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
+                         dtype=np.int64).reshape(shape)
+        got = side.user_matrix(users, dtype=dtype)
+        expected = self.loop_user_matrix(num_categories, vectors, users, dtype=dtype)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected)
 
     def test_user_frequency_vector_three_one(self, tmp_path):
         rows = [(t, "u", "view", item) for t, item in
@@ -189,8 +331,7 @@ class TestLeaveOneOutSplit:
             assert case.item not in train.implicit_items[case.user]
             assert case.item not in train.explicit_items[case.user]
             assert case.item in train.excluded_items[case.user]
-            times, seqs, items = train.implicit_events[case.user]
-            assert case.item not in items.tolist()
+            assert case.item not in train.merged_sequence(case.user).tolist()
 
     def test_negatives_unobserved_and_distinct(self, tiny_store):
         _, cases = leave_one_out_split(tiny_store, num_negatives=2, seed=1)
@@ -242,22 +383,24 @@ class TestPreparedRoundTrip:
 
         assert loaded.store.user_ids == train.user_ids
         assert loaded.store.item_ids == train.item_ids
-        for u in range(train.num_users):
-            for attr in ("implicit_events", "explicit_events"):
-                for got, want in zip(getattr(loaded.store, attr)[u], getattr(train, attr)[u]):
-                    np.testing.assert_array_equal(got, want)
-            assert loaded.store.excluded_items[u] == train.excluded_items[u]
-            assert loaded.store.implicit_items[u] == train.implicit_items[u]
+        for col in ("times", "seqs", "items", "explicit", "offsets"):
+            got, want = getattr(loaded.store, col), getattr(train, col)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert loaded.store.excluded_items == train.excluded_items
+        assert loaded.store.implicit_items == train.implicit_items
+        assert loaded.store.explicit_items == train.explicit_items
         assert len(loaded.cases) == len(cases)
         for got, want in zip(loaded.cases, cases):
             assert (got.user, got.item) == (want.user, want.item)
             np.testing.assert_array_equal(got.negatives, want.negatives)
             np.testing.assert_array_equal(got.history, want.history)
         assert loaded.side_info.labels == side.labels
-        assert loaded.side_info.item_categories == side.item_categories
-        for u in range(train.num_users):
-            np.testing.assert_array_equal(loaded.side_info.user_vectors[u][0], side.user_vectors[u][0])
-            np.testing.assert_allclose(loaded.side_info.user_vectors[u][1], side.user_vectors[u][1])
+        assert loaded.side_info.num_categories == side.num_categories
+        for col in ("item_offsets", "item_categories", "user_offsets", "user_categories", "user_weights"):
+            got, want = getattr(loaded.side_info, col), getattr(side, col)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
         assert loaded.stats == prepared.stats
         assert loaded.meta == {"seed": 3}
 
@@ -271,3 +414,57 @@ class TestPreparedRoundTrip:
         train, _ = leave_one_out_split(store)
         side = build_side_info(train, str(cats))
         np.testing.assert_allclose(side.user_matrix([0])[0], [1.0, 0.0])
+
+
+class TestMalformedDataset:
+    @pytest.fixture
+    def dataset(self, tiny_store, tmp_path):
+        cats = write_categories_csv(tmp_path / "c.csv", [("a", "A"), ("b", "B"), ("e", "A")])
+        train, cases = leave_one_out_split(tiny_store, num_negatives=2, seed=3)
+        side = build_side_info(train, str(cats))
+        path = tmp_path / "prep.bin"
+        save_prepared(str(path), PreparedDataset(train, cases, side, tiny_store.stats()))
+        return path
+
+    def rewrite(self, path, change):
+        config, arrays = read_container(str(path))
+        change(arrays)
+        write_container(str(path), config, arrays)
+
+    @pytest.mark.parametrize("record", ["implicit_offsets", "explicit_items", "excluded_flat",
+                                        "case_hist_offsets", "side_user_val"])
+    def test_missing_record_is_named(self, dataset, record):
+        self.rewrite(dataset, lambda arrays: arrays.pop(record))
+        with pytest.raises(FormatError, match=f"missing record.*{record}"):
+            load_prepared(str(dataset))
+
+    @pytest.mark.parametrize("record", ["implicit_offsets", "excluded_offsets", "case_neg_offsets",
+                                        "side_item_offsets", "side_user_offsets"])
+    @pytest.mark.parametrize("change, message", [
+        (lambda off: off + 1, "starts at 1, not 0"),
+        (lambda off: np.concatenate([off[:1], [off[-1] + 1], off[1:]])[:off.size], "decreases"),
+        (lambda off: np.concatenate([off[:-1], [off[-1] + 1]]), "ends at"),
+        (lambda off: off[:-1], "entries for"),
+    ])
+    def test_bad_offsets_rejected(self, dataset, record, change, message):
+        def apply(arrays):
+            arrays[record] = change(arrays[record]).astype(np.int64)
+        self.rewrite(dataset, apply)
+        with pytest.raises(FormatError, match=f"{record}.*{message}"):
+            load_prepared(str(dataset))
+
+    @pytest.mark.parametrize("record, value", [("explicit_items", 6), ("case_users", -1),
+                                               ("side_item_flat", 2)])
+    def test_ids_out_of_range_rejected(self, dataset, record, value):
+        def apply(arrays):
+            arrays[record][0] = value
+        self.rewrite(dataset, apply)
+        with pytest.raises(FormatError, match=f"{record}.*outside"):
+            load_prepared(str(dataset))
+
+    def test_wrong_dtype_rejected(self, dataset):
+        def apply(arrays):
+            arrays["implicit_times"] = arrays["implicit_times"].astype(np.float64)
+        self.rewrite(dataset, apply)
+        with pytest.raises(FormatError, match="implicit_times.*not a 1-D int64"):
+            load_prepared(str(dataset))

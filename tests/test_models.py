@@ -281,6 +281,32 @@ class TestPrunedEncoder:
             build_model("bert-ite", 3, 5, ModelConfig(embedding_dim=4, transformer_layers=0))
 
 
+class TestConfigValidation:
+    @settings(max_examples=80, deadline=None)
+    @given(ints=st.lists(st.integers(-3, 5), min_size=6, max_size=6),
+           dropout=st.floats(allow_nan=True, allow_infinity=True),
+           variant=st.sampled_from(["ite", "bert-ite-si"]))
+    def test_validate_passes_or_raises_config_error(self, ints, dropout, variant):
+        # whatever validate lets through must build and run a training step's forward
+        k, n, layers, heads, implicit_depth, explicit_depth = ints
+        cfg = ModelConfig(embedding_dim=k, seq_len=n, transformer_layers=layers,
+                          attention_heads=heads, implicit_mlp_layers=implicit_depth,
+                          explicit_mlp_layers=explicit_depth, dropout=dropout, side_dim=2)
+        try:
+            cfg.validate()
+            model = build_model(variant, 2, 3, cfg, seed=0)
+        except ConfigError:
+            return
+        users, targets = np.array([0, 1]), np.array([1, 2])
+        if model.kind == "bert":  # bert-ite-si: user, context and target side matrices
+            res = model.forward(users, np.zeros((2, n), dtype=np.int64), targets, np.ones((2, 2)),
+                                np.ones((2, n, 2)), np.ones((2, 2)), training=True,
+                                rng=np.random.default_rng(0))
+        else:
+            res = model.forward(users, targets)
+        assert np.all(np.isfinite(res.x_hat.data)) and np.all(np.isfinite(res.y_hat.data))
+
+
 class TestPredictScore:
     def test_hand_values(self):
         assert predict_score(1.0, 0.5) == 0.5

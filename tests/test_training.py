@@ -89,21 +89,17 @@ class TestJointLoss:
 
 
 def store_from_sets(num_users, num_items, implicit_sets, explicit_sets):
-    impl, expl = [], []
-    t = 0
+    """One event per (user, item, behaviour), each at its own time step."""
+    users, items, explicit = [], [], []
     for u in range(num_users):
-        events = []
-        for i in sorted(implicit_sets[u]):
-            events.append((t, t, i))
-            t += 1
-        impl.append(tuple(np.array([e[j] for e in events], dtype=np.int64) for j in range(3)))
-        events = []
-        for i in sorted(explicit_sets[u]):
-            events.append((t, t, i))
-            t += 1
-        expl.append(tuple(np.array([e[j] for e in events], dtype=np.int64) for j in range(3)))
-    return InteractionStore([f"u{j}" for j in range(num_users)],
-                            [f"i{j}" for j in range(num_items)], impl, expl)
+        for flag, sets in ((False, implicit_sets), (True, explicit_sets)):
+            for i in sorted(sets[u]):
+                users.append(u)
+                items.append(i)
+                explicit.append(flag)
+    steps = np.arange(len(users))
+    return InteractionStore([f"u{j}" for j in range(num_users)], [f"i{j}" for j in range(num_items)],
+                            users, steps, steps, items, explicit)
 
 
 class TestSampleNegatives:
