@@ -110,7 +110,11 @@ def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             shape = struct.unpack(f"<{rank}I", read(4 * rank, f"record {name!r} extents"))
             dt = _DTYPE_BY_TAG[tag]
             raw = read(math.prod(shape) * dt.itemsize, f"record {name!r} data")
-            arrays[name] = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
+            try:
+                arrays[name] = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
+            except ValueError:  # an empty record whose other extents overflow numpy's size
+                raise FormatError(f"{path}: record {name!r}: extents {list(shape)} "
+                                  "are too large for an array") from None
     return config, arrays
 
 

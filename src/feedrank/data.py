@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -426,8 +426,7 @@ def sample_unobserved(num_items: int, excluded: set, count: int,
     seen = set()
     while len(chosen) < count:
         draw = rng.integers(0, num_items, size=max(16, 2 * (count - len(chosen))))
-        for item in draw:
-            item = int(item)
+        for item in draw.tolist():
             if item in excluded or item in seen:
                 continue
             seen.add(item)
@@ -517,12 +516,24 @@ def _check_dataset(path: str, config: dict, arrays: dict[str, np.ndarray]) -> No
     """Raise a one-line FormatError unless the records of a dataset file fit
     together: every record present, 1-D and of its dtype, offsets that start
     at 0, never decrease, end at their flat records' length and have one row
-    per user, item or case, and ids inside their range."""
+    per user, item or case, and ids inside their range; a config ``stats``
+    object holding exactly the ``DatasetStats`` fields as numbers, and a
+    ``meta`` object."""
     from .container import FormatError
 
-    missing = [key for key in ("user_ids", "item_ids", "labels", "stats") if key not in config]
+    missing = [key for key in ("user_ids", "item_ids", "labels", "stats", "meta") if key not in config]
     if missing:
         raise FormatError(f"{path}: missing config key(s) {', '.join(missing)}")
+    stats, keys = config["stats"], [f.name for f in fields(DatasetStats)]
+    if not isinstance(stats, dict) or sorted(stats) != sorted(keys):
+        raise FormatError(f"{path}: config key 'stats' must be an object with exactly the keys "
+                          f"{', '.join(keys)}")
+    odd = [key for key in keys if isinstance(stats[key], bool)
+           or not isinstance(stats[key], (int, float))]
+    if odd:
+        raise FormatError(f"{path}: config stats {odd[0]!r} is {stats[odd[0]]!r}, not a number")
+    if not isinstance(config["meta"], dict):
+        raise FormatError(f"{path}: config key 'meta' must be an object")
     layout = dict(_DATASET_ROWS, **(_SIDE_ROWS if config.get("has_side_info") else {}))
     names = ["case_users", "case_items", *(n for off, (flat, _) in layout.items() for n in (off, *flat))]
     missing = [name for name in names if name not in arrays]
@@ -620,4 +631,4 @@ def load_prepared(path: str) -> PreparedDataset:
                         arrays["side_item_offsets"], arrays["side_item_flat"],
                         arrays["side_user_offsets"], arrays["side_user_idx"], arrays["side_user_val"])
     stats = DatasetStats(**config["stats"])
-    return PreparedDataset(store, cases, side, stats, config.get("meta", {}))
+    return PreparedDataset(store, cases, side, stats, config["meta"])

@@ -69,9 +69,15 @@ def _case_scores(model, case: EvalCase, store: Optional[InteractionStore],
 
 def case_rank(model, case: EvalCase, store: Optional[InteractionStore] = None,
               side_info: Optional[SideInfo] = None, seed: int = 0, chunk: int = 512) -> int:
-    """Rank of the held-out item among its candidate list."""
+    """Rank of the held-out item among its candidate list. A NaN or
+    infinite score raises ValueError: no rank would be meaningful, and NaN
+    would otherwise lose every comparison and rank first."""
     candidates = np.concatenate([[case.item], case.negatives]).astype(np.int64)
     scores = _case_scores(model, case, store, side_info, seed, chunk)
+    bad = int(np.sum(~np.isfinite(scores)))
+    if bad:
+        raise ValueError(f"user {case.user}: {bad} of {scores.size} candidate scores "
+                         "are NaN or infinite")
     return rank_of_first(scores, candidates)
 
 

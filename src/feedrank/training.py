@@ -12,6 +12,7 @@ non-finite losses.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -19,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .data import InteractionStore, SideInfo, sample_unobserved
+from .data import DataError, InteractionStore, SideInfo, _row_ids, sample_unobserved
 from .tensor import ConfigError, ParameterRegistry, Tensor
 
 log = logging.getLogger(__name__)
@@ -48,10 +49,19 @@ class TrainingConfig:
     adam_eps: float = 1e-8
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
-        if self.implicit_weight < 0:
-            raise ConfigError("implicit_weight must be >= 0")
+        # each float check is written so that NaN fails it
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be finite and > 0")
+        if not 0 <= self.implicit_weight < math.inf:
+            raise ConfigError("implicit_weight must be finite and >= 0")
+        if not 0 <= self.l2_weight < math.inf:
+            raise ConfigError("l2_weight must be finite and >= 0")
+        if not 0 <= self.adam_beta1 < 1:
+            raise ConfigError("adam_beta1 must be in [0, 1)")
+        if not 0 <= self.adam_beta2 < 1:
+            raise ConfigError("adam_beta2 must be in [0, 1)")
+        if not 0 < self.adam_eps < math.inf:
+            raise ConfigError("adam_eps must be finite and > 0")
         if self.negatives_per_positive < 0:
             raise ConfigError("negatives_per_positive must be >= 0")
         if self.batch_size < 1:
@@ -92,23 +102,82 @@ def joint_loss(implicit_pred: Optional[Tensor], implicit_labels: Optional[np.nda
     return total
 
 
-def sample_negatives(store: InteractionStore, user: int, matrix: str, count: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Uniform unobserved items for one user in the chosen matrix.
-
-    Held-out evaluation items are never eligible. Sampling is without
-    replacement; when fewer candidates exist than requested, sampling falls
-    back to with-replacement and logs the degradation.
-    """
+def _pair_keys(store: InteractionStore, matrix: str) -> np.ndarray:
+    """Sorted unique keys ``user * num_items + item`` of the pairs a matrix
+    observes; the implicit matrix is every event, the explicit one its
+    explicit events."""
     if matrix == "implicit":
-        observed = store.implicit_items[user]
+        rows = slice(None)
     elif matrix == "explicit":
-        observed = store.explicit_items[user]
+        rows = store.explicit
     else:
         raise ConfigError(f"matrix must be 'implicit' or 'explicit', got {matrix!r}")
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    return sample_unobserved(store.num_items, observed | store.excluded_items[user], count, rng)
+    users = _row_ids(store.offsets)
+    return np.unique(users[rows] * store.num_items + store.items[rows])
+
+
+def _first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a 2-D array that no earlier entry of their row
+    equals."""
+    order = np.argsort(rows, axis=1, kind="stable")
+    ranked = np.take_along_axis(rows, order, axis=1)
+    first = np.ones(rows.shape, dtype=bool)
+    first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    mask = np.empty_like(first)
+    np.put_along_axis(mask, order, first, axis=1)
+    return mask
+
+
+def sample_negatives(store: InteractionStore, users: int | np.ndarray, matrix: str, count: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """Uniform unobserved items in the chosen matrix: ``[count]`` for one
+    user, ``[len(users), count]`` for an array with one user per row.
+
+    Held-out evaluation items are never eligible. Each row is a sample
+    without replacement, drawn for all rows at once by rejecting draws the
+    user observed and repeats within the row. A row whose user has fewer
+    eligible items than ``count`` is drawn with replacement instead, and the
+    call logs how many rows did so.
+    """
+    observed = _pair_keys(store, matrix)
+    rows = np.atleast_1d(np.asarray(users, dtype=np.int64))
+    out = np.full((rows.size, count), -1, dtype=np.int64)
+    if count and rows.size:
+        n = store.num_items
+        excluded = store.excluded_items
+        excluded_keys = (np.repeat(np.arange(store.num_users, dtype=np.int64), [len(s) for s in excluded])
+                         * n + np.fromiter((i for s in excluded for i in s), dtype=np.int64))
+        # a sentinel above every key keeps each searchsorted position in range
+        observed = np.append(np.union1d(observed, excluded_keys), store.num_users * n)
+        base = rows * n
+        eligible = n - (np.searchsorted(observed, base + n) - np.searchsorted(observed, base))
+        if not eligible.all():
+            user = int(rows[np.flatnonzero(eligible == 0)[0]])
+            raise DataError(f"user {user} has interacted with the whole catalog; nothing to sample")
+        short = np.flatnonzero(eligible < count)
+        for r in short:
+            lo, hi = np.searchsorted(observed, [base[r], base[r] + n])
+            pool = np.setdiff1d(np.arange(n), observed[lo:hi] - base[r])
+            out[r] = rng.choice(pool, size=count, replace=True)
+        if short.size:
+            log.warning("%d of %d rows have fewer than %d eligible items; "
+                        "sampling them with replacement", short.size, rows.size, count)
+        filled = np.zeros(rows.size, dtype=np.int64)
+        pending = np.flatnonzero(eligible >= count)
+        while pending.size:
+            width = max(16, 2 * int((count - filled[pending]).max()))
+            draw = rng.integers(0, n, size=(pending.size, width))
+            keys = base[pending, None] + draw
+            fresh = observed[np.searchsorted(observed, keys)] != keys
+            # the row's items so far, then its fresh draws; -1 marks no item
+            cand = np.concatenate([out[pending], np.where(fresh, draw, -1)], axis=1)
+            keep = _first_occurrences(cand) & (cand >= 0)
+            slot = np.cumsum(keep, axis=1)
+            at, col = np.nonzero(keep & (slot <= count))
+            out[pending[at], slot[at, col] - 1] = cand[at, col]
+            filled[pending] = np.minimum(slot[:, -1], count)
+            pending = pending[filled[pending] < count]
+    return out if np.ndim(users) else out[0]
 
 
 def pad_sequence(history: Sequence[int], n: int, num_items: int, user_observed: set,
@@ -178,19 +247,24 @@ def build_epoch_examples(store: InteractionStore, negatives_per_positive: int,
     share its session context. Rows come back shuffled, which mixes the two
     matrices proportionally to their sizes.
     """
-    rows: list[tuple[int, int, int, int, int]] = []
-    for u in range(store.num_users):
-        for kind, items, matrix in ((_KIND_IMPLICIT, store.implicit_items[u], "implicit"),
-                                    (_KIND_EXPLICIT, store.explicit_items[u], "explicit")):
-            for i in sorted(items):
-                rows.append((kind, u, i, i, 1))
-                for j in sample_negatives(store, u, matrix, negatives_per_positive, rng):
-                    rows.append((kind, u, i, int(j), 0))
-    if not rows:
+    m = negatives_per_positive
+    blocks = []
+    for kind, matrix in ((_KIND_IMPLICIT, "implicit"), (_KIND_EXPLICIT, "explicit")):
+        users, items = np.divmod(_pair_keys(store, matrix), store.num_items)
+        block = np.zeros((users.size, 1 + m, 5), dtype=np.int64)
+        block[..., 0] = kind
+        block[..., 1] = users[:, None]
+        block[..., 2] = items[:, None]
+        block[:, 0, 3] = items
+        block[:, 0, 4] = 1
+        block[:, 1:, 3] = sample_negatives(store, users, matrix, m, rng)
+        blocks.append(block.reshape(-1, 5))
+    arr = np.concatenate(blocks)
+    if not arr.shape[0]:
         raise ConfigError("empty training set: no positive interactions")
-    arr = np.array(rows, dtype=np.int64)
-    rng.shuffle(arr, axis=0)
-    return arr
+    # the same permutation, and rng state, as rng.shuffle(arr, axis=0), which
+    # moves one row at a time
+    return arr[rng.permutation(arr.shape[0])]
 
 
 def _session_contexts(store: InteractionStore, users: np.ndarray, anchors: np.ndarray,

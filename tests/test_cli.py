@@ -171,6 +171,24 @@ class TestTrain:
         assert not run_dir.exists()
 
     @pytest.mark.parametrize("key, value", [
+        ("learning_rate", "nan"), ("learning_rate", "inf"), ("learning_rate", "0"),
+        ("implicit_weight", "nan"), ("implicit_weight", "-0.5"), ("implicit_weight", "inf"),
+        ("l2_weight", "nan"), ("l2_weight", "-1e-6"), ("l2_weight", "inf"),
+        ("adam_beta1", "nan"), ("adam_beta1", "1.0"), ("adam_beta1", "-0.1"),
+        ("adam_beta2", "nan"), ("adam_beta2", "1.0"),
+        ("adam_eps", "nan"), ("adam_eps", "0"), ("adam_eps", "-1e-8"), ("adam_eps", "inf"),
+    ])
+    def test_bad_training_float_creates_no_run_dir(self, tmp_path, prepared_path, capsys, key, value):
+        run_dir = tmp_path / "run-bad"
+        cfg = write_config(tmp_path / "bad.ini", prepared_path, out=run_dir)
+        lines = [line for line in cfg.read_text().splitlines() if not line.startswith(f"{key} =")]
+        cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} must be" in err and len(err.splitlines()) == 1
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("key, value", [
         ("attention_heads", "0"), ("attention_heads", "-2"), ("implicit_mlp_layers", "0"),
         ("explicit_mlp_layers", "0"), ("dropout", "1.5"), ("dropout", "-0.1"),
     ])
@@ -196,6 +214,17 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "missing record(s) implicit_offsets" in err and len(err.splitlines()) == 1
+        assert not run_dir.exists()
+
+    def test_dataset_with_bad_stats_exits_one(self, tmp_path, prepared_path, capsys):
+        config, arrays = read_container(str(prepared_path))
+        del config["stats"]["labels"]
+        write_container(str(prepared_path), config, arrays)
+        run_dir = tmp_path / "run-bad"
+        cfg = write_config(tmp_path / "cfg.ini", prepared_path, out=run_dir)
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "'stats' must be an object" in err and len(err.splitlines()) == 1
         assert not run_dir.exists()
 
     def test_non_finite_loss_exits_one(self, tmp_path, prepared_path, capsys, monkeypatch):
@@ -312,6 +341,17 @@ class TestEvaluate:
         assert main(["evaluate", "--checkpoint", str(bad), "--dataset", str(prepared_path)]) == 1
         err = capsys.readouterr().err
         assert "bytes declared" in err and len(err.splitlines()) == 1
+
+    def test_nan_parameter_exits_one(self, tmp_path, prepared_path, trained, capsys):
+        from feedrank.container import save_checkpoint
+
+        model, variant, meta = load_checkpoint(str(trained))
+        model.gmf_user.rows.value.data[0] = np.nan
+        poisoned = tmp_path / "nan.ckpt"
+        save_checkpoint(str(poisoned), model, variant, meta=meta)
+        assert main(["evaluate", "--checkpoint", str(poisoned), "--dataset", str(prepared_path)]) == 1
+        err = capsys.readouterr().err
+        assert "NaN or infinite" in err and len(err.splitlines()) == 1
 
     def test_missing_checkpoint_exits_two(self, tmp_path, prepared_path):
         assert main(["evaluate", "--checkpoint", str(tmp_path / "none.ckpt"),

@@ -90,6 +90,14 @@ class TestContainer:
         with pytest.raises(FormatError, match="record 'x' data: .* bytes declared, 16 left"):
             read_container(str(path))
 
+    def test_empty_record_with_huge_extents_rejected(self, tmp_path):
+        # 0 bytes of data, but 0 x (2^32 - 1) x (2^32 - 1) is no numpy shape
+        path = tmp_path / "empty.bin"
+        header = struct.pack("<I", 1) + b"x" + struct.pack("<BI", 0, 3) + struct.pack("<3I", 0, *[2**32 - 1] * 2)
+        path.write_bytes(MAGIC + struct.pack("<I", 2) + b"{}" + header)
+        with pytest.raises(FormatError, match="record 'x': extents .* too large"):
+            read_container(str(path))
+
     def test_huge_declared_name_and_config_lengths_rejected(self, tmp_path):
         path = tmp_path / "name.bin"
         path.write_bytes(MAGIC + struct.pack("<I", 2) + b"{}" + struct.pack("<I", 2**32 - 1) + b"ab")

@@ -416,6 +416,10 @@ class TestPreparedRoundTrip:
         np.testing.assert_allclose(side.user_matrix([0])[0], [1.0, 0.0])
 
 
+STATS = {"users": 1, "items": 2, "implicit": 3, "explicit": 4, "labels": 0, "sparsity": 0.5}
+MISSING = object()
+
+
 class TestMalformedDataset:
     @pytest.fixture
     def dataset(self, tiny_store, tmp_path):
@@ -467,4 +471,26 @@ class TestMalformedDataset:
             arrays["implicit_times"] = arrays["implicit_times"].astype(np.float64)
         self.rewrite(dataset, apply)
         with pytest.raises(FormatError, match="implicit_times.*not a 1-D int64"):
+            load_prepared(str(dataset))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("stats", [1, 2], "'stats' must be an object"),
+        ("stats", None, "'stats' must be an object"),
+        ("stats", {k: v for k, v in STATS.items() if k != "labels"},
+         "'stats' must be an object with exactly the keys"),
+        ("stats", dict(STATS, extra=1), "'stats' must be an object with exactly the keys"),
+        ("stats", dict(STATS, users="1"), "stats 'users' is '1', not a number"),
+        ("stats", dict(STATS, labels=True), "stats 'labels' is True, not a number"),
+        ("stats", dict(STATS, sparsity=None), "stats 'sparsity' is None, not a number"),
+        ("meta", [], "'meta' must be an object"),
+        ("meta", "seed=0", "'meta' must be an object"),
+        ("meta", MISSING, "missing config key.*meta"),
+    ])
+    def test_bad_stats_or_meta_rejected(self, dataset, key, value, message):
+        config, arrays = read_container(str(dataset))
+        config[key] = value
+        if value is MISSING:
+            del config[key]
+        write_container(str(dataset), config, arrays)
+        with pytest.raises(FormatError, match=message):
             load_prepared(str(dataset))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedrank.data import EvalCase, ingest, leave_one_out_split
 from feedrank.evaluation import case_rank, evaluate, hr_at_k, ndcg_at_k, rank_of_first, topk_sweep
@@ -69,6 +71,21 @@ class TestRanking:
             got = rank_of_first(scores, ids)
             order = sorted(range(n), key=lambda j: (-scores[j], ids[j]))
             assert got == order.index(0) + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), scores=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30))
+    def test_non_finite_score_fails_the_case(self, data, scores):
+        # a NaN fails every comparison, so ranking it would put it first
+        where = data.draw(st.lists(st.integers(0, len(scores) - 1), min_size=1, unique=True))
+        table = np.array(scores)
+        table[where] = data.draw(st.lists(st.sampled_from([math.nan, math.inf, -math.inf]),
+                                          min_size=len(where), max_size=len(where)))
+        model = FakeModel(table[None, :])
+        cases = [case(0, 0, np.arange(1, table.size))]
+        with pytest.raises(ValueError, match=f"user 0: {len(where)} of {table.size} candidate scores"):
+            case_rank(model, cases[0])
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            evaluate(model, cases)
 
 
 class TestEvaluate:

@@ -1,15 +1,18 @@
 """Loss values against hand evaluations, sampler laws, Adam traces, and
 epoch-loop determinism."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
 from feedrank import tensor as T
-from feedrank.data import InteractionStore, ingest, leave_one_out_split
+from feedrank import training
+from feedrank.data import DataError, InteractionStore, ingest, leave_one_out_split
 from feedrank.evaluation import evaluate
 from feedrank.models import ITEModel, ModelConfig, build_model
 from feedrank.tensor import ConfigError, ParameterRegistry, Tensor
@@ -155,6 +158,68 @@ class TestSampleNegatives:
         assert any("replacement" in r.message for r in caplog.records)
 
 
+class TestBatchedSampleNegatives:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), num_users=st.integers(1, 4), num_items=st.integers(1, 12),
+           count=st.integers(0, 6), matrix=st.sampled_from(["implicit", "explicit"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_are_unobserved_distinct_and_seeded(self, caplog, data, num_users, num_items,
+                                                      count, matrix, seed):
+        subsets = st.sets(st.integers(0, num_items - 1))
+        implicit = [data.draw(subsets) for _ in range(num_users)]
+        explicit = [data.draw(subsets) for _ in range(num_users)]
+        store = store_from_sets(num_users, num_items, implicit, explicit)
+        store.excluded_items = [data.draw(subsets) for _ in range(num_users)]
+        users = np.array(data.draw(st.lists(st.integers(0, num_users - 1), max_size=20)), dtype=np.int64)
+        matrix_items = store.implicit_items if matrix == "implicit" else store.explicit_items
+        banned = [matrix_items[u] | store.excluded_items[u] for u in range(num_users)]
+        eligible = np.array([num_items - len(banned[u]) for u in users], dtype=np.int64)
+
+        caplog.clear()
+        if count and (eligible == 0).any():
+            with pytest.raises(DataError, match="whole catalog"):
+                sample_negatives(store, users, matrix, count, np.random.default_rng(seed))
+            return
+        with caplog.at_level("WARNING"):
+            out = sample_negatives(store, users, matrix, count, np.random.default_rng(seed))
+        assert out.shape == (users.size, count) and out.dtype == np.int64
+        for u, row, room in zip(users, out.tolist(), eligible):
+            assert all(0 <= i < num_items and i not in banned[u] for i in row)
+            if room >= count:
+                assert len(set(row)) == count
+        warnings = [r for r in caplog.records if "replacement" in r.getMessage()]
+        assert len(warnings) == (1 if count and (eligible < count).any() else 0)
+        again = sample_negatives(store, users, matrix, count, np.random.default_rng(seed))
+        np.testing.assert_array_equal(again, out)
+        if users.size:
+            one = sample_negatives(store, int(users[0]), matrix, count, np.random.default_rng(seed))
+            np.testing.assert_array_equal(
+                one, sample_negatives(store, users[:1], matrix, count, np.random.default_rng(seed))[0])
+
+    def test_rows_short_after_a_round_are_redrawn(self):
+        # 5 eligible items of 200: a round of 16 draws per row rarely finds
+        # them all, so every row needs further rounds to be complete
+        store = store_from_sets(1, 200, [set(range(195))], [set()])
+        out = sample_negatives(store, np.zeros(50, dtype=np.int64), "implicit", 5,
+                               np.random.default_rng(7))
+        assert [sorted(row) for row in out.tolist()] == [list(range(195, 200))] * 50
+
+    def test_uniform_subsets_chi_square(self):
+        # user 0 has 8 eligible items, user 1 has 7; each row is a uniform
+        # 2-subset of its user's eligible items
+        store = store_from_sets(2, 10, [{0, 1}, {5, 6}], [set(), set()])
+        store.excluded_items[1] = {7}
+        rows = 20_000
+        out = sample_negatives(store, np.repeat([0, 1], rows), "implicit", 2, np.random.default_rng(6))
+        for u, block in enumerate((out[:rows], out[rows:])):
+            eligible = sorted(set(range(10)) - store.implicit_items[u] - store.excluded_items[u])
+            pairs = list(itertools.combinations(eligible, 2))
+            index = {pair: j for j, pair in enumerate(pairs)}
+            counts = np.bincount([index[tuple(sorted(r))] for r in block.tolist()], minlength=len(pairs))
+            assert counts.sum() == rows
+            assert chisquare(counts).pvalue > 1e-3
+
+
 class TestPadSequence:
     def test_full_history_unchanged(self):
         hist = [3, 1, 4, 1, 5]
@@ -259,6 +324,30 @@ class TestEpochLoop:
             else:
                 assert cand not in observed
                 assert cand not in store.excluded_items[u]
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_each_positive_carries_its_own_negatives(self, small_prepared, monkeypatch, m):
+        store, _ = small_prepared
+        matrices = []
+
+        def counted(store, users, matrix, count, rng):
+            matrices.append(matrix)
+            return sample_negatives(store, users, matrix, count, rng)
+
+        monkeypatch.setattr(training, "sample_negatives", counted)
+        rows = build_epoch_examples(store, m, np.random.default_rng(0))
+        assert matrices == ["implicit", "explicit"]  # one draw per matrix
+        assert rows.dtype == np.int64
+        groups = {}
+        for kind, u, anchor, cand, label in rows.tolist():
+            groups.setdefault((kind, u, anchor), []).append((cand, label))
+        assert set(groups) == ({(0, u, i) for u in range(store.num_users) for i in store.implicit_items[u]}
+                               | {(1, u, i) for u in range(store.num_users) for i in store.explicit_items[u]})
+        for (_, _, anchor), members in groups.items():
+            assert [cand for cand, label in members if label == 1] == [anchor]
+            negatives = [cand for cand, label in members if label == 0]
+            assert len(negatives) == len(set(negatives)) == m
+        np.testing.assert_array_equal(rows, build_epoch_examples(store, m, np.random.default_rng(0)))
 
     def test_empty_training_set_rejected(self):
         store = store_from_sets(2, 4, [set(), set()], [set(), set()])
