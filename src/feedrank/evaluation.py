@@ -56,10 +56,11 @@ def _case_scores(model, case: EvalCase, store: Optional[InteractionStore],
         rng = np.random.default_rng([seed, case.user])
         observed = store.observed_any(case.user) | {case.item}
         seq = pad_sequence(case.history, model.config.seq_len, store.num_items, observed, rng)
+    # every candidate shares the case's user and context rows
+    users = np.array([case.user], dtype=np.int64)
+    contexts = None if seq is None else seq[None, :]
     for start in range(0, candidates.size, chunk):
         part = candidates[start:start + chunk]
-        users = np.full(part.size, case.user, dtype=np.int64)
-        contexts = None if seq is None else np.broadcast_to(seq, (part.size, seq.size))
         with T.no_grad():
             res = model.forward_batch(users, part, contexts, side_info)
         scores[start:start + part.size] = predict_score(

@@ -125,23 +125,35 @@ class TransformerLayer:
 
 
 def multi_head_self_attention(h: Tensor, layer: TransformerLayer, return_weights: bool = False,
-                              query: Optional[Tensor] = None):
+                              query: Optional[Tensor] = None, target: Optional[Tensor] = None):
     """Scaled dot-product attention per head, heads concatenated then mixed
     by the output projection. Bidirectional: no causal mask, no positions.
 
     ``h`` is [t, d] or [batch, t, d]. Keys and values come from every row of
     ``h``; queries come from ``query`` ([t_q, d] or [batch, t_q, d]) when it
     is given, else from ``h``, and the output has one row per query row.
+
+    With ``target`` ([C, 1, d]), ``h`` is a prefix [1, t, d] shared by C
+    sequences, sequence c being ``h`` followed by ``target[c]``, and the
+    output is [C, t + 1, d]: every row of each sequence attending within
+    that sequence. The prefix rows' scores among themselves are computed
+    once for all C (see ``_shared_prefix_head``). This form is forward only.
     """
     if query is None:
         query = h
-    for x in (h, query):
-        if x.shape[-1] != layer.dim:
+    for x in (h, query, target):
+        if x is not None and x.shape[-1] != layer.dim:
             raise ShapeError(f"input dim {x.shape[-1]} vs layer dim {layer.dim}")
+    if target is not None and (return_weights or T.grad_enabled()):
+        raise ConfigError("shared-prefix attention is forward only and returns no weights; "
+                          "call it under no_grad()")
     inv_scale = 1.0 / math.sqrt(layer.dim / layer.heads)
     heads = []
     weights = []
     for i in range(layer.heads):
+        if target is not None:
+            heads.append(_shared_prefix_head(h, target, layer, i, inv_scale))
+            continue
         q = T.matmul(query, layer.wq[i].value)
         k = T.matmul(h, layer.wk[i].value)
         v = T.matmul(h, layer.wv[i].value)
@@ -155,6 +167,53 @@ def multi_head_self_attention(h: Tensor, layer: TransformerLayer, return_weights
     return out
 
 
+def _log_normaliser(scores: Tensor) -> Tensor:
+    """log(sum(exp(row))) of each row, as [..., 1]: the row max plus the log
+    of the softmax normaliser taken after subtracting it."""
+    m = scores.data.max(axis=-1, keepdims=True)
+    return Tensor(m + np.log(np.exp(scores.data - m).sum(axis=-1, keepdims=True)))
+
+
+def _shared_prefix_head(h: Tensor, target: Tensor, layer: TransformerLayer, i: int,
+                        inv_scale: float) -> Tensor:
+    """Head ``i`` of every sequence ``[h; target[c]]``, as [C, t + 1, hd].
+
+    Once per call: the prefix's Q/K/V, its [t, t] score block, and that
+    block's softmax state: each row's attention output over the prefix keys
+    and the log of its normaliser (row max plus log-sum of the shifted
+    exponentials). Per sequence: the target's q/k/v; one extra key column
+    merged into each prefix row; and the target row's own softmax over the
+    prefix keys and its own key.
+
+    Merging a column of score ``s`` and value ``v_t`` into a row whose
+    softmax over the earlier keys gave output ``o`` with log-normaliser
+    ``lse`` gives ``sigmoid(lse - s) * o + sigmoid(s - lse) * v_t``: the
+    running max/normaliser update of online softmax, written with both
+    folded into ``lse``.
+    """
+    c = target.shape[0]
+    q = T.matmul(h, layer.wq[i].value)                                  # [1, t, hd]
+    k = T.matmul(h, layer.wk[i].value)
+    v = T.matmul(h, layer.wv[i].value)
+    q_t = T.matmul(target, layer.wq[i].value)                           # [C, 1, hd]
+    k_t = T.matmul(target, layer.wk[i].value)
+    v_t = T.matmul(target, layer.wv[i].value)
+
+    scores = T.scale(T.matmul(q, T.transpose_last2(k)), inv_scale)     # [1, t, t]
+    prefix_out = T.matmul(T.softmax_rows(scores), v)                   # [1, t, hd]
+    # the target's key column of each prefix row, less that row's log-normaliser
+    gap = T.add(T.scale(T.matmul(q, T.transpose_last2(k_t)), inv_scale),
+                T.scale(_log_normaliser(scores), -1.0))                # [C, t, 1]
+    prefix_rows = T.add(T.elementwise_mul(prefix_out, T.sigmoid(T.scale(gap, -1.0))),
+                        T.elementwise_mul(v_t, T.sigmoid(gap)))         # [C, t, hd]
+
+    target_scores = T.concat(T.matmul(q_t, T.transpose_last2(k)),
+                             T.matmul(q_t, T.transpose_last2(k_t)), axis=-1)  # [C, 1, t + 1]
+    values = T.concat(T.broadcast_to(v, (c,) + v.shape[1:]), v_t, axis=-2)     # [C, t + 1, hd]
+    target_row = T.matmul(T.softmax_rows(T.scale(target_scores, inv_scale)), values)
+    return T.concat(prefix_rows, target_row, axis=-2)
+
+
 def pffn(a: Tensor, layer: TransformerLayer) -> Tensor:
     """Row-wise feed-forward: GELU(a @ W1 + b1) @ W2 + b2."""
     hidden = T.gelu(T.add(T.matmul(a, layer.ffn_w1.value), layer.ffn_b1.value))
@@ -163,16 +222,27 @@ def pffn(a: Tensor, layer: TransformerLayer) -> Tensor:
 
 def transformer_layer(x: Tensor, layer: TransformerLayer, training: bool = False,
                       rng: Optional[np.random.Generator] = None,
-                      query: Optional[Tensor] = None) -> Tensor:
+                      query: Optional[Tensor] = None, target: Optional[Tensor] = None) -> Tensor:
     """Two sublayers: LN(x + Drop(MH(x))) then LN(a + Drop(PFFN(a))).
 
     With ``query`` (rows of ``x``), only those rows are computed: they
     attend to every row of ``x``, and the residuals, dropouts, layer norms
     and PFFN run on them alone.
+
+    With ``target`` ([C, 1, d]), ``x`` is a prefix [1, t, d] shared by C
+    sequences ``[x; target[c]]`` and the output is their [C, t + 1, d] rows.
+    Attention computes the prefix rows among themselves once; everything
+    after it runs per sequence, since every row has seen its target.
+    Forward only.
     """
-    if query is None:
-        query = x
-    mh = T.dropout(multi_head_self_attention(x, layer, query=query), layer.dropout_rate, training, rng)
+    if target is not None:
+        mh = multi_head_self_attention(x, layer, target=target)
+        query = T.concat(T.broadcast_to(x, (target.shape[0],) + x.shape[1:]), target, axis=-2)
+    else:
+        if query is None:
+            query = x
+        mh = multi_head_self_attention(x, layer, query=query)
+    mh = T.dropout(mh, layer.dropout_rate, training, rng)
     a = T.layer_norm(T.add(query, mh), layer.ln1_gain.value, layer.ln1_bias.value)
     ff = T.dropout(pffn(a, layer), layer.dropout_rate, training, rng)
     return T.layer_norm(T.add(a, ff), layer.ln2_gain.value, layer.ln2_bias.value)

@@ -153,7 +153,9 @@ class _ImplicitExplicitModel:
         variant uses in ``side_info`` (a ``data.SideInfo``).
 
         ``contexts`` is the [B, n] padded session ahead of each candidate;
-        sequence models need it, the others ignore it.
+        sequence models need it, the others ignore it. ``users`` (and
+        ``contexts``) may hold a single row shared by every candidate, so
+        its side vectors are built once.
         """
         mode = self.config.side_info_mode
         if mode != "none" and side_info is None:
@@ -185,9 +187,10 @@ class ITEModel(_ImplicitExplicitModel):
                 item_side: Optional[np.ndarray] = None,
                 training: bool = False,
                 rng: Optional[np.random.Generator] = None) -> ForwardResult:
-        """Score a batch of (user, item) pairs. ``users``/``items`` are int
-        arrays [B]; side matrices are [B, T] when the variant uses them.
-        The model has no dropout, so ``training`` and ``rng`` change nothing."""
+        """Score a batch of (user, item) pairs. ``items`` is an int array
+        [B] and ``users`` one of [B] or [1] (one user for every item); side
+        matrices have a row per id when the variant uses them. The model has
+        no dropout, so ``training`` and ``rng`` change nothing."""
         _check_side(self.config.side_info_mode, user_side, item_side)
         users = np.asarray(users)
         items = np.asarray(items)
@@ -196,6 +199,8 @@ class ITEModel(_ImplicitExplicitModel):
         pm = self.mlp_user.lookup(users, user_side)
         qm = self.mlp_item.lookup(items, item_side)
 
+        # a single user row serves every item
+        pg, pm = T.broadcast_to(pg, qg.shape), T.broadcast_to(pm, qm.shape)
         phi_gmf = T.elementwise_mul(pg, qg)
         phi_mlp = L.apply_tower(self.implicit_tower, T.concat(pm, qm, axis=-1))
         return self._heads(T.concat(phi_gmf, phi_mlp, axis=-1), [pg, qg, pm, qm])
@@ -227,8 +232,15 @@ class BertITEModel(_ImplicitExplicitModel):
                 rng: Optional[np.random.Generator] = None) -> ForwardResult:
         """Score a batch of (user, n-item context, target) triples.
 
-        ``sequences`` is int [B, n] (pre-padded); side matrices are
-        [B, T] / [B, n, T] when the variant uses them.
+        ``targets`` is int [B] and ``sequences`` int [B, n] (pre-padded);
+        side matrices have a row per id when the variant uses them.
+
+        ``users`` [1] with ``sequences`` [1, n] scores B > 1 targets against
+        one shared user and context (a leading 1 broadcasts, as in numpy).
+        The first of two or more layers then attends among the shared rows
+        once, not once per target; the scores agree with scoring each
+        target alone to float rounding. This form is forward only: it
+        raises ``ConfigError`` under ``training`` or outside ``no_grad()``.
         """
         _check_side(self.config.side_info_mode, user_side, seq_side, target_side)
         users = np.asarray(users)
@@ -237,20 +249,30 @@ class BertITEModel(_ImplicitExplicitModel):
         n = self.config.seq_len
         if sequences.ndim != 2 or sequences.shape[1] != n:
             raise ConfigError(f"sequences must be [batch, {n}], got {sequences.shape}")
-        b = sequences.shape[0]
+        b = targets.shape[0]
+        p = users.shape[0]
+        if sequences.shape[0] != p or p not in (1, b):
+            raise ConfigError(f"users {users.shape} and sequences {sequences.shape} must have "
+                              f"{b} rows, one per target, or 1 shared by every target")
+        shared = p < b
+        if shared and (training or T.grad_enabled()):
+            raise ConfigError("a user and context shared by several targets is scored forward only: "
+                              "call under no_grad() with training off")
         k = self.config.embedding_dim
 
-        u_emb = self.user_table.lookup(users, user_side)          # [B, K]
-        seq_emb = self.item_table.lookup(sequences, seq_side)     # [B, n, K]
+        u_emb = self.user_table.lookup(users, user_side)          # [P, K]
+        seq_emb = self.item_table.lookup(sequences, seq_side)     # [P, n, K]
         tgt_emb = self.item_table.lookup(targets, target_side)    # [B, K]
 
-        x = T.concat_many([
-            T.reshape(u_emb, (b, 1, k)),
-            seq_emb,
-            T.reshape(tgt_emb, (b, 1, k)),
-        ], axis=-2)                                               # [B, n+2, K]
+        prefix = T.concat(T.reshape(u_emb, (p, 1, k)), seq_emb, axis=-2)   # [P, n+1, K]
+        tgt_row = T.reshape(tgt_emb, (b, 1, k))
         # the heads read only the user row, so the last layer computes it alone
         *lower, last = self.transformer
+        if shared and lower:
+            x = L.transformer_layer(prefix, lower[0], target=tgt_row)
+            lower = lower[1:]
+        else:
+            x = T.concat(T.broadcast_to(prefix, (b, n + 1, k)), tgt_row, axis=-2)   # [B, n+2, K]
         for layer in lower:
             x = L.transformer_layer(x, layer, training, rng)
         user_row = T.reshape(T.select_row(x, 0), (b, 1, k))

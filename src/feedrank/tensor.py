@@ -5,7 +5,8 @@ Every forward op builds a node holding a backward closure; calling
 accumulates gradients into each ``requires_grad`` leaf. Ops operate on the
 last axis (or last two for matmul) so the same code serves 2-D math and
 batched 3-D activations. Only the broadcasting the models need is supported:
-row-wise bias add and scalar ops.
+row-wise bias add, scalar ops, leading extents of 1 in elementwise ops and
+matmul, and an explicit ``broadcast_to``.
 """
 
 from __future__ import annotations
@@ -321,6 +322,24 @@ def add_scalar(x: Tensor, c: float) -> Tensor:
     return _make(data, (x,), backward)
 
 
+def broadcast_to(x: Tensor, shape: tuple) -> Tensor:
+    """Repeat extents of 1 out to ``shape`` as numpy broadcasting does (a
+    read-only view); identity (same object) when the shape already matches.
+    The gradient sums over the repeats."""
+    shape = tuple(shape)
+    if x.shape == shape:
+        return x
+    try:
+        data = np.broadcast_to(x.data, shape)
+    except ValueError:
+        raise ShapeError(f"cannot broadcast {x.shape} to {shape}") from None
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, _unbroadcast(g, x.shape))
+
+    return _make(data, (x,), backward)
+
+
 def concat(a: Tensor, b: Tensor, axis: int) -> Tensor:
     ash, bsh = list(a.shape), list(b.shape)
     if len(ash) != len(bsh):
@@ -368,7 +387,7 @@ def relu(x: Tensor) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """x * Phi(x) with the exact standard Gaussian CDF."""
     cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    data = (x.data * cdf).astype(x.data.dtype)
+    data = (x.data * cdf).astype(x.data.dtype, copy=False)
 
     def backward(g: np.ndarray) -> None:
         pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
@@ -399,7 +418,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    data = (gain.data * xhat + bias.data).astype(x.data.dtype)
+    data = (gain.data * xhat + bias.data).astype(x.data.dtype, copy=False)
     n = x.shape[-1]
 
     def backward(g: np.ndarray) -> None:

@@ -128,10 +128,10 @@ def _first_occurrences(rows: np.ndarray) -> np.ndarray:
     return mask
 
 
-def sample_negatives(store: InteractionStore, users: int | np.ndarray, matrix: str, count: int,
+def sample_negatives(store: InteractionStore, users: np.ndarray, matrix: str, count: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """Uniform unobserved items in the chosen matrix: ``[count]`` for one
-    user, ``[len(users), count]`` for an array with one user per row.
+    """Uniform unobserved items in the chosen matrix: ``[len(users), count]``
+    for an int array ``users`` with one user per row.
 
     Held-out evaluation items are never eligible. Each row is a sample
     without replacement, drawn for all rows at once by rejecting draws the
@@ -140,7 +140,9 @@ def sample_negatives(store: InteractionStore, users: int | np.ndarray, matrix: s
     call logs how many rows did so.
     """
     observed = _pair_keys(store, matrix)
-    rows = np.atleast_1d(np.asarray(users, dtype=np.int64))
+    rows = np.asarray(users, dtype=np.int64)
+    if rows.ndim != 1:
+        raise ConfigError(f"users must be a 1-D array with one user per row, got shape {rows.shape}")
     out = np.full((rows.size, count), -1, dtype=np.int64)
     if count and rows.size:
         n = store.num_items
@@ -177,7 +179,7 @@ def sample_negatives(store: InteractionStore, users: int | np.ndarray, matrix: s
             out[pending[at], slot[at, col] - 1] = cand[at, col]
             filled[pending] = np.minimum(slot[:, -1], count)
             pending = pending[filled[pending] < count]
-    return out if np.ndim(users) else out[0]
+    return out
 
 
 def pad_sequence(history: Sequence[int], n: int, num_items: int, user_observed: set,

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feedrank.data import EvalCase, ingest, leave_one_out_split
-from feedrank.evaluation import case_rank, evaluate, hr_at_k, ndcg_at_k, rank_of_first, topk_sweep
-from feedrank.models import BertITEModel, ForwardResult, ModelConfig
-from feedrank.tensor import Tensor
+from feedrank import evaluation
+from feedrank.data import EvalCase, build_side_info, ingest, leave_one_out_split
+from feedrank.evaluation import (case_rank, case_ranks, evaluate, hr_at_k, ndcg_at_k, rank_of_first,
+                                 topk_sweep)
+from feedrank.models import BertITEModel, ForwardResult, ModelConfig, build_model, predict_score
+from feedrank.tensor import Tensor, no_grad
 
 from conftest import planted_dataset
 
@@ -200,6 +202,41 @@ class TestSequenceModelEvaluation:
         a = evaluate(model, cases, store=train, k=5, seed=11)
         b = evaluate(model, cases, store=train, k=5, seed=11)
         assert a == b
+
+    @pytest.mark.parametrize("variant", ["bert-ite", "bert-ite-si", "bert-ite-ossi"])
+    def test_shared_context_scores_match_one_candidate_at_a_time(self, tmp_path, variant):
+        # 513 candidates cross the 512-row chunk boundary
+        events, cats = planted_dataset(tmp_path, num_groups=4, users_per_group=3, items_per_group=6)
+        train, _ = leave_one_out_split(ingest(str(events)), num_negatives=8, seed=0)
+        side = build_side_info(train, str(cats))
+        model = build_model(variant, train.num_users, train.num_items,
+                            ModelConfig(embedding_dim=8, seq_len=4, transformer_layers=2,
+                                        attention_heads=2, side_dim=side.num_categories), seed=3)
+        rng = np.random.default_rng(1)
+        for p in model.params:
+            p.value.data[:] = rng.uniform(-1, 1, p.value.shape)
+        user, history = 5, rng.integers(0, train.num_items, 6)  # long enough to need no padding
+        c = case(user, 2, rng.integers(0, train.num_items, 512), history)
+        scores = evaluation._case_scores(model, c, train, side, seed=0, chunk=512)
+        candidates = np.concatenate([[c.item], c.negatives])
+        one_at_a_time = np.empty(candidates.size)
+        with no_grad():
+            for j, item in enumerate(candidates):
+                res = model.forward_batch(np.array([user]), np.array([item]), history[None, -4:], side)
+                one_at_a_time[j] = predict_score(res.x_hat.data.astype(np.float64),
+                                                 res.y_hat.data.astype(np.float64))[0]
+        assert scores.size == 513
+        np.testing.assert_allclose(scores, one_at_a_time, rtol=1e-5, atol=0)
+
+    def test_bert_workers_do_not_change_ranks(self, tmp_path):
+        events, _ = planted_dataset(tmp_path, num_groups=3, users_per_group=3,
+                                    items_per_group=8, explicit_per_user=2)
+        train, cases = leave_one_out_split(ingest(str(events)), num_negatives=12, seed=0)
+        model = BertITEModel(train.num_users, train.num_items,
+                             ModelConfig(embedding_dim=4, seq_len=3, transformer_layers=2,
+                                         attention_heads=2), seed=4)
+        assert (case_ranks(model, cases, train, seed=2, workers=2, chunk=5)
+                == case_ranks(model, cases, train, seed=2, workers=1, chunk=5))
 
     def test_bert_path_requires_store(self):
         model = BertITEModel(2, 30, ModelConfig(embedding_dim=4, seq_len=2,

@@ -77,6 +77,14 @@ def oracle_bert_forward(model: BertITEModel, u: int, seq, target: int):
     return float(x_hat), float(y_hat)
 
 
+def repeat_rows(array, c):
+    return None if array is None else np.repeat(array, c, axis=0)
+
+
+def scores_of(res):
+    return res.x_hat.data.astype(np.float64), res.y_hat.data.astype(np.float64)
+
+
 class TestITEForward:
     def test_zero_implicit_head_gives_half(self):
         model = ITEModel(4, 4, ite_config(), seed=1, dtype=np.float64)
@@ -143,6 +151,22 @@ class TestITEForward:
         x0, y0 = ite_forward(model, 0, 1, item_side=np.zeros(3))
         x1, y1 = ite_forward(model, 0, 1, item_side=np.ones(3))
         assert (x0, y0) != (x1, y1)  # side vector reaches the item embedding
+
+    @pytest.mark.parametrize("variant", ["ite", "ite-si", "ite-ossi"])
+    def test_one_user_for_many_items_matches_repeated_user(self, variant):
+        model = build_model(variant, 4, 9, ite_config(k=4, x=2, y=2, side_dim=3), seed=10)
+        rng = np.random.default_rng(10)
+        items = rng.integers(0, 9, 7)
+        mode = model.config.side_info_mode
+        user_side = rng.random((1, 3)).astype(np.float32) if mode == "user_and_item" else None
+        item_side = rng.random((7, 3)).astype(np.float32) if mode != "none" else None
+        with T.no_grad():
+            one = model.forward(np.array([2]), items, user_side, item_side)
+            each = model.forward(np.full(7, 2), items, repeat_rows(user_side, 7), item_side)
+        for got, want in zip(scores_of(one), scores_of(each)):
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
+            if mode != "user_and_item":  # the same rows meet the same ops
+                np.testing.assert_array_equal(got, want)
 
 
 class TestVariantRoster:
@@ -279,6 +303,112 @@ class TestPrunedEncoder:
     def test_zero_layers_rejected(self):
         with pytest.raises(ConfigError, match="transformer_layers must be >= 1"):
             build_model("bert-ite", 3, 5, ModelConfig(embedding_dim=4, transformer_layers=0))
+
+
+def shared_prefix_inputs(model, rng, c, n, side_dim=3):
+    """One user and context shared by ``c`` targets, with the side matrices
+    the variant uses."""
+    mode = model.config.side_info_mode
+    user = rng.integers(0, model.num_users, 1)
+    seq = rng.integers(0, model.num_items, (1, n))
+    targets = rng.integers(0, model.num_items, c)
+    user_side = rng.random((1, side_dim)) if mode == "user_and_item" else None
+    seq_side = rng.integers(0, 2, (1, n, side_dim)).astype(float) if mode != "none" else None
+    target_side = rng.integers(0, 2, (c, side_dim)).astype(float) if mode != "none" else None
+    return user, seq, targets, user_side, seq_side, target_side
+
+
+class TestSharedPrefixForward:
+    """``users`` [1] and ``sequences`` [1, n] with ``targets`` [C]: the
+    first layer attends among the shared rows once per call."""
+
+    def model(self, variant, layers, heads, dtype, seed=0, n=4):
+        cfg = ModelConfig(embedding_dim=2 * heads, seq_len=n, transformer_layers=layers,
+                          attention_heads=heads, explicit_mlp_layers=2, dropout=0.1, side_dim=3)
+        model = build_model(variant, 5, 9, cfg, seed=seed, dtype=dtype)
+        randomize_away_from_kinks(model, seed, scale=1.0)
+        return model
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, dict(rtol=0, atol=1e-10)),
+                                           (np.float32, dict(rtol=1e-5, atol=0))])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("variant", ["bert-ite", "bert-ite-si", "bert-ite-ossi"])
+    def test_matches_broadcast_batch(self, variant, layers, heads, dtype, tol):
+        model = self.model(variant, layers, heads, dtype, seed=layers * 10 + heads)
+        c = 23
+        user, seq, targets, user_side, seq_side, target_side = shared_prefix_inputs(
+            model, np.random.default_rng(heads), c, model.config.seq_len)
+        with T.no_grad():
+            got = model.forward(user, seq, targets, user_side, seq_side, target_side)
+            want = model.forward(repeat_rows(user, c), repeat_rows(seq, c), targets,
+                                 repeat_rows(user_side, c), repeat_rows(seq_side, c), target_side)
+        assert got.x_hat.shape == (c,)
+        for g, w in zip(scores_of(got), scores_of(want)):
+            np.testing.assert_allclose(g, w, **tol)
+
+    def test_one_target_takes_the_plain_path(self, monkeypatch):
+        def no_shared_prefix(*args, **kwargs):
+            raise AssertionError("shared-prefix attention used for a single target")
+
+        monkeypatch.setattr(L, "_shared_prefix_head", no_shared_prefix)
+        model = self.model("bert-ite", 2, 2, np.float64)
+        with T.no_grad():
+            res = model.forward(np.array([1]), np.array([[0, 2, 4, 6]]), np.array([3]))
+        np.testing.assert_allclose(np.concatenate(scores_of(res)),
+                                   oracle_bert_forward(model, 1, [0, 2, 4, 6], 3), rtol=0, atol=1e-10)
+
+    def test_many_targets_take_the_shared_path(self, monkeypatch):
+        calls = []
+        head = L._shared_prefix_head
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return head(*args, **kwargs)
+
+        monkeypatch.setattr(L, "_shared_prefix_head", counted)
+        model = self.model("bert-ite", 2, 2, np.float64)
+        with T.no_grad():
+            model.forward(np.array([1]), np.array([[0, 2, 4, 6]]), np.array([3, 5, 7]))
+        assert calls == [(3, 1, 4)] * 2  # layer 1 only, once per head
+
+    def test_forward_only(self):
+        model = self.model("bert-ite", 2, 1, np.float64)
+        args = (np.array([1]), np.array([[0, 2, 4, 6]]), np.array([3, 5]))
+        with pytest.raises(ConfigError, match="forward only"):
+            model.forward(*args)
+        with T.no_grad(), pytest.raises(ConfigError, match="forward only"):
+            model.forward(*args, training=True, rng=np.random.default_rng(0))
+        # the layer refuses grad mode itself: its merge step has no backward
+        prefix, target = T.Tensor(np.zeros((1, 3, 2))), T.Tensor(np.zeros((2, 1, 2)))
+        with pytest.raises(ConfigError, match="forward only"):
+            L.transformer_layer(prefix, model.transformer[0], target=target)
+
+    def test_mismatched_batches_rejected(self):
+        model = self.model("bert-ite", 1, 1, np.float64)
+        with T.no_grad(), pytest.raises(ConfigError, match="one per target, or 1 shared"):
+            model.forward(np.array([1, 2]), np.array([[0, 2, 4, 6]] * 2), np.array([3, 5, 7]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(variant=st.sampled_from(["bert-ite", "bert-ite-si", "bert-ite-ossi"]),
+           layers=st.integers(1, 3), heads=st.integers(1, 2), c=st.integers(2, 12),
+           cuts=st.lists(st.integers(1, 11), max_size=3), seed=st.integers(0, 2 ** 16))
+    def test_scores_ignore_candidate_order_and_chunking(self, variant, layers, heads, c, cuts, seed):
+        model = self.model(variant, layers, heads, np.float64, seed=seed)
+        rng = np.random.default_rng(seed)
+        user, seq, targets, user_side, seq_side, target_side = shared_prefix_inputs(
+            model, rng, c, model.config.seq_len)
+        order = rng.permutation(c)
+        bounds = [0] + sorted({x for x in cuts if x < c}) + [c]
+        with T.no_grad():
+            want = model.forward(user, seq, targets, user_side, seq_side, target_side)
+            got = np.empty((2, c))
+            for a, b in zip(bounds, bounds[1:]):
+                part = order[a:b]
+                got[:, part] = scores_of(model.forward(
+                    user, seq, targets[part], user_side, seq_side,
+                    None if target_side is None else target_side[part]))
+        np.testing.assert_allclose(got, scores_of(want), rtol=1e-12, atol=0)
 
 
 class TestConfigValidation:

@@ -151,6 +151,16 @@ class TestConcatAndShaping:
         with pytest.raises(ShapeError):
             T.concat(t64([[1.0, 2.0]]), t64([[1.0], [2.0]]), axis=1)
 
+    def test_broadcast_to_values_and_gradient(self):
+        rng = np.random.default_rng(6)
+        x = t64(rng.standard_normal((1, 3, 2)), requires_grad=True)
+        assert T.broadcast_to(x, (1, 3, 2)) is x
+        np.testing.assert_array_equal(T.broadcast_to(x, (4, 3, 2)).data, np.repeat(x.data, 4, axis=0))
+        w = t64(rng.standard_normal((4, 3, 2)))
+        check_gradients(lambda: T.sum_all(T.elementwise_mul(T.broadcast_to(x, (4, 3, 2)), w)), [x])
+        with pytest.raises(ShapeError, match="cannot broadcast"):
+            T.broadcast_to(x, (4, 2, 2))
+
     def test_select_row_gradient(self):
         rng = np.random.default_rng(5)
         x = t64(rng.standard_normal((2, 3, 4)), requires_grad=True)

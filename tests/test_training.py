@@ -108,12 +108,12 @@ def store_from_sets(num_users, num_items, implicit_sets, explicit_sets):
 class TestSampleNegatives:
     def test_count_zero(self):
         store = store_from_sets(1, 4, [{0}], [set()])
-        assert sample_negatives(store, 0, "implicit", 0, np.random.default_rng(0)).size == 0
+        assert sample_negatives(store, [0], "implicit", 0, np.random.default_rng(0)).shape == (1, 0)
 
     def test_forced_choice(self):
         store = store_from_sets(1, 5, [{0, 1, 2, 3}], [set()])
-        out = sample_negatives(store, 0, "implicit", 1, np.random.default_rng(1))
-        assert out.tolist() == [4]
+        out = sample_negatives(store, [0], "implicit", 1, np.random.default_rng(1))
+        assert out.tolist() == [[4]]
 
     def test_never_collides_with_observed(self):
         rng = np.random.default_rng(2)
@@ -124,7 +124,7 @@ class TestSampleNegatives:
             for matrix, observed in (("implicit", store.implicit_items[u]),
                                      ("explicit", store.explicit_items[u])):
                 for _ in range(20):
-                    out = sample_negatives(store, u, matrix, 5, rng)
+                    out = sample_negatives(store, [u], matrix, 5, rng)[0]
                     assert not set(out.tolist()) & observed
                     assert len(set(out.tolist())) == 5  # without replacement
 
@@ -133,16 +133,15 @@ class TestSampleNegatives:
         store.excluded_items[0] = {9}
         rng = np.random.default_rng(3)
         for _ in range(50):
-            assert 9 not in sample_negatives(store, 0, "implicit", 3, rng).tolist()
+            assert 9 not in sample_negatives(store, [0], "implicit", 3, rng)[0].tolist()
 
     def test_uniformity_chi_square(self):
         # 1e5 draws over 8 eligible items: each frequency within 3 sigma
         store = store_from_sets(1, 10, [{0, 1}], [set()])
         rng = np.random.default_rng(4)
         draws = 100_000
-        counts = np.zeros(10)
-        for _ in range(draws):
-            counts[sample_negatives(store, 0, "implicit", 1, rng)[0]] += 1
+        out = sample_negatives(store, np.zeros(draws, dtype=np.int64), "implicit", 1, rng)
+        counts = np.bincount(out[:, 0], minlength=10)
         eligible = 8
         p = 1.0 / eligible
         sigma = math.sqrt(draws * p * (1 - p))
@@ -152,10 +151,15 @@ class TestSampleNegatives:
     def test_insufficient_candidates_resamples_with_replacement(self, caplog):
         store = store_from_sets(1, 4, [{0, 1}], [set()])
         with caplog.at_level("WARNING"):
-            out = sample_negatives(store, 0, "implicit", 5, np.random.default_rng(5))
-        assert out.size == 5
-        assert set(out.tolist()) <= {2, 3}
+            out = sample_negatives(store, [0], "implicit", 5, np.random.default_rng(5))
+        assert out.shape == (1, 5)
+        assert set(out[0].tolist()) <= {2, 3}
         assert any("replacement" in r.message for r in caplog.records)
+
+    def test_scalar_user_rejected(self):
+        store = store_from_sets(1, 4, [{0}], [set()])
+        with pytest.raises(ConfigError, match="1-D array"):
+            sample_negatives(store, 0, "implicit", 1, np.random.default_rng(0))
 
 
 class TestBatchedSampleNegatives:
@@ -191,10 +195,6 @@ class TestBatchedSampleNegatives:
         assert len(warnings) == (1 if count and (eligible < count).any() else 0)
         again = sample_negatives(store, users, matrix, count, np.random.default_rng(seed))
         np.testing.assert_array_equal(again, out)
-        if users.size:
-            one = sample_negatives(store, int(users[0]), matrix, count, np.random.default_rng(seed))
-            np.testing.assert_array_equal(
-                one, sample_negatives(store, users[:1], matrix, count, np.random.default_rng(seed))[0])
 
     def test_rows_short_after_a_round_are_redrawn(self):
         # 5 eligible items of 200: a round of 16 draws per row rarely finds
