@@ -109,7 +109,6 @@ class InteractionStore:
             self.implicit_items.append(set(row.tolist()))
             self.explicit_items.append(set(row[self.explicit[lo:hi]].tolist()))
         self.excluded_items = excluded_items if excluded_items is not None else [set() for _ in user_ids]
-        self._first_pos: dict[int, dict[int, int]] = {}
 
     @property
     def num_users(self) -> int:
@@ -126,15 +125,6 @@ class InteractionStore:
     def merged_sequence(self, user: int) -> np.ndarray:
         """All of the user's interactions in (timestamp, file-order) order."""
         return self.items[self.offsets[user]:self.offsets[user + 1]]
-
-    def first_positions(self, user: int) -> dict[int, int]:
-        cached = self._first_pos.get(user)
-        if cached is None:
-            cached = {}
-            for pos, item in enumerate(self.merged_sequence(user)):
-                cached.setdefault(int(item), pos)
-            self._first_pos[user] = cached
-        return cached
 
     def num_implicit_pairs(self) -> int:
         return sum(len(s) for s in self.implicit_items)

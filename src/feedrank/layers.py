@@ -124,8 +124,8 @@ class TransformerLayer:
         self.ln2_bias = params.add(f"{name}.ln2.bias", np.zeros(dim, dtype=dtype))
 
 
-def multi_head_self_attention(h: Tensor, layer: TransformerLayer, return_weights: bool = False,
-                              query: Optional[Tensor] = None, target: Optional[Tensor] = None):
+def multi_head_self_attention(h: Tensor, layer: TransformerLayer, query: Optional[Tensor] = None,
+                              target: Optional[Tensor] = None) -> Tensor:
     """Scaled dot-product attention per head, heads concatenated then mixed
     by the output projection. Bidirectional: no causal mask, no positions.
 
@@ -144,12 +144,10 @@ def multi_head_self_attention(h: Tensor, layer: TransformerLayer, return_weights
     for x in (h, query, target):
         if x is not None and x.shape[-1] != layer.dim:
             raise ShapeError(f"input dim {x.shape[-1]} vs layer dim {layer.dim}")
-    if target is not None and (return_weights or T.grad_enabled()):
-        raise ConfigError("shared-prefix attention is forward only and returns no weights; "
-                          "call it under no_grad()")
+    if target is not None and T.grad_enabled():
+        raise ConfigError("shared-prefix attention is forward only; call it under no_grad()")
     inv_scale = 1.0 / math.sqrt(layer.dim / layer.heads)
     heads = []
-    weights = []
     for i in range(layer.heads):
         if target is not None:
             heads.append(_shared_prefix_head(h, target, layer, i, inv_scale))
@@ -158,13 +156,8 @@ def multi_head_self_attention(h: Tensor, layer: TransformerLayer, return_weights
         k = T.matmul(h, layer.wk[i].value)
         v = T.matmul(h, layer.wv[i].value)
         scores = T.scale(T.matmul(q, T.transpose_last2(k)), inv_scale)
-        attn = T.softmax_rows(scores)
-        weights.append(attn)
-        heads.append(T.matmul(attn, v))
-    out = T.matmul(T.concat_many(heads, axis=-1), layer.wo.value)
-    if return_weights:
-        return out, weights
-    return out
+        heads.append(T.matmul(T.softmax_rows(scores), v))
+    return T.matmul(T.concat_many(heads, axis=-1), layer.wo.value)
 
 
 def _log_normaliser(scores: Tensor) -> Tensor:

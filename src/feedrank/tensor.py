@@ -152,8 +152,11 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy, never ``g`` itself: ``add`` hands one ``g`` to both operands
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -253,7 +256,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             ga = g @ np.swapaxes(b.data, -1, -2)
             _accumulate(a, _unbroadcast(ga, a.shape))
         if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
+            if b.ndim == 2:
+                # one GEMM over every leading row, not a stack of products to sum
+                k = a.shape[-1]
+                gb = a.data.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = np.swapaxes(a.data, -1, -2) @ g
             _accumulate(b, _unbroadcast(gb, b.shape))
 
     return _make(data, (a, b), backward)
@@ -524,8 +532,10 @@ def select_row(x: Tensor, index: int) -> Tensor:
     data = x.data[..., index, :]
 
     def backward(g: np.ndarray) -> None:
-        full = np.zeros_like(x.data)
-        full[..., index, :] = g
-        _accumulate(x, full)
+        if not x.requires_grad:
+            return
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        x.grad[..., index, :] += g
 
     return _make(data, (x,), backward)

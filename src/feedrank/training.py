@@ -15,7 +15,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -116,6 +116,17 @@ def _pair_keys(store: InteractionStore, matrix: str) -> np.ndarray:
     return np.unique(users[rows] * store.num_items + store.items[rows])
 
 
+def _observed_keys(store: InteractionStore, pairs: np.ndarray) -> np.ndarray:
+    """The sorted keys a draw must avoid: ``pairs`` (from ``_pair_keys``)
+    and every held-out pair, then a sentinel above every key that keeps each
+    searchsorted position in range."""
+    n = store.num_items
+    excluded = store.excluded_items
+    excluded_keys = (np.repeat(np.arange(store.num_users, dtype=np.int64), [len(s) for s in excluded])
+                     * n + np.fromiter((i for s in excluded for i in s), dtype=np.int64))
+    return np.append(np.union1d(pairs, excluded_keys), store.num_users * n)
+
+
 def _first_occurrences(rows: np.ndarray) -> np.ndarray:
     """Mask of the entries of a 2-D array that no earlier entry of their row
     equals."""
@@ -126,6 +137,52 @@ def _first_occurrences(rows: np.ndarray) -> np.ndarray:
     mask = np.empty_like(first)
     np.put_along_axis(mask, order, first, axis=1)
     return mask
+
+
+def _draw_unobserved(observed: np.ndarray, users: np.ndarray, need: np.ndarray, num_items: int,
+                     width: int, rng: np.random.Generator) -> np.ndarray:
+    """``[len(users), width]`` items whose row r holds ``need[r]`` uniform
+    draws in its first slots and -1 after them. A row's draws are distinct
+    items whose keys ``users[r] * num_items + item`` are not in ``observed``
+    (from ``_observed_keys``).
+
+    Every row is drawn at once, by rejecting draws the user observed and
+    repeats within the row. A row whose user has fewer eligible items than
+    it needs is drawn with replacement instead, and the call logs how many
+    rows did so.
+    """
+    n = num_items
+    out = np.full((users.size, width), -1, dtype=np.int64)
+    base = users * n
+    eligible = n - (np.searchsorted(observed, base + n) - np.searchsorted(observed, base))
+    empty = np.flatnonzero((eligible == 0) & (need > 0))
+    if empty.size:
+        raise DataError(f"user {int(users[empty[0]])} has interacted with the whole catalog; "
+                        "nothing to sample")
+    short = np.flatnonzero(eligible < need)
+    for r in short:
+        lo, hi = np.searchsorted(observed, [base[r], base[r] + n])
+        pool = np.setdiff1d(np.arange(n), observed[lo:hi] - base[r])
+        out[r, :need[r]] = rng.choice(pool, size=need[r], replace=True)
+    if short.size:
+        log.warning("%d of %d rows have fewer eligible items than they draw; "
+                    "sampling them with replacement", short.size, users.size)
+    filled = np.zeros(users.size, dtype=np.int64)
+    pending = np.flatnonzero((eligible >= need) & (need > 0))
+    while pending.size:
+        want = need[pending]
+        draw = rng.integers(0, n, size=(pending.size, max(16, 2 * int((want - filled[pending]).max()))))
+        keys = base[pending, None] + draw
+        fresh = observed[np.searchsorted(observed, keys)] != keys
+        # the row's items so far, then its fresh draws; -1 marks no item
+        cand = np.concatenate([out[pending], np.where(fresh, draw, -1)], axis=1)
+        keep = _first_occurrences(cand) & (cand >= 0)
+        slot = np.cumsum(keep, axis=1)
+        at, col = np.nonzero(keep & (slot <= want[:, None]))
+        out[pending[at], slot[at, col] - 1] = cand[at, col]
+        filled[pending] = np.minimum(slot[:, -1], want)
+        pending = pending[filled[pending] < want]
+    return out
 
 
 def sample_negatives(store: InteractionStore, users: np.ndarray, matrix: str, count: int,
@@ -139,55 +196,32 @@ def sample_negatives(store: InteractionStore, users: np.ndarray, matrix: str, co
     eligible items than ``count`` is drawn with replacement instead, and the
     call logs how many rows did so.
     """
-    observed = _pair_keys(store, matrix)
+    observed = _observed_keys(store, _pair_keys(store, matrix))
     rows = np.asarray(users, dtype=np.int64)
     if rows.ndim != 1:
         raise ConfigError(f"users must be a 1-D array with one user per row, got shape {rows.shape}")
-    out = np.full((rows.size, count), -1, dtype=np.int64)
-    if count and rows.size:
-        n = store.num_items
-        excluded = store.excluded_items
-        excluded_keys = (np.repeat(np.arange(store.num_users, dtype=np.int64), [len(s) for s in excluded])
-                         * n + np.fromiter((i for s in excluded for i in s), dtype=np.int64))
-        # a sentinel above every key keeps each searchsorted position in range
-        observed = np.append(np.union1d(observed, excluded_keys), store.num_users * n)
-        base = rows * n
-        eligible = n - (np.searchsorted(observed, base + n) - np.searchsorted(observed, base))
-        if not eligible.all():
-            user = int(rows[np.flatnonzero(eligible == 0)[0]])
-            raise DataError(f"user {user} has interacted with the whole catalog; nothing to sample")
-        short = np.flatnonzero(eligible < count)
-        for r in short:
-            lo, hi = np.searchsorted(observed, [base[r], base[r] + n])
-            pool = np.setdiff1d(np.arange(n), observed[lo:hi] - base[r])
-            out[r] = rng.choice(pool, size=count, replace=True)
-        if short.size:
-            log.warning("%d of %d rows have fewer than %d eligible items; "
-                        "sampling them with replacement", short.size, rows.size, count)
-        filled = np.zeros(rows.size, dtype=np.int64)
-        pending = np.flatnonzero(eligible >= count)
-        while pending.size:
-            width = max(16, 2 * int((count - filled[pending]).max()))
-            draw = rng.integers(0, n, size=(pending.size, width))
-            keys = base[pending, None] + draw
-            fresh = observed[np.searchsorted(observed, keys)] != keys
-            # the row's items so far, then its fresh draws; -1 marks no item
-            cand = np.concatenate([out[pending], np.where(fresh, draw, -1)], axis=1)
-            keep = _first_occurrences(cand) & (cand >= 0)
-            slot = np.cumsum(keep, axis=1)
-            at, col = np.nonzero(keep & (slot <= count))
-            out[pending[at], slot[at, col] - 1] = cand[at, col]
-            filled[pending] = np.minimum(slot[:, -1], count)
-            pending = pending[filled[pending] < count]
-    return out
+    need = np.full(rows.size, count, dtype=np.int64)
+    return _draw_unobserved(observed, rows, need, store.num_items, count, rng)
 
 
-def pad_sequence(history: Sequence[int], n: int, num_items: int, user_observed: set,
-                 rng: np.random.Generator) -> np.ndarray:
+def pad_sequence(history: Sequence[int], n: int, num_items: int, user_observed: set | np.ndarray,
+                 rng: np.random.Generator, users: Optional[np.ndarray] = None) -> np.ndarray:
     """Fix a history to exactly ``n`` items: keep the ``n`` most recent, or
-    prepend uniform draws from items the user never interacted with."""
+    prepend uniform draws from items the user never interacted with.
+
+    One history: ``history`` is a sequence of items and ``user_observed``
+    the set of the user's observed items. A batch, with ``users`` holding
+    one user per row: ``history`` is ``[len(users), n]``, each row's items
+    right-aligned after -1 in the slots to fill, ``user_observed`` the
+    sorted keys from ``_observed_keys``, and every row is padded in one draw
+    (see ``_draw_unobserved``).
+    """
     if n < 1:
         raise ConfigError("sequence length must be >= 1")
+    if users is not None:
+        missing = history < 0
+        pads = _draw_unobserved(user_observed, users, missing.sum(axis=1), num_items, n, rng)
+        return np.where(missing, pads, history)
     hist = np.asarray(history, dtype=np.int64)
     if hist.size >= n:
         return hist[-n:]
@@ -269,18 +303,38 @@ def build_epoch_examples(store: InteractionStore, negatives_per_positive: int,
     return arr[rng.permutation(arr.shape[0])]
 
 
-def _session_contexts(store: InteractionStore, users: np.ndarray, anchors: np.ndarray,
-                      n: int, rng: np.random.Generator) -> np.ndarray:
-    out = np.empty((users.size, n), dtype=np.int64)
-    for pos, (u, anchor) in enumerate(zip(users, anchors)):
-        u = int(u)
-        first = store.first_positions(u).get(int(anchor))
-        if first is None:
-            history = store.merged_sequence(u)  # anchor left the store (held out)
-        else:
-            history = store.merged_sequence(u)[max(0, first - n):first]
-        out[pos] = pad_sequence(history, n, store.num_items, store.observed_any(u), rng)
-    return out
+class _SessionIndex(NamedTuple):
+    """What session contexts are cut from, built once per epoch."""
+
+    pairs: np.ndarray      # sorted keys user * num_items + item of every event, then a sentinel
+    first: np.ndarray      # the event-table row of each pair's first event
+    observed: np.ndarray   # the keys pads must avoid: every pair and held-out pair
+
+
+def _session_index(store: InteractionStore) -> _SessionIndex:
+    keys = _row_ids(store.offsets) * store.num_items + store.items
+    pairs, first = np.unique(keys, return_index=True)
+    # the sentinel above every key keeps each searchsorted position in range
+    return _SessionIndex(np.append(pairs, store.num_users * store.num_items), first,
+                         _observed_keys(store, pairs))
+
+
+def _session_contexts(store: InteractionStore, index: _SessionIndex, users: np.ndarray,
+                      anchors: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Each row's ``[n]`` context: the user's last ``n`` items before the
+    anchor's first event, or before the history's end when the anchor was
+    held out, left-padded by ``pad_sequence`` in one draw for all rows."""
+    keys = users * store.num_items + anchors
+    at = np.searchsorted(index.pairs, keys)
+    found = index.pairs[at] == keys
+    end = store.offsets[users + 1]
+    end[found] = index.first[at[found]]
+    start = np.maximum(store.offsets[users], end - n)
+    rows = end[:, None] - n + np.arange(n)
+    kept = rows >= start[:, None]
+    history = np.full(rows.shape, -1, dtype=np.int64)
+    history[kept] = store.items[rows[kept]]
+    return pad_sequence(history, n, store.num_items, index.observed, rng, users=users)
 
 
 def train_epoch(model, store: InteractionStore, config: TrainingConfig,
@@ -292,6 +346,7 @@ def train_epoch(model, store: InteractionStore, config: TrainingConfig,
     if optimizer is None:
         optimizer = Adam.from_config(model.params, config)
     examples = build_epoch_examples(store, config.negatives_per_positive, rng)
+    sessions = _session_index(store) if model.kind == "bert" else None
     losses = []
     for start in range(0, examples.shape[0], config.batch_size):
         batch = examples[start:start + config.batch_size]
@@ -305,7 +360,7 @@ def train_epoch(model, store: InteractionStore, config: TrainingConfig,
             users, anchors, candidates = rows[:, 1], rows[:, 2], rows[:, 3]
             contexts = None
             if model.kind == "bert":
-                contexts = _session_contexts(store, users, anchors, model.config.seq_len, rng)
+                contexts = _session_contexts(store, sessions, users, anchors, model.config.seq_len, rng)
             res = model.forward_batch(users, candidates, contexts, side_info, training=True, rng=rng)
             preds[kind] = res.x_hat if kind == _KIND_IMPLICIT else res.y_hat
             labels[kind] = rows[:, 4].astype(np.float64)

@@ -28,6 +28,17 @@ def make_transformer(dim, heads, rng=None, dropout=0.0, dtype=np.float64):
     return layer, reg
 
 
+def attention_weights(h, layer, query=None):
+    """Each head's softmax of its scaled query-key scores, as
+    ``multi_head_self_attention`` weighs the value rows."""
+    query = h if query is None else query
+    inv_scale = 1.0 / math.sqrt(layer.head_dim)
+    return [T.softmax_rows(T.scale(T.matmul(T.matmul(query, layer.wq[i].value),
+                                            T.transpose_last2(T.matmul(h, layer.wk[i].value))),
+                                   inv_scale))
+            for i in range(layer.heads)]
+
+
 # --- scripted oracles (independent step-by-step numpy evaluations) ---------
 
 
@@ -99,8 +110,8 @@ class TestMultiHeadSelfAttention:
     def test_single_row_weights_are_one(self):
         layer, _ = make_transformer(4, 2)
         h = Tensor(np.random.default_rng(5).standard_normal((1, 4)))
-        out, weights = L.multi_head_self_attention(h, layer, return_weights=True)
-        for w in weights:
+        out = L.multi_head_self_attention(h, layer)
+        for w in attention_weights(h, layer):
             np.testing.assert_allclose(w.data, [[1.0]])
         per_head = [h.data @ layer.wq[i].data for i in range(2)]  # shape check only
         assert out.shape == (1, 4)
@@ -138,8 +149,7 @@ class TestMultiHeadSelfAttention:
         rng = np.random.default_rng(8)
         layer, _ = make_transformer(4, 2, rng)
         h = Tensor(rng.standard_normal((5, 4)))
-        _, weights = L.multi_head_self_attention(h, layer, return_weights=True)
-        for w in weights:
+        for w in attention_weights(h, layer):
             np.testing.assert_allclose(w.data.sum(axis=-1), np.ones(5), atol=1e-6)
 
     def test_row_permutation_equivariance(self):
@@ -250,8 +260,7 @@ class TestTransformerLayer:
             part = L.transformer_layer(x, layer, query=Tensor(x.data[:, r:r + 1]))
             assert part.shape == (2, 1, 4)
             np.testing.assert_allclose(part.data, full[:, r:r + 1], atol=1e-12)
-        _, weights = L.multi_head_self_attention(x, layer, return_weights=True,
-                                                 query=Tensor(x.data[:, :2]))
+        weights = attention_weights(x, layer, query=Tensor(x.data[:, :2]))
         assert [w.shape for w in weights] == [(2, 2, 5)] * 2
 
     def test_query_gradients(self):

@@ -48,6 +48,42 @@ class TestMatmul:
         c = t64(rng.standard_normal((3, 5, 2)), requires_grad=True)
         check_gradients(lambda: T.sum_all(T.matmul(T.matmul(a, b), c)), [a, b, c])
 
+    def test_weight_gradient_of_stacked_rows_matches_summed_products(self):
+        # [B, t, k] @ [k, n]: the weight gradient over all B*t rows equals
+        # the per-batch products a[b].T @ g[b] summed over b
+        rng = np.random.default_rng(1)
+        a = Tensor(rng.standard_normal((6, 5, 4)).astype(np.float32))
+        b = Tensor(rng.standard_normal((4, 3)).astype(np.float32), requires_grad=True)
+        g = rng.standard_normal((6, 5, 3)).astype(np.float32)
+        T.sum_all(T.elementwise_mul(T.matmul(a, b), Tensor(g))).backward()
+        summed = (np.swapaxes(a.data, -1, -2) @ g).sum(axis=0)
+        assert b.grad.dtype == np.float32
+        np.testing.assert_allclose(b.grad, summed, rtol=1e-5, atol=1e-5)
+
+    def test_stacked_rows_times_weight_gradients(self):
+        rng = np.random.default_rng(2)
+        a = t64(rng.standard_normal((3, 4, 5)), requires_grad=True)
+        b = t64(rng.standard_normal((5, 2)), requires_grad=True)
+        w = t64(rng.standard_normal((3, 4, 2)))
+        check_gradients(lambda: T.sum_all(T.elementwise_mul(T.matmul(a, b), w)), [a, b])
+
+
+class TestAccumulate:
+    def test_operand_used_twice_gets_both_gradients(self):
+        x = t64([[1.0, -2.0, 3.0]], requires_grad=True)
+        g = np.array([[0.5, 4.0, -1.5]])
+        T.sum_all(T.elementwise_mul(T.add(x, x), t64(g))).backward()
+        np.testing.assert_array_equal(x.grad, 2.0 * g)
+
+    def test_two_leaves_get_separate_gradient_arrays(self):
+        x = t64([[1.0, 2.0]], requires_grad=True)
+        y = t64([[3.0, 4.0]], requires_grad=True)
+        g = np.array([[0.25, -1.0]])
+        T.sum_all(T.elementwise_mul(T.add(x, y), t64(g))).backward()
+        np.testing.assert_array_equal(x.grad, g)
+        np.testing.assert_array_equal(y.grad, g)
+        assert not np.shares_memory(x.grad, y.grad)
+
 
 class TestGelu:
     def test_zero(self):
@@ -166,6 +202,14 @@ class TestConcatAndShaping:
         x = t64(rng.standard_normal((2, 3, 4)), requires_grad=True)
         w = t64(rng.standard_normal((2, 4)))
         check_gradients(lambda: T.sum_all(T.elementwise_mul(T.select_row(x, 1), w)), [x])
+        # the row's gradient lands exactly, on top of what x already holds
+        x.zero_grad()
+        v = rng.standard_normal((2, 3, 4))
+        T.add(T.sum_all(T.elementwise_mul(x, t64(v))),
+              T.sum_all(T.elementwise_mul(T.select_row(x, 1), w))).backward()
+        expected = v.copy()
+        expected[:, 1] += w.data
+        np.testing.assert_array_equal(x.grad, expected)
 
     def test_gather_rows_gradient_touches_rows(self):
         table = t64(np.arange(12.0).reshape(4, 3), requires_grad=True)

@@ -252,6 +252,59 @@ class TestPadSequence:
         np.testing.assert_array_equal(a, b)
 
 
+class TestSessionContexts:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), num_users=st.integers(1, 4), num_items=st.integers(1, 12),
+           n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_rows_end_with_the_history_before_the_anchor(self, caplog, data, num_users, num_items,
+                                                         n, seed):
+        items = st.integers(0, num_items - 1)
+        sequences = [data.draw(st.lists(items, max_size=10)) for _ in range(num_users)]
+        users = [u for u, seq in enumerate(sequences) for _ in seq]
+        events = [i for seq in sequences for i in seq]
+        steps = np.arange(len(events))
+        flags = data.draw(st.lists(st.booleans(), min_size=len(events), max_size=len(events)))
+        store = InteractionStore([f"u{j}" for j in range(num_users)],
+                                 [f"i{j}" for j in range(num_items)],
+                                 users, steps, steps, events, flags)
+        store.excluded_items = [data.draw(st.sets(items)) for _ in range(num_users)]
+        # anchors drawn from the whole catalog: one the user never had was held out
+        rows = data.draw(st.lists(st.tuples(st.integers(0, num_users - 1), items), max_size=20))
+        row_users = np.array([u for u, _ in rows], dtype=np.int64)
+        anchors = np.array([a for _, a in rows], dtype=np.int64)
+
+        expected, need, eligible = [], [], []
+        for u, anchor in rows:
+            seq = sequences[u]
+            end = seq.index(anchor) if anchor in seq else len(seq)
+            expected.append(seq[max(0, end - n):end])
+            need.append(n - len(expected[-1]))
+            eligible.append(num_items - len(store.observed_any(u)))
+
+        def contexts():
+            index = training._session_index(store)
+            return training._session_contexts(store, index, row_users, anchors, n,
+                                              np.random.default_rng(seed))
+
+        if any(k and not room for k, room in zip(need, eligible)):
+            with pytest.raises(DataError, match="whole catalog"):
+                contexts()
+            return
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            out = contexts()
+        assert out.shape == (len(rows), n) and out.dtype == np.int64
+        for (u, _), row, tail, k, room in zip(rows, out.tolist(), expected, need, eligible):
+            assert row[k:] == tail
+            pads = row[:k]
+            assert all(0 <= i < num_items and i not in store.observed_any(u) for i in pads)
+            if room >= k:
+                assert len(set(pads)) == k
+        warnings = [r for r in caplog.records if "replacement" in r.getMessage()]
+        assert len(warnings) == (1 if any(room < k for k, room in zip(need, eligible)) else 0)
+        np.testing.assert_array_equal(contexts(), out)
+
+
 class TestAdam:
     def make_param(self, value):
         reg = ParameterRegistry()
