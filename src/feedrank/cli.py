@@ -122,7 +122,14 @@ def _parse_event_map(text: Optional[str]) -> Optional[dict]:
     return mapping
 
 
+def _check_topk(k: int, name: str) -> None:
+    if k < 1:
+        raise ConfigError(f"{name} must be >= 1, got {k}")
+
+
 def cmd_prepare(args: argparse.Namespace) -> int:
+    if args.eval_negatives < 0:
+        raise ConfigError(f"--eval-negatives must be >= 0, got {args.eval_negatives}")
     columns = data.ColumnSpec(timestamp=args.column_timestamp, user=args.column_user,
                               event=args.column_event, item=args.column_item)
     store = data.ingest(args.events, classification=_parse_event_map(args.event_map),
@@ -169,6 +176,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         cfg.out = args.out
     if not cfg.prepared:
         raise ConfigError("config is missing [data] prepared = <path>")
+    _check_topk(cfg.eval_topk, "[run] eval_topk")
     cfg.training.validate()
     prepared = data.load_prepared(cfg.prepared)
     if _needs_side(cfg.variant):
@@ -225,6 +233,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_topk(args.topk, "--topk")
     model, variant, meta = container.load_checkpoint(args.checkpoint)
     prepared = data.load_prepared(args.dataset)
     side = None

@@ -122,10 +122,6 @@ class InteractionStore:
         """Items the user has interacted with in any way, plus held-out ones."""
         return self.implicit_items[user] | self.excluded_items[user]
 
-    def merged_sequence(self, user: int) -> np.ndarray:
-        """All of the user's interactions in (timestamp, file-order) order."""
-        return self.items[self.offsets[user]:self.offsets[user + 1]]
-
     def num_implicit_pairs(self) -> int:
         return sum(len(s) for s in self.implicit_items)
 

@@ -24,6 +24,19 @@ DEFAULT_DTYPE = np.float32
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# float32 erf(z) = z * P(z^2) / Q(z^2) on z clipped to [-4, 4] (outside it
+# erf is +-1 in float32): the coefficients of Eigen's generic_fast_erf_float,
+# highest power first
+_ERF_P = tuple(np.float32(c) for c in (
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06, -5.69250639462346e-05,
+    -7.34990630326855e-04, -2.95459980854025e-03, -1.60960333262415e-02))
+_ERF_Q = tuple(np.float32(c) for c in (
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
+    -1.42647390514189e-02))
+# elements per block of the float32 CDF: its three scratch arrays and the
+# output block stay in a 2 MB L2 cache
+_CDF_BLOCK = 65536
+
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested op."""
@@ -392,9 +405,41 @@ def relu(x: Tensor) -> Tensor:
     return _make(data, (x,), backward)
 
 
+def _normal_cdf_f32(x: np.ndarray) -> np.ndarray:
+    """Phi(x) = 0.5 * (1 + erf(x / sqrt(2))) of a float32 array through the
+    rational erf, evaluated by Horner in place one block at a time."""
+    flat = x.reshape(-1)
+    cdf = np.empty(x.shape, dtype=np.float32)
+    out = cdf.reshape(-1)
+    block = min(flat.size, _CDF_BLOCK)
+    z_buf, z2_buf, q_buf = (np.empty(block, dtype=np.float32) for _ in range(3))
+    for start in range(0, flat.size, _CDF_BLOCK):
+        stop = min(start + _CDF_BLOCK, flat.size)
+        m = stop - start
+        z, z2, q, p = z_buf[:m], z2_buf[:m], q_buf[:m], out[start:stop]
+        np.multiply(flat[start:stop], np.float32(_INV_SQRT2), out=z)
+        np.clip(z, np.float32(-4.0), np.float32(4.0), out=z)
+        np.multiply(z, z, out=z2)
+        for poly, acc in ((_ERF_P, p), (_ERF_Q, q)):
+            np.multiply(z2, poly[0], out=acc)
+            acc += poly[1]
+            for c in poly[2:]:
+                acc *= z2
+                acc += c
+        p *= z
+        p /= q
+        p *= np.float32(0.5)
+        p += np.float32(0.5)
+    return cdf
+
+
 def gelu(x: Tensor) -> Tensor:
-    """x * Phi(x) with the exact standard Gaussian CDF."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    """x * Phi(x). Float64 takes the exact standard Gaussian CDF; float32
+    takes a rational erf within 2e-6 of it."""
+    if x.data.dtype == np.float32:
+        cdf = _normal_cdf_f32(x.data)
+    else:
+        cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
     data = (x.data * cdf).astype(x.data.dtype, copy=False)
 
     def backward(g: np.ndarray) -> None:
@@ -421,13 +466,22 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    data = (gain.data * xhat + bias.data).astype(x.data.dtype, copy=False)
     n = x.shape[-1]
+    # every last-axis mean is one BLAS product with a column of 1/n
+    mean_col = np.full((n, 1), 1.0 / n, dtype=x.data.dtype)
+
+    def row_mean(a: np.ndarray) -> np.ndarray:
+        return (a.reshape(-1, n) @ mean_col).reshape(a.shape[:-1] + (1,))
+
+    xhat = x.data - row_mean(x.data)
+    inv = row_mean(xhat * xhat)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    xhat *= inv
+    data = gain.data * xhat
+    data += bias.data
+    data = data.astype(x.data.dtype, copy=False)
 
     def backward(g: np.ndarray) -> None:
         if gain.requires_grad:
@@ -436,9 +490,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             _accumulate(bias, _unbroadcast(g, bias.shape))
         if x.requires_grad:
             gx = g * gain.data
-            mean_gx = gx.mean(axis=-1, keepdims=True)
-            mean_gx_xhat = (gx * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, inv * (gx - mean_gx - xhat * mean_gx_xhat))
+            mean_gx = row_mean(gx)
+            gx_xhat = gx * xhat
+            mean_gx_xhat = row_mean(gx_xhat)
+            gx -= mean_gx
+            np.multiply(xhat, mean_gx_xhat, out=gx_xhat)
+            gx -= gx_xhat
+            gx *= inv
+            _accumulate(x, gx)
 
     return _make(data, (x, gain, bias), backward)
 

@@ -96,6 +96,20 @@ class TestPrepare:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("count, code", [("-5", 1), ("-1", 1), ("0", 0)])
+    def test_eval_negatives_must_not_be_negative(self, tmp_path, capsys, count, code):
+        events, cats = planted_dataset(tmp_path, num_groups=2, users_per_group=3,
+                                       items_per_group=4, explicit_per_user=2)
+        out = tmp_path / "p.bin"
+        assert main(["prepare", "--events", str(events), "--out", str(out),
+                     "--eval-negatives", count]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert f"--eval-negatives must be >= 0, got {count}" in err
+            assert len(err.splitlines()) == 1 and not out.exists()
+        else:
+            assert all(case.negatives.size == 0 for case in load_prepared(str(out)).cases)
+
     def test_writes_loadable_cache(self, prepared_path):
         prepared = load_prepared(str(prepared_path))
         assert prepared.store.num_users == 16
@@ -205,6 +219,16 @@ class TestTrain:
         assert key in err and len(err.splitlines()) == 1
         assert not run_dir.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_eval_topk_below_one_creates_no_run_dir(self, tmp_path, prepared_path, capsys, value):
+        run_dir = tmp_path / "run-bad"
+        cfg = write_config(tmp_path / "bad.ini", prepared_path, out=run_dir)
+        cfg.write_text(cfg.read_text().replace("eval_topk = 10", f"eval_topk = {value}"))
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"eval_topk must be >= 1, got {value}" in err and len(err.splitlines()) == 1
+        assert not run_dir.exists()
+
     def test_dataset_missing_a_record_exits_one(self, tmp_path, prepared_path, capsys):
         config, arrays = read_container(str(prepared_path))
         del arrays["implicit_offsets"]
@@ -280,6 +304,16 @@ class TestEvaluate:
         with open(out_csv) as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 2 and rows[1][1] == "10"
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_topk_below_one_exits_one(self, tmp_path, prepared_path, trained, capsys, k):
+        out_csv = tmp_path / "metrics.csv"
+        assert main(["evaluate", "--checkpoint", str(trained), "--dataset", str(prepared_path),
+                     "--topk", k, "--out", str(out_csv)]) == 1
+        captured = capsys.readouterr()
+        assert f"--topk must be >= 1, got {k}" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert "HR=" not in captured.out and not out_csv.exists()
 
     def test_topk_sweep_monotone(self, tmp_path, prepared_path, trained):
         out_csv = tmp_path / "sweep.csv"

@@ -124,7 +124,8 @@ class TestIngest:
 
     def test_merged_sequence_is_time_ordered(self, tiny_store):
         u0 = tiny_store.user_index["u0"]
-        seq = [tiny_store.item_ids[j] for j in tiny_store.merged_sequence(u0)]
+        lo, hi = tiny_store.offsets[u0], tiny_store.offsets[u0 + 1]
+        seq = [tiny_store.item_ids[j] for j in tiny_store.items[lo:hi]]
         assert seq == ["a", "b", "c", "d", "b", "d"]
 
 
@@ -149,7 +150,7 @@ class TestEventTable:
             events = sorted((t, seq, item, DEFAULT_CLASSIFICATION[event] == EXPLICIT)
                             for seq, (t, user, event, item) in enumerate(rows) if user == name)
             lo, hi = store.offsets[u], store.offsets[u + 1]
-            assert [store.item_ids[j] for j in store.merged_sequence(u)] == [e[2] for e in events]
+            assert [store.item_ids[j] for j in store.items[lo:hi]] == [e[2] for e in events]
             assert store.times[lo:hi].tolist() == [e[0] for e in events]
             assert store.seqs[lo:hi].tolist() == [e[1] for e in events]
             assert store.explicit[lo:hi].tolist() == [e[3] for e in events]
@@ -175,7 +176,8 @@ class TestEventTable:
             assert store.item_ids[case.item] == held[2]
             assert [store.item_ids[j] for j in case.history] == [
                 e[2] for e in events if e[:2] < held[:2] and e[2] != held[2]]
-            assert [store.item_ids[j] for j in train.merged_sequence(u)] == [
+            lo, hi = train.offsets[u], train.offsets[u + 1]
+            assert [store.item_ids[j] for j in train.items[lo:hi]] == [
                 e[2] for e in events if e[2] != held[2]]
             assert train.excluded_items[u] == {case.item}
 
@@ -331,7 +333,8 @@ class TestLeaveOneOutSplit:
             assert case.item not in train.implicit_items[case.user]
             assert case.item not in train.explicit_items[case.user]
             assert case.item in train.excluded_items[case.user]
-            assert case.item not in train.merged_sequence(case.user).tolist()
+            lo, hi = train.offsets[case.user], train.offsets[case.user + 1]
+            assert case.item not in train.items[lo:hi].tolist()
 
     def test_negatives_unobserved_and_distinct(self, tiny_store):
         _, cases = leave_one_out_split(tiny_store, num_negatives=2, seed=1)

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from feedrank import tensor as T
 from feedrank.tensor import ConfigError, ShapeError, Tensor
 
 from conftest import check_gradients
+from test_layers import oracle_layer_norm
 
 
 def t64(data, requires_grad=False):
@@ -103,6 +105,51 @@ class TestGelu:
         check_gradients(lambda: T.sum_all(T.elementwise_mul(T.gelu(x), x)), [x])
 
 
+def gelu_reference(x):
+    """float64 x * Phi(x) through scipy's exact erf."""
+    x = np.asarray(x, dtype=np.float64)
+    return x * 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+
+
+class TestGeluFloat32:
+    """The float32 path's rational erf, evaluated in blocks of T._CDF_BLOCK."""
+
+    # sizes straddle one, two and three blocks so that a block-boundary slip shows
+    @settings(max_examples=30, deadline=None)
+    @given(size=st.sampled_from([1, 7, T._CDF_BLOCK - 3, T._CDF_BLOCK, T._CDF_BLOCK + 3,
+                                 2 * T._CDF_BLOCK + 1, 3 * T._CDF_BLOCK + 5]),
+           seed=st.integers(0, 2**32 - 1), strided=st.booleans())
+    def test_within_2e6_of_float64_reference(self, size, seed, strided):
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(-8.0, 8.0, size * (2 if strided else 1)).astype(np.float32)
+        x = base[::2] if strided else base
+        out = T.gelu(Tensor(x)).data
+        assert out.dtype == np.float32 and out.shape == x.shape
+        np.testing.assert_allclose(out, gelu_reference(x), rtol=0, atol=2e-6)
+
+    def test_batched_shape_matches_reference(self):
+        x = np.random.default_rng(4).uniform(-8.0, 8.0, (5, 22, 32)).astype(np.float32)
+        out = T.gelu(Tensor(x)).data
+        assert out.shape == x.shape
+        np.testing.assert_allclose(out, gelu_reference(x), rtol=0, atol=2e-6)
+
+    def test_non_finite_inputs(self):
+        with np.errstate(invalid="ignore"):
+            out = T.gelu(Tensor(np.array([np.nan, np.inf, -np.inf], dtype=np.float32))).data
+        assert np.isnan(out[0]) and out[1] == np.inf and np.isnan(out[2])
+
+    def test_gradient_matches_float64(self):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-6.0, 6.0, 200)
+        w = rng.standard_normal(200)
+        grads = []
+        for dtype in (np.float32, np.float64):
+            xt = Tensor(x.astype(dtype), requires_grad=True)
+            T.sum_all(T.elementwise_mul(T.gelu(xt), Tensor(w.astype(dtype)))).backward()
+            grads.append(xt.grad)
+        np.testing.assert_allclose(grads[0], grads[1], rtol=0, atol=1e-5)
+
+
 class TestSoftmaxRows:
     def test_constant_row_is_uniform(self):
         out = T.softmax_rows(t64([[2.0, 2.0, 2.0]]))
@@ -173,6 +220,30 @@ class TestElementwise:
         check_gradients(
             lambda: T.sum_all(T.elementwise_mul(T.layer_norm(x, gain, bias), w)),
             [x, gain, bias])
+
+
+    def test_float32_layer_norm_matches_oracle(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(loc=3.0, scale=2.0, size=(64, 22, 8))
+        gain, bias = rng.standard_normal(8), rng.standard_normal(8)
+        out = T.layer_norm(Tensor(x.astype(np.float32)), Tensor(gain.astype(np.float32)),
+                           Tensor(bias.astype(np.float32)))
+        assert out.dtype == np.float32
+        expected = oracle_layer_norm(x.astype(np.float32).astype(np.float64)) * gain + bias
+        np.testing.assert_allclose(out.data, expected, rtol=1e-5, atol=1e-6)
+
+    def test_float32_layer_norm_gradient_matches_float64(self):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((16, 5, 8))
+        gain, bias, w = rng.standard_normal(8), rng.standard_normal(8), rng.standard_normal((16, 5, 8))
+        grads = []
+        for dtype in (np.float32, np.float64):
+            xs = [Tensor(a.astype(dtype), requires_grad=True) for a in (x, gain, bias)]
+            T.sum_all(T.elementwise_mul(T.layer_norm(*xs), Tensor(w.astype(dtype)))).backward()
+            grads.append([t.grad for t in xs])
+        for g32, g64 in zip(*grads):
+            assert g32.dtype == np.float32
+            np.testing.assert_allclose(g32, g64, rtol=1e-4, atol=1e-5)
 
 
 class TestConcatAndShaping:
