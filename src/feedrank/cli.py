@@ -122,9 +122,9 @@ def _parse_event_map(text: Optional[str]) -> Optional[dict]:
     return mapping
 
 
-def _check_topk(k: int, name: str) -> None:
-    if k < 1:
-        raise ConfigError(f"{name} must be >= 1, got {k}")
+def _check_at_least_one(value: int, name: str) -> None:
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
@@ -176,7 +176,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         cfg.out = args.out
     if not cfg.prepared:
         raise ConfigError("config is missing [data] prepared = <path>")
-    _check_topk(cfg.eval_topk, "[run] eval_topk")
+    _check_at_least_one(cfg.eval_topk, "[run] eval_topk")
+    _check_at_least_one(args.workers, "--workers")
     cfg.training.validate()
     prepared = data.load_prepared(cfg.prepared)
     if _needs_side(cfg.variant):
@@ -233,7 +234,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    _check_topk(args.topk, "--topk")
+    _check_at_least_one(args.topk, "--topk")
+    _check_at_least_one(args.workers, "--workers")
     model, variant, meta = container.load_checkpoint(args.checkpoint)
     prepared = data.load_prepared(args.dataset)
     side = None

@@ -56,6 +56,10 @@ def _case_scores(model, case: EvalCase, store: Optional[InteractionStore],
         rng = np.random.default_rng([seed, case.user])
         observed = store.observed_any(case.user) | {case.item}
         seq = pad_sequence(case.history, model.config.seq_len, store.num_items, observed, rng)
+    else:
+        # chunk bounds only sequence models, whose candidates each carry
+        # [n+2, 4K] activations: an ite case is scored in one forward
+        chunk = candidates.size
     # every candidate shares the case's user and context rows
     users = np.array([case.user], dtype=np.int64)
     contexts = None if seq is None else seq[None, :]

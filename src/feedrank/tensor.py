@@ -580,8 +580,16 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if table.requires_grad:
             if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx, g)
+                table.grad = np.zeros(table.shape, table.dtype)
+            elif not table.grad.flags.c_contiguous:
+                # the flat scatter below must write through a view of grad
+                table.grad = np.ascontiguousarray(table.grad)
+            # one 1-D scatter of element offsets takes numpy's fast ufunc.at
+            # path, where a row-wise scatter does not; elements are added in
+            # the same order, so the sums are bit-identical
+            k = math.prod(table.shape[1:])
+            offsets = idx.reshape(-1, 1).astype(np.intp, copy=False) * k + np.arange(k)
+            np.add.at(table.grad.reshape(-1), offsets.reshape(-1), g.reshape(-1))
 
     return _make(data, (table,), backward)
 

@@ -229,6 +229,15 @@ class TestTrain:
         assert f"eval_topk must be >= 1, got {value}" in err and len(err.splitlines()) == 1
         assert not run_dir.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_workers_below_one_creates_no_run_dir(self, tmp_path, prepared_path, capsys, value):
+        run_dir = tmp_path / "run-bad"
+        cfg = write_config(tmp_path / "cfg.ini", prepared_path, out=run_dir)
+        assert main(["train", "--config", str(cfg), "--workers", value]) == 1
+        err = capsys.readouterr().err
+        assert f"--workers must be >= 1, got {value}" in err and len(err.splitlines()) == 1
+        assert not run_dir.exists()
+
     def test_dataset_missing_a_record_exits_one(self, tmp_path, prepared_path, capsys):
         config, arrays = read_container(str(prepared_path))
         del arrays["implicit_offsets"]
@@ -314,6 +323,16 @@ class TestEvaluate:
         assert f"--topk must be >= 1, got {k}" in captured.err
         assert len(captured.err.splitlines()) == 1
         assert "HR=" not in captured.out and not out_csv.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_workers_below_one_exits_one_before_reading_checkpoint(self, tmp_path,
+                                                                   prepared_path, capsys, value):
+        # a missing checkpoint would exit 2, so exit 1 shows the check ran first
+        assert main(["evaluate", "--checkpoint", str(tmp_path / "none.ckpt"),
+                     "--dataset", str(prepared_path), "--workers", value]) == 1
+        captured = capsys.readouterr()
+        assert f"--workers must be >= 1, got {value}" in captured.err
+        assert len(captured.err.splitlines()) == 1 and "HR=" not in captured.out
 
     def test_topk_sweep_monotone(self, tmp_path, prepared_path, trained):
         out_csv = tmp_path / "sweep.csv"

@@ -171,11 +171,51 @@ class TestUntrainedModelRanksUniformly:
         for u in range(num_cases):
             picks = rng.permutation(num_items)[:1000]
             cases.append(case(u, picks[0], picks[1:]))
-        hr, ndcg = evaluate(model, cases, k=10, chunk=1000)
+        hr, ndcg = evaluate(model, cases, k=10)
         p = 10.0 / 1000.0
         sigma = math.sqrt(p * (1 - p) / num_cases)
         assert abs(hr - p) <= 3 * sigma, (hr, p, 3 * sigma)
         assert ndcg <= hr
+
+
+class TestIteEvaluation:
+    def test_case_scored_in_one_forward_equal_to_chunked(self, monkeypatch):
+        from feedrank.models import ITEModel
+
+        model = ITEModel(4, 1100, ModelConfig(embedding_dim=8, attention_heads=2), seed=7)
+        rng = np.random.default_rng(3)
+        for p in model.params:
+            p.value.data[:] = rng.uniform(-1, 1, p.value.shape)
+        c = case(2, 5, rng.permutation(1100)[:999])
+        candidates = np.concatenate([[c.item], c.negatives])
+        chunked = np.empty(candidates.size)
+        with no_grad():
+            for start in range(0, candidates.size, 512):
+                res = model.forward_batch(np.array([c.user]), candidates[start:start + 512])
+                chunked[start:start + 512] = predict_score(res.x_hat.data.astype(np.float64),
+                                                           res.y_hat.data.astype(np.float64))
+        sizes = []
+        forward = model.forward_batch
+        monkeypatch.setattr(model, "forward_batch",
+                            lambda users, items, *rest: sizes.append(items.size)
+                            or forward(users, items, *rest))
+        scores = evaluation._case_scores(model, c, None, None, seed=0, chunk=512)
+        assert sizes == [1000]
+        assert scores.tobytes() == chunked.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_case_ranks_calls_case_rank_once_per_case(self, monkeypatch, workers):
+        # traced benchmark runs time evaluation by wrapping case_rank
+        rng = np.random.default_rng(4)
+        model = FakeModel(rng.random((6, 40)))
+        cases = [case(u, int(rng.integers(0, 40)), rng.permutation(40)[:20]) for u in range(6)]
+        seen = []
+        rank = evaluation.case_rank
+        monkeypatch.setattr(evaluation, "case_rank",
+                            lambda model, c, *rest: seen.append(c.user) or rank(model, c, *rest))
+        ranks = case_ranks(model, cases, workers=workers)
+        assert sorted(seen) == [c.user for c in cases]
+        assert ranks == [rank(model, c) for c in cases]
 
 
 class TestTopkSweep:

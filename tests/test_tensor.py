@@ -299,6 +299,35 @@ class TestConcatAndShaping:
             T.gather_rows(table, np.array([0, 4]))
 
 
+class TestGatherScatter:
+    """gather_rows' backward scatters through one flat np.add.at; it must add
+    every element in the order a row-wise np.add.at does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           vocab=st.integers(min_value=1, max_value=6),
+           dim=st.integers(min_value=1, max_value=5),
+           shape=st.sampled_from([(0,), (1,), (9,), (0, 3), (2, 1), (3, 4)]),
+           base=st.sampled_from([None, "c", "fortran"]),
+           seed=st.integers(min_value=0, max_value=2**16))
+    def test_gradient_equals_row_wise_scatter_bit_for_bit(self, dtype, vocab, dim, shape, base,
+                                                          seed):
+        rng = np.random.default_rng(seed)
+        table = Tensor(rng.standard_normal((vocab, dim)).astype(dtype), requires_grad=True)
+        # few rows, so most draws repeat a row
+        idx = rng.integers(0, vocab, size=shape)
+        w = rng.standard_normal((*shape, dim)).astype(dtype)
+        expected = np.zeros((vocab, dim), dtype)
+        if base is not None:
+            # a gradient already there, as after the other forward of a step
+            expected = rng.standard_normal((vocab, dim)).astype(dtype)
+            table.grad = expected.copy(order="F" if base == "fortran" else "C")
+        T.sum_all(T.elementwise_mul(T.gather_rows(table, idx), Tensor(w))).backward()
+        np.add.at(expected, idx, w)
+        assert table.grad.dtype == dtype and table.grad.shape == (vocab, dim)
+        assert table.grad.tobytes() == expected.tobytes()
+
+
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = t64([[1.0, 2.0]])
