@@ -127,9 +127,15 @@ def _check_at_least_one(value: int, name: str) -> None:
         raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
+def _check_non_negative(value: Optional[int], name: str) -> None:
+    """Seeds and counts; None means the option was not given."""
+    if value is not None and value < 0:
+        raise ConfigError(f"{name} must be >= 0, got {value}")
+
+
 def cmd_prepare(args: argparse.Namespace) -> int:
-    if args.eval_negatives < 0:
-        raise ConfigError(f"--eval-negatives must be >= 0, got {args.eval_negatives}")
+    _check_non_negative(args.eval_negatives, "--eval-negatives")
+    _check_non_negative(args.seed, "--seed")
     columns = data.ColumnSpec(timestamp=args.column_timestamp, user=args.column_user,
                               event=args.column_event, item=args.column_item)
     store = data.ingest(args.events, classification=_parse_event_map(args.event_map),
@@ -168,10 +174,12 @@ def _open_metrics_csv(path: Path):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    _check_non_negative(args.seed, "--seed")
     cfg = load_run_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.training.seed = args.seed
+    _check_non_negative(cfg.seed, "[run] seed")
     if args.out is not None:
         cfg.out = args.out
     if not cfg.prepared:
@@ -236,6 +244,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _check_at_least_one(args.topk, "--topk")
     _check_at_least_one(args.workers, "--workers")
+    _check_non_negative(args.seed, "--seed")
     model, variant, meta = container.load_checkpoint(args.checkpoint)
     prepared = data.load_prepared(args.dataset)
     side = None

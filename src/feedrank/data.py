@@ -227,19 +227,25 @@ def ingest(log_path: str, classification: Optional[dict] = None, min_interaction
 # ---------------------------------------------------------------------------
 
 
+def _csr_entries(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of CSR rows ``rows`` (1-D, in range), row after row: the
+    position in ``rows`` each entry belongs to, and its flat index."""
+    starts = offsets[rows]
+    counts = offsets[rows + 1] - starts
+    ends = np.cumsum(counts)
+    # the j-th entry lies in row dest[j] at that row's start plus j's rank within the row
+    dest = np.repeat(np.arange(rows.size), counts)
+    src = np.arange(dest.size) + np.repeat(starts - (ends - counts), counts)
+    return dest, src
+
+
 def _csr_to_dense(offsets: np.ndarray, columns: np.ndarray, values: Optional[np.ndarray],
                   rows: np.ndarray, width: int, dtype) -> np.ndarray:
     """[*rows.shape, width] array whose entry for row r holds CSR row r:
     ``values`` (1 where None) at ``columns``. Row ids index like a list."""
     rows = np.asarray(rows)
     flat = np.arange(offsets.size - 1)[rows.reshape(-1)]  # bounds-checks, wraps negatives
-    starts = offsets[flat]
-    counts = offsets[flat + 1] - starts
-    ends = np.cumsum(counts)
-    # the j-th entry written lies in output row dest[j] and comes from the
-    # CSR entry at that row's start plus j's rank within the row
-    dest = np.repeat(np.arange(flat.size), counts)
-    src = np.arange(dest.size) + np.repeat(starts - (ends - counts), counts)
+    dest, src = _csr_entries(offsets, flat)
     out = np.zeros((flat.size, width), dtype=dtype)
     out[dest, columns[src]] = 1.0 if values is None else values[src]
     return out.reshape(rows.shape + (width,))
@@ -278,6 +284,7 @@ def encode_side_user(items: Sequence[int], item_categories: Sequence[Sequence[in
     Each item increments every category it belongs to; the vector is
     normalized by the total count. A user whose items carry no categories
     gets the all-zero vector (degenerate but valid input downstream).
+    ``build_side_info`` computes these vectors for every user at once.
     """
     counts = np.zeros(num_categories, dtype=np.float64)
     for item in items:
@@ -357,19 +364,23 @@ def build_side_info(store: InteractionStore, category_path: Optional[str] = None
     labels = sorted({c for item, cats in mapping.items() if item in store.item_index for c in cats})
     label_index = {c: j for j, c in enumerate(labels)}
     item_categories = [sorted(label_index[c] for c in mapping.get(ext, ())) for ext in store.item_ids]
-    user_categories, user_weights = [], []
-    for u in range(store.num_users):
-        vec = encode_side_user(sorted(store.implicit_items[u]), item_categories, len(labels))
-        idx = np.flatnonzero(vec)
-        user_categories.append(idx)
-        user_weights.append(vec[idx])
-    uncategorized_users = sum(idx.size == 0 for idx in user_categories)
+    item_flat, item_offsets = _flatten(item_categories)
+    # every (user, category) occurrence over the user's distinct items, as
+    # the key user * T + category; a user's weights are each key's count
+    # over the user's total, both exact integers as in encode_side_user
+    t = len(labels)
+    pairs = np.unique(_row_ids(store.offsets) * store.num_items + store.items)
+    pair_users, pair_items = np.divmod(pairs, store.num_items)
+    dest, src = _csr_entries(item_offsets, pair_items)
+    users = pair_users[dest]
+    keys, counts = np.unique(users * t + item_flat[src], return_counts=True)
+    key_users, user_flat = np.divmod(keys, t)
+    weights = counts / np.bincount(users, minlength=store.num_users)[key_users]
+    user_offsets = _row_offsets(key_users, store.num_users)
+    uncategorized_users = int(np.count_nonzero(np.diff(user_offsets) == 0))
     if uncategorized_users:
         log.warning("%d users have no categorized interactions; their side vectors are zero",
                     uncategorized_users)
-    item_flat, item_offsets = _flatten(item_categories)
-    user_flat, user_offsets = _flatten(user_categories)
-    weights, _ = _flatten(user_weights, dtype=np.float64)
     return SideInfo(len(labels), labels, item_offsets, item_flat, user_offsets, user_flat, weights, skipped)
 
 
@@ -390,36 +401,44 @@ class EvalCase:
     history: np.ndarray
 
 
-def sample_unobserved(num_items: int, excluded: set, count: int,
+def sample_unobserved(num_items: int, excluded: Iterable[int], count: int,
                       rng: np.random.Generator, allow_short: bool = False) -> np.ndarray:
-    """Uniform sample, without replacement, of item ids outside ``excluded``.
+    """Uniform sample, without replacement, of item ids outside ``excluded``
+    (a set or an int array of ids in ``[0, num_items)``; repeats are fine).
 
-    ``allow_short`` callers (evaluation negatives) accept however many items
-    exist; training callers require at least one candidate.
+    Each round draws ``max(16, 2 * still needed)`` ids and keeps, in draw
+    order, the first occurrence of every id neither excluded nor chosen in
+    an earlier round, until ``count`` are chosen. When fewer than ``count``
+    ids are eligible, ``allow_short`` callers (evaluation negatives) get a
+    permutation of all of them and training callers ``count`` draws with
+    replacement, which needs at least one eligible id.
     """
-    available = num_items - len(excluded)
+    ids = excluded if isinstance(excluded, np.ndarray) else np.fromiter(excluded, np.int64)
+    blocked = np.zeros(num_items, dtype=bool)
+    blocked[ids] = True
+    available = num_items - np.count_nonzero(blocked)
     if available <= 0:
         if allow_short:
             return np.zeros(0, dtype=np.int64)
         raise DataError("user has interacted with the whole catalog; nothing to sample")
     if available < count:
-        eligible = np.array([i for i in range(num_items) if i not in excluded], dtype=np.int64)
+        eligible = np.flatnonzero(~blocked)
         if allow_short:
             return rng.permutation(eligible)
         log.warning("only %d candidates for %d requested; sampling with replacement", available, count)
         return rng.choice(eligible, size=count, replace=True)
-    chosen: list[int] = []
-    seen = set()
-    while len(chosen) < count:
-        draw = rng.integers(0, num_items, size=max(16, 2 * (count - len(chosen))))
-        for item in draw.tolist():
-            if item in excluded or item in seen:
-                continue
-            seen.add(item)
-            chosen.append(item)
-            if len(chosen) == count:
-                break
-    return np.array(chosen, dtype=np.int64)
+    chosen = [np.zeros(0, dtype=np.int64)]
+    first = np.empty(num_items, dtype=np.int64)  # read only at the current round's draws
+    while count:
+        draw = rng.integers(0, num_items, size=max(16, 2 * count))
+        position = np.arange(draw.size)
+        first[draw] = draw.size
+        np.minimum.at(first, draw, position)
+        picked = draw[(first[draw] == position) & ~blocked[draw]][:count]
+        blocked[picked] = True
+        chosen.append(picked)
+        count -= picked.size
+    return np.concatenate(chosen)
 
 
 def leave_one_out_split(store: InteractionStore, num_negatives: int = 999,
@@ -432,22 +451,23 @@ def leave_one_out_split(store: InteractionStore, num_negatives: int = 999,
     matrix (seeded and order-independent). If fewer than ``num_negatives``
     items are eligible, all of them are used.
     """
+    offsets = store.offsets.tolist()
+    explicit_rows = np.flatnonzero(store.explicit)
+    owners = _row_ids(store.offsets)[explicit_rows]
+    # rows are sorted by user: a user's last explicit row is the one before its owner changes
+    is_last = np.diff(owners, append=-1) != 0
     removals: dict[int, int] = {}
     cases: list[EvalCase] = []
-    for u in range(store.num_users):
-        lo, hi = store.offsets[u], store.offsets[u + 1]
-        explicit = np.flatnonzero(store.explicit[lo:hi])
-        if explicit.size == 0:
-            continue
-        last = lo + explicit[-1]
+    for u, last in zip(owners[is_last].tolist(), explicit_rows[is_last].tolist()):
+        lo, hi = offsets[u], offsets[u + 1]
         gt = int(store.items[last])
         removals[u] = gt
-        history = store.items[lo:last][store.items[lo:last] != gt]
-
+        before = store.items[lo:last]
+        # the user's own events (the held-out item among them) and excluded items
+        observed = np.concatenate((store.items[lo:hi], np.fromiter(store.excluded_items[u], np.int64)))
         rng = np.random.default_rng([seed, u])
-        negatives = sample_unobserved(store.num_items, store.observed_any(u) | {gt},
-                                      num_negatives, rng, allow_short=True)
-        cases.append(EvalCase(user=u, item=gt, negatives=negatives, history=history))
+        negatives = sample_unobserved(store.num_items, observed, num_negatives, rng, allow_short=True)
+        cases.append(EvalCase(user=u, item=gt, negatives=negatives, history=before[before != gt]))
     train = store.without_pairs(removals)
     return train, cases
 

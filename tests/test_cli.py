@@ -110,6 +110,16 @@ class TestPrepare:
         else:
             assert all(case.negatives.size == 0 for case in load_prepared(str(out)).cases)
 
+    @pytest.mark.parametrize("seed", ["-1", "-9"])
+    def test_negative_seed_exits_one_before_reading(self, tmp_path, capsys, seed):
+        # a missing events file would exit 2, so exit 1 shows the check ran first
+        out = tmp_path / "p.bin"
+        assert main(["prepare", "--events", str(tmp_path / "none.csv"), "--out", str(out),
+                     "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert f"--seed must be >= 0, got {seed}" in captured.err
+        assert len(captured.err.splitlines()) == 1 and not captured.out and not out.exists()
+
     def test_writes_loadable_cache(self, prepared_path):
         prepared = load_prepared(str(prepared_path))
         assert prepared.store.num_users == 16
@@ -238,6 +248,23 @@ class TestTrain:
         assert f"--workers must be >= 1, got {value}" in err and len(err.splitlines()) == 1
         assert not run_dir.exists()
 
+    def test_negative_seed_flag_exits_one_before_reading(self, tmp_path, capsys):
+        # a missing config would exit 2
+        assert main(["train", "--config", str(tmp_path / "none.ini"), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "--seed must be >= 0, got -1" in err and len(err.splitlines()) == 1
+
+    def test_negative_config_seed_creates_no_run_dir(self, tmp_path, prepared_path, capsys):
+        run_dir = tmp_path / "run-bad"
+        cfg = write_config(tmp_path / "bad.ini", prepared_path, out=run_dir)
+        cfg.write_text(cfg.read_text().replace("seed = 5", "seed = -2"))
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "[run] seed must be >= 0, got -2" in err and len(err.splitlines()) == 1
+        assert not run_dir.exists()
+        # a valid --seed overrides the config's
+        assert main(["train", "--config", str(cfg), "--seed", "4", "--no-timestamps"]) == 0
+
     def test_dataset_missing_a_record_exits_one(self, tmp_path, prepared_path, capsys):
         config, arrays = read_container(str(prepared_path))
         del arrays["implicit_offsets"]
@@ -332,6 +359,14 @@ class TestEvaluate:
                      "--dataset", str(prepared_path), "--workers", value]) == 1
         captured = capsys.readouterr()
         assert f"--workers must be >= 1, got {value}" in captured.err
+        assert len(captured.err.splitlines()) == 1 and "HR=" not in captured.out
+
+    def test_negative_seed_exits_one_before_reading_checkpoint(self, tmp_path, prepared_path, capsys):
+        # a missing checkpoint would exit 2
+        assert main(["evaluate", "--checkpoint", str(tmp_path / "none.ckpt"),
+                     "--dataset", str(prepared_path), "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "--seed must be >= 0, got -1" in captured.err
         assert len(captured.err.splitlines()) == 1 and "HR=" not in captured.out
 
     def test_topk_sweep_monotone(self, tmp_path, prepared_path, trained):

@@ -1,17 +1,19 @@
 """Ingestion, side info, and leave-one-out split against hand-counted
 fixtures."""
 
+import logging
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from feedrank.container import FormatError, read_container, write_container
 from feedrank.data import (DEFAULT_CLASSIFICATION, EXPLICIT, ColumnSpec, DataError, DatasetStats,
-                           PreparedDataset, SideInfo, build_side_info, ingest, leave_one_out_split,
-                           load_prepared, read_category_pairs, read_retailrocket_properties,
+                           InteractionStore, PreparedDataset, SideInfo, build_side_info,
+                           encode_side_user, ingest, leave_one_out_split, load_prepared,
+                           read_category_pairs, read_retailrocket_properties, sample_unobserved,
                            save_prepared)
 
 from conftest import write_categories_csv, write_events_csv
@@ -275,6 +277,46 @@ class TestSideInfo:
         assert got.dtype == expected.dtype and got.shape == expected.shape
         np.testing.assert_array_equal(got, expected)
 
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), num_users=st.integers(1, 6), num_items=st.integers(1, 12),
+           num_labels=st.integers(0, 5), split=st.booleans())
+    def test_user_csr_equals_encode_side_user(self, caplog, data, num_users, num_items,
+                                              num_labels, split):
+        """Each user's CSR row is encode_side_user over the user's sorted
+        implicit items, bit for bit, and the warning counts the users
+        whose row is empty."""
+        events = data.draw(st.lists(st.tuples(st.integers(0, num_users - 1), st.integers(0, num_items - 1),
+                                              st.booleans()), min_size=num_users, max_size=60))
+        users = [u for u, _, _ in events] + list(range(num_users))  # every user has an event
+        items = [i for _, i, _ in events] + [0] * num_users
+        explicit = [e for _, _, e in events] + [True] * num_users
+        store = InteractionStore([f"u{u}" for u in range(num_users)], [f"i{i}" for i in range(num_items)],
+                                 users, np.zeros(len(users)), np.arange(len(users)), items, explicit)
+        if split:
+            store, _ = leave_one_out_split(store, num_negatives=0)
+        mapping = data.draw(st.dictionaries(st.integers(0, num_items - 1),
+                                            st.sets(st.integers(0, num_labels - 1), max_size=3)
+                                            if num_labels else st.just(set())))
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            side = build_side_info(store, mapping={f"i{i}": {f"c{c}" for c in cats}
+                                                   for i, cats in mapping.items()})
+        cats = [side.item_categories[side.item_offsets[i]:side.item_offsets[i + 1]].tolist()
+                for i in range(num_items)]
+        rows = [encode_side_user(sorted(store.implicit_items[u]), cats, side.num_categories)
+                for u in range(num_users)]
+        idx = [np.flatnonzero(row) for row in rows]
+        np.testing.assert_array_equal(side.user_offsets, np.cumsum([0] + [i.size for i in idx]))
+        assert side.user_offsets.dtype == side.user_categories.dtype == np.int64
+        assert side.user_weights.dtype == np.float64
+        np.testing.assert_array_equal(side.user_categories, np.concatenate([np.zeros(0, np.int64), *idx]))
+        expected = np.concatenate([np.zeros(0), *(row[i] for row, i in zip(rows, idx))])
+        assert side.user_weights.tobytes() == expected.tobytes()
+        empty = sum(i.size == 0 for i in idx)
+        warnings = [r.getMessage() for r in caplog.records if "no categorized" in r.getMessage()]
+        assert warnings == ([f"{empty} users have no categorized interactions; their side vectors "
+                             "are zero"] if empty else [])
+
     def test_user_frequency_vector_three_one(self, tmp_path):
         rows = [(t, "u", "view", item) for t, item in
                 enumerate(["a", "b", "c", "d", "e"])]
@@ -370,6 +412,77 @@ class TestLeaveOneOutSplit:
         for case in cases:
             unobserved = tiny_store.num_items - len(tiny_store.implicit_items[case.user] | {case.item})
             assert case.negatives.size == unobserved
+
+
+def reference_sample_unobserved(num_items, excluded, count, rng, allow_short=False):
+    """The per-draw loop ``sample_unobserved`` replaced: the reference for
+    its values, dtype, warnings and rng state."""
+    available = num_items - len(excluded)
+    if available <= 0:
+        if allow_short:
+            return np.zeros(0, dtype=np.int64)
+        raise DataError("user has interacted with the whole catalog; nothing to sample")
+    if available < count:
+        eligible = np.array([i for i in range(num_items) if i not in excluded], dtype=np.int64)
+        if allow_short:
+            return rng.permutation(eligible)
+        logging.getLogger("feedrank.data").warning(
+            "only %d candidates for %d requested; sampling with replacement", available, count)
+        return rng.choice(eligible, size=count, replace=True)
+    chosen, seen = [], set()
+    while len(chosen) < count:
+        draw = rng.integers(0, num_items, size=max(16, 2 * (count - len(chosen))))
+        for item in draw.tolist():
+            if item in excluded or item in seen:
+                continue
+            seen.add(item)
+            chosen.append(item)
+            if len(chosen) == count:
+                break
+    return np.array(chosen, dtype=np.int64)
+
+
+class TestSampleUnobserved:
+    @staticmethod
+    def run(sampler, caplog, seed, num_items, excluded, count, allow_short):
+        """(result or the DataError's message, rng state after, warnings)."""
+        rng = np.random.default_rng(seed)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            try:
+                out = sampler(num_items, excluded, count, rng, allow_short=allow_short)
+            except DataError as exc:
+                out = str(exc)
+        return out, rng.bit_generator.state, [r.getMessage() for r in caplog.records]
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), num_items=st.integers(1, 300), count=st.integers(0, 320),
+           allow_short=st.booleans(), as_array=st.booleans(), seed=st.integers(0, 2**32))
+    @example(data=None, num_items=9, count=0, allow_short=False, as_array=False, seed=1)   # no draw
+    @example(data=None, num_items=9, count=20, allow_short=True, as_array=True, seed=2)    # permutation
+    @example(data=None, num_items=9, count=20, allow_short=False, as_array=False, seed=3)  # replacement
+    @example(data=None, num_items=5, count=1, allow_short=False, as_array=True, seed=4)    # full catalog
+    def test_matches_the_per_draw_loop(self, caplog, data, num_items, count, allow_short, as_array, seed):
+        if data is None:  # the explicit examples: a few ids out, or (5 items) all of them
+            excluded = set(range(num_items)) if num_items == 5 else {0, 4, 7}
+        else:
+            excluded = data.draw(st.one_of(st.sets(st.integers(0, num_items - 1)),
+                                           st.just(set(range(num_items)))))
+        # the array form may repeat ids and come in any order
+        given_ids = np.array(sorted(excluded) * 2, dtype=np.int64)[::-1] if as_array else excluded
+        got, got_state, got_logs = self.run(sample_unobserved, caplog, seed, num_items, given_ids,
+                                            count, allow_short)
+        want, want_state, want_logs = self.run(reference_sample_unobserved, caplog, seed, num_items,
+                                               excluded, count, allow_short)
+        if isinstance(want, str):
+            assert isinstance(got, str) and got == want
+            assert not allow_short and len(excluded) == num_items
+        else:
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        assert got_state == want_state
+        assert got_logs == want_logs
+        assert len(got_logs) == (not allow_short and 0 < num_items - len(excluded) < count)
 
 
 class TestPreparedRoundTrip:
