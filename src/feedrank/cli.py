@@ -136,6 +136,8 @@ def _check_non_negative(value: Optional[int], name: str) -> None:
 def cmd_prepare(args: argparse.Namespace) -> int:
     _check_non_negative(args.eval_negatives, "--eval-negatives")
     _check_non_negative(args.seed, "--seed")
+    if len(args.delimiter) != 1:
+        raise ConfigError(f"--delimiter must be one character, got {args.delimiter!r}")
     columns = data.ColumnSpec(timestamp=args.column_timestamp, user=args.column_user,
                               event=args.column_event, item=args.column_item)
     store = data.ingest(args.events, classification=_parse_event_map(args.event_map),

@@ -81,34 +81,31 @@ def _row_ids(offsets: np.ndarray) -> np.ndarray:
 
 class InteractionStore:
     """Every event in one table sorted by (user, timestamp, file order),
-    plus per-user membership sets.
+    plus the held-out pairs.
 
     The table's columns are ``times``, ``seqs`` (the event's data row in the
     log), ``items`` and the behaviour flag ``explicit``; user u's events are
-    rows ``offsets[u]:offsets[u + 1]``. ``implicit_items`` is the augmented
-    implicit matrix: every explicit interaction also counts as an implicit
-    one. ``excluded_items`` holds per-user items removed by the evaluation
-    split; they stay out of both training data and negative-sampling pools.
+    rows ``offsets[u]:offsets[u + 1]``. The implicit matrix is every event
+    (an explicit one counts as implicit too), the explicit matrix the
+    explicit events. User u's held-out items, kept out of both training data
+    and negative-sampling pools, are the ascending, distinct
+    ``excluded_flat[excluded_offsets[u]:excluded_offsets[u + 1]]``, given as
+    ``excluded`` (users, items) pairs in any order, repeats allowed.
     """
 
     def __init__(self, user_ids: list[str], item_ids: list[str], users: np.ndarray,
                  times: np.ndarray, seqs: np.ndarray, items: np.ndarray, explicit: np.ndarray,
-                 excluded_items: Optional[list[set]] = None):
+                 excluded: tuple[np.ndarray, np.ndarray] = ((), ())):
         self.user_ids = user_ids
         self.item_ids = item_ids
-        self.user_index = {u: idx for idx, u in enumerate(user_ids)}
-        self.item_index = {i: idx for idx, i in enumerate(item_ids)}
         users, times, seqs, items = (np.asarray(col, dtype=np.int64) for col in (users, times, seqs, items))
         order = np.lexsort((seqs, times, users))
         self.times, self.seqs, self.items = times[order], seqs[order], items[order]
         self.explicit = np.asarray(explicit, dtype=bool)[order]
         self.offsets = _row_offsets(users[order], len(user_ids))
-        self.implicit_items, self.explicit_items = [], []
-        for lo, hi in zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist()):
-            row = self.items[lo:hi]
-            self.implicit_items.append(set(row.tolist()))
-            self.explicit_items.append(set(row[self.explicit[lo:hi]].tolist()))
-        self.excluded_items = excluded_items if excluded_items is not None else [set() for _ in user_ids]
+        held = np.unique(self.pair_key(*excluded))
+        held_users, self.excluded_flat = np.divmod(held, self.num_items)
+        self.excluded_offsets = _row_offsets(held_users, len(user_ids))
 
     @property
     def num_users(self) -> int:
@@ -118,37 +115,58 @@ class InteractionStore:
     def num_items(self) -> int:
         return len(self.item_ids)
 
+    def pair_key(self, users, items):
+        """``user * num_items + item``: pair keys sort by user, then item."""
+        return np.asarray(users, dtype=np.int64) * self.num_items + np.asarray(items, dtype=np.int64)
+
+    def pair_keys(self, matrix: str) -> np.ndarray:
+        """Sorted distinct keys of the ``"implicit"`` or ``"explicit"`` matrix's pairs."""
+        if matrix == IMPLICIT:
+            rows = slice(None)
+        elif matrix == EXPLICIT:
+            rows = self.explicit
+        else:
+            raise DataError(f"matrix must be 'implicit' or 'explicit', got {matrix!r}")
+        return np.unique(self.pair_key(_row_ids(self.offsets)[rows], self.items[rows]))
+
+    def held_out_keys(self) -> np.ndarray:
+        """Sorted distinct keys of the held-out pairs."""
+        return self.pair_key(_row_ids(self.excluded_offsets), self.excluded_flat)
+
+    def observed_items(self, user: int) -> np.ndarray:
+        """Ids of the user's events and held-out items; ids may repeat."""
+        held = self.excluded_flat[self.excluded_offsets[user]:self.excluded_offsets[user + 1]]
+        return np.concatenate((self.items[self.offsets[user]:self.offsets[user + 1]], held))
+
     def observed_any(self, user: int) -> set:
         """Items the user has interacted with in any way, plus held-out ones."""
-        return self.implicit_items[user] | self.excluded_items[user]
+        return set(self.observed_items(user).tolist())
 
     def num_implicit_pairs(self) -> int:
-        return sum(len(s) for s in self.implicit_items)
+        return self.pair_keys(IMPLICIT).size
 
     def num_explicit_pairs(self) -> int:
-        return sum(len(s) for s in self.explicit_items)
+        return self.pair_keys(EXPLICIT).size
 
     def stats(self, labels: int = 0) -> DatasetStats:
-        pairs = self.num_implicit_pairs() + self.num_explicit_pairs()
+        implicit, explicit = self.num_implicit_pairs(), self.num_explicit_pairs()
         cells = self.num_users * self.num_items
         return DatasetStats(
             users=self.num_users,
             items=self.num_items,
-            implicit=self.num_implicit_pairs(),
-            explicit=self.num_explicit_pairs(),
+            implicit=implicit,
+            explicit=explicit,
             labels=labels,
-            sparsity=1.0 - pairs / cells if cells else 0.0,
+            sparsity=1.0 - (implicit + explicit) / cells if cells else 0.0,
         )
 
-    def without_pairs(self, removals: dict[int, int]) -> "InteractionStore":
-        """Training view with one (user -> item) pair dropped entirely."""
-        drop = np.full(self.num_users, -1, dtype=np.int64)
-        drop[list(removals)] = list(removals.values())
-        users = _row_ids(self.offsets)
-        keep = self.items != drop[users]
-        excluded = [self.excluded_items[u] | ({removals[u]} if u in removals else set())
-                    for u in range(self.num_users)]
-        return InteractionStore(self.user_ids, self.item_ids, users[keep], self.times[keep],
+    def without_pairs(self, users: np.ndarray, items: np.ndarray) -> "InteractionStore":
+        """Training view with every ``(users[j], items[j])`` event dropped and the pair held out."""
+        event_users = _row_ids(self.offsets)
+        keep = ~np.isin(self.pair_key(event_users, self.items), self.pair_key(users, items))
+        excluded = (np.concatenate((_row_ids(self.excluded_offsets), users)),
+                    np.concatenate((self.excluded_flat, items)))
+        return InteractionStore(self.user_ids, self.item_ids, event_users[keep], self.times[keep],
                                 self.seqs[keep], self.items[keep], self.explicit[keep], excluded)
 
 
@@ -361,7 +379,7 @@ def build_side_info(store: InteractionStore, category_path: Optional[str] = None
         if category_path is None:
             raise DataError("build_side_info needs a category file or mapping")
         mapping, skipped = read_category_pairs(category_path, delimiter)
-    labels = sorted({c for item, cats in mapping.items() if item in store.item_index for c in cats})
+    labels = sorted({c for item in set(mapping) & set(store.item_ids) for c in mapping[item]})
     label_index = {c: j for j, c in enumerate(labels)}
     item_categories = [sorted(label_index[c] for c in mapping.get(ext, ())) for ext in store.item_ids]
     item_flat, item_offsets = _flatten(item_categories)
@@ -369,8 +387,7 @@ def build_side_info(store: InteractionStore, category_path: Optional[str] = None
     # the key user * T + category; a user's weights are each key's count
     # over the user's total, both exact integers as in encode_side_user
     t = len(labels)
-    pairs = np.unique(_row_ids(store.offsets) * store.num_items + store.items)
-    pair_users, pair_items = np.divmod(pairs, store.num_items)
+    pair_users, pair_items = np.divmod(store.pair_keys(IMPLICIT), store.num_items)
     dest, src = _csr_entries(item_offsets, pair_items)
     users = pair_users[dest]
     keys, counts = np.unique(users * t + item_flat[src], return_counts=True)
@@ -451,24 +468,21 @@ def leave_one_out_split(store: InteractionStore, num_negatives: int = 999,
     matrix (seeded and order-independent). If fewer than ``num_negatives``
     items are eligible, all of them are used.
     """
-    offsets = store.offsets.tolist()
     explicit_rows = np.flatnonzero(store.explicit)
     owners = _row_ids(store.offsets)[explicit_rows]
     # rows are sorted by user: a user's last explicit row is the one before its owner changes
     is_last = np.diff(owners, append=-1) != 0
-    removals: dict[int, int] = {}
+    users, lasts = owners[is_last], explicit_rows[is_last]
     cases: list[EvalCase] = []
-    for u, last in zip(owners[is_last].tolist(), explicit_rows[is_last].tolist()):
-        lo, hi = offsets[u], offsets[u + 1]
+    for u, last in zip(users.tolist(), lasts.tolist()):
         gt = int(store.items[last])
-        removals[u] = gt
-        before = store.items[lo:last]
-        # the user's own events (the held-out item among them) and excluded items
-        observed = np.concatenate((store.items[lo:hi], np.fromiter(store.excluded_items[u], np.int64)))
+        before = store.items[store.offsets[u]:last]
+        # the user's own events (the held-out item among them) and held-out items
         rng = np.random.default_rng([seed, u])
-        negatives = sample_unobserved(store.num_items, observed, num_negatives, rng, allow_short=True)
+        negatives = sample_unobserved(store.num_items, store.observed_items(u), num_negatives, rng,
+                                      allow_short=True)
         cases.append(EvalCase(user=u, item=gt, negatives=negatives, history=before[before != gt]))
-    train = store.without_pairs(removals)
+    train = store.without_pairs(users, store.items[lasts])
     return train, cases
 
 
@@ -597,8 +611,7 @@ def save_prepared(path: str, prepared: PreparedDataset) -> None:
         arrays[f"{name}_offsets"] = _row_offsets(users[rows], store.num_users)
         arrays[f"{name}_seqs"] = store.seqs[rows]
         arrays[f"{name}_items"] = store.items[rows]
-    arrays["excluded_flat"], arrays["excluded_offsets"] = _flatten(
-        [np.array(sorted(s), dtype=np.int64) for s in store.excluded_items])
+    arrays["excluded_flat"], arrays["excluded_offsets"] = store.excluded_flat, store.excluded_offsets
     arrays["case_users"] = np.array([c.user for c in prepared.cases], dtype=np.int64)
     arrays["case_items"] = np.array([c.item for c in prepared.cases], dtype=np.int64)
     arrays["case_neg_flat"], arrays["case_neg_offsets"] = _flatten([c.negatives for c in prepared.cases])
@@ -623,10 +636,8 @@ def load_prepared(path: str) -> PreparedDataset:
                           for col in ("times", "seqs", "items"))
     users = np.concatenate([_row_ids(arrays[f"{b}_offsets"]) for b in behaviours])
     explicit = np.repeat([False, True], [arrays[f"{b}_items"].size for b in behaviours])
-    excluded = [set(part.tolist()) for part in
-                _unflatten(arrays["excluded_flat"], arrays["excluded_offsets"])]
     store = InteractionStore(config["user_ids"], config["item_ids"], users, times, seqs, items,
-                             explicit, excluded)
+                             explicit, (_row_ids(arrays["excluded_offsets"]), arrays["excluded_flat"]))
     negatives = _unflatten(arrays["case_neg_flat"], arrays["case_neg_offsets"])
     histories = _unflatten(arrays["case_hist_flat"], arrays["case_hist_offsets"])
     cases = [EvalCase(int(u), int(i), neg, hist) for u, i, neg, hist in

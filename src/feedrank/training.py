@@ -102,29 +102,11 @@ def joint_loss(implicit_pred: Optional[Tensor], implicit_labels: Optional[np.nda
     return total
 
 
-def _pair_keys(store: InteractionStore, matrix: str) -> np.ndarray:
-    """Sorted unique keys ``user * num_items + item`` of the pairs a matrix
-    observes; the implicit matrix is every event, the explicit one its
-    explicit events."""
-    if matrix == "implicit":
-        rows = slice(None)
-    elif matrix == "explicit":
-        rows = store.explicit
-    else:
-        raise ConfigError(f"matrix must be 'implicit' or 'explicit', got {matrix!r}")
-    users = _row_ids(store.offsets)
-    return np.unique(users[rows] * store.num_items + store.items[rows])
-
-
 def _observed_keys(store: InteractionStore, pairs: np.ndarray) -> np.ndarray:
-    """The sorted keys a draw must avoid: ``pairs`` (from ``_pair_keys``)
-    and every held-out pair, then a sentinel above every key that keeps each
-    searchsorted position in range."""
-    n = store.num_items
-    excluded = store.excluded_items
-    excluded_keys = (np.repeat(np.arange(store.num_users, dtype=np.int64), [len(s) for s in excluded])
-                     * n + np.fromiter((i for s in excluded for i in s), dtype=np.int64))
-    return np.append(np.union1d(pairs, excluded_keys), store.num_users * n)
+    """The sorted keys a draw must avoid: ``pairs`` (from
+    ``store.pair_keys``) and every held-out pair, then a sentinel above every
+    key that keeps each searchsorted position in range."""
+    return np.append(np.union1d(pairs, store.held_out_keys()), store.pair_key(store.num_users, 0))
 
 
 def _first_occurrences(rows: np.ndarray) -> np.ndarray:
@@ -143,8 +125,8 @@ def _draw_unobserved(observed: np.ndarray, users: np.ndarray, need: np.ndarray, 
                      width: int, rng: np.random.Generator) -> np.ndarray:
     """``[len(users), width]`` items whose row r holds ``need[r]`` uniform
     draws in its first slots and -1 after them. A row's draws are distinct
-    items whose keys ``users[r] * num_items + item`` are not in ``observed``
-    (from ``_observed_keys``).
+    items whose keys ``InteractionStore.pair_key(users[r], item)`` are not
+    in ``observed`` (from ``_observed_keys``).
 
     Every row is drawn at once, by rejecting draws the user observed and
     repeats within the row. A row whose user has fewer eligible items than
@@ -196,7 +178,7 @@ def sample_negatives(store: InteractionStore, users: np.ndarray, matrix: str, co
     eligible items than ``count`` is drawn with replacement instead, and the
     call logs how many rows did so.
     """
-    observed = _observed_keys(store, _pair_keys(store, matrix))
+    observed = _observed_keys(store, store.pair_keys(matrix))
     rows = np.asarray(users, dtype=np.int64)
     if rows.ndim != 1:
         raise ConfigError(f"users must be a 1-D array with one user per row, got shape {rows.shape}")
@@ -286,7 +268,7 @@ def build_epoch_examples(store: InteractionStore, negatives_per_positive: int,
     m = negatives_per_positive
     blocks = []
     for kind, matrix in ((_KIND_IMPLICIT, "implicit"), (_KIND_EXPLICIT, "explicit")):
-        users, items = np.divmod(_pair_keys(store, matrix), store.num_items)
+        users, items = np.divmod(store.pair_keys(matrix), store.num_items)
         block = np.zeros((users.size, 1 + m, 5), dtype=np.int64)
         block[..., 0] = kind
         block[..., 1] = users[:, None]
@@ -306,16 +288,15 @@ def build_epoch_examples(store: InteractionStore, negatives_per_positive: int,
 class _SessionIndex(NamedTuple):
     """What session contexts are cut from, built once per epoch."""
 
-    pairs: np.ndarray      # sorted keys user * num_items + item of every event, then a sentinel
+    pairs: np.ndarray      # sorted distinct pair keys of every event, then a sentinel
     first: np.ndarray      # the event-table row of each pair's first event
     observed: np.ndarray   # the keys pads must avoid: every pair and held-out pair
 
 
 def _session_index(store: InteractionStore) -> _SessionIndex:
-    keys = _row_ids(store.offsets) * store.num_items + store.items
-    pairs, first = np.unique(keys, return_index=True)
+    pairs, first = np.unique(store.pair_key(_row_ids(store.offsets), store.items), return_index=True)
     # the sentinel above every key keeps each searchsorted position in range
-    return _SessionIndex(np.append(pairs, store.num_users * store.num_items), first,
+    return _SessionIndex(np.append(pairs, store.pair_key(store.num_users, 0)), first,
                          _observed_keys(store, pairs))
 
 
@@ -324,7 +305,7 @@ def _session_contexts(store: InteractionStore, index: _SessionIndex, users: np.n
     """Each row's ``[n]`` context: the user's last ``n`` items before the
     anchor's first event, or before the history's end when the anchor was
     held out, left-padded by ``pad_sequence`` in one draw for all rows."""
-    keys = users * store.num_items + anchors
+    keys = store.pair_key(users, anchors)
     at = np.searchsorted(index.pairs, keys)
     found = index.pairs[at] == keys
     end = store.offsets[users + 1]

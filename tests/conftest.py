@@ -64,6 +64,32 @@ def check_gradients(build_loss, tensors, tol=1e-6, h=1e-4) -> float:
     return worst
 
 
+def reference_sets(num_users, users, items, explicit, held_out=((), ())):
+    """Each user's implicit, explicit and held-out item sets, by a plain
+    loop over event columns (one user, item and explicit flag per event)
+    and held-out ``(users, items)`` columns."""
+    implicit_sets = [set() for _ in range(num_users)]
+    explicit_sets = [set() for _ in range(num_users)]
+    held_sets = [set() for _ in range(num_users)]
+    for u, i, flag in zip(users, items, explicit):
+        implicit_sets[int(u)].add(int(i))
+        if flag:
+            explicit_sets[int(u)].add(int(i))
+    for u, i in zip(*held_out):
+        held_sets[int(u)].add(int(i))
+    return implicit_sets, explicit_sets, held_sets
+
+
+def store_sets(store):
+    """``reference_sets`` of a store's own event table and held-out rows."""
+    def owners(offsets):
+        return [u for u in range(store.num_users) for _ in range(offsets[u], offsets[u + 1])]
+
+    return reference_sets(store.num_users, owners(store.offsets), store.items.tolist(),
+                          store.explicit.tolist(),
+                          (owners(store.excluded_offsets), store.excluded_flat.tolist()))
+
+
 def write_events_csv(path: Path, rows, header=("timestamp", "visitorid", "event", "itemid")) -> Path:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

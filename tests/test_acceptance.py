@@ -26,7 +26,7 @@ from feedrank.tensor import ParameterRegistry, Tensor
 from feedrank.training import (Adam, TrainingConfig, build_epoch_examples, fit, joint_loss,
                                train_epoch)
 
-from conftest import check_gradients, planted_dataset
+from conftest import check_gradients, planted_dataset, store_sets
 from test_models import randomize_away_from_kinks
 
 RETAILROCKET_DIR = os.environ.get("RETAILROCKET_DIR", "")
@@ -295,10 +295,11 @@ class TestCriterion6InvariantSuites:
 
         # sampled negatives never collide with observed positives
         rows = build_epoch_examples(train, 5, np.random.default_rng(1))
+        implicit, explicit, held_out = store_sets(train)
         for kind, u, _, cand, label in rows:
             if label == 0:
-                observed = train.implicit_items[u] if kind == 0 else train.explicit_items[u]
-                assert cand not in observed and cand not in train.excluded_items[u]
+                observed = implicit[u] if kind == 0 else explicit[u]
+                assert cand not in observed and cand not in held_out[u]
 
         # K-sweep monotonicity on a lightly trained model
         model = ITEModel(train.num_users, train.num_items,

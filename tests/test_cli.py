@@ -2,6 +2,7 @@
 
 import configparser
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -96,6 +97,21 @@ class TestPrepare:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    # sha256 of prepared.bin for the default planted log, taken when the
+    # store still kept per-user sets; any change to the file format, the
+    # split or the negative draw moves it
+    @pytest.mark.parametrize("with_categories, digest", [
+        (True, "757650d0294fdb271cb5e5b4ff6af55c1b9f9f130be89326ac4c67b1d1613193"),
+        (False, "7649d3e40e40ae2dc03490198a7d341ef6e525ceff3c67948b687cb8582f03cb"),
+    ])
+    def test_prepared_file_matches_golden_digest(self, tmp_path, with_categories, digest):
+        events, cats = planted_dataset(tmp_path)
+        out = tmp_path / "p.bin"
+        args = ["prepare", "--events", str(events), "--out", str(out),
+                "--eval-negatives", "20", "--seed", "11"]
+        assert main(args + (["--categories", str(cats)] if with_categories else [])) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("count, code", [("-5", 1), ("-1", 1), ("0", 0)])
     def test_eval_negatives_must_not_be_negative(self, tmp_path, capsys, count, code):
         events, cats = planted_dataset(tmp_path, num_groups=2, users_per_group=3,
@@ -118,6 +134,16 @@ class TestPrepare:
                      "--seed", seed]) == 1
         captured = capsys.readouterr()
         assert f"--seed must be >= 0, got {seed}" in captured.err
+        assert len(captured.err.splitlines()) == 1 and not captured.out and not out.exists()
+
+    @pytest.mark.parametrize("delimiter", ["", "ab"])
+    def test_delimiter_not_one_character_exits_one_before_reading(self, tmp_path, capsys, delimiter):
+        # a missing events file would exit 2, so exit 1 shows the check ran first
+        out = tmp_path / "p.bin"
+        assert main(["prepare", "--events", str(tmp_path / "none.csv"), "--out", str(out),
+                     "--delimiter", delimiter]) == 1
+        captured = capsys.readouterr()
+        assert f"--delimiter must be one character, got {delimiter!r}" in captured.err
         assert len(captured.err.splitlines()) == 1 and not captured.out and not out.exists()
 
     def test_writes_loadable_cache(self, prepared_path):

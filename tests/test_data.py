@@ -16,7 +16,7 @@ from feedrank.data import (DEFAULT_CLASSIFICATION, EXPLICIT, ColumnSpec, DataErr
                            read_category_pairs, read_retailrocket_properties, sample_unobserved,
                            save_prepared)
 
-from conftest import write_categories_csv, write_events_csv
+from conftest import reference_sets, store_sets, write_categories_csv, write_events_csv
 
 
 def side_from_lists(num_categories, item_categories, user_vectors=()):
@@ -56,23 +56,24 @@ class TestIngest:
         assert set(tiny_store.user_ids) == {"u0", "u1", "u2"}
 
     def test_duplicate_events_collapse_to_one_membership(self, tiny_store):
-        u2 = tiny_store.user_index["u2"]
-        e = tiny_store.item_index["e"]
-        assert list(tiny_store.implicit_items[u2]).count(e) == 1
+        u2 = tiny_store.user_ids.index("u2")
+        e = tiny_store.item_ids.index("e")
+        assert (tiny_store.pair_keys("implicit") == tiny_store.pair_key(u2, e)).sum() == 1
         # but the event list keeps all three timestamped views
         assert (implicit_events(tiny_store, u2) == e).sum() == 3
 
     def test_explicit_implies_implicit_augmentation(self, tiny_store):
-        u0 = tiny_store.user_index["u0"]
-        assert tiny_store.explicit_items[u0] <= tiny_store.implicit_items[u0]
+        u0 = tiny_store.user_ids.index("u0")
+        implicit, explicit, _ = store_sets(tiny_store)
+        assert explicit[u0] <= implicit[u0]
+        assert set(tiny_store.pair_keys("explicit")) <= set(tiny_store.pair_keys("implicit"))
 
     def test_reindexing_is_a_bijection(self, tiny_store):
-        for ext, idx in tiny_store.user_index.items():
-            assert tiny_store.user_ids[idx] == ext
-        for ext, idx in tiny_store.item_index.items():
-            assert tiny_store.item_ids[idx] == ext
-        assert len(set(tiny_store.user_index.values())) == tiny_store.num_users
-        assert len(set(tiny_store.item_index.values())) == tiny_store.num_items
+        for ids in (tiny_store.user_ids, tiny_store.item_ids):
+            for idx, ext in enumerate(ids):
+                assert ids.index(ext) == idx
+        assert len(set(tiny_store.user_ids)) == tiny_store.num_users
+        assert len(set(tiny_store.item_ids)) == tiny_store.num_items
 
     def test_hand_counted_stats(self, tiny_store):
         stats = tiny_store.stats()
@@ -125,7 +126,7 @@ class TestIngest:
         assert store.num_explicit_pairs() == 1
 
     def test_merged_sequence_is_time_ordered(self, tiny_store):
-        u0 = tiny_store.user_index["u0"]
+        u0 = tiny_store.user_ids.index("u0")
         lo, hi = tiny_store.offsets[u0], tiny_store.offsets[u0 + 1]
         seq = [tiny_store.item_ids[j] for j in tiny_store.items[lo:hi]]
         assert seq == ["a", "b", "c", "d", "b", "d"]
@@ -148,6 +149,7 @@ class TestEventTable:
         assert store.item_ids == list(dict.fromkeys(item for u in users for _, user, _, item in rows
                                                     if user == u))
         assert store.offsets[0] == 0 and store.offsets[-1] == store.items.size
+        implicit, explicit, _ = store_sets(store)
         for u, name in enumerate(users):
             events = sorted((t, seq, item, DEFAULT_CLASSIFICATION[event] == EXPLICIT)
                             for seq, (t, user, event, item) in enumerate(rows) if user == name)
@@ -156,8 +158,8 @@ class TestEventTable:
             assert store.times[lo:hi].tolist() == [e[0] for e in events]
             assert store.seqs[lo:hi].tolist() == [e[1] for e in events]
             assert store.explicit[lo:hi].tolist() == [e[3] for e in events]
-            assert store.implicit_items[u] == {store.item_index[e[2]] for e in events}
-            assert store.explicit_items[u] == {store.item_index[e[2]] for e in events if e[3]}
+            assert implicit[u] == {store.item_ids.index(e[2]) for e in events}
+            assert explicit[u] == {store.item_ids.index(e[2]) for e in events if e[3]}
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rows=small_logs)
@@ -166,12 +168,13 @@ class TestEventTable:
         store = ingest(path, min_interactions=1)
         train, cases = leave_one_out_split(store, num_negatives=0)
         by_user = {case.user: case for case in cases}
+        _, _, held_out = store_sets(train)
         for u, name in enumerate(store.user_ids):
             events = sorted((t, seq, item, DEFAULT_CLASSIFICATION[event] == EXPLICIT)
                             for seq, (t, user, event, item) in enumerate(rows) if user == name)
             explicit = [e for e in events if e[3]]
             if not explicit:
-                assert u not in by_user and train.excluded_items[u] == set()
+                assert u not in by_user and held_out[u] == set()
                 continue
             held = explicit[-1]
             case = by_user[u]
@@ -181,7 +184,7 @@ class TestEventTable:
             lo, hi = train.offsets[u], train.offsets[u + 1]
             assert [store.item_ids[j] for j in train.items[lo:hi]] == [
                 e[2] for e in events if e[2] != held[2]]
-            assert train.excluded_items[u] == {case.item}
+            assert held_out[u] == {case.item}
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rows=small_logs, negatives=st.integers(0, 6), seed=st.integers(0, 3),
@@ -210,7 +213,7 @@ class TestSideInfo:
         ])
         side = build_side_info(tiny_store, str(cats))
         assert side.num_categories == 4  # c0, c1, c2, c5
-        vec = side.item_matrix([tiny_store.item_index["a"]])[0]
+        vec = side.item_matrix([tiny_store.item_ids.index("a")])[0]
         np.testing.assert_array_equal(vec, [0.0, 0.0, 1.0, 1.0])
 
     @staticmethod
@@ -303,7 +306,8 @@ class TestSideInfo:
                                                    for i, cats in mapping.items()})
         cats = [side.item_categories[side.item_offsets[i]:side.item_offsets[i + 1]].tolist()
                 for i in range(num_items)]
-        rows = [encode_side_user(sorted(store.implicit_items[u]), cats, side.num_categories)
+        implicit, _, _ = store_sets(store)
+        rows = [encode_side_user(sorted(implicit[u]), cats, side.num_categories)
                 for u in range(num_users)]
         idx = [np.flatnonzero(row) for row in rows]
         np.testing.assert_array_equal(side.user_offsets, np.cumsum([0] + [i.size for i in idx]))
@@ -330,7 +334,7 @@ class TestSideInfo:
     def test_uncategorized_user_zero_vector(self, tiny_store, tmp_path):
         cats = write_categories_csv(tmp_path / "c.csv", [("a", "A")])
         side = build_side_info(tiny_store, str(cats))
-        u2 = tiny_store.user_index["u2"]  # interacted only with e, f
+        u2 = tiny_store.user_ids.index("u2")  # interacted only with e, f
         np.testing.assert_array_equal(side.user_matrix([u2])[0], [0.0])
 
     def test_malformed_rows_skipped_and_counted(self, tmp_path, tiny_store, caplog):
@@ -358,37 +362,39 @@ class TestLeaveOneOutSplit:
     def test_latest_explicit_item_held_out(self, tiny_store):
         train, cases = leave_one_out_split(tiny_store, num_negatives=2, seed=0)
         by_user = {c.user: c for c in cases}
-        u0 = tiny_store.user_index["u0"]
-        d = tiny_store.item_index["d"]
-        b = tiny_store.item_index["b"]
-        assert by_user[u0].item == d          # explicit at t=90 beats t=50
-        assert b in train.explicit_items[u0]  # earlier explicit item stays
+        u0 = tiny_store.user_ids.index("u0")
+        d = tiny_store.item_ids.index("d")
+        b = tiny_store.item_ids.index("b")
+        assert by_user[u0].item == d               # explicit at t=90 beats t=50
+        assert b in store_sets(train)[1][u0]       # earlier explicit item stays
 
     def test_users_without_explicit_events_have_no_case(self, tiny_store):
         _, cases = leave_one_out_split(tiny_store)
-        u1 = tiny_store.user_index["u1"]
+        u1 = tiny_store.user_ids.index("u1")
         assert u1 not in {c.user for c in cases}
 
     def test_ground_truth_leaves_training_view_entirely(self, tiny_store):
         train, cases = leave_one_out_split(tiny_store)
+        implicit, explicit, held_out = store_sets(train)
         for case in cases:
-            assert case.item not in train.implicit_items[case.user]
-            assert case.item not in train.explicit_items[case.user]
-            assert case.item in train.excluded_items[case.user]
+            assert case.item not in implicit[case.user]
+            assert case.item not in explicit[case.user]
+            assert case.item in held_out[case.user]
             lo, hi = train.offsets[case.user], train.offsets[case.user + 1]
             assert case.item not in train.items[lo:hi].tolist()
 
     def test_negatives_unobserved_and_distinct(self, tiny_store):
         _, cases = leave_one_out_split(tiny_store, num_negatives=2, seed=1)
+        implicit, _, _ = store_sets(tiny_store)
         for case in cases:
             negs = case.negatives.tolist()
             assert len(negs) == len(set(negs))
-            observed = tiny_store.implicit_items[case.user] | {case.item}
+            observed = implicit[case.user] | {case.item}
             assert not set(negs) & observed
 
     def test_history_precedes_ground_truth_and_excludes_it(self, tiny_store):
         _, cases = leave_one_out_split(tiny_store)
-        u0 = tiny_store.user_index["u0"]
+        u0 = tiny_store.user_ids.index("u0")
         case = next(c for c in cases if c.user == u0)
         names = [tiny_store.item_ids[j] for j in case.history]
         assert names == ["a", "b", "c", "b"]  # events before t=90, item d removed
@@ -409,8 +415,9 @@ class TestLeaveOneOutSplit:
 
     def test_short_catalog_uses_all_available_negatives(self, tiny_store):
         _, cases = leave_one_out_split(tiny_store, num_negatives=999, seed=0)
+        implicit, _, _ = store_sets(tiny_store)
         for case in cases:
-            unobserved = tiny_store.num_items - len(tiny_store.implicit_items[case.user] | {case.item})
+            unobserved = tiny_store.num_items - len(implicit[case.user] | {case.item})
             assert case.negatives.size == unobserved
 
 
@@ -485,6 +492,95 @@ class TestSampleUnobserved:
         assert len(got_logs) == (not allow_short and 0 < num_items - len(excluded) < count)
 
 
+class TestStoreAgainstReference:
+    """The store's arrays against per-user sets built by a plain loop, on
+    random events and held-out pairs given unsorted, repeated, and for
+    only some users."""
+
+    @staticmethod
+    def draw_store(data):
+        num_users, num_items = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 8))
+        events = data.draw(st.lists(st.tuples(st.integers(0, num_users - 1), st.integers(0, num_items - 1),
+                                              st.booleans(), st.integers(0, 3)), max_size=30))
+        held = data.draw(st.lists(st.tuples(st.integers(0, num_users - 1), st.integers(0, num_items - 1)),
+                                  max_size=12))
+        users, items, explicit, times = ([e[k] for e in events] for k in range(4))
+        held_out = ([u for u, _ in held], [i for _, i in held])
+        store = InteractionStore([f"u{u}" for u in range(num_users)], [f"i{i}" for i in range(num_items)],
+                                 users, times, np.arange(len(events)), items, explicit, held_out)
+        return store, reference_sets(num_users, users, items, explicit, held_out)
+
+    @staticmethod
+    def check(store, sets):
+        implicit, explicit, held_out = sets
+        n = store.num_items
+        for matrix, per_user in (("implicit", implicit), ("explicit", explicit)):
+            want = sorted(u * n + i for u, row in enumerate(per_user) for i in row)
+            got = store.pair_keys(matrix)
+            assert got.dtype == np.int64 and got.tolist() == want
+        assert store.num_implicit_pairs() == sum(map(len, implicit))
+        assert store.num_explicit_pairs() == sum(map(len, explicit))
+        pairs = sum(map(len, implicit)) + sum(map(len, explicit))
+        assert store.stats(labels=2) == DatasetStats(store.num_users, n, sum(map(len, implicit)),
+                                                     sum(map(len, explicit)), 2,
+                                                     1.0 - pairs / (store.num_users * n))
+        assert store.held_out_keys().tolist() == sorted(u * n + i for u, row in enumerate(held_out)
+                                                        for i in row)
+        assert store.excluded_flat.dtype == store.excluded_offsets.dtype == np.int64
+        for u in range(store.num_users):
+            lo, hi = store.excluded_offsets[u], store.excluded_offsets[u + 1]
+            assert store.excluded_flat[lo:hi].tolist() == sorted(held_out[u])
+            assert store.observed_any(u) == implicit[u] | held_out[u]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matrices_stats_and_held_out_rows(self, data):
+        self.check(*self.draw_store(data))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_without_pairs_moves_pairs_from_table_to_held_out(self, data):
+        store, (implicit, explicit, held_out) = self.draw_store(data)
+        removed = data.draw(st.lists(st.tuples(st.integers(0, store.num_users - 1),
+                                               st.integers(0, store.num_items - 1)), max_size=6))
+        train = store.without_pairs(np.array([u for u, _ in removed], dtype=np.int64),
+                                    np.array([i for _, i in removed], dtype=np.int64))
+        for u, i in removed:
+            implicit[u].discard(i)
+            explicit[u].discard(i)
+            held_out[u].add(i)
+        self.check(train, (implicit, explicit, held_out))
+        kept = [(u, i) not in removed for u, i in zip(
+            np.repeat(np.arange(store.num_users), np.diff(store.offsets)).tolist(), store.items.tolist())]
+        np.testing.assert_array_equal(train.times, store.times[kept])
+        np.testing.assert_array_equal(train.seqs, store.seqs[kept])
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_save_load_round_trip(self, tmp_path, data):
+        store, sets = self.draw_store(data)
+        path = str(tmp_path / "store.bin")
+        save_prepared(path, PreparedDataset(store, [], None, store.stats()))
+        loaded = load_prepared(path).store
+        self.check(loaded, sets)
+        for col in ("times", "seqs", "items", "explicit", "offsets"):
+            np.testing.assert_array_equal(getattr(loaded, col), getattr(store, col))
+        # a file whose held-out rows are unsorted and repeat items loads normalised
+        config, arrays = read_container(path)
+        rows = [data.draw(st.permutations(row.tolist() * data.draw(st.integers(1, 3))))
+                for row in np.split(arrays["excluded_flat"], arrays["excluded_offsets"][1:-1])]
+        arrays["excluded_flat"] = np.array(sum(rows, []), dtype=np.int64)
+        arrays["excluded_offsets"] = np.cumsum([0] + [len(row) for row in rows]).astype(np.int64)
+        write_container(path, config, arrays)
+        self.check(load_prepared(path).store, sets)
+
+    @pytest.mark.parametrize("matrix", ["held_out", "Implicit", ""])
+    def test_pair_keys_rejects_other_matrices(self, tiny_store, matrix):
+        with pytest.raises(ValueError) as err:
+            tiny_store.pair_keys(matrix)
+        assert len(str(err.value).splitlines()) == 1 and repr(matrix) in str(err.value)
+
+
 class TestPreparedRoundTrip:
     def test_save_load_preserves_everything(self, tiny_store, tmp_path):
         cats = write_categories_csv(tmp_path / "c.csv",
@@ -499,13 +595,11 @@ class TestPreparedRoundTrip:
 
         assert loaded.store.user_ids == train.user_ids
         assert loaded.store.item_ids == train.item_ids
-        for col in ("times", "seqs", "items", "explicit", "offsets"):
+        for col in ("times", "seqs", "items", "explicit", "offsets", "excluded_offsets", "excluded_flat"):
             got, want = getattr(loaded.store, col), getattr(train, col)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
-        assert loaded.store.excluded_items == train.excluded_items
-        assert loaded.store.implicit_items == train.implicit_items
-        assert loaded.store.explicit_items == train.explicit_items
+        assert store_sets(loaded.store) == store_sets(train)
         assert len(loaded.cases) == len(cases)
         for got, want in zip(loaded.cases, cases):
             assert (got.user, got.item) == (want.user, want.item)

@@ -20,7 +20,7 @@ from feedrank.training import (Adam, NonFiniteLossError, TrainingConfig, bce_sum
                                build_epoch_examples, fit, joint_loss, pad_sequence,
                                sample_negatives, train_epoch)
 
-from conftest import planted_dataset
+from conftest import planted_dataset, store_sets
 
 
 def cfg(**kw):
@@ -91,8 +91,15 @@ class TestJointLoss:
         assert np.any(model.explicit_head.grad != 0.0)
 
 
-def store_from_sets(num_users, num_items, implicit_sets, explicit_sets):
-    """One event per (user, item, behaviour), each at its own time step."""
+def held_out_pairs(held_out_sets):
+    """``(users, items)`` columns of per-user held-out item sets."""
+    return ([u for u, held in enumerate(held_out_sets) for _ in held],
+            [i for held in held_out_sets for i in held])
+
+
+def store_from_sets(num_users, num_items, implicit_sets, explicit_sets, held_out_sets=()):
+    """One event per (user, item, behaviour), each at its own time step,
+    and each user's held-out items."""
     users, items, explicit = [], [], []
     for u in range(num_users):
         for flag, sets in ((False, implicit_sets), (True, explicit_sets)):
@@ -102,7 +109,7 @@ def store_from_sets(num_users, num_items, implicit_sets, explicit_sets):
                 explicit.append(flag)
     steps = np.arange(len(users))
     return InteractionStore([f"u{j}" for j in range(num_users)], [f"i{j}" for j in range(num_items)],
-                            users, steps, steps, items, explicit)
+                            users, steps, steps, items, explicit, held_out_pairs(held_out_sets))
 
 
 class TestSampleNegatives:
@@ -120,17 +127,16 @@ class TestSampleNegatives:
         store = store_from_sets(3, 30,
                                 [set(rng.choice(30, 10, replace=False).tolist()) for _ in range(3)],
                                 [set(), {1, 2}, {5}])
+        implicit, explicit, _ = store_sets(store)
         for u in range(3):
-            for matrix, observed in (("implicit", store.implicit_items[u]),
-                                     ("explicit", store.explicit_items[u])):
+            for matrix, observed in (("implicit", implicit[u]), ("explicit", explicit[u])):
                 for _ in range(20):
                     out = sample_negatives(store, [u], matrix, 5, rng)[0]
                     assert not set(out.tolist()) & observed
                     assert len(set(out.tolist())) == 5  # without replacement
 
     def test_excluded_items_never_sampled(self):
-        store = store_from_sets(1, 10, [{0, 1}], [set()])
-        store.excluded_items[0] = {9}
+        store = store_from_sets(1, 10, [{0, 1}], [set()], [{9}])
         rng = np.random.default_rng(3)
         for _ in range(50):
             assert 9 not in sample_negatives(store, [0], "implicit", 3, rng)[0].tolist()
@@ -172,11 +178,12 @@ class TestBatchedSampleNegatives:
         subsets = st.sets(st.integers(0, num_items - 1))
         implicit = [data.draw(subsets) for _ in range(num_users)]
         explicit = [data.draw(subsets) for _ in range(num_users)]
-        store = store_from_sets(num_users, num_items, implicit, explicit)
-        store.excluded_items = [data.draw(subsets) for _ in range(num_users)]
+        held_out = [data.draw(subsets) for _ in range(num_users)]
+        store = store_from_sets(num_users, num_items, implicit, explicit, held_out)
         users = np.array(data.draw(st.lists(st.integers(0, num_users - 1), max_size=20)), dtype=np.int64)
-        matrix_items = store.implicit_items if matrix == "implicit" else store.explicit_items
-        banned = [matrix_items[u] | store.excluded_items[u] for u in range(num_users)]
+        implicit_sets, explicit_sets, held_sets = store_sets(store)
+        matrix_items = implicit_sets if matrix == "implicit" else explicit_sets
+        banned = [matrix_items[u] | held_sets[u] for u in range(num_users)]
         eligible = np.array([num_items - len(banned[u]) for u in users], dtype=np.int64)
 
         caplog.clear()
@@ -207,12 +214,12 @@ class TestBatchedSampleNegatives:
     def test_uniform_subsets_chi_square(self):
         # user 0 has 8 eligible items, user 1 has 7; each row is a uniform
         # 2-subset of its user's eligible items
-        store = store_from_sets(2, 10, [{0, 1}, {5, 6}], [set(), set()])
-        store.excluded_items[1] = {7}
+        store = store_from_sets(2, 10, [{0, 1}, {5, 6}], [set(), set()], [set(), {7}])
+        implicit, _, held_out = store_sets(store)
         rows = 20_000
         out = sample_negatives(store, np.repeat([0, 1], rows), "implicit", 2, np.random.default_rng(6))
         for u, block in enumerate((out[:rows], out[rows:])):
-            eligible = sorted(set(range(10)) - store.implicit_items[u] - store.excluded_items[u])
+            eligible = sorted(set(range(10)) - implicit[u] - held_out[u])
             pairs = list(itertools.combinations(eligible, 2))
             index = {pair: j for j, pair in enumerate(pairs)}
             counts = np.bincount([index[tuple(sorted(r))] for r in block.tolist()], minlength=len(pairs))
@@ -264,10 +271,10 @@ class TestSessionContexts:
         events = [i for seq in sequences for i in seq]
         steps = np.arange(len(events))
         flags = data.draw(st.lists(st.booleans(), min_size=len(events), max_size=len(events)))
+        held_out = [data.draw(st.sets(items)) for _ in range(num_users)]
         store = InteractionStore([f"u{j}" for j in range(num_users)],
                                  [f"i{j}" for j in range(num_items)],
-                                 users, steps, steps, events, flags)
-        store.excluded_items = [data.draw(st.sets(items)) for _ in range(num_users)]
+                                 users, steps, steps, events, flags, held_out_pairs(held_out))
         # anchors drawn from the whole catalog: one the user never had was held out
         rows = data.draw(st.lists(st.tuples(st.integers(0, num_users - 1), items), max_size=20))
         row_users = np.array([u for u, _ in rows], dtype=np.int64)
@@ -370,13 +377,14 @@ class TestEpochLoop:
         rows = build_epoch_examples(store, 3, np.random.default_rng(0))
         n_pos = store.num_implicit_pairs() + store.num_explicit_pairs()
         assert rows.shape == (n_pos * 4, 5)
+        implicit, explicit, held_out = store_sets(store)
         for kind, u, anchor, cand, label in rows:
-            observed = store.implicit_items[u] if kind == 0 else store.explicit_items[u]
+            observed = implicit[u] if kind == 0 else explicit[u]
             if label == 1:
                 assert cand in observed and cand == anchor
             else:
                 assert cand not in observed
-                assert cand not in store.excluded_items[u]
+                assert cand not in held_out[u]
 
     @pytest.mark.parametrize("m", [0, 3])
     def test_each_positive_carries_its_own_negatives(self, small_prepared, monkeypatch, m):
@@ -394,8 +402,9 @@ class TestEpochLoop:
         groups = {}
         for kind, u, anchor, cand, label in rows.tolist():
             groups.setdefault((kind, u, anchor), []).append((cand, label))
-        assert set(groups) == ({(0, u, i) for u in range(store.num_users) for i in store.implicit_items[u]}
-                               | {(1, u, i) for u in range(store.num_users) for i in store.explicit_items[u]})
+        implicit, explicit, _ = store_sets(store)
+        assert set(groups) == ({(0, u, i) for u in range(store.num_users) for i in implicit[u]}
+                               | {(1, u, i) for u in range(store.num_users) for i in explicit[u]})
         for (_, _, anchor), members in groups.items():
             assert [cand for cand, label in members if label == 1] == [anchor]
             negatives = [cand for cand, label in members if label == 0]
