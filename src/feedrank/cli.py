@@ -18,7 +18,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import ctypes
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -32,6 +34,12 @@ from .tensor import ConfigError
 DEFAULT_EVAL_NEGATIVES = 999
 CSV_HEADER = ["epoch", "K", "HR", "NDCG", "loss", "seconds"]
 
+# glibc's mallopt parameters (malloc.h) and the values the command line sets
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+TRIM_THRESHOLD_BYTES = 256 << 20
+MMAP_THRESHOLD_BYTES = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)  # glibc's cap
+
 
 @dataclass
 class RunConfig:
@@ -42,6 +50,31 @@ class RunConfig:
     prepared: str = ""
     model: ModelConfig = field(default_factory=ModelConfig)
     training: training.TrainingConfig = field(default_factory=training.TrainingConfig)
+
+
+def keep_freed_memory() -> bool:
+    """Keep freed heap memory mapped for the rest of the process, on glibc.
+
+    By default glibc hands the free top of the heap back to the kernel once
+    it exceeds a trim threshold, and serves blocks above an mmap threshold
+    with their own mappings; both thresholds follow the largest block freed
+    so far. Evaluation frees a few MB of activations after every candidate
+    chunk, so each chunk would fault its pages in afresh. This sets the mmap
+    threshold to glibc's cap and the trim threshold to 256 MiB: freed blocks
+    stay in the heap for the next chunk, and each heap may keep up to
+    256 MiB of freed memory at its top. Setting either one turns the moving
+    thresholds off, so both are set. Returns whether they were; where
+    ``mallopt`` is missing or refuses the mmap threshold, nothing changes.
+    """
+    if os.name != "posix":
+        return False
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1
+            and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES) == 1)
 
 
 def _needs_side(variant: str) -> bool:
@@ -153,7 +186,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         else:
             if len(args.categories) != 1:
                 raise ConfigError("pairs format takes exactly one category file")
-            side = data.build_side_info(train_store, category_path=args.categories[0])
+            side = data.build_side_info(train_store, category_path=args.categories[0],
+                                        delimiter=args.delimiter)
     stats = store.stats(labels=side.num_categories if side else 0)
     for line in stats.lines():
         print(line)
@@ -325,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    keep_freed_memory()
     try:
         return args.func(args)
     except ValueError as exc:

@@ -157,7 +157,8 @@ class InteractionStore:
             implicit=implicit,
             explicit=explicit,
             labels=labels,
-            sparsity=1.0 - (implicit + explicit) / cells if cells else 0.0,
+            # every explicit pair is also an implicit one, so implicit pairs fill the cells
+            sparsity=1.0 - implicit / cells if cells else 0.0,
         )
 
     def without_pairs(self, users: np.ndarray, items: np.ndarray) -> "InteractionStore":

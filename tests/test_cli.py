@@ -3,6 +3,9 @@
 import configparser
 import csv
 import hashlib
+import platform
+import resource
+import types
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from feedrank.cli import RunConfig, load_run_config, main, write_run_config
 from feedrank.container import load_checkpoint, read_container, write_container
 from feedrank.data import load_prepared
 from feedrank.models import VARIANTS, ModelConfig, build_model
+from feedrank.tensor import no_grad
 from feedrank.training import TrainingConfig
 
 from conftest import planted_dataset
@@ -98,12 +102,12 @@ class TestPrepare:
         assert outs[0] == outs[1]
 
     # sha256 of prepared.bin for the default planted log, taken when the
-    # store still kept per-user sets; any change to the file format, the
-    # split or the negative draw moves it
+    # stats' sparsity became 1 - implicit / cells; any change to the file
+    # format, the split, the negative draw or the stats moves it
     @pytest.mark.parametrize("with_categories, digest", [
-        (True, "757650d0294fdb271cb5e5b4ff6af55c1b9f9f130be89326ac4c67b1d1613193"),
-        (False, "7649d3e40e40ae2dc03490198a7d341ef6e525ceff3c67948b687cb8582f03cb"),
-    ])
+        (True, "e0072229abf9c01cd5b14a11c11f5de4b295ab60708a33d221e1d0348e7e5e06"),
+        (False, "50ef55571e58cb38aee3ac9375f71fb85cdb33af6f69cac2d67d91716fd1b904"),
+    ], ids=["with-categories", "without-categories"])
     def test_prepared_file_matches_golden_digest(self, tmp_path, with_categories, digest):
         events, cats = planted_dataset(tmp_path)
         out = tmp_path / "p.bin"
@@ -145,6 +149,21 @@ class TestPrepare:
         captured = capsys.readouterr()
         assert f"--delimiter must be one character, got {delimiter!r}" in captured.err
         assert len(captured.err.splitlines()) == 1 and not captured.out and not out.exists()
+
+    def test_delimiter_reaches_the_category_file(self, tmp_path, capsys):
+        events, cats = planted_dataset(tmp_path, num_groups=3, users_per_group=3,
+                                       items_per_group=4, explicit_per_user=2)
+        outs = []
+        for name, delimiter in (("comma", ","), ("semicolon", ";")):
+            paths = [tmp_path / f"{name}-{path.name}" for path in (events, cats)]
+            for src, dst in zip((events, cats), paths):
+                dst.write_text(src.read_text().replace(",", delimiter))
+            out = tmp_path / f"{name}.bin"
+            assert main(["prepare", "--events", str(paths[0]), "--categories", str(paths[1]),
+                         "--delimiter", delimiter, "--out", str(out), "--seed", "2"]) == 0
+            assert "labels     3" in capsys.readouterr().out
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_writes_loadable_cache(self, prepared_path):
         prepared = load_prepared(str(prepared_path))
@@ -556,3 +575,65 @@ class TestConfigParsing:
         path = tmp_path / "round-trip.ini"
         write_run_config(path, cfg)
         assert load_run_config(str(path)) == cfg
+
+
+class TestMemoryPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is set through glibc")
+    def test_chunked_bert_forward_reuses_freed_memory(self):
+        # eval-bert's shape: a bert-ite model over 1,100 items scoring one
+        # case's 512-candidate chunks; without the policy each chunk faults
+        # about a thousand fresh pages in
+        assert cli.keep_freed_memory()
+        model = build_model("bert-ite", 60, 1100, ModelConfig(embedding_dim=8), seed=42)
+        rng = np.random.default_rng(0)
+        users = np.array([7], dtype=np.int64)
+        contexts = rng.integers(0, 1100, size=(1, 20))
+        candidates = rng.integers(0, 1100, size=512)
+
+        def chunks(count):
+            with no_grad():
+                for _ in range(count):
+                    model.forward_batch(users, candidates, contexts)
+
+        chunks(2)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        chunks(10)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 500, f"{faults} minor faults in ten chunks"
+
+    @pytest.mark.parametrize("os_name, libc", [
+        ("posix", types.SimpleNamespace()),
+        ("nt", None),
+    ], ids=["no-mallopt", "not-posix"])
+    def test_without_mallopt_nothing_is_set(self, monkeypatch, os_name, libc):
+        def cdll(name):
+            if libc is None:
+                raise TypeError("no C library to load")
+            return libc
+
+        monkeypatch.setattr(cli.os, "name", os_name)
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert cli.keep_freed_memory() is False
+
+    def test_refused_mmap_threshold_leaves_trimming_alone(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 0
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        assert cli.keep_freed_memory() is False
+        assert calls == [(cli.M_MMAP_THRESHOLD, cli.MMAP_THRESHOLD_BYTES)]
+
+    @pytest.mark.parametrize("argv", [
+        ["prepare", "--events", "events.csv"],
+        ["train", "--config", "run.ini"],
+        ["evaluate", "--checkpoint", "model.ckpt", "--dataset", "prepared.bin"],
+    ], ids=lambda argv: argv[0])
+    def test_every_command_sets_the_policy_before_it_runs(self, monkeypatch, argv):
+        order = []
+        monkeypatch.setattr(cli, "keep_freed_memory", lambda: order.append("policy"))
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: order.append(argv[0]) or 0)
+        assert main(argv) == 0
+        assert order == ["policy", argv[0]]

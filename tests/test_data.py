@@ -82,7 +82,18 @@ class TestIngest:
         assert stats.items == 6
         assert stats.implicit == 11
         assert stats.explicit == 3
-        assert abs(stats.sparsity - (1 - 14 / 18)) < 1e-12
+        # explicit pairs are implicit ones too, so only the 11 implicit pairs fill cells
+        assert abs(stats.sparsity - (1 - 11 / 18)) < 1e-12
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=small_logs)
+    def test_sparsity_is_the_empty_share_of_cells(self, tmp_path, rows):
+        _, path = write_log(tmp_path, rows)
+        store = ingest(path, min_interactions=1)
+        for view in (store, leave_one_out_split(store, num_negatives=0)[0]):
+            stats = view.stats()
+            assert 0.0 <= stats.sparsity <= 1.0
+            assert stats.sparsity == 1.0 - stats.implicit / (stats.users * stats.items)
 
     def test_unknown_event_type_is_fatal(self, tmp_path):
         path = write_events_csv(tmp_path / "bad.csv", [
@@ -520,10 +531,10 @@ class TestStoreAgainstReference:
             assert got.dtype == np.int64 and got.tolist() == want
         assert store.num_implicit_pairs() == sum(map(len, implicit))
         assert store.num_explicit_pairs() == sum(map(len, explicit))
-        pairs = sum(map(len, implicit)) + sum(map(len, explicit))
-        assert store.stats(labels=2) == DatasetStats(store.num_users, n, sum(map(len, implicit)),
+        filled = sum(map(len, implicit))
+        assert store.stats(labels=2) == DatasetStats(store.num_users, n, filled,
                                                      sum(map(len, explicit)), 2,
-                                                     1.0 - pairs / (store.num_users * n))
+                                                     1.0 - filled / (store.num_users * n))
         assert store.held_out_keys().tolist() == sorted(u * n + i for u, row in enumerate(held_out)
                                                         for i in row)
         assert store.excluded_flat.dtype == store.excluded_offsets.dtype == np.int64
