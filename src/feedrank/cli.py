@@ -169,6 +169,9 @@ def _check_non_negative(value: Optional[int], name: str) -> None:
 def cmd_prepare(args: argparse.Namespace) -> int:
     _check_non_negative(args.eval_negatives, "--eval-negatives")
     _check_non_negative(args.seed, "--seed")
+    _check_non_negative(args.min_interactions, "--min-interactions")
+    if args.categories == []:
+        raise ConfigError("--categories needs at least one file name")
     if len(args.delimiter) != 1:
         raise ConfigError(f"--delimiter must be one character, got {args.delimiter!r}")
     columns = data.ColumnSpec(timestamp=args.column_timestamp, user=args.column_user,

@@ -163,8 +163,9 @@ def multi_head_self_attention(h: Tensor, layer: TransformerLayer, query: Optiona
 def _log_normaliser(scores: Tensor) -> Tensor:
     """log(sum(exp(row))) of each row, as [..., 1]: the row max plus the log
     of the softmax normaliser taken after subtracting it."""
-    m = scores.data.max(axis=-1, keepdims=True)
-    return Tensor(m + np.log(np.exp(scores.data - m).sum(axis=-1, keepdims=True)))
+    e, m = T._exp_rows(scores.data)
+    m += np.log(e.sum(axis=0))
+    return Tensor(m.reshape(scores.shape[:-1] + (1,)))
 
 
 def _shared_prefix_head(h: Tensor, target: Tensor, layer: TransformerLayer, i: int,

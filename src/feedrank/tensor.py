@@ -182,6 +182,32 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+def _feature_major(a: np.ndarray) -> np.ndarray:
+    """The rows of ``a`` ([..., n]) as a contiguous feature-major [n, rows]
+    copy. Rows here are short (4-32 features), and numpy runs one inner loop
+    per row for a last-axis reduction or a [..., 1] broadcast; on the copy a
+    row reduction is a reduction over axis 0 and a per-row broadcast runs
+    along the leading axis, so every inner loop is as long as the row count.
+    Always a copy, which callers may overwrite (with one row or one feature,
+    the transposed view is already contiguous)."""
+    return np.array(a.reshape(-1, a.shape[-1]).T, order="C")
+
+
+def _row_major(t: np.ndarray, shape: tuple) -> np.ndarray:
+    """Inverse of ``_feature_major``: [n, rows] back to contiguous ``shape``."""
+    return np.ascontiguousarray(t.T).reshape(shape)
+
+
+def _exp_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(row - row max) of every row of ``a``, feature-major as [n, rows],
+    and the row maxima [rows]."""
+    e = _feature_major(a)
+    m = e.max(axis=0)
+    e -= m
+    np.exp(e, out=e)
+    return e, m
+
+
 class Parameter:
     """Named trainable tensor."""
 
@@ -265,12 +291,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def backward(g: np.ndarray) -> None:
+        # a 2-D ``b`` takes one GEMM over every leading row of ``a`` and
+        # ``g``, not a stack of small products (to sum, for ``b``'s gradient)
         if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            _accumulate(a, _unbroadcast(ga, a.shape))
+            if b.ndim == 2:
+                ga = (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape)
+            else:
+                ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+            _accumulate(a, ga)
         if b.requires_grad:
             if b.ndim == 2:
-                # one GEMM over every leading row, not a stack of products to sum
                 k = a.shape[-1]
                 gb = a.data.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
             else:
@@ -388,7 +418,17 @@ def concat_many(parts: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    s = expit(x.data)
+    """1 / (1 + exp(-x)). Float64 takes scipy's exact ``expit``; float32
+    takes numpy's vector ``exp``; below about -88.7, exp(-x) overflows to
+    inf and the result is 0, where the true value is subnormal."""
+    if x.data.dtype == np.float32:
+        s = np.negative(x.data)
+        with np.errstate(over="ignore"):
+            np.exp(s, out=s)
+        s += np.float32(1.0)
+        np.reciprocal(s, out=s)
+    else:
+        s = expit(x.data)
 
     def backward(g: np.ndarray) -> None:
         _accumulate(x, g * s * (1.0 - s))
@@ -451,53 +491,56 @@ def gelu(x: Tensor) -> Tensor:
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax along the last axis, max-subtracted for stability."""
-    if x.shape[-1] < 1:
+    n = x.shape[-1]
+    if n < 1:
         raise ShapeError(f"softmax_rows needs a non-empty last axis, got {x.shape}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    e, _ = _exp_rows(x.data)
+    e /= e.sum(axis=0)
+    s = _row_major(e, x.shape)
 
     def backward(g: np.ndarray) -> None:
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        _accumulate(x, s * (g - dot))
+        # s * (g - rowsum(g * s)); the row sums are one BLAS product
+        gx = g * s
+        dot = gx.reshape(-1, n) @ np.ones((n, 1), dtype=gx.dtype)
+        gx -= s * dot.reshape(s.shape[:-1] + (1,))
+        _accumulate(x, gx)
 
     return _make(s, (x,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then scale by
+    ``gain`` and shift by ``bias`` (both [n])."""
     n = x.shape[-1]
-    # every last-axis mean is one BLAS product with a column of 1/n
-    mean_col = np.full((n, 1), 1.0 / n, dtype=x.data.dtype)
-
-    def row_mean(a: np.ndarray) -> np.ndarray:
-        return (a.reshape(-1, n) @ mean_col).reshape(a.shape[:-1] + (1,))
-
-    xhat = x.data - row_mean(x.data)
-    inv = row_mean(xhat * xhat)
+    if gain.shape != (n,) or bias.shape != (n,):
+        raise ShapeError(f"layer_norm gain {gain.shape} and bias {bias.shape} must be ({n},)")
+    # feature-major throughout: row means as one BLAS product with a row of
+    # 1/n, the gain and bias as per-feature scalars
+    mean_row = np.full(n, 1.0 / n, dtype=x.data.dtype)
+    xhat = _feature_major(x.data)
+    xhat -= mean_row @ xhat
+    inv = mean_row @ (xhat * xhat)
     inv += eps
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)
     xhat *= inv
-    data = gain.data * xhat
-    data += bias.data
-    data = data.astype(x.data.dtype, copy=False)
+    out = xhat * gain.data[:, None]
+    out += bias.data[:, None]
+    data = _row_major(out, x.shape).astype(x.data.dtype, copy=False)
 
     def backward(g: np.ndarray) -> None:
+        gt = _feature_major(g)
         if gain.requires_grad:
-            _accumulate(gain, _unbroadcast(g * xhat, gain.shape))
+            _accumulate(gain, np.einsum("ij,ij->i", gt, xhat))
         if bias.requires_grad:
-            _accumulate(bias, _unbroadcast(g, bias.shape))
+            _accumulate(bias, gt.sum(axis=1))
         if x.requires_grad:
-            gx = g * gain.data
-            mean_gx = row_mean(gx)
-            gx_xhat = gx * xhat
-            mean_gx_xhat = row_mean(gx_xhat)
-            gx -= mean_gx
-            np.multiply(xhat, mean_gx_xhat, out=gx_xhat)
-            gx -= gx_xhat
-            gx *= inv
-            _accumulate(x, gx)
+            gt *= gain.data[:, None]
+            mean_gx_xhat = mean_row @ (gt * xhat)
+            gt -= mean_row @ gt
+            gt -= xhat * mean_gx_xhat
+            gt *= inv
+            _accumulate(x, _row_major(gt, x.shape))
 
     return _make(data, (x, gain, bias), backward)
 

@@ -140,6 +140,26 @@ class TestPrepare:
         assert f"--seed must be >= 0, got {seed}" in captured.err
         assert len(captured.err.splitlines()) == 1 and not captured.out and not out.exists()
 
+    @pytest.mark.parametrize("count", ["-1", "-7"])
+    def test_negative_min_interactions_exits_one_before_reading(self, tmp_path, capsys, count):
+        # a missing events file would exit 2, so exit 1 shows the check ran first
+        out = tmp_path / "p.bin"
+        assert main(["prepare", "--events", str(tmp_path / "none.csv"), "--out", str(out),
+                     "--min-interactions", count]) == 1
+        captured = capsys.readouterr()
+        assert f"--min-interactions must be >= 0, got {count}" in captured.err
+        assert len(captured.err.splitlines()) == 1 and not captured.out and not out.exists()
+
+    def test_categories_without_file_names_exits_one_before_reading(self, tmp_path, capsys):
+        # without the check this would prepare a dataset with no side info
+        events, _ = planted_dataset(tmp_path, num_groups=2, users_per_group=3,
+                                    items_per_group=4, explicit_per_user=2)
+        out = tmp_path / "p.bin"
+        assert main(["prepare", "--events", str(events), "--out", str(out), "--categories"]) == 1
+        captured = capsys.readouterr()
+        assert "--categories needs at least one file name" in captured.err
+        assert len(captured.err.splitlines()) == 1 and not captured.out and not out.exists()
+
     @pytest.mark.parametrize("delimiter", ["", "ab"])
     def test_delimiter_not_one_character_exits_one_before_reading(self, tmp_path, capsys, delimiter):
         # a missing events file would exit 2, so exit 1 shows the check ran first

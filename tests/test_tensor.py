@@ -1,14 +1,16 @@
 """Engine ops: frozen hand values, invariants, and finite-difference checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
+from scipy.special import erf, expit, logsumexp
 
 from feedrank import tensor as T
+from feedrank.layers import _log_normaliser
 from feedrank.tensor import ConfigError, ShapeError, Tensor
 
 from conftest import check_gradients
@@ -180,6 +182,171 @@ class TestSoftmaxRows:
         x = t64(rng.standard_normal((3, 4)), requires_grad=True)
         w = t64(rng.standard_normal((3, 4)))
         check_gradients(lambda: T.sum_all(T.elementwise_mul(T.softmax_rows(x), w)), [x])
+
+
+EPS32 = float(np.finfo(np.float32).eps)
+
+# leading extents of 0 and 1 included; last axes as short as the encoder's
+# rows and longer
+row_shapes = st.tuples(st.lists(st.integers(min_value=0, max_value=5), max_size=2),
+                       st.integers(min_value=1, max_value=40)).map(lambda p: tuple(p[0]) + (p[1],))
+layouts = st.sampled_from(["contiguous", "transposed", "strided", "reversed"])
+
+
+def laid_out(x, layout):
+    """``x`` with the same values as a view of another layout: swapped
+    last-two-axis strides, every second element of a wider array, or a
+    negative stride."""
+    if layout == "transposed" and x.ndim >= 2:
+        return np.swapaxes(np.ascontiguousarray(np.swapaxes(x, -1, -2)), -1, -2)
+    if layout == "strided":
+        wide = np.zeros(x.shape[:-1] + (2 * x.shape[-1],), dtype=x.dtype)
+        wide[..., ::2] = x
+        return wide[..., ::2]
+    if layout == "reversed":
+        return np.ascontiguousarray(x[..., ::-1])[..., ::-1]
+    return x
+
+
+def assert_within(err, bound):
+    err, bound = np.broadcast_arrays(err, bound)
+    worst = np.max(err / bound, initial=0.0)
+    assert worst <= 1.0, f"error up to {worst:.3g} times its bound"
+
+
+def oracle_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class TestRowKernels:
+    """Float32 row ops against float64 oracles on the float32 inputs."""
+
+    @given(row_shapes, layouts, st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_softmax_rows_and_its_gradient(self, shape, layout, seed):
+        rng = np.random.default_rng(seed)
+        x = laid_out(rng.normal(scale=3.0, size=shape).astype(np.float32), layout)
+        x_before = x.copy()
+        w = rng.standard_normal(shape).astype(np.float32)
+        xt = Tensor(x, requires_grad=True)
+        out = T.softmax_rows(xt)
+        T.sum_all(T.elementwise_mul(out, Tensor(w))).backward()
+        x64, w64 = x.astype(np.float64), w.astype(np.float64)
+        s = oracle_softmax(x64)
+        grad = s * (w64 - (w64 * s).sum(axis=-1, keepdims=True))
+        assert out.dtype == xt.grad.dtype == np.float32
+        assert out.shape == xt.grad.shape == shape and out.data.flags.c_contiguous
+        np.testing.assert_array_equal(x, x_before)
+        # exp(x - max) is off by at most a few ulps of the shifted value
+        span = np.ptp(x64, axis=-1, keepdims=True) if x.size else 0.0
+        assert_within(np.abs(out.data - s), 4 * EPS32 * (span + shape[-1] + 2))
+        np.testing.assert_allclose(xt.grad, grad, rtol=0, atol=1e-5 * (1 + np.abs(w64).max(initial=0)))
+
+    @given(row_shapes, layouts, st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_log_normaliser(self, shape, layout, seed):
+        rng = np.random.default_rng(seed)
+        x = laid_out(rng.normal(loc=5.0, scale=3.0, size=shape).astype(np.float32), layout)
+        x_before = x.copy()
+        out = _log_normaliser(Tensor(x)).data
+        np.testing.assert_array_equal(x, x_before)
+        expected = logsumexp(x.astype(np.float64), axis=-1, keepdims=True)
+        assert out.dtype == np.float32 and out.shape == shape[:-1] + (1,)
+        np.testing.assert_allclose(out, expected, rtol=4 * EPS32 * (shape[-1] + 2), atol=1e-6)
+
+    @given(row_shapes, layouts, st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_layer_norm_and_its_gradients(self, shape, layout, seed):
+        rng = np.random.default_rng(seed)
+        n = shape[-1]
+        x = laid_out(rng.normal(loc=2.0, scale=1.5, size=shape).astype(np.float32), layout)
+        gain, bias = (rng.standard_normal(n).astype(np.float32) for _ in range(2))
+        w = rng.standard_normal(shape).astype(np.float32)
+        x_before = x.copy()
+        ts = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+        out = T.layer_norm(*ts)
+        T.sum_all(T.elementwise_mul(out, Tensor(w))).backward()
+        np.testing.assert_array_equal(x, x_before)
+
+        x64, g64, b64, w64 = (a.astype(np.float64) for a in (x, gain, bias, w))
+        xhat = oracle_layer_norm(x64)
+        inv = 1.0 / np.sqrt(((x64 - x64.mean(axis=-1, keepdims=True)) ** 2).mean(axis=-1, keepdims=True)
+                            + 1e-5)
+        gx = w64 * g64
+        grad_x = inv * (gx - gx.mean(axis=-1, keepdims=True)
+                        - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+        lead = tuple(range(len(shape) - 1))
+        assert out.dtype == np.float32 and out.shape == shape and out.data.flags.c_contiguous
+        # rounding in the centred values is a few ulps of the row's largest
+        # entry, amplified by 1/std; the rest is a few ulps of the result
+        scale = (n + 4) * EPS32 * np.abs(x64).max(axis=-1, keepdims=True) * inv
+        rel = scale + EPS32 * np.sqrt(n)
+        assert_within(np.abs(out.data - (xhat * g64 + b64)),
+                      4 * rel * np.abs(g64) + 4 * EPS32 * np.abs(b64) + 1e-30)
+        assert_within(np.abs(ts[0].grad - grad_x),
+                      8 * n * rel * inv * np.abs(gx).max(axis=-1, keepdims=True) + 1e-30)
+        rows = max(1, x.size // n)
+        np.testing.assert_allclose(ts[1].grad, (w64 * xhat).sum(axis=lead),
+                                   rtol=0, atol=rows * 8 * np.abs(scale * w64).max(initial=0) + 1e-5)
+        np.testing.assert_allclose(ts[2].grad, w64.sum(axis=lead), rtol=0, atol=1e-5 * rows)
+
+    def test_layer_norm_rejects_gain_not_one_per_feature(self):
+        x = t64(np.ones((2, 3)))
+        with pytest.raises(ShapeError, match="gain"):
+            T.layer_norm(x, t64(np.ones((1, 3))), t64(np.zeros(3)))
+
+    @given(st.lists(st.integers(min_value=0, max_value=4), max_size=2),
+           st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=6), st.booleans(),
+           st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matmul_gradients_for_2d_weights_match_stacked_products(self, lead, t, k, m, transposed, seed):
+        # [..., t, k] @ [k, m]: both gradients from one GEMM over every
+        # leading row equal the per-matrix products (summed, for the weight)
+        rng = np.random.default_rng(seed)
+        shape = tuple(lead) + (t, k)
+        a = laid_out(rng.standard_normal(shape).astype(np.float32), "transposed" if transposed else "contiguous")
+        w = rng.standard_normal((k, m)).astype(np.float32)
+        g = rng.standard_normal(tuple(lead) + (t, m)).astype(np.float32)
+        at, wt = Tensor(a, requires_grad=True), Tensor(w, requires_grad=True)
+        T.sum_all(T.elementwise_mul(T.matmul(at, wt), Tensor(g))).backward()
+        a64, w64, g64 = (v.astype(np.float64).reshape(-1, *v.shape[-2:]) for v in (a, w, g))
+        grad_a = np.stack([gi @ w64[0].T for gi in g64]) if g64.size else np.zeros((0, t, k))
+        grad_w = sum((ai.T @ gi for ai, gi in zip(a64, g64)), np.zeros((k, m)))
+        assert at.grad.shape == shape and wt.grad.shape == (k, m)
+        np.testing.assert_allclose(at.grad, grad_a.reshape(shape), rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(wt.grad, grad_w, rtol=1e-5, atol=1e-5 * (1 + a64.shape[0] * t))
+
+
+class TestSigmoid:
+    def test_float32_matches_float64_expit_without_warnings(self):
+        grid = np.concatenate([[-1e4, -100.0, 100.0, 1e4], np.linspace(-120.0, 120.0, 240_001)])
+        x = grid.astype(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = T.sigmoid(Tensor(x)).data
+        assert out.dtype == np.float32 and np.all(np.isfinite(out))
+        # exp(-x) overflows for x below about -88.7, where the float32 value
+        # is 0 and the true one is below the smallest normal float32
+        np.testing.assert_allclose(out, expit(x.astype(np.float64)), rtol=4 * EPS32,
+                                   atol=float(np.finfo(np.float32).tiny))
+        assert out[0] == 0.0 and out[1] == 0.0 and out[2] == 1.0 and out[3] == 1.0
+        assert np.all(np.diff(out[4:]) >= 0)
+
+    def test_float64_is_expit_exactly(self):
+        x = np.concatenate([[-1e4, -100.0, 100.0, 1e4], np.linspace(-40.0, 40.0, 10_001)])
+        np.testing.assert_array_equal(T.sigmoid(t64(x)).data, expit(x))
+
+    def test_float32_gradient_matches_float64(self):
+        x = np.linspace(-30.0, 30.0, 601)
+        grads = []
+        for dtype in (np.float32, np.float64):
+            xt = Tensor(x.astype(dtype), requires_grad=True)
+            T.sum_all(T.sigmoid(xt)).backward()
+            grads.append(xt.grad)
+        assert grads[0].dtype == np.float32
+        np.testing.assert_allclose(grads[0], grads[1], rtol=0, atol=1e-7)
 
 
 class TestElementwise:
