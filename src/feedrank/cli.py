@@ -286,6 +286,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _check_non_negative(args.seed, "--seed")
     model, variant, meta = container.load_checkpoint(args.checkpoint)
     prepared = data.load_prepared(args.dataset)
+    store = prepared.store
+    if (model.num_users, model.num_items) != (store.num_users, store.num_items):
+        raise ConfigError(f"checkpoint is built for {model.num_users} users and {model.num_items} items, "
+                          f"dataset has {store.num_users} users and {store.num_items} items")
     side = None
     if _needs_side(variant):
         if prepared.side_info is None:
@@ -298,7 +302,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else int(meta.get("seed", 0))
     started = time.perf_counter()
     ks = list(range(1, 21)) if args.topk_sweep else [args.topk]
-    rows = evaluation.topk_sweep(model, prepared.cases, store=prepared.store, side_info=side,
+    rows = evaluation.topk_sweep(model, prepared.cases, store=store, side_info=side,
                                  ks=ks, seed=seed, workers=args.workers)
     seconds = time.perf_counter() - started
     for k, hr, ndcg in rows:

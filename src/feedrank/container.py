@@ -147,7 +147,23 @@ def load_checkpoint(path: str, dtype=np.float32):
     config, arrays = read_container(path)
     if config.get("kind") != "checkpoint":
         raise FormatError(f"{path}: not a checkpoint file")
+    _check_checkpoint(path, config)
     model = build_model(config["variant"], config["num_users"], config["num_items"],
                         ModelConfig.from_dict(config["model"]), seed=0, dtype=dtype)
     model.params.load_arrays(arrays)
-    return model, config["variant"], config.get("meta", {})
+    return model, config["variant"], config["meta"]
+
+
+def _check_checkpoint(path: str, config: dict) -> None:
+    """Raise a one-line FormatError unless the config record holds a string
+    ``variant``, ``num_users`` and ``num_items`` as ints >= 0, and ``model``
+    and ``meta`` objects."""
+    if not isinstance(config.get("variant"), str):
+        raise FormatError(f"{path}: config key 'variant' must be a string")
+    for key in ("num_users", "num_items"):
+        value = config.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise FormatError(f"{path}: config key {key!r} is {value!r}, not an int >= 0")
+    for key in ("model", "meta"):
+        if not isinstance(config.get(key), dict):
+            raise FormatError(f"{path}: config key {key!r} must be an object")

@@ -321,8 +321,10 @@ def _session_contexts(store: InteractionStore, index: _SessionIndex, users: np.n
 def train_epoch(model, store: InteractionStore, config: TrainingConfig,
                 rng: np.random.Generator, side_info: Optional[SideInfo] = None,
                 optimizer: Optional[Adam] = None) -> EpochReport:
-    """One pass over freshly sampled examples: a combined backward and one
-    Adam step per shuffled batch. Deterministic for a given rng state."""
+    """One pass over freshly sampled examples: one forward, a backward and
+    one Adam step per shuffled batch. Every row gets both heads; the
+    implicit rows' labels score the implicit head and the explicit rows'
+    the explicit head. Deterministic for a given rng state."""
     config.validate()
     if optimizer is None:
         optimizer = Adam.from_config(model.params, config)
@@ -331,23 +333,16 @@ def train_epoch(model, store: InteractionStore, config: TrainingConfig,
     losses = []
     for start in range(0, examples.shape[0], config.batch_size):
         batch = examples[start:start + config.batch_size]
-        preds: list[Optional[Tensor]] = [None, None]      # indexed by example kind
-        labels: list[Optional[np.ndarray]] = [None, None]
-        embedding_rows: list[Tensor] = []
-        for kind in (_KIND_IMPLICIT, _KIND_EXPLICIT):
-            rows = batch[batch[:, 0] == kind]
-            if not rows.shape[0]:
-                continue
-            users, anchors, candidates = rows[:, 1], rows[:, 2], rows[:, 3]
-            contexts = None
-            if model.kind == "bert":
-                contexts = _session_contexts(store, sessions, users, anchors, model.config.seq_len, rng)
-            res = model.forward_batch(users, candidates, contexts, side_info, training=True, rng=rng)
-            preds[kind] = res.x_hat if kind == _KIND_IMPLICIT else res.y_hat
-            labels[kind] = rows[:, 4].astype(np.float64)
-            embedding_rows.extend(res.embedding_rows)
-        loss = joint_loss(preds[_KIND_IMPLICIT], labels[_KIND_IMPLICIT],
-                          preds[_KIND_EXPLICIT], labels[_KIND_EXPLICIT], embedding_rows, config)
+        users, anchors, candidates = batch[:, 1], batch[:, 2], batch[:, 3]
+        contexts = None
+        if model.kind == "bert":
+            contexts = _session_contexts(store, sessions, users, anchors, model.config.seq_len, rng)
+        res = model.forward_batch(users, candidates, contexts, side_info, training=True, rng=rng)
+        labels = batch[:, 4].astype(np.float64)
+        implicit = np.flatnonzero(batch[:, 0] == _KIND_IMPLICIT)
+        explicit = np.flatnonzero(batch[:, 0] == _KIND_EXPLICIT)
+        loss = joint_loss(T.gather_rows(res.x_hat, implicit), labels[implicit],
+                          T.gather_rows(res.y_hat, explicit), labels[explicit], res.embedding_rows, config)
         value = loss.item()
         if not np.isfinite(value):
             # stop before the update spreads the bad value into the parameters

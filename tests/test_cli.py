@@ -506,6 +506,48 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "NaN or infinite" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("variant,more_users,more_items",
+                             [("ite", 0, -5), ("bert-ite", 0, 5), ("ite", 3, 0)])
+    def test_checkpoint_for_another_dataset_exits_one(self, tmp_path, prepared_path, capsys,
+                                                      variant, more_users, more_items):
+        from feedrank.container import save_checkpoint
+
+        store = load_prepared(str(prepared_path)).store
+        users, items = store.num_users + more_users, store.num_items + more_items
+        model = build_model(variant, users, items,
+                            ModelConfig(embedding_dim=4, seq_len=4, transformer_layers=1), seed=0)
+        ckpt = tmp_path / "other.ckpt"
+        save_checkpoint(str(ckpt), model, variant)
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(prepared_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: checkpoint is built for {users} users and {items} items, "
+                                f"dataset has {store.num_users} users and {store.num_items} items\n")
+        assert "HR=" not in captured.out
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("variant", None, "'variant' must be a string"),
+        ("variant", 3, "'variant' must be a string"),
+        ("model", 7, "'model' must be an object"),
+        ("num_items", "24", "'num_items' is '24', not an int >= 0"),
+        ("num_users", True, "'num_users' is True, not an int >= 0"),
+        ("num_users", -1, "'num_users' is -1, not an int >= 0"),
+        ("meta", [], "'meta' must be an object"),
+        ("meta", None, "'meta' must be an object"),
+    ])
+    def test_malformed_checkpoint_record_exits_one(self, tmp_path, prepared_path, trained, capsys,
+                                                   key, value, message):
+        config, arrays = read_container(str(trained))
+        if value is None:
+            del config[key]
+        else:
+            config[key] = value
+        bad = tmp_path / "bad.ckpt"
+        write_container(str(bad), config, arrays)
+        assert main(["evaluate", "--checkpoint", str(bad), "--dataset", str(prepared_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: config key {message}\n"
+        assert "Traceback" not in err
+
     def test_missing_checkpoint_exits_two(self, tmp_path, prepared_path):
         assert main(["evaluate", "--checkpoint", str(tmp_path / "none.ckpt"),
                      "--dataset", str(prepared_path)]) == 2

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erf, expit, logsumexp
 
@@ -468,30 +468,32 @@ class TestConcatAndShaping:
 
 class TestGatherScatter:
     """gather_rows' backward scatters through one flat np.add.at; it must add
-    every element in the order a row-wise np.add.at does."""
+    every element in the order a row-wise np.add.at does. A 1-D table is a
+    head's output, gathered by example kind in training."""
 
     @settings(max_examples=60, deadline=None)
     @given(dtype=st.sampled_from([np.float32, np.float64]),
            vocab=st.integers(min_value=1, max_value=6),
-           dim=st.integers(min_value=1, max_value=5),
+           dims=st.sampled_from([(), (1,), (2,), (3,), (4,), (5,)]),
            shape=st.sampled_from([(0,), (1,), (9,), (0, 3), (2, 1), (3, 4)]),
            base=st.sampled_from([None, "c", "fortran"]),
            seed=st.integers(min_value=0, max_value=2**16))
-    def test_gradient_equals_row_wise_scatter_bit_for_bit(self, dtype, vocab, dim, shape, base,
+    @example(dtype=np.float32, vocab=4, dims=(), shape=(9,), base="c", seed=1)   # a head's output
+    def test_gradient_equals_row_wise_scatter_bit_for_bit(self, dtype, vocab, dims, shape, base,
                                                           seed):
         rng = np.random.default_rng(seed)
-        table = Tensor(rng.standard_normal((vocab, dim)).astype(dtype), requires_grad=True)
+        table = Tensor(rng.standard_normal((vocab, *dims)).astype(dtype), requires_grad=True)
         # few rows, so most draws repeat a row
         idx = rng.integers(0, vocab, size=shape)
-        w = rng.standard_normal((*shape, dim)).astype(dtype)
-        expected = np.zeros((vocab, dim), dtype)
+        w = rng.standard_normal((*shape, *dims)).astype(dtype)
+        expected = np.zeros((vocab, *dims), dtype)
         if base is not None:
-            # a gradient already there, as after the other forward of a step
-            expected = rng.standard_normal((vocab, dim)).astype(dtype)
+            # a gradient already there, as when a step reads the table twice
+            expected = rng.standard_normal((vocab, *dims)).astype(dtype)
             table.grad = expected.copy(order="F" if base == "fortran" else "C")
         T.sum_all(T.elementwise_mul(T.gather_rows(table, idx), Tensor(w))).backward()
         np.add.at(expected, idx, w)
-        assert table.grad.dtype == dtype and table.grad.shape == (vocab, dim)
+        assert table.grad.dtype == dtype and table.grad.shape == (vocab, *dims)
         assert table.grad.tobytes() == expected.tobytes()
 
 

@@ -442,6 +442,74 @@ class TestEpochLoop:
         for name, arr in results[0][1].items():
             np.testing.assert_array_equal(arr, results[1][1][name])
 
+    @pytest.mark.parametrize("variant", ["ite", "bert-ite"])
+    def test_one_forward_and_one_context_draw_per_batch(self, small_prepared, monkeypatch, variant):
+        store, _ = small_prepared
+        model = build_model(variant, store.num_users, store.num_items,
+                            ModelConfig(embedding_dim=4, seq_len=3, transformer_layers=1), seed=4)
+        forwards, draws = [], []
+        forward, cut = model.forward_batch, training._session_contexts
+
+        def forward_batch(users, candidates, *args, **kwargs):
+            forwards.append(len(candidates))
+            return forward(users, candidates, *args, **kwargs)
+
+        def session_contexts(store, index, users, *args):
+            draws.append(len(users))
+            return cut(store, index, users, *args)
+
+        monkeypatch.setattr(model, "forward_batch", forward_batch)
+        monkeypatch.setattr(training, "_session_contexts", session_contexts)
+        config = cfg(batch_size=100)
+        report = train_epoch(model, store, config, np.random.default_rng(2))
+        rows = (store.num_implicit_pairs() + store.num_explicit_pairs()) * (1 + config.negatives_per_positive)
+        sizes = [min(100, rows - start) for start in range(0, rows, 100)]
+        assert report.steps == len(sizes) and forwards == sizes
+        assert draws == (sizes if variant == "bert-ite" else [])
+
+    def test_one_forward_matches_one_forward_per_kind(self, small_prepared):
+        # the loss and gradients of one step against a reference that scores
+        # each example kind in its own forward and feeds joint_loss its head
+        store, _ = small_prepared
+        model = ITEModel(store.num_users, store.num_items,
+                         ModelConfig(embedding_dim=4, attention_heads=2), seed=12, dtype=np.float64)
+        config = cfg(batch_size=10**6, l2_weight=1e-3)
+
+        class GradientSpy:
+            def step(self):
+                self.grads = {p.name: p.value.grad.copy() for p in model.params}
+                model.params.zero_grads()
+
+        spy = GradientSpy()
+        report = train_epoch(model, store, config, np.random.default_rng(5), optimizer=spy)
+        assert report.steps == 1
+
+        examples = build_epoch_examples(store, config.negatives_per_positive, np.random.default_rng(5))
+        heads, labels, embedding_rows = [], [], []
+        for kind in (0, 1):
+            rows = examples[examples[:, 0] == kind]
+            res = model.forward_batch(rows[:, 1], rows[:, 3])
+            heads.append(res.x_hat if kind == 0 else res.y_hat)
+            labels.append(rows[:, 4].astype(np.float64))
+            embedding_rows.extend(res.embedding_rows)
+        loss = joint_loss(heads[0], labels[0], heads[1], labels[1], embedding_rows, config)
+        loss.backward()
+        assert report.mean_loss == pytest.approx(loss.item(), rel=1e-12)
+        for p in model.params:
+            ref = p.value.grad
+            assert np.linalg.norm(spy.grads[p.name] - ref) <= 1e-12 * np.linalg.norm(ref), p.name
+
+    def test_batches_without_explicit_rows_train(self):
+        # no explicit positives: every batch gathers zero explicit rows
+        store = store_from_sets(4, 8, [{0, 1}, {2, 3}, {4, 5}, {6, 7}], [set()] * 4)
+        model = ITEModel(4, 8, ModelConfig(embedding_dim=4, attention_heads=2), seed=1)
+        before = {k: v.copy() for k, v in model.params.state_arrays().items()}
+        report = train_epoch(model, store, cfg(batch_size=5), np.random.default_rng(0))
+        assert report.steps == 5 and np.isfinite(report.mean_loss) and report.mean_loss > 0
+        for name, arr in model.params.state_arrays().items():
+            explicit_only = name.startswith(("explicit_mlp", "explicit_head"))
+            assert np.array_equal(arr, before[name]) == explicit_only, name
+
     def test_fit_zero_epochs_keeps_initialization(self, small_prepared):
         store, cases = small_prepared
         model = ITEModel(store.num_users, store.num_items,
