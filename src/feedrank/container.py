@@ -20,6 +20,7 @@ deterministic, so save -> load -> save round-trips byte-identically.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -147,17 +148,24 @@ def load_checkpoint(path: str, dtype=np.float32):
     config, arrays = read_container(path)
     if config.get("kind") != "checkpoint":
         raise FormatError(f"{path}: not a checkpoint file")
-    _check_checkpoint(path, config)
+    _check_checkpoint(path, config, ModelConfig)
     model = build_model(config["variant"], config["num_users"], config["num_items"],
-                        ModelConfig.from_dict(config["model"]), seed=0, dtype=dtype)
+                        ModelConfig(**config["model"]), seed=0, dtype=dtype)
     model.params.load_arrays(arrays)
     return model, config["variant"], config["meta"]
 
 
-def _check_checkpoint(path: str, config: dict) -> None:
+# what a checkpoint's ``model`` record may hold for a field of each declared
+# type (by name: ModelConfig's module postpones its annotations)
+_FIELD_KINDS = {"int": (int, "an int"), "float": ((int, float), "a number"), "str": (str, "a string")}
+
+
+def _check_checkpoint(path: str, config: dict, model_config: type) -> None:
     """Raise a one-line FormatError unless the config record holds a string
-    ``variant``, ``num_users`` and ``num_items`` as ints >= 0, and ``model``
-    and ``meta`` objects."""
+    ``variant``, ``num_users`` and ``num_items`` as ints >= 0, a ``meta``
+    object, and a ``model`` object with exactly the fields of
+    ``model_config`` (a dataclass), each of its field's type: a non-bool
+    int for an int, an int or float for a float, a string for a string."""
     if not isinstance(config.get("variant"), str):
         raise FormatError(f"{path}: config key 'variant' must be a string")
     for key in ("num_users", "num_items"):
@@ -167,3 +175,14 @@ def _check_checkpoint(path: str, config: dict) -> None:
     for key in ("model", "meta"):
         if not isinstance(config.get(key), dict):
             raise FormatError(f"{path}: config key {key!r} must be an object")
+    record = config["model"]
+    fields = dataclasses.fields(model_config)
+    unknown = [key for key in record if key not in {f.name for f in fields}]
+    if unknown:
+        raise FormatError(f"{path}: config key 'model' holds unknown keys {', '.join(map(repr, unknown))}")
+    for f in fields:
+        if f.name not in record:
+            raise FormatError(f"{path}: config key 'model.{f.name}' is missing")
+        value, (kind, what) = record[f.name], _FIELD_KINDS[f.type]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise FormatError(f"{path}: config key 'model.{f.name}' is {value!r}, not {what}")

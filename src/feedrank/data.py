@@ -258,25 +258,40 @@ def _csr_entries(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.
     return dest, src
 
 
-def _csr_to_dense(offsets: np.ndarray, columns: np.ndarray, values: Optional[np.ndarray],
-                  rows: np.ndarray, width: int, dtype) -> np.ndarray:
-    """[*rows.shape, width] array whose entry for row r holds CSR row r:
-    ``values`` (1 where None) at ``columns``. Row ids index like a list."""
+def _csr_rows(offsets: np.ndarray, columns: np.ndarray, values: Optional[np.ndarray],
+              rows: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """CSR rows ``rows`` as a bag ``[*rows.shape, m]``: each row's columns
+    (and ``values``, unless None), padded with -1 (and 0) out to ``m``, the
+    largest entry count among them. Row ids index like a list."""
     rows = np.asarray(rows)
     flat = np.arange(offsets.size - 1)[rows.reshape(-1)]  # bounds-checks, wraps negatives
     dest, src = _csr_entries(offsets, flat)
-    out = np.zeros((flat.size, width), dtype=dtype)
-    out[dest, columns[src]] = 1.0 if values is None else values[src]
-    return out.reshape(rows.shape + (width,))
+    starts = offsets[flat]
+    width = int((offsets[flat + 1] - starts).max()) if flat.size else 0
+    # an entry's slot is its offset from its row's start
+    slot = (dest, src - starts[dest])
+    ids = np.full((flat.size, width), -1, dtype=np.int64)
+    ids[slot] = columns[src]
+    shape = rows.shape + (width,)
+    if values is None:
+        return ids.reshape(shape), None
+    weights = np.zeros((flat.size, width), dtype=values.dtype)
+    weights[slot] = values[src]
+    return ids.reshape(shape), weights.reshape(shape)
 
 
 @dataclass(eq=False)
 class SideInfo:
-    """Item category multi-hots and per-user category-frequency vectors,
-    both as CSR rows: item i's categories are
+    """Item categories and per-user category frequencies, both as CSR rows:
+    item i's categories are
     ``item_categories[item_offsets[i]:item_offsets[i + 1]]``, and user u's
     nonzero categories and their weights the same slice of
-    ``user_categories`` and ``user_weights`` under ``user_offsets``."""
+    ``user_categories`` and ``user_weights`` under ``user_offsets``.
+
+    A model reads them as bags of category ids (``tensor.embedding_bag``):
+    ``item_matrix`` and ``user_matrix`` return each asked row's ids padded
+    with -1 to the longest of those rows, never a dense
+    ``[..., num_categories]`` vector."""
 
     num_categories: int
     labels: list[str]
@@ -287,13 +302,14 @@ class SideInfo:
     user_weights: np.ndarray
     skipped_rows: int = 0
 
-    def item_matrix(self, items: np.ndarray, dtype=np.float32) -> np.ndarray:
-        return _csr_to_dense(self.item_offsets, self.item_categories, None, items,
-                             self.num_categories, dtype)
+    def item_matrix(self, items: np.ndarray) -> np.ndarray:
+        """Category ids of ``items``: int64 ``[*items.shape, m]``, -1 padded."""
+        return _csr_rows(self.item_offsets, self.item_categories, None, items)[0]
 
-    def user_matrix(self, users: np.ndarray, dtype=np.float32) -> np.ndarray:
-        return _csr_to_dense(self.user_offsets, self.user_categories, self.user_weights, users,
-                             self.num_categories, dtype)
+    def user_matrix(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Category ids of ``users`` as ``item_matrix`` gives them, and the
+        matching float64 category frequencies (0 in pad slots)."""
+        return _csr_rows(self.user_offsets, self.user_categories, self.user_weights, users)
 
 
 def encode_side_user(items: Sequence[int], item_categories: Sequence[Sequence[int]],

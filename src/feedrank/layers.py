@@ -56,9 +56,9 @@ class DenseLayer:
 
 
 class EmbeddingTable:
-    """Row lookup table, optionally fused with a linear projection of a dense
-    side vector (equivalent to embedding the concatenation of a one-hot id
-    with the side vector, without materializing the one-hot)."""
+    """Row lookup table, optionally fused with a linear projection of a bag
+    of side categories (equivalent to embedding the concatenation of a
+    one-hot id with the bag's weighted multi-hot, materializing neither)."""
 
     def __init__(self, rows: Parameter, side_projection: Optional[Parameter] = None):
         self.rows = rows
@@ -82,14 +82,17 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.rows.value.shape[1]
 
-    def lookup(self, indices: np.ndarray, side: Optional[np.ndarray] = None) -> Tensor:
-        """rows[indices] (+ side @ side_projection.T when side is given)."""
+    def lookup(self, indices: np.ndarray, side=None) -> Tensor:
+        """rows[indices], plus, when ``side`` is given, the sum of the
+        side-projection columns of each index's categories. ``side`` is a
+        bag ``[*indices.shape, m]`` of category ids padded with -1 (each
+        weighted 1), or a pair of such ids and their weights."""
         out = T.gather_rows(self.rows.value, indices)
         if side is not None:
             if self.side_projection is None:
                 raise ConfigError(f"table {self.rows.name!r} has no side projection but side data was given")
-            side_t = Tensor(np.asarray(side, dtype=self.rows.value.data.dtype))
-            out = T.add(out, T.matmul(side_t, T.transpose_last2(self.side_projection.value)))
+            ids, weights = side if isinstance(side, tuple) else (side, None)
+            out = T.add(out, T.embedding_bag(T.transpose_last2(self.side_projection.value), ids, weights))
         return out
 
 

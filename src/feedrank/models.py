@@ -7,9 +7,9 @@
   transformer over [user; recent items; target item] rows; the user row of
   the final layer, gated by the target item embedding, plays the role of
   the implicit layer.
-* Side-information variants extend either model by projecting per-user
-  category-frequency vectors and per-item category multi-hots into the
-  embedding space at lookup time.
+* Side-information variants extend either model by adding, at lookup
+  time, the side-projection columns of an item's categories, or of a
+  user's categories weighted by their frequencies, to the id embedding.
 
 Both models output a pair of probabilities (implicit, explicit); the
 ranking score is their product.
@@ -17,7 +17,7 @@ ranking score is their product.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -68,10 +68,6 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
-
 
 @dataclass
 class ForwardResult:
@@ -99,14 +95,14 @@ def _head_scores(phi: Tensor, head: Tensor) -> Tensor:
 
 
 def _check_side(mode: str, user_side, *item_sides) -> None:
-    """Side matrices must be given exactly when ``mode`` uses them."""
+    """Side bags must be given exactly when ``mode`` uses them."""
     want_user = mode == "user_and_item"
     want_item = mode != "none"
     if want_user != (user_side is not None):
-        raise ConfigError(f"side_info_mode={mode!r}: user side vectors "
+        raise ConfigError(f"side_info_mode={mode!r}: user side bags "
                           + ("required" if want_user else "not accepted"))
     if any(want_item != (side is not None) for side in item_sides):
-        raise ConfigError(f"side_info_mode={mode!r}: item side vectors "
+        raise ConfigError(f"side_info_mode={mode!r}: item side bags "
                           + ("required" if want_item else "not accepted"))
 
 
@@ -149,17 +145,22 @@ class _ImplicitExplicitModel:
                       contexts: Optional[np.ndarray] = None, side_info=None,
                       training: bool = False,
                       rng: Optional[np.random.Generator] = None) -> ForwardResult:
-        """Score (user, candidate) rows, looking up the side matrices the
-        variant uses in ``side_info`` (a ``data.SideInfo``).
+        """Score (user, candidate) rows, looking up the category bags the
+        variant uses in ``side_info`` (a ``data.SideInfo`` with
+        ``config.side_dim`` categories).
 
         ``contexts`` is the [B, n] padded session ahead of each candidate;
         sequence models need it, the others ignore it. ``users`` (and
         ``contexts``) may hold a single row shared by every candidate, so
-        its side vectors are built once.
+        its bags are built once.
         """
         mode = self.config.side_info_mode
-        if mode != "none" and side_info is None:
-            raise ConfigError(f"model variant needs side info ({mode})")
+        if mode != "none":
+            if side_info is None:
+                raise ConfigError(f"model variant needs side info ({mode})")
+            if side_info.num_categories != self.config.side_dim:
+                raise ConfigError(f"side info has {side_info.num_categories} categories, "
+                                  f"the model's side_dim is {self.config.side_dim}")
         items = (contexts, candidates) if self.kind == "bert" else (candidates,)
         user_side = side_info.user_matrix(users) if mode == "user_and_item" else None
         item_sides = [side_info.item_matrix(x) if mode != "none" else None for x in items]
@@ -189,7 +190,8 @@ class ITEModel(_ImplicitExplicitModel):
                 rng: Optional[np.random.Generator] = None) -> ForwardResult:
         """Score a batch of (user, item) pairs. ``items`` is an int array
         [B] and ``users`` one of [B] or [1] (one user for every item); side
-        matrices have a row per id when the variant uses them. The model has
+        bags (see ``EmbeddingTable.lookup``) have a row per id when the
+        variant uses them. The model has
         no dropout, so ``training`` and ``rng`` change nothing."""
         _check_side(self.config.side_info_mode, user_side, item_side)
         users = np.asarray(users)
@@ -233,7 +235,8 @@ class BertITEModel(_ImplicitExplicitModel):
         """Score a batch of (user, n-item context, target) triples.
 
         ``targets`` is int [B] and ``sequences`` int [B, n] (pre-padded);
-        side matrices have a row per id when the variant uses them.
+        side bags (see ``EmbeddingTable.lookup``) have a row per id when the
+        variant uses them.
 
         ``users`` [1] with ``sequences`` [1, n] scores B > 1 targets against
         one shared user and context (a leading 1 broadcasts, as in numpy).

@@ -637,6 +637,49 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     return _make(data, (table,), backward)
 
 
+def embedding_bag(table: Tensor, ids: np.ndarray, weights: Optional[np.ndarray] = None) -> Tensor:
+    """Weighted bags of rows: ``out[..., :] = sum_j w[..., j] * table[ids[..., j]]``
+    over the last axis of ``ids`` ([..., m]), skipping slots whose id is -1;
+    ``weights`` (the shape of ``ids``) default to 1. The bags are one sparse
+    [bags, rows] matrix ``S``: the output is ``S @ table`` and the table's
+    gradient ``S.T @ g``."""
+    # imported here: scipy.sparse adds about 1.7 MB to a process, which the
+    # variants without side information need not pay
+    from scipy import sparse
+
+    ids = np.asarray(ids)
+    if table.ndim != 2 or ids.ndim < 1:
+        raise ShapeError(f"embedding_bag needs a 2-D table and >=1-D ids, got {table.shape} and {ids.shape}")
+    if ids.dtype.kind not in "iu":
+        raise IndexError(f"bag ids must be integers, got {ids.dtype}")
+    if weights is not None and np.shape(weights) != ids.shape:
+        raise ShapeError(f"embedding_bag weights {np.shape(weights)} vs ids {ids.shape}")
+    if ids.size:
+        lo, hi = int(ids.min()), int(ids.max())
+        if lo < -1 or hi >= table.shape[0]:
+            raise IndexError(f"bag id out of range: [{lo}, {hi}] vs table of {table.shape[0]} rows "
+                             "(-1 pads)")
+    lead, m = ids.shape[:-1], ids.shape[-1]
+    n = math.prod(lead)
+    keep = ids.reshape(n, m) >= 0
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    # per-bag counts as a sum over the m columns of a feature-major copy: one
+    # long inner loop per column, not one short loop per bag
+    np.cumsum(np.ascontiguousarray(keep.T).sum(axis=0), out=indptr[1:])
+    slots = np.flatnonzero(keep)
+    if weights is None:
+        values = np.ones(slots.size, dtype=table.dtype)
+    else:
+        values = np.asarray(weights).reshape(-1)[slots].astype(table.dtype)
+    bags = sparse.csr_matrix((values, ids.reshape(-1)[slots], indptr), shape=(n, table.shape[0]))
+    data = np.asarray(bags @ table.data).reshape(lead + (table.shape[1],))
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(table, bags.T @ g.reshape(n, table.shape[1]))
+
+    return _make(data, (table,), backward)
+
+
 def select_row(x: Tensor, index: int) -> Tensor:
     """Pick one row along axis -2: ``x[..., index, :]``."""
     data = x.data[..., index, :]

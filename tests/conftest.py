@@ -64,6 +64,41 @@ def check_gradients(build_loss, tensors, tol=1e-6, h=1e-4) -> float:
     return worst
 
 
+def side_bag(dense, weighted=False):
+    """The category bag ``EmbeddingTable.lookup`` takes for a dense side
+    matrix ``[..., T]`` (None stays None): each row's nonzero columns in
+    ascending order, padded with -1 to the longest row, and with
+    ``weighted`` their values as well. The bag's lookup adds exactly what
+    ``dense @ side_projection.T`` adds."""
+    if dense is None:
+        return None
+    dense = np.asarray(dense)
+    flat = dense.reshape(-1, dense.shape[-1])
+    nonzero = flat != 0
+    counts = nonzero.sum(axis=1)
+    width = int(counts.max()) if counts.size else 0
+    # a stable sort of "is zero" brings each row's nonzero columns first, in order
+    columns = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
+    pad = np.arange(width) >= counts[:, None]
+    ids = np.where(pad, -1, columns).reshape(dense.shape[:-1] + (width,))
+    if not weighted:
+        return ids
+    weights = np.where(pad, 0.0, np.take_along_axis(flat, columns, axis=1))
+    return ids, weights.reshape(ids.shape)
+
+
+def csr_to_dense(offsets, columns, values, rows, width, dtype):
+    """Dense ``[*rows.shape, width]`` rows of a CSR matrix: ``values`` (1
+    where None) at ``columns``. Row ids index like a list. The oracle for
+    the category bags that ``SideInfo`` hands to the models."""
+    rows = np.asarray(rows)
+    out = np.zeros((rows.size, width), dtype=dtype)
+    for pos, row in enumerate(np.arange(offsets.size - 1)[rows.reshape(-1)]):
+        span = slice(offsets[row], offsets[row + 1])
+        out[pos, columns[span]] = 1.0 if values is None else values[span]
+    return out.reshape(rows.shape + (width,))
+
+
 def reference_sets(num_users, users, items, explicit, held_out=((), ())):
     """Each user's implicit, explicit and held-out item sets, by a plain
     loop over event columns (one user, item and explicit flag per event)

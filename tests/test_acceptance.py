@@ -74,7 +74,7 @@ class TestCriterion1GradientFidelity:
         side = rng.standard_normal((4, 3))
         idx = np.array([0, 2, 2, 5])
         worst["embedding"] = check_gradients(
-            lambda: T.l2_sq(table.lookup(idx, side)),
+            lambda: T.l2_sq(table.lookup(idx, (np.tile(np.arange(3), (4, 1)), side))),
             [table.rows.value, table.side_projection.value], tol=1e-5)
 
         reg = ParameterRegistry()

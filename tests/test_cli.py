@@ -548,6 +548,30 @@ class TestEvaluate:
         assert err == f"error: {bad}: config key {message}\n"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("embedding_dim", "8", "'model.embedding_dim' is '8', not an int"),
+        ("seq_len", 4.0, "'model.seq_len' is 4.0, not an int"),
+        ("transformer_layers", True, "'model.transformer_layers' is True, not an int"),
+        ("dropout", "x", "'model.dropout' is 'x', not a number"),
+        ("dropout", False, "'model.dropout' is False, not a number"),
+        ("side_info_mode", 0, "'model.side_info_mode' is 0, not a string"),
+        ("side_dim", None, "'model.side_dim' is missing"),
+        ("attention_heads", None, "'model.attention_heads' is missing"),
+        ("hidden_size", 8, "'model' holds unknown keys 'hidden_size'"),
+    ])
+    def test_malformed_model_record_exits_one(self, tmp_path, prepared_path, trained, capsys,
+                                              key, value, message):
+        config, arrays = read_container(str(trained))
+        if value is None:
+            del config["model"][key]
+        else:
+            config["model"][key] = value
+        bad = tmp_path / "bad.ckpt"
+        write_container(str(bad), config, arrays)
+        assert main(["evaluate", "--checkpoint", str(bad), "--dataset", str(prepared_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: config key {message}\n"
+
     def test_missing_checkpoint_exits_two(self, tmp_path, prepared_path):
         assert main(["evaluate", "--checkpoint", str(tmp_path / "none.ckpt"),
                      "--dataset", str(prepared_path)]) == 2

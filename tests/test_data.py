@@ -224,34 +224,39 @@ class TestSideInfo:
         ])
         side = build_side_info(tiny_store, str(cats))
         assert side.num_categories == 4  # c0, c1, c2, c5
-        vec = side.item_matrix([tiny_store.item_ids.index("a")])[0]
-        np.testing.assert_array_equal(vec, [0.0, 0.0, 1.0, 1.0])
+        bag = side.item_matrix([tiny_store.item_ids.index("a")])
+        np.testing.assert_array_equal(bag, [[2, 3]])  # c2, c5
 
     @staticmethod
-    def loop_item_matrix(side, cats, items, dtype=np.float32):
-        """The per-(row, category) loop the vectorised item_matrix replaced,
-        over the per-item category lists ``side`` was built from."""
-        items = np.asarray(items)
-        out = np.zeros(items.shape + (side.num_categories,), dtype=dtype)
-        view = out.reshape(-1, side.num_categories)
-        for pos, item in enumerate(items.reshape(-1)):
-            for c in cats[int(item)]:
-                view[pos, c] = 1.0
-        return out
+    def loop_bag(rows, ids, weights=None):
+        """The per-row loop over per-row category lists ``ids`` (and
+        ``weights``) that item_matrix and user_matrix vectorise: each
+        asked row's entries padded with -1 (and 0) to the longest."""
+        rows = np.asarray(rows)
+        picked = [int(r) for r in rows.reshape(-1)]
+        width = max((len(ids[r]) for r in picked), default=0)
+        out_ids = np.full((len(picked), width), -1, dtype=np.int64)
+        out_weights = np.zeros((len(picked), width), dtype=np.float64)
+        for pos, r in enumerate(picked):
+            for slot, c in enumerate(ids[r]):
+                out_ids[pos, slot] = c
+                if weights is not None:
+                    out_weights[pos, slot] = weights[r][slot]
+        shape = rows.shape + (width,)
+        return out_ids.reshape(shape), out_weights.reshape(shape)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), num_categories=st.integers(1, 12), num_items=st.integers(1, 15),
-           shape=st.sampled_from([(0,), (1,), (7,), (3, 4), (2, 0), (2, 3, 2)]),
-           dtype=st.sampled_from([np.float32, np.float64]))
-    def test_item_matrix_equals_loop(self, data, num_categories, num_items, shape, dtype):
+           shape=st.sampled_from([(0,), (1,), (7,), (3, 4), (2, 0), (2, 3, 2)]))
+    def test_item_matrix_equals_loop(self, data, num_categories, num_items, shape):
         cats = [sorted(data.draw(st.sets(st.integers(0, num_categories - 1), max_size=num_categories)))
                 for _ in range(num_items)]
         side = side_from_lists(num_categories, cats)
         items = np.array(data.draw(st.lists(st.integers(-num_items, num_items - 1),
                                             min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
                          dtype=np.int64).reshape(shape)
-        got = side.item_matrix(items, dtype=dtype)
-        expected = self.loop_item_matrix(side, cats, items, dtype=dtype)
+        got = side.item_matrix(items)
+        expected, _ = self.loop_bag(items, cats)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         np.testing.assert_array_equal(got, expected)
 
@@ -260,23 +265,10 @@ class TestSideInfo:
         with pytest.raises(IndexError):
             side.item_matrix([0, 2])
 
-    @staticmethod
-    def loop_user_matrix(num_categories, user_vectors, users, dtype=np.float32):
-        """The per-row loop the CSR user_matrix replaced, over per-user
-        (categories, weights) pairs."""
-        users = np.asarray(users)
-        out = np.zeros(users.shape + (num_categories,), dtype=dtype)
-        view = out.reshape(-1, num_categories)
-        for pos, user in enumerate(users.reshape(-1)):
-            idx, val = user_vectors[int(user)]
-            view[pos, idx] = val
-        return out
-
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), num_categories=st.integers(1, 12), num_users=st.integers(1, 8),
-           shape=st.sampled_from([(0,), (1,), (7,), (3, 4), (2, 0), (2, 3, 2)]),
-           dtype=st.sampled_from([np.float32, np.float64]))
-    def test_user_matrix_equals_loop(self, data, num_categories, num_users, shape, dtype):
+           shape=st.sampled_from([(0,), (1,), (7,), (3, 4), (2, 0), (2, 3, 2)]))
+    def test_user_matrix_equals_loop(self, data, num_categories, num_users, shape):
         vectors = []
         for _ in range(num_users):
             idx = sorted(data.draw(st.sets(st.integers(0, num_categories - 1), max_size=num_categories)))
@@ -286,10 +278,13 @@ class TestSideInfo:
         users = np.array(data.draw(st.lists(st.integers(-num_users, num_users - 1),
                                             min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
                          dtype=np.int64).reshape(shape)
-        got = side.user_matrix(users, dtype=dtype)
-        expected = self.loop_user_matrix(num_categories, vectors, users, dtype=dtype)
-        assert got.dtype == expected.dtype and got.shape == expected.shape
-        np.testing.assert_array_equal(got, expected)
+        got_ids, got_weights = side.user_matrix(users)
+        ids, weights = self.loop_bag(users, [idx for idx, _ in vectors],
+                                     [val for _, val in vectors])
+        assert got_ids.dtype == ids.dtype and got_ids.shape == ids.shape
+        assert got_weights.dtype == weights.dtype and got_weights.shape == weights.shape
+        np.testing.assert_array_equal(got_ids, ids)
+        assert got_weights.tobytes() == weights.tobytes()
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), num_users=st.integers(1, 6), num_items=st.integers(1, 12),
@@ -340,13 +335,16 @@ class TestSideInfo:
             ("a", "A"), ("b", "A"), ("c", "A"), ("d", "B"),
         ])
         side = build_side_info(store, str(cats))
-        np.testing.assert_allclose(side.user_matrix([0])[0], [0.75, 0.25])
+        ids, weights = side.user_matrix([0])
+        np.testing.assert_array_equal(ids, [[0, 1]])
+        np.testing.assert_allclose(weights, [[0.75, 0.25]])
 
     def test_uncategorized_user_zero_vector(self, tiny_store, tmp_path):
         cats = write_categories_csv(tmp_path / "c.csv", [("a", "A")])
         side = build_side_info(tiny_store, str(cats))
         u2 = tiny_store.user_ids.index("u2")  # interacted only with e, f
-        np.testing.assert_array_equal(side.user_matrix([u2])[0], [0.0])
+        ids, weights = side.user_matrix([u2])
+        assert ids.shape == weights.shape == (1, 0)  # an empty bag: no side term
 
     def test_malformed_rows_skipped_and_counted(self, tmp_path, tiny_store, caplog):
         path = tmp_path / "c.csv"
@@ -634,7 +632,9 @@ class TestPreparedRoundTrip:
                                     [("a", "A"), ("b", "A"), ("c", "A"), ("d", "B")])
         train, _ = leave_one_out_split(store)
         side = build_side_info(train, str(cats))
-        np.testing.assert_allclose(side.user_matrix([0])[0], [1.0, 0.0])
+        ids, weights = side.user_matrix([0])
+        np.testing.assert_array_equal(ids, [[0]])
+        np.testing.assert_allclose(weights, [[1.0]])
 
 
 STATS = {"users": 1, "items": 2, "implicit": 3, "explicit": 4, "labels": 0, "sparsity": 0.5}

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedrank import layers as L
 from feedrank import tensor as T
+from feedrank.data import SideInfo
 from feedrank.tensor import ConfigError, ParameterRegistry, Tensor
 
-from conftest import check_gradients
+from conftest import check_gradients, csr_to_dense, side_bag
 
 
 def make_table(rows, side_projection=None):
@@ -69,8 +72,10 @@ def oracle_layer_norm(x, eps=1e-5):
 
 
 def embed(table, index, side=None):
-    """One row of ``table`` as a [dim] vector."""
-    row = table.lookup(np.asarray([index]), None if side is None else np.asarray(side)[None, :])
+    """One row of ``table`` as a [dim] vector, with the weighted bag of a
+    dense side vector when one is given."""
+    row = table.lookup(np.asarray([index]), None if side is None
+                       else side_bag(np.asarray(side)[None, :], weighted=True))
     return row.data[0]
 
 
@@ -99,11 +104,43 @@ class TestEmbedding:
     def test_gradient_flows_to_row_and_projection(self):
         rng = np.random.default_rng(4)
         table = make_table(rng.standard_normal((4, 3)), rng.standard_normal((3, 2)))
-        side = rng.standard_normal((2, 2))
+        side = side_bag(rng.standard_normal((2, 2)), weighted=True)
         idx = np.array([0, 2])
         check_gradients(
             lambda: T.sum_all(T.l2_sq(table.lookup(idx, side))),
             [table.rows.value, table.side_projection.value], tol=1e-6)
+
+
+class TestSideBagLookup:
+    """A lookup with SideInfo's category bags adds what the dense multi-hot
+    (or frequency) matrix of the same CSR rows times the projection adds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), num_categories=st.integers(1, 9), vocab=st.integers(1, 8),
+           dim=st.integers(1, 4), shape=st.sampled_from([(0,), (1,), (6,), (2, 3), (3, 0), (2, 2, 2)]),
+           seed=st.integers(0, 2 ** 16))
+    def test_equals_dense_product(self, data, num_categories, vocab, dim, shape, seed):
+        def csr(max_size):
+            rows = [sorted(data.draw(st.sets(st.integers(0, num_categories - 1), max_size=max_size)))
+                    for _ in range(vocab)]
+            offsets = np.cumsum([0] + [len(r) for r in rows]).astype(np.int64)
+            return offsets, np.array([c for r in rows for c in r], dtype=np.int64)
+
+        item_offsets, item_flat = csr(3)
+        user_offsets, user_flat = csr(num_categories)
+        rng = np.random.default_rng(seed)
+        user_weights = rng.uniform(0.0, 1.0, user_flat.size)
+        side = SideInfo(num_categories, [str(c) for c in range(num_categories)],
+                        item_offsets, item_flat, user_offsets, user_flat, user_weights)
+        table = make_table(rng.standard_normal((vocab, dim)), rng.standard_normal((dim, num_categories)))
+        rows = rng.integers(0, vocab, shape)
+        projection = table.side_projection.data
+        for bag, (values, offsets, flat) in (
+                (side.item_matrix(rows), (None, item_offsets, item_flat)),
+                (side.user_matrix(rows), (user_weights, user_offsets, user_flat))):
+            dense = csr_to_dense(offsets, flat, values, rows, num_categories, np.float64)
+            got = table.lookup(rows, bag).data
+            np.testing.assert_allclose(got, table.rows.data[rows] + dense @ projection.T, rtol=0, atol=1e-12)
 
 
 class TestMultiHeadSelfAttention:

@@ -9,11 +9,11 @@ from scipy.special import expit
 
 from feedrank import layers as L
 from feedrank import tensor as T
-from feedrank.data import encode_side_user
+from feedrank.data import SideInfo, encode_side_user
 from feedrank.models import BertITEModel, ITEModel, ModelConfig, build_model, predict_score
 from feedrank.tensor import ConfigError
 
-from conftest import check_gradients
+from conftest import check_gradients, side_bag
 from test_layers import oracle_attention, oracle_ffn_row, oracle_layer_norm
 
 
@@ -25,7 +25,7 @@ def ite_config(k=2, x=1, y=1, side_mode="none", side_dim=0):
 
 def ite_forward(model: ITEModel, user: int, item: int, item_side=None):
     """(implicit, explicit) probabilities of one pair, dropout-free."""
-    side = None if item_side is None else np.asarray(item_side)[None, :]
+    side = None if item_side is None else side_bag(np.asarray(item_side)[None, :])
     with T.no_grad():
         res = model.forward(np.array([user]), np.array([item]), item_side=side)
     return res.x_hat.item(), res.y_hat.item()
@@ -78,6 +78,10 @@ def oracle_bert_forward(model: BertITEModel, u: int, seq, target: int):
 
 
 def repeat_rows(array, c):
+    """``array`` (or each array of a weighted bag's pair) with every row
+    repeated ``c`` times; None stays None."""
+    if isinstance(array, tuple):
+        return tuple(repeat_rows(a, c) for a in array)
     return None if array is None else np.repeat(array, c, axis=0)
 
 
@@ -144,7 +148,7 @@ class TestITEForward:
     def test_side_given_but_not_accepted(self):
         model = ITEModel(4, 4, ite_config(), seed=8)
         with pytest.raises(ConfigError, match="not accepted"):
-            model.forward(np.array([0]), np.array([0]), item_side=np.zeros((1, 3)))
+            model.forward(np.array([0]), np.array([0]), item_side=np.array([[0, 1, 2]]))
 
     def test_item_only_mode(self):
         model = ITEModel(4, 4, ite_config(side_mode="item_only", side_dim=3), seed=9, dtype=np.float64)
@@ -161,12 +165,54 @@ class TestITEForward:
         user_side = rng.random((1, 3)).astype(np.float32) if mode == "user_and_item" else None
         item_side = rng.random((7, 3)).astype(np.float32) if mode != "none" else None
         with T.no_grad():
-            one = model.forward(np.array([2]), items, user_side, item_side)
-            each = model.forward(np.full(7, 2), items, repeat_rows(user_side, 7), item_side)
+            one = model.forward(np.array([2]), items, side_bag(user_side, weighted=True),
+                                side_bag(item_side, weighted=True))
+            each = model.forward(np.full(7, 2), items, side_bag(repeat_rows(user_side, 7), weighted=True),
+                                 side_bag(item_side, weighted=True))
         for got, want in zip(scores_of(one), scores_of(each)):
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
             if mode != "user_and_item":  # the same rows meet the same ops
                 np.testing.assert_array_equal(got, want)
+
+
+def one_category_each(num_categories, num_users, num_items):
+    """SideInfo where user or item r has the single category r % num_categories, weight 1."""
+    users, items = np.arange(num_users) % num_categories, np.arange(num_items) % num_categories
+    return SideInfo(num_categories, [str(c) for c in range(num_categories)],
+                    np.arange(num_items + 1), items, np.arange(num_users + 1), users,
+                    np.ones(num_users))
+
+
+class TestForwardBatchSideInfo:
+    @pytest.mark.parametrize("variant", ["ite-si", "ite-ossi", "bert-ite-si", "bert-ite-ossi"])
+    @pytest.mark.parametrize("num_categories", [2, 4])
+    def test_category_count_must_equal_side_dim(self, variant, num_categories):
+        cfg = ModelConfig(embedding_dim=4, seq_len=3, transformer_layers=1, attention_heads=2, side_dim=3)
+        model = build_model(variant, 4, 6, cfg, seed=0)
+        side = one_category_each(num_categories, 4, 6)
+        with pytest.raises(ConfigError) as info:
+            model.forward_batch(np.array([0, 1]), np.array([2, 3]), np.zeros((2, 3), dtype=np.int64), side)
+        assert str(info.value) == f"side info has {num_categories} categories, the model's side_dim is 3"
+
+    def test_bert_si_reads_side_info_through_its_two_lookups(self, monkeypatch):
+        """perfbench traces SideInfo.item_matrix and SideInfo.user_matrix in
+        a bert-ite-si training step and counts item_matrix's result bytes."""
+        calls = []
+        for name in ("item_matrix", "user_matrix"):
+            def spy(self, rows, _name=name, _method=getattr(SideInfo, name)):
+                result = _method(self, rows)
+                calls.append((_name, np.shape(rows), result))
+                return result
+            monkeypatch.setattr(SideInfo, name, spy)
+        cfg = ModelConfig(embedding_dim=4, seq_len=3, transformer_layers=1, attention_heads=2, side_dim=3)
+        model = build_model("bert-ite-si", 4, 6, cfg, seed=0)
+        model.forward_batch(np.array([0, 1]), np.array([2, 3]), np.array([[0, 1, 2], [3, 4, 5]]),
+                            one_category_each(3, 4, 6), training=True, rng=np.random.default_rng(0))
+        assert [(name, shape) for name, shape, _ in calls] == [
+            ("user_matrix", (2,)), ("item_matrix", (2, 3)), ("item_matrix", (2,))]
+        for name, _, result in calls:
+            if name == "item_matrix":
+                assert isinstance(result, np.ndarray) and result.nbytes == result.size * 8
 
 
 class TestVariantRoster:
@@ -275,9 +321,9 @@ class TestPrunedEncoder:
         rng = np.random.default_rng(seed)
         users, seqs, targets = rng.integers(0, 4, b), rng.integers(0, 7, (b, n)), rng.integers(0, 7, b)
         mode = model.config.side_info_mode
-        user_side = rng.random((b, side_dim)) if mode == "user_and_item" else None
-        seq_side = rng.integers(0, 2, (b, n, side_dim)).astype(float) if mode != "none" else None
-        target_side = rng.integers(0, 2, (b, side_dim)).astype(float) if mode != "none" else None
+        user_side = side_bag(rng.random((b, side_dim)) if mode == "user_and_item" else None, weighted=True)
+        seq_side = side_bag(rng.integers(0, 2, (b, n, side_dim)) if mode != "none" else None)
+        target_side = side_bag(rng.integers(0, 2, (b, side_dim)) if mode != "none" else None)
         with T.no_grad():
             got = model.forward(users, seqs, targets, user_side, seq_side, target_side)
             want = full_encoder_forward(model, users, seqs, targets, user_side, seq_side, target_side)
@@ -306,15 +352,15 @@ class TestPrunedEncoder:
 
 
 def shared_prefix_inputs(model, rng, c, n, side_dim=3):
-    """One user and context shared by ``c`` targets, with the side matrices
-    the variant uses."""
+    """One user and context shared by ``c`` targets, with the side bags the
+    variant uses."""
     mode = model.config.side_info_mode
     user = rng.integers(0, model.num_users, 1)
     seq = rng.integers(0, model.num_items, (1, n))
     targets = rng.integers(0, model.num_items, c)
-    user_side = rng.random((1, side_dim)) if mode == "user_and_item" else None
-    seq_side = rng.integers(0, 2, (1, n, side_dim)).astype(float) if mode != "none" else None
-    target_side = rng.integers(0, 2, (c, side_dim)).astype(float) if mode != "none" else None
+    user_side = side_bag(rng.random((1, side_dim)) if mode == "user_and_item" else None, weighted=True)
+    seq_side = side_bag(rng.integers(0, 2, (1, n, side_dim)) if mode != "none" else None)
+    target_side = side_bag(rng.integers(0, 2, (c, side_dim)) if mode != "none" else None)
     return user, seq, targets, user_side, seq_side, target_side
 
 
@@ -428,10 +474,10 @@ class TestConfigValidation:
         except ConfigError:
             return
         users, targets = np.array([0, 1]), np.array([1, 2])
-        if model.kind == "bert":  # bert-ite-si: user, context and target side matrices
-            res = model.forward(users, np.zeros((2, n), dtype=np.int64), targets, np.ones((2, 2)),
-                                np.ones((2, n, 2)), np.ones((2, 2)), training=True,
-                                rng=np.random.default_rng(0))
+        if model.kind == "bert":  # bert-ite-si: user, context and target side bags
+            res = model.forward(users, np.zeros((2, n), dtype=np.int64), targets,
+                                side_bag(np.ones((2, 2)), weighted=True), side_bag(np.ones((2, n, 2))),
+                                side_bag(np.ones((2, 2))), training=True, rng=np.random.default_rng(0))
         else:
             res = model.forward(users, targets)
         assert np.all(np.isfinite(res.x_hat.data)) and np.all(np.isfinite(res.y_hat.data))

@@ -497,6 +497,69 @@ class TestGatherScatter:
         assert table.grad.tobytes() == expected.tobytes()
 
 
+class TestEmbeddingBag:
+    """embedding_bag sums weighted table rows per bag and skips -1 pads."""
+
+    @staticmethod
+    def loop_bag(table, ids, weights):
+        """sum_j w_j * table[ids_j] per bag by a plain loop over slots."""
+        flat_ids = ids.reshape(math.prod(ids.shape[:-1]), ids.shape[-1])
+        flat_w = np.ones(flat_ids.shape) if weights is None else weights.reshape(flat_ids.shape)
+        out = np.zeros((flat_ids.shape[0], table.shape[1]))
+        for bag, (row_ids, row_w) in enumerate(zip(flat_ids, flat_w)):
+            for i, w in zip(row_ids, row_w):
+                if i != -1:
+                    out[bag] += w * table[i]
+        return out.reshape(ids.shape[:-1] + (table.shape[1],))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("ids", [
+        # pads anywhere, an id repeated within a bag and across bags, an all-pad bag
+        np.array([[0, 2, -1], [2, 2, 4], [-1, -1, -1], [-1, 1, 0]]),
+        np.array([[[3, -1], [3, 3]], [[-1, -1], [0, 4]]]),   # N-D leading shape
+        np.zeros((0, 2), dtype=np.int64),                      # no bags
+        np.zeros((3, 0), dtype=np.int64),                      # empty bags
+        np.array([1, -1, 1]),                                  # one bag
+    ], ids=["pads-repeats", "nd", "no-bags", "empty-bags", "one-bag"])
+    def test_value_and_gradient(self, ids, weighted):
+        rng = np.random.default_rng(ids.size)
+        table = t64(rng.uniform(-1, 1, (5, 3)), requires_grad=True)
+        weights = rng.standard_normal(ids.shape) if weighted else None
+        out = T.embedding_bag(table, ids, weights)
+        assert out.shape == ids.shape[:-1] + (3,)
+        np.testing.assert_allclose(out.data, self.loop_bag(table.data, ids, weights), rtol=0, atol=1e-12)
+        check_gradients(lambda: T.l2_sq(T.add_scalar(T.embedding_bag(table, ids, weights), 0.5)),
+                        [table], tol=1e-6)
+
+    def test_transposed_table_gradient(self):
+        # the side projection [K, T] is read through its transposed view
+        rng = np.random.default_rng(3)
+        projection = t64(rng.standard_normal((3, 5)), requires_grad=True)
+        ids, weights = np.array([[4, 0, -1], [1, 1, 2]]), rng.standard_normal((2, 3))
+        check_gradients(lambda: T.l2_sq(T.embedding_bag(T.transpose_last2(projection), ids, weights)),
+                        [projection], tol=1e-6)
+
+    @pytest.mark.parametrize("ids", [np.array([[0, 5]]), np.array([[-2, 0]])])
+    def test_out_of_range_id(self, ids):
+        with pytest.raises(IndexError, match="5 rows"):
+            T.embedding_bag(t64(np.zeros((5, 2))), ids)
+
+    def test_rejects_non_integer_ids_and_mismatched_weights(self):
+        table = t64(np.zeros((5, 2)))
+        with pytest.raises(IndexError, match="integers"):
+            T.embedding_bag(table, np.array([[0.0, 1.0]]))
+        with pytest.raises(ShapeError, match="weights"):
+            T.embedding_bag(table, np.array([[0, 1]]), np.ones((1, 3)))
+
+    def test_float32_stays_float32(self):
+        table = Tensor(np.ones((4, 2), dtype=np.float32), requires_grad=True)
+        out = T.embedding_bag(table, np.array([[0, 1], [3, -1]]), np.array([[0.5, 0.25], [1.0, 0.0]]))
+        assert out.data.dtype == np.float32
+        T.sum_all(out).backward()
+        assert table.grad.dtype == np.float32
+        np.testing.assert_array_equal(table.grad[:, 0], [0.5, 0.25, 0.0, 1.0])
+
+
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = t64([[1.0, 2.0]])
