@@ -299,7 +299,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 f"checkpoint expects {model.config.side_dim} categories, dataset has "
                 f"{prepared.side_info.num_categories}")
         side = prepared.side_info
-    seed = args.seed if args.seed is not None else int(meta.get("seed", 0))
+    seed = args.seed if args.seed is not None else meta.get("seed", 0)
     started = time.perf_counter()
     ks = list(range(1, 21)) if args.topk_sweep else [args.topk]
     rows = evaluation.topk_sweep(model, prepared.cases, store=store, side_info=side,

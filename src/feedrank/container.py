@@ -138,7 +138,7 @@ def save_checkpoint(path: str, model, variant: str, meta: dict | None = None) ->
     write_container(path, config, arrays)
 
 
-def load_checkpoint(path: str, dtype=np.float32):
+def load_checkpoint(path: str):
     """Rebuild the model a checkpoint describes and load its parameters.
 
     Returns (model, variant, meta).
@@ -150,7 +150,7 @@ def load_checkpoint(path: str, dtype=np.float32):
         raise FormatError(f"{path}: not a checkpoint file")
     _check_checkpoint(path, config, ModelConfig)
     model = build_model(config["variant"], config["num_users"], config["num_items"],
-                        ModelConfig(**config["model"]), seed=0, dtype=dtype)
+                        ModelConfig(**config["model"]), seed=0)
     model.params.load_arrays(arrays)
     return model, config["variant"], config["meta"]
 
@@ -163,9 +163,10 @@ _FIELD_KINDS = {"int": (int, "an int"), "float": ((int, float), "a number"), "st
 def _check_checkpoint(path: str, config: dict, model_config: type) -> None:
     """Raise a one-line FormatError unless the config record holds a string
     ``variant``, ``num_users`` and ``num_items`` as ints >= 0, a ``meta``
-    object, and a ``model`` object with exactly the fields of
-    ``model_config`` (a dataclass), each of its field's type: a non-bool
-    int for an int, an int or float for a float, a string for a string."""
+    object whose ``seed``, if present, is a non-bool int >= 0, and a
+    ``model`` object with exactly the fields of ``model_config`` (a
+    dataclass), each of its field's type: a non-bool int for an int, an int
+    or float for a float, a string for a string."""
     if not isinstance(config.get("variant"), str):
         raise FormatError(f"{path}: config key 'variant' must be a string")
     for key in ("num_users", "num_items"):
@@ -175,6 +176,9 @@ def _check_checkpoint(path: str, config: dict, model_config: type) -> None:
     for key in ("model", "meta"):
         if not isinstance(config.get(key), dict):
             raise FormatError(f"{path}: config key {key!r} must be an object")
+    seed = config["meta"].get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise FormatError(f"{path}: config key 'meta.seed' is {seed!r}, not an int >= 0")
     record = config["model"]
     fields = dataclasses.fields(model_config)
     unknown = [key for key in record if key not in {f.name for f in fields}]

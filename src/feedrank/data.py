@@ -312,25 +312,6 @@ class SideInfo:
         return _csr_rows(self.user_offsets, self.user_categories, self.user_weights, users)
 
 
-def encode_side_user(items: Sequence[int], item_categories: Sequence[Sequence[int]],
-                     num_categories: int) -> np.ndarray:
-    """Category-frequency vector over a user's interacted items.
-
-    Each item increments every category it belongs to; the vector is
-    normalized by the total count. A user whose items carry no categories
-    gets the all-zero vector (degenerate but valid input downstream).
-    ``build_side_info`` computes these vectors for every user at once.
-    """
-    counts = np.zeros(num_categories, dtype=np.float64)
-    for item in items:
-        for c in item_categories[item]:
-            counts[c] += 1.0
-    total = counts.sum()
-    if total > 0:
-        counts /= total
-    return counts
-
-
 def read_category_pairs(path: str, delimiter: str = ",") -> tuple[dict[str, set], int]:
     """item_id,category_id rows -> {item: {labels}}; malformed rows skipped."""
     mapping: dict[str, set] = {}
@@ -402,7 +383,8 @@ def build_side_info(store: InteractionStore, category_path: Optional[str] = None
     item_flat, item_offsets = _flatten(item_categories)
     # every (user, category) occurrence over the user's distinct items, as
     # the key user * T + category; a user's weights are each key's count
-    # over the user's total, both exact integers as in encode_side_user
+    # over the user's total, both exact integers, so each weight is their
+    # correctly rounded quotient
     t = len(labels)
     pair_users, pair_items = np.divmod(store.pair_keys(IMPLICIT), store.num_items)
     dest, src = _csr_entries(item_offsets, pair_items)
@@ -553,14 +535,21 @@ def _check_dataset(path: str, config: dict, arrays: dict[str, np.ndarray]) -> No
     """Raise a one-line FormatError unless the records of a dataset file fit
     together: every record present, 1-D and of its dtype, offsets that start
     at 0, never decrease, end at their flat records' length and have one row
-    per user, item or case, and ids inside their range; a config ``stats``
-    object holding exactly the ``DatasetStats`` fields as numbers, and a
-    ``meta`` object."""
+    per user, item or case, and ids inside their range; config
+    ``user_ids``, ``item_ids`` and ``labels`` lists of strings, a bool
+    ``has_side_info``, a ``stats`` object holding exactly the
+    ``DatasetStats`` fields as numbers, and a ``meta`` object."""
     from .container import FormatError
 
     missing = [key for key in ("user_ids", "item_ids", "labels", "stats", "meta") if key not in config]
     if missing:
         raise FormatError(f"{path}: missing config key(s) {', '.join(missing)}")
+    for key in ("user_ids", "item_ids", "labels"):
+        ids = config[key]
+        if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
+            raise FormatError(f"{path}: config key {key!r} must be a list of strings")
+    if not isinstance(config.get("has_side_info"), bool):
+        raise FormatError(f"{path}: config key 'has_side_info' is {config.get('has_side_info')!r}, not a bool")
     stats, keys = config["stats"], [f.name for f in fields(DatasetStats)]
     if not isinstance(stats, dict) or sorted(stats) != sorted(keys):
         raise FormatError(f"{path}: config key 'stats' must be an object with exactly the keys "
@@ -571,7 +560,7 @@ def _check_dataset(path: str, config: dict, arrays: dict[str, np.ndarray]) -> No
         raise FormatError(f"{path}: config stats {odd[0]!r} is {stats[odd[0]]!r}, not a number")
     if not isinstance(config["meta"], dict):
         raise FormatError(f"{path}: config key 'meta' must be an object")
-    layout = dict(_DATASET_ROWS, **(_SIDE_ROWS if config.get("has_side_info") else {}))
+    layout = dict(_DATASET_ROWS, **(_SIDE_ROWS if config["has_side_info"] else {}))
     names = ["case_users", "case_items", *(n for off, (flat, _) in layout.items() for n in (off, *flat))]
     missing = [name for name in names if name not in arrays]
     if missing:
@@ -660,7 +649,7 @@ def load_prepared(path: str) -> PreparedDataset:
     cases = [EvalCase(int(u), int(i), neg, hist) for u, i, neg, hist in
              zip(arrays["case_users"], arrays["case_items"], negatives, histories)]
     side = None
-    if config.get("has_side_info"):
+    if config["has_side_info"]:
         side = SideInfo(len(config["labels"]), config["labels"],
                         arrays["side_item_offsets"], arrays["side_item_flat"],
                         arrays["side_user_offsets"], arrays["side_user_idx"], arrays["side_user_val"])

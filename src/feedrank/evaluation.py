@@ -18,6 +18,10 @@ from .data import EvalCase, InteractionStore, SideInfo
 from .models import predict_score
 from .training import pad_sequence
 
+# candidates per forward of a sequence model, whose candidates each carry
+# [n+2, 4K] activations; an ite case is scored in one forward
+CHUNK = 512
+
 
 def hr_at_k(rank: int, k: int) -> int:
     """1 when the ground-truth item lands in the top k, else 0."""
@@ -46,7 +50,7 @@ def rank_of_first(scores: np.ndarray, item_ids: np.ndarray) -> int:
 
 
 def _case_scores(model, case: EvalCase, store: Optional[InteractionStore],
-                 side_info: Optional[SideInfo], seed: int, chunk: int) -> np.ndarray:
+                 side_info: Optional[SideInfo], seed: int) -> np.ndarray:
     candidates = np.concatenate([[case.item], case.negatives]).astype(np.int64)
     scores = np.empty(candidates.size, dtype=np.float64)
     seq = None
@@ -56,13 +60,10 @@ def _case_scores(model, case: EvalCase, store: Optional[InteractionStore],
         rng = np.random.default_rng([seed, case.user])
         observed = store.observed_any(case.user) | {case.item}
         seq = pad_sequence(case.history, model.config.seq_len, store.num_items, observed, rng)
-    else:
-        # chunk bounds only sequence models, whose candidates each carry
-        # [n+2, 4K] activations: an ite case is scored in one forward
-        chunk = candidates.size
     # every candidate shares the case's user and context rows
     users = np.array([case.user], dtype=np.int64)
     contexts = None if seq is None else seq[None, :]
+    chunk = candidates.size if seq is None else CHUNK
     for start in range(0, candidates.size, chunk):
         part = candidates[start:start + chunk]
         with T.no_grad():
@@ -73,12 +74,12 @@ def _case_scores(model, case: EvalCase, store: Optional[InteractionStore],
 
 
 def case_rank(model, case: EvalCase, store: Optional[InteractionStore] = None,
-              side_info: Optional[SideInfo] = None, seed: int = 0, chunk: int = 512) -> int:
+              side_info: Optional[SideInfo] = None, seed: int = 0) -> int:
     """Rank of the held-out item among its candidate list. A NaN or
     infinite score raises ValueError: no rank would be meaningful, and NaN
     would otherwise lose every comparison and rank first."""
     candidates = np.concatenate([[case.item], case.negatives]).astype(np.int64)
-    scores = _case_scores(model, case, store, side_info, seed, chunk)
+    scores = _case_scores(model, case, store, side_info, seed)
     bad = int(np.sum(~np.isfinite(scores)))
     if bad:
         raise ValueError(f"user {case.user}: {bad} of {scores.size} candidate scores "
@@ -88,9 +89,9 @@ def case_rank(model, case: EvalCase, store: Optional[InteractionStore] = None,
 
 def evaluate(model, cases: Sequence[EvalCase], store: Optional[InteractionStore] = None,
              side_info: Optional[SideInfo] = None, k: int = 10, seed: int = 0,
-             workers: int = 1, chunk: int = 512) -> tuple[float, float]:
+             workers: int = 1) -> tuple[float, float]:
     """Mean HR@k and NDCG@k over all cases (dropout-free forward passes)."""
-    ranks = case_ranks(model, cases, store, side_info, seed, workers, chunk)
+    ranks = case_ranks(model, cases, store, side_info, seed, workers)
     hr = float(np.mean([hr_at_k(r, k) for r in ranks]))
     ndcg = float(np.mean([ndcg_at_k(r, k) for r in ranks]))
     return hr, ndcg
@@ -98,13 +99,13 @@ def evaluate(model, cases: Sequence[EvalCase], store: Optional[InteractionStore]
 
 def case_ranks(model, cases: Sequence[EvalCase], store: Optional[InteractionStore] = None,
                side_info: Optional[SideInfo] = None, seed: int = 0,
-               workers: int = 1, chunk: int = 512) -> list[int]:
+               workers: int = 1) -> list[int]:
     if not cases:
         raise ValueError("evaluate needs at least one case")
     if workers <= 1:
-        return [case_rank(model, c, store, side_info, seed, chunk) for c in cases]
+        return [case_rank(model, c, store, side_info, seed) for c in cases]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda c: case_rank(model, c, store, side_info, seed, chunk), cases))
+        return list(pool.map(lambda c: case_rank(model, c, store, side_info, seed), cases))
 
 
 def topk_sweep(model, cases: Sequence[EvalCase], store: Optional[InteractionStore] = None,

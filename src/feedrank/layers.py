@@ -21,13 +21,13 @@ ACTIVATIONS = {
 }
 
 
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape: tuple, dtype) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape: tuple) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape).astype(T.DEFAULT_DTYPE)
 
 
-def embedding_init(rng: np.random.Generator, shape: tuple, dtype) -> np.ndarray:
-    return (rng.standard_normal(shape) * 0.01).astype(dtype)
+def embedding_init(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    return (rng.standard_normal(shape) * 0.01).astype(T.DEFAULT_DTYPE)
 
 
 class DenseLayer:
@@ -45,9 +45,9 @@ class DenseLayer:
 
     @classmethod
     def build(cls, params: ParameterRegistry, name: str, in_dim: int, out_dim: int,
-              activation: str, rng: np.random.Generator, dtype=T.DEFAULT_DTYPE) -> "DenseLayer":
-        w = params.add(f"{name}.weight", glorot_uniform(rng, in_dim, out_dim, (out_dim, in_dim), dtype))
-        b = params.add(f"{name}.bias", np.zeros(out_dim, dtype=dtype))
+              activation: str, rng: np.random.Generator) -> "DenseLayer":
+        w = params.add(f"{name}.weight", glorot_uniform(rng, in_dim, out_dim, (out_dim, in_dim)))
+        b = params.add(f"{name}.bias", np.zeros(out_dim, dtype=T.DEFAULT_DTYPE))
         return cls(w, b, activation)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -66,21 +66,13 @@ class EmbeddingTable:
 
     @classmethod
     def build(cls, params: ParameterRegistry, name: str, vocab: int, dim: int,
-              rng: np.random.Generator, side_dim: int = 0, dtype=T.DEFAULT_DTYPE) -> "EmbeddingTable":
-        rows = params.add(f"{name}.rows", embedding_init(rng, (vocab, dim), dtype))
+              rng: np.random.Generator, side_dim: int = 0) -> "EmbeddingTable":
+        rows = params.add(f"{name}.rows", embedding_init(rng, (vocab, dim)))
         side = None
         if side_dim > 0:
             side = params.add(f"{name}.side_projection",
-                              glorot_uniform(rng, side_dim, dim, (dim, side_dim), dtype))
+                              glorot_uniform(rng, side_dim, dim, (dim, side_dim)))
         return cls(rows, side)
-
-    @property
-    def vocab(self) -> int:
-        return self.rows.value.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.rows.value.shape[1]
 
     def lookup(self, indices: np.ndarray, side=None) -> Tensor:
         """rows[indices], plus, when ``side`` is given, the sum of the
@@ -102,7 +94,7 @@ class TransformerLayer:
     connection and layer normalization. Q/K/V projections carry no bias."""
 
     def __init__(self, params: ParameterRegistry, name: str, dim: int, heads: int,
-                 rng: np.random.Generator, dropout_rate: float = 0.1, dtype=T.DEFAULT_DTYPE):
+                 rng: np.random.Generator, dropout_rate: float = 0.1):
         if dim % heads != 0:
             raise ConfigError(f"model dim {dim} not divisible by {heads} heads")
         self.dim = dim
@@ -110,21 +102,21 @@ class TransformerLayer:
         self.head_dim = dim // heads
         self.dropout_rate = dropout_rate
         hd = self.head_dim
-        self.wq = [params.add(f"{name}.head{i}.wq", glorot_uniform(rng, dim, hd, (dim, hd), dtype))
+        self.wq = [params.add(f"{name}.head{i}.wq", glorot_uniform(rng, dim, hd, (dim, hd)))
                    for i in range(heads)]
-        self.wk = [params.add(f"{name}.head{i}.wk", glorot_uniform(rng, dim, hd, (dim, hd), dtype))
+        self.wk = [params.add(f"{name}.head{i}.wk", glorot_uniform(rng, dim, hd, (dim, hd)))
                    for i in range(heads)]
-        self.wv = [params.add(f"{name}.head{i}.wv", glorot_uniform(rng, dim, hd, (dim, hd), dtype))
+        self.wv = [params.add(f"{name}.head{i}.wv", glorot_uniform(rng, dim, hd, (dim, hd)))
                    for i in range(heads)]
-        self.wo = params.add(f"{name}.wo", glorot_uniform(rng, dim, dim, (dim, dim), dtype))
-        self.ffn_w1 = params.add(f"{name}.ffn.w1", glorot_uniform(rng, dim, 4 * dim, (dim, 4 * dim), dtype))
-        self.ffn_b1 = params.add(f"{name}.ffn.b1", np.zeros(4 * dim, dtype=dtype))
-        self.ffn_w2 = params.add(f"{name}.ffn.w2", glorot_uniform(rng, 4 * dim, dim, (4 * dim, dim), dtype))
-        self.ffn_b2 = params.add(f"{name}.ffn.b2", np.zeros(dim, dtype=dtype))
-        self.ln1_gain = params.add(f"{name}.ln1.gain", np.ones(dim, dtype=dtype))
-        self.ln1_bias = params.add(f"{name}.ln1.bias", np.zeros(dim, dtype=dtype))
-        self.ln2_gain = params.add(f"{name}.ln2.gain", np.ones(dim, dtype=dtype))
-        self.ln2_bias = params.add(f"{name}.ln2.bias", np.zeros(dim, dtype=dtype))
+        self.wo = params.add(f"{name}.wo", glorot_uniform(rng, dim, dim, (dim, dim)))
+        self.ffn_w1 = params.add(f"{name}.ffn.w1", glorot_uniform(rng, dim, 4 * dim, (dim, 4 * dim)))
+        self.ffn_b1 = params.add(f"{name}.ffn.b1", np.zeros(4 * dim, dtype=T.DEFAULT_DTYPE))
+        self.ffn_w2 = params.add(f"{name}.ffn.w2", glorot_uniform(rng, 4 * dim, dim, (4 * dim, dim)))
+        self.ffn_b2 = params.add(f"{name}.ffn.b2", np.zeros(dim, dtype=T.DEFAULT_DTYPE))
+        self.ln1_gain = params.add(f"{name}.ln1.gain", np.ones(dim, dtype=T.DEFAULT_DTYPE))
+        self.ln1_bias = params.add(f"{name}.ln1.bias", np.zeros(dim, dtype=T.DEFAULT_DTYPE))
+        self.ln2_gain = params.add(f"{name}.ln2.gain", np.ones(dim, dtype=T.DEFAULT_DTYPE))
+        self.ln2_bias = params.add(f"{name}.ln2.bias", np.zeros(dim, dtype=T.DEFAULT_DTYPE))
 
 
 def multi_head_self_attention(h: Tensor, layer: TransformerLayer, query: Optional[Tensor] = None,
@@ -246,11 +238,11 @@ def transformer_layer(x: Tensor, layer: TransformerLayer, training: bool = False
 
 
 def dense_tower(params: ParameterRegistry, name: str, in_dim: int, widths: Sequence[int],
-                activation: str, rng: np.random.Generator, dtype=T.DEFAULT_DTYPE) -> list[DenseLayer]:
+                activation: str, rng: np.random.Generator) -> list[DenseLayer]:
     layers = []
     prev = in_dim
     for j, w in enumerate(widths):
-        layers.append(DenseLayer.build(params, f"{name}.layer{j}", prev, w, activation, rng, dtype))
+        layers.append(DenseLayer.build(params, f"{name}.layer{j}", prev, w, activation, rng))
         prev = w
     return layers
 

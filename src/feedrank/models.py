@@ -57,9 +57,6 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if not 0 <= self.dropout < 1:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.embedding_dim % self.attention_heads != 0:
-            raise ConfigError(
-                f"embedding_dim {self.embedding_dim} not divisible by attention_heads {self.attention_heads}")
         if self.side_info_mode not in SIDE_MODES:
             raise ConfigError(f"side_info_mode must be one of {SIDE_MODES}, got {self.side_info_mode!r}")
         if self.side_info_mode != "none" and self.side_dim <= 0:
@@ -117,23 +114,22 @@ class _ImplicitExplicitModel:
     kind: str
 
     def __init__(self, num_users: int, num_items: int, config: ModelConfig,
-                 seed: int = 0, dtype=T.DEFAULT_DTYPE):
+                 seed: int = 0):
         config.validate()
         self.num_users = num_users
         self.num_items = num_items
         self.config = config
-        self.dtype = np.dtype(dtype)
         self.params = params = ParameterRegistry()
         rng = np.random.default_rng(seed)
         mode = config.side_info_mode
         user_side = config.side_dim if mode == "user_and_item" else 0
         item_side = config.side_dim if mode != "none" else 0
-        phi_dim = self._build_encoder(params, rng, user_side, item_side, dtype)
-        self.implicit_head = params.add("implicit_head", L.glorot_uniform(rng, phi_dim, 1, (phi_dim,), dtype))
+        phi_dim = self._build_encoder(params, rng, user_side, item_side)
+        self.implicit_head = params.add("implicit_head", L.glorot_uniform(rng, phi_dim, 1, (phi_dim,)))
         expl_widths = _explicit_tower_widths(phi_dim, config.explicit_mlp_layers)
-        self.explicit_tower = L.dense_tower(params, "explicit_mlp", phi_dim, expl_widths, "relu", rng, dtype)
+        self.explicit_tower = L.dense_tower(params, "explicit_mlp", phi_dim, expl_widths, "relu", rng)
         self.explicit_head = params.add("explicit_head",
-                                        L.glorot_uniform(rng, expl_widths[-1], 1, (expl_widths[-1],), dtype))
+                                        L.glorot_uniform(rng, expl_widths[-1], 1, (expl_widths[-1],)))
 
     def _heads(self, phi_implicit: Tensor, embedding_rows: list) -> ForwardResult:
         x_hat = _head_scores(phi_implicit, self.implicit_head.value)
@@ -172,15 +168,15 @@ class ITEModel(_ImplicitExplicitModel):
 
     kind = "ite"
 
-    def _build_encoder(self, params, rng, user_side, item_side, dtype) -> int:
+    def _build_encoder(self, params, rng, user_side, item_side) -> int:
         k = self.config.embedding_dim
         mlp_widths = _implicit_tower_widths(k, self.config.implicit_mlp_layers)
         mlp_emb = mlp_widths[0]  # concat of two such embeddings feeds the tower
-        self.gmf_user = L.EmbeddingTable.build(params, "gmf.user", self.num_users, k, rng, user_side, dtype)
-        self.gmf_item = L.EmbeddingTable.build(params, "gmf.item", self.num_items, k, rng, item_side, dtype)
-        self.mlp_user = L.EmbeddingTable.build(params, "mlp.user", self.num_users, mlp_emb, rng, user_side, dtype)
-        self.mlp_item = L.EmbeddingTable.build(params, "mlp.item", self.num_items, mlp_emb, rng, item_side, dtype)
-        self.implicit_tower = L.dense_tower(params, "implicit_mlp", 2 * mlp_emb, mlp_widths, "relu", rng, dtype)
+        self.gmf_user = L.EmbeddingTable.build(params, "gmf.user", self.num_users, k, rng, user_side)
+        self.gmf_item = L.EmbeddingTable.build(params, "gmf.item", self.num_items, k, rng, item_side)
+        self.mlp_user = L.EmbeddingTable.build(params, "mlp.user", self.num_users, mlp_emb, rng, user_side)
+        self.mlp_item = L.EmbeddingTable.build(params, "mlp.item", self.num_items, mlp_emb, rng, item_side)
+        self.implicit_tower = L.dense_tower(params, "implicit_mlp", 2 * mlp_emb, mlp_widths, "relu", rng)
         return 2 * k
 
     def forward(self, users: np.ndarray, items: np.ndarray,
@@ -213,15 +209,15 @@ class BertITEModel(_ImplicitExplicitModel):
 
     kind = "bert"
 
-    def _build_encoder(self, params, rng, user_side, item_side, dtype) -> int:
+    def _build_encoder(self, params, rng, user_side, item_side) -> int:
         if self.config.transformer_layers < 1:
             raise ConfigError("transformer_layers must be >= 1 for a bert variant")
         k = self.config.embedding_dim
-        self.user_table = L.EmbeddingTable.build(params, "user", self.num_users, k, rng, user_side, dtype)
+        self.user_table = L.EmbeddingTable.build(params, "user", self.num_users, k, rng, user_side)
         # one item table shared by sequence rows and the target item
-        self.item_table = L.EmbeddingTable.build(params, "item", self.num_items, k, rng, item_side, dtype)
+        self.item_table = L.EmbeddingTable.build(params, "item", self.num_items, k, rng, item_side)
         self.transformer = [
-            L.TransformerLayer(params, f"trm{l}", k, self.config.attention_heads, rng, self.config.dropout, dtype)
+            L.TransformerLayer(params, f"trm{l}", k, self.config.attention_heads, rng, self.config.dropout)
             for l in range(self.config.transformer_layers)
         ]
         return k
@@ -284,7 +280,7 @@ class BertITEModel(_ImplicitExplicitModel):
 
 
 def build_model(variant: str, num_users: int, num_items: int, config: ModelConfig,
-                seed: int = 0, dtype=T.DEFAULT_DTYPE):
+                seed: int = 0):
     """Construct one of the six named variants; the variant fixes the side
     mode, everything else comes from ``config``."""
     if variant not in VARIANTS:
@@ -294,7 +290,7 @@ def build_model(variant: str, num_users: int, num_items: int, config: ModelConfi
     if side_mode == "none":
         cfg = replace(cfg, side_dim=0)
     cls = ITEModel if kind == "ite" else BertITEModel
-    return cls(num_users, num_items, cfg, seed=seed, dtype=dtype)
+    return cls(num_users, num_items, cfg, seed=seed)
 
 
 def predict_score(x_hat, y_hat):

@@ -79,8 +79,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
@@ -103,9 +103,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Reverse-mode pass from a scalar root."""
@@ -236,10 +233,10 @@ class ParameterRegistry:
     def __init__(self):
         self._params: dict[str, Parameter] = {}
 
-    def add(self, name: str, data, dtype=None) -> Parameter:
+    def add(self, name: str, data) -> Parameter:
         if name in self._params:
             raise ConfigError(f"duplicate parameter name: {name!r}")
-        arr = np.array(data, dtype=dtype)
+        arr = np.array(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         p = Parameter(name, Tensor(arr, requires_grad=True))
@@ -251,9 +248,6 @@ class ParameterRegistry:
 
     def __iter__(self) -> Iterator[Parameter]:
         return iter(self._params.values())
-
-    def names(self) -> list[str]:
-        return list(self._params.keys())
 
     def zero_grads(self) -> None:
         for p in self._params.values():

@@ -46,7 +46,7 @@ def check_gradients(build_loss, tensors, tol=1e-6, h=1e-4) -> float:
     """Assert analytic gradients of build_loss() match finite differences
     for every tensor; returns the worst relative error seen."""
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
     loss = build_loss()
     loss.backward()
     analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in tensors]
@@ -62,6 +62,30 @@ def check_gradients(build_loss, tensors, tol=1e-6, h=1e-4) -> float:
         assert err < tol, f"gradient mismatch (rel err {err:.3e} >= {tol}) for tensor of shape {t.shape}"
         worst = max(worst, err)
     return worst
+
+
+def to_float64(params):
+    """Upcast every parameter of a ``ParameterRegistry`` to float64 in place,
+    for finite differences on a model or layer that was built, as every one
+    is, in float32. Call it before making an ``Adam`` over the parameters."""
+    for p in params:
+        p.value.data = p.value.data.astype(np.float64)
+
+
+def encode_side_user(items, item_categories, num_categories):
+    """Category-frequency vector over a user's interacted items, by a plain
+    loop: each item increments every category it belongs to, and the vector
+    is normalized by the total count (all zero when no item has a category).
+    The oracle for the per-user rows that ``build_side_info`` computes for
+    every user at once."""
+    counts = np.zeros(num_categories, dtype=np.float64)
+    for item in items:
+        for c in item_categories[item]:
+            counts[c] += 1.0
+    total = counts.sum()
+    if total > 0:
+        counts /= total
+    return counts
 
 
 def side_bag(dense, weighted=False):

@@ -26,7 +26,7 @@ from feedrank.tensor import ParameterRegistry, Tensor
 from feedrank.training import (Adam, TrainingConfig, build_epoch_examples, fit, joint_loss,
                                train_epoch)
 
-from conftest import check_gradients, planted_dataset, store_sets
+from conftest import check_gradients, planted_dataset, store_sets, to_float64
 from test_models import randomize_away_from_kinks
 
 RETAILROCKET_DIR = os.environ.get("RETAILROCKET_DIR", "")
@@ -41,14 +41,16 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 def small_ite(seed=0):
     cfg = ModelConfig(embedding_dim=4, attention_heads=2, implicit_mlp_layers=2,
                       explicit_mlp_layers=2, dropout=0.0)
-    model = ITEModel(8, 8, cfg, seed=seed, dtype=np.float64)
+    model = ITEModel(8, 8, cfg, seed=seed)
+    to_float64(model.params)
     randomize_away_from_kinks(model, seed=seed + 500)
     return model
 
 def small_bert(seed=0):
     cfg = ModelConfig(embedding_dim=4, seq_len=4, transformer_layers=1, attention_heads=2,
                       explicit_mlp_layers=2, dropout=0.0)
-    model = BertITEModel(8, 8, cfg, seed=seed, dtype=np.float64)
+    model = BertITEModel(8, 8, cfg, seed=seed)
+    to_float64(model.params)
     randomize_away_from_kinks(model, seed=seed + 600)
     return model
 
@@ -63,13 +65,15 @@ class TestCriterion1GradientFidelity:
 
         # layers (64-bit, rel err < 1e-5)
         reg = ParameterRegistry()
-        dense = L.DenseLayer.build(reg, "d", 4, 3, "gelu", rng, dtype=np.float64)
+        dense = L.DenseLayer.build(reg, "d", 4, 3, "gelu", rng)
+        to_float64(reg)
         x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
         worst["dense"] = check_gradients(lambda: T.l2_sq(dense(x)),
                                          [x, dense.weight.value, dense.bias.value], tol=1e-5)
 
         reg = ParameterRegistry()
-        table = L.EmbeddingTable.build(reg, "e", 6, 4, rng, side_dim=3, dtype=np.float64)
+        table = L.EmbeddingTable.build(reg, "e", 6, 4, rng, side_dim=3)
+        to_float64(reg)
         table.rows.value.data[:] = rng.uniform(-1, 1, size=(6, 4))
         side = rng.standard_normal((4, 3))
         idx = np.array([0, 2, 2, 5])
@@ -78,7 +82,8 @@ class TestCriterion1GradientFidelity:
             [table.rows.value, table.side_projection.value], tol=1e-5)
 
         reg = ParameterRegistry()
-        trm = L.TransformerLayer(reg, "t", 4, 2, rng, dropout_rate=0.0, dtype=np.float64)
+        trm = L.TransformerLayer(reg, "t", 4, 2, rng, dropout_rate=0.0)
+        to_float64(reg)
         h = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         worst["attention"] = check_gradients(
             lambda: T.l2_sq(L.multi_head_self_attention(h, trm)),
@@ -311,7 +316,8 @@ class TestCriterion6InvariantSuites:
         # attention output is equivariant to permuting input rows
         rng = np.random.default_rng(8)
         reg = ParameterRegistry()
-        trm = L.TransformerLayer(reg, "t", 6, 2, rng, dropout_rate=0.0, dtype=np.float64)
+        trm = L.TransformerLayer(reg, "t", 6, 2, rng, dropout_rate=0.0)
+        to_float64(reg)
         h = rng.standard_normal((7, 6))
         perm = rng.permutation(7)
         base = L.multi_head_self_attention(Tensor(h), trm).data

@@ -330,6 +330,22 @@ class TestTrain:
         # a valid --seed overrides the config's
         assert main(["train", "--config", str(cfg), "--seed", "4", "--no-timestamps"]) == 0
 
+    @pytest.mark.parametrize("variant, code", [("ite", 0), ("bert-ite", 1)])
+    def test_odd_embedding_dim_refused_only_by_attention(self, tmp_path, prepared_path, capsys,
+                                                         variant, code):
+        # ITE has no attention heads to split K=3 among; BERT-ITE's 2 heads cannot
+        run_dir = tmp_path / "run-k3"
+        cfg = write_config(tmp_path / "k3.ini", prepared_path, variant=variant, epochs=1, out=run_dir)
+        cfg.write_text(cfg.read_text().replace("embedding_dim = 8", "embedding_dim = 3"))
+        assert main(["train", "--config", str(cfg), "--no-timestamps"]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            model, _, _ = load_checkpoint(str(run_dir / "model.ckpt"))
+            assert model.config.embedding_dim == 3
+        else:
+            assert "model dim 3 not divisible by 2 heads" in err and len(err.splitlines()) == 1
+            assert not run_dir.exists()
+
     def test_dataset_missing_a_record_exits_one(self, tmp_path, prepared_path, capsys):
         config, arrays = read_container(str(prepared_path))
         del arrays["implicit_offsets"]
@@ -547,6 +563,36 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err == f"error: {bad}: config key {message}\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", [None, [1], 2.7, -1, True, "3"])
+    def test_malformed_meta_seed_exits_one(self, tmp_path, prepared_path, trained, capsys, seed):
+        config, arrays = read_container(str(trained))
+        config["meta"]["seed"] = seed
+        bad = tmp_path / "bad.ckpt"
+        write_container(str(bad), config, arrays)
+        assert main(["evaluate", "--checkpoint", str(bad), "--dataset", str(prepared_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: config key 'meta.seed' is {seed!r}, not an int >= 0\n"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("user_ids", 5, "'user_ids' must be a list of strings"),
+        ("user_ids", None, "'user_ids' must be a list of strings"),
+        ("item_ids", "i0", "'item_ids' must be a list of strings"),
+        ("item_ids", [0, 1], "'item_ids' must be a list of strings"),
+        ("labels", None, "'labels' must be a list of strings"),
+        ("labels", {"c0": 0}, "'labels' must be a list of strings"),
+        ("has_side_info", 1, "'has_side_info' is 1, not a bool"),
+        ("has_side_info", "true", "'has_side_info' is 'true', not a bool"),
+        ("has_side_info", None, "'has_side_info' is None, not a bool"),
+    ])
+    def test_malformed_dataset_config_exits_one(self, tmp_path, prepared_path, trained, capsys,
+                                                key, value, message):
+        config, arrays = read_container(str(prepared_path))
+        config[key] = value
+        write_container(str(prepared_path), config, arrays)
+        assert main(["evaluate", "--checkpoint", str(trained), "--dataset", str(prepared_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {prepared_path}: config key {message}\n"
 
     @pytest.mark.parametrize("key,value,message", [
         ("embedding_dim", "8", "'model.embedding_dim' is '8', not an int"),

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from feedrank.container import FormatError, read_container, write_container
 from feedrank.data import (DEFAULT_CLASSIFICATION, EXPLICIT, ColumnSpec, DataError, DatasetStats,
                            InteractionStore, PreparedDataset, SideInfo, build_side_info,
-                           encode_side_user, ingest, leave_one_out_split, load_prepared,
+                           ingest, leave_one_out_split, load_prepared,
                            read_category_pairs, read_retailrocket_properties, sample_unobserved,
                            save_prepared)
 
-from conftest import reference_sets, store_sets, write_categories_csv, write_events_csv
+from conftest import encode_side_user, reference_sets, store_sets, write_categories_csv, write_events_csv
 
 
 def side_from_lists(num_categories, item_categories, user_vectors=()):

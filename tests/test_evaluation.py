@@ -190,16 +190,16 @@ class TestIteEvaluation:
         candidates = np.concatenate([[c.item], c.negatives])
         chunked = np.empty(candidates.size)
         with no_grad():
-            for start in range(0, candidates.size, 512):
-                res = model.forward_batch(np.array([c.user]), candidates[start:start + 512])
-                chunked[start:start + 512] = predict_score(res.x_hat.data.astype(np.float64),
+            for start in range(0, candidates.size, evaluation.CHUNK):
+                res = model.forward_batch(np.array([c.user]), candidates[start:start + evaluation.CHUNK])
+                chunked[start:start + evaluation.CHUNK] = predict_score(res.x_hat.data.astype(np.float64),
                                                            res.y_hat.data.astype(np.float64))
         sizes = []
         forward = model.forward_batch
         monkeypatch.setattr(model, "forward_batch",
                             lambda users, items, *rest: sizes.append(items.size)
                             or forward(users, items, *rest))
-        scores = evaluation._case_scores(model, c, None, None, seed=0, chunk=512)
+        scores = evaluation._case_scores(model, c, None, None, seed=0)
         assert sizes == [1000]
         assert scores.tobytes() == chunked.tobytes()
 
@@ -257,7 +257,7 @@ class TestSequenceModelEvaluation:
             p.value.data[:] = rng.uniform(-1, 1, p.value.shape)
         user, history = 5, rng.integers(0, train.num_items, 6)  # long enough to need no padding
         c = case(user, 2, rng.integers(0, train.num_items, 512), history)
-        scores = evaluation._case_scores(model, c, train, side, seed=0, chunk=512)
+        scores = evaluation._case_scores(model, c, train, side, seed=0)
         candidates = np.concatenate([[c.item], c.negatives])
         one_at_a_time = np.empty(candidates.size)
         with no_grad():
@@ -268,15 +268,16 @@ class TestSequenceModelEvaluation:
         assert scores.size == 513
         np.testing.assert_allclose(scores, one_at_a_time, rtol=1e-5, atol=0)
 
-    def test_bert_workers_do_not_change_ranks(self, tmp_path):
+    def test_bert_workers_do_not_change_ranks(self, tmp_path, monkeypatch):
         events, _ = planted_dataset(tmp_path, num_groups=3, users_per_group=3,
                                     items_per_group=8, explicit_per_user=2)
         train, cases = leave_one_out_split(ingest(str(events)), num_negatives=12, seed=0)
         model = BertITEModel(train.num_users, train.num_items,
                              ModelConfig(embedding_dim=4, seq_len=3, transformer_layers=2,
                                          attention_heads=2), seed=4)
-        assert (case_ranks(model, cases, train, seed=2, workers=2, chunk=5)
-                == case_ranks(model, cases, train, seed=2, workers=1, chunk=5))
+        monkeypatch.setattr(evaluation, "CHUNK", 5)
+        assert (case_ranks(model, cases, train, seed=2, workers=2)
+                == case_ranks(model, cases, train, seed=2, workers=1))
 
     def test_bert_path_requires_store(self):
         model = BertITEModel(2, 30, ModelConfig(embedding_dim=4, seq_len=2,

@@ -12,7 +12,7 @@ from feedrank import tensor as T
 from feedrank.data import SideInfo
 from feedrank.tensor import ConfigError, ParameterRegistry, Tensor
 
-from conftest import check_gradients, csr_to_dense, side_bag
+from conftest import check_gradients, csr_to_dense, side_bag, to_float64
 
 
 def make_table(rows, side_projection=None):
@@ -24,10 +24,11 @@ def make_table(rows, side_projection=None):
     return L.EmbeddingTable(p_rows, p_side)
 
 
-def make_transformer(dim, heads, rng=None, dropout=0.0, dtype=np.float64):
+def make_transformer(dim, heads, rng=None, dropout=0.0):
     reg = ParameterRegistry()
     layer = L.TransformerLayer(reg, "trm", dim, heads, rng or np.random.default_rng(0),
-                               dropout_rate=dropout, dtype=dtype)
+                               dropout_rate=dropout)
+    to_float64(reg)
     return layer, reg
 
 
@@ -271,7 +272,8 @@ class TestTransformerLayer:
         rng = np.random.default_rng(15)
         layer1, _ = make_transformer(4, 2, rng)
         reg2 = ParameterRegistry()
-        layer2 = L.TransformerLayer(reg2, "trm2", 4, 2, rng, dropout_rate=0.0, dtype=np.float64)
+        layer2 = L.TransformerLayer(reg2, "trm2", 4, 2, rng, dropout_rate=0.0)
+        to_float64(reg2)
         x = Tensor(rng.standard_normal((3, 4)))
         one = L.transformer_layer(x, layer1).data
         two = L.transformer_layer(L.transformer_layer(x, layer1), layer2).data
@@ -325,7 +327,8 @@ class TestDenseLayer:
     def test_forward_matches_affine(self):
         reg = ParameterRegistry()
         rng = np.random.default_rng(18)
-        layer = L.DenseLayer.build(reg, "d", 3, 2, "identity", rng, dtype=np.float64)
+        layer = L.DenseLayer.build(reg, "d", 3, 2, "identity", rng)
+        to_float64(reg)
         x = rng.standard_normal((4, 3))
         out = layer(Tensor(x))
         np.testing.assert_allclose(out.data, x @ layer.weight.data.T + layer.bias.data, atol=1e-12)
@@ -344,6 +347,7 @@ class TestDenseLayer:
     def test_gradients(self):
         reg = ParameterRegistry()
         rng = np.random.default_rng(20)
-        layer = L.DenseLayer.build(reg, "d", 3, 2, "gelu", rng, dtype=np.float64)
+        layer = L.DenseLayer.build(reg, "d", 3, 2, "gelu", rng)
+        to_float64(reg)
         x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         check_gradients(lambda: T.l2_sq(layer(x)), [x, layer.weight.value, layer.bias.value], tol=1e-5)

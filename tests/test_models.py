@@ -9,11 +9,11 @@ from scipy.special import expit
 
 from feedrank import layers as L
 from feedrank import tensor as T
-from feedrank.data import SideInfo, encode_side_user
+from feedrank.data import SideInfo
 from feedrank.models import BertITEModel, ITEModel, ModelConfig, build_model, predict_score
 from feedrank.tensor import ConfigError
 
-from conftest import check_gradients, side_bag
+from conftest import check_gradients, encode_side_user, side_bag, to_float64
 from test_layers import oracle_attention, oracle_ffn_row, oracle_layer_norm
 
 
@@ -91,7 +91,8 @@ def scores_of(res):
 
 class TestITEForward:
     def test_zero_implicit_head_gives_half(self):
-        model = ITEModel(4, 4, ite_config(), seed=1, dtype=np.float64)
+        model = ITEModel(4, 4, ite_config(), seed=1)
+        to_float64(model.params)
         model.implicit_head.value.data[:] = 0.0
         for u, i in [(0, 0), (3, 2), (1, 3)]:
             x_hat, _ = ite_forward(model, u, i)
@@ -99,7 +100,8 @@ class TestITEForward:
 
     def test_zero_gmf_embeddings_zero_gmf_layer(self):
         # zero GMF tables + a head reading only the GMF half => sigma(0)
-        model = ITEModel(4, 4, ite_config(k=2), seed=2, dtype=np.float64)
+        model = ITEModel(4, 4, ite_config(k=2), seed=2)
+        to_float64(model.params)
         model.gmf_user.rows.value.data[:] = 0.0
         model.implicit_head.value.data[:] = 0.0
         model.implicit_head.value.data[:2] = 5.0  # GMF half of the implicit layer
@@ -107,7 +109,8 @@ class TestITEForward:
         assert x_hat == 0.5
 
     def test_matches_scripted_oracle(self):
-        model = ITEModel(4, 4, ite_config(k=2, x=1, y=1), seed=3, dtype=np.float64)
+        model = ITEModel(4, 4, ite_config(k=2, x=1, y=1), seed=3)
+        to_float64(model.params)
         rng = np.random.default_rng(33)
         for p in model.params:  # hand-set weights, order 1 magnitudes
             p.value.data[:] = rng.uniform(-1.0, 1.0, size=p.value.shape)
@@ -118,7 +121,8 @@ class TestITEForward:
                 np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_matches_oracle_deeper_towers(self):
-        model = ITEModel(5, 6, ite_config(k=4, x=3, y=3), seed=4, dtype=np.float64)
+        model = ITEModel(5, 6, ite_config(k=4, x=3, y=3), seed=4)
+        to_float64(model.params)
         got = ite_forward(model, 2, 5)
         np.testing.assert_allclose(got, oracle_ite_forward(model, 2, 5), atol=1e-12)
 
@@ -151,7 +155,8 @@ class TestITEForward:
             model.forward(np.array([0]), np.array([0]), item_side=np.array([[0, 1, 2]]))
 
     def test_item_only_mode(self):
-        model = ITEModel(4, 4, ite_config(side_mode="item_only", side_dim=3), seed=9, dtype=np.float64)
+        model = ITEModel(4, 4, ite_config(side_mode="item_only", side_dim=3), seed=9)
+        to_float64(model.params)
         x0, y0 = ite_forward(model, 0, 1, item_side=np.zeros(3))
         x1, y1 = ite_forward(model, 0, 1, item_side=np.ones(3))
         assert (x0, y0) != (x1, y1)  # side vector reaches the item embedding
@@ -248,20 +253,23 @@ class TestBertITEForward:
 
     def test_zero_target_embedding_gives_half(self):
         # phi = u_rep * target embedding; a zero target forces sigma(0)
-        model = BertITEModel(3, 4, self.cfg(), seed=12, dtype=np.float64)
+        model = BertITEModel(3, 4, self.cfg(), seed=12)
+        to_float64(model.params)
         model.item_table.rows.value.data[2] = 0.0
         x_hat, _ = bert_ite_forward(model, 0, [1, 3], 2)
         assert x_hat == 0.5
 
     def test_identical_sequence_items_permutation_invariant(self):
-        model = BertITEModel(3, 6, self.cfg(n=4), seed=13, dtype=np.float64)
+        model = BertITEModel(3, 6, self.cfg(n=4), seed=13)
+        to_float64(model.params)
         model.item_table.rows.value.data[:4] = model.item_table.rows.value.data[0]
         a = bert_ite_forward(model, 1, [0, 1, 2, 3], 5)
         b = bert_ite_forward(model, 1, [3, 0, 1, 2], 5)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_matches_scripted_oracle_small(self):
-        model = BertITEModel(3, 5, self.cfg(), seed=14, dtype=np.float64)
+        model = BertITEModel(3, 5, self.cfg(), seed=14)
+        to_float64(model.params)
         rng = np.random.default_rng(44)
         for p in model.params:
             if "ln" not in p.name:
@@ -270,8 +278,8 @@ class TestBertITEForward:
         np.testing.assert_allclose(got, oracle_bert_forward(model, 1, [0, 3], 4), atol=1e-10)
 
     def test_matches_oracle_two_layers_two_heads(self):
-        model = BertITEModel(4, 6, self.cfg(k=4, n=3, layers=2, heads=2, y=2), seed=15,
-                             dtype=np.float64)
+        model = BertITEModel(4, 6, self.cfg(k=4, n=3, layers=2, heads=2, y=2), seed=15)
+        to_float64(model.params)
         got = bert_ite_forward(model, 2, [5, 0, 1], 3)
         np.testing.assert_allclose(got, oracle_bert_forward(model, 2, [5, 0, 1], 3), atol=1e-10)
 
@@ -316,7 +324,8 @@ class TestPrunedEncoder:
         side_dim = 3
         cfg = ModelConfig(embedding_dim=heads * head_dim, seq_len=n, transformer_layers=layers,
                           attention_heads=heads, explicit_mlp_layers=2, dropout=0.1, side_dim=side_dim)
-        model = build_model(variant, 4, 7, cfg, seed=seed, dtype=np.float64)
+        model = build_model(variant, 4, 7, cfg, seed=seed)
+        to_float64(model.params)
         randomize_away_from_kinks(model, seed)
         rng = np.random.default_rng(seed)
         users, seqs, targets = rng.integers(0, 4, b), rng.integers(0, 7, (b, n)), rng.integers(0, 7, b)
@@ -371,7 +380,9 @@ class TestSharedPrefixForward:
     def model(self, variant, layers, heads, dtype, seed=0, n=4):
         cfg = ModelConfig(embedding_dim=2 * heads, seq_len=n, transformer_layers=layers,
                           attention_heads=heads, explicit_mlp_layers=2, dropout=0.1, side_dim=3)
-        model = build_model(variant, 5, 9, cfg, seed=seed, dtype=dtype)
+        model = build_model(variant, 5, 9, cfg, seed=seed)
+        if dtype == np.float64:
+            to_float64(model.params)
         randomize_away_from_kinks(model, seed, scale=1.0)
         return model
 
@@ -544,7 +555,8 @@ def randomize_away_from_kinks(model, seed, scale=0.5):
 
 class TestModelGradients:
     def test_ite_forward_gradient(self):
-        model = ITEModel(4, 4, ite_config(k=2, x=2, y=2), seed=20, dtype=np.float64)
+        model = ITEModel(4, 4, ite_config(k=2, x=2, y=2), seed=20)
+        to_float64(model.params)
         randomize_away_from_kinks(model, seed=100)
         users = np.array([0, 1, 2])
         items = np.array([1, 3, 0])
@@ -559,7 +571,8 @@ class TestModelGradients:
     def test_bert_forward_gradient(self):
         cfg = ModelConfig(embedding_dim=4, seq_len=2, transformer_layers=1,
                           attention_heads=2, explicit_mlp_layers=2, dropout=0.0)
-        model = BertITEModel(3, 5, cfg, seed=21, dtype=np.float64)
+        model = BertITEModel(3, 5, cfg, seed=21)
+        to_float64(model.params)
         randomize_away_from_kinks(model, seed=101)
         users = np.array([0, 2])
         seqs = np.array([[1, 2], [0, 4]])
@@ -576,7 +589,8 @@ class TestModelGradients:
         # a full first layer feeds the pruned last layer
         cfg = ModelConfig(embedding_dim=4, seq_len=2, transformer_layers=2,
                           attention_heads=2, explicit_mlp_layers=2, dropout=0.0)
-        model = BertITEModel(3, 5, cfg, seed=23, dtype=np.float64)
+        model = BertITEModel(3, 5, cfg, seed=23)
+        to_float64(model.params)
         randomize_away_from_kinks(model, seed=102)
         users = np.array([0, 2])
         seqs = np.array([[1, 2], [0, 4]])

@@ -39,8 +39,7 @@ class TestMatmul:
         a = t64([[1.0, 2.0]], requires_grad=True)
         b = t64([[3.0], [4.0]], requires_grad=True)
         check_gradients(lambda: T.sum_all(T.matmul(a, b)), [a, b])
-        a.zero_grad()
-        b.zero_grad()
+        a.grad = b.grad = None
         loss = T.sum_all(T.matmul(a, b))
         loss.backward()
         np.testing.assert_allclose(a.grad, [[3.0, 4.0]])
@@ -441,7 +440,7 @@ class TestConcatAndShaping:
         w = t64(rng.standard_normal((2, 4)))
         check_gradients(lambda: T.sum_all(T.elementwise_mul(T.select_row(x, 1), w)), [x])
         # the row's gradient lands exactly, on top of what x already holds
-        x.zero_grad()
+        x.grad = None
         v = rng.standard_normal((2, 3, 4))
         T.add(T.sum_all(T.elementwise_mul(x, t64(v))),
               T.sum_all(T.elementwise_mul(T.select_row(x, 1), w))).backward()

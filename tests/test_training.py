@@ -20,7 +20,7 @@ from feedrank.training import (Adam, NonFiniteLossError, TrainingConfig, bce_sum
                                build_epoch_examples, fit, joint_loss, pad_sequence,
                                sample_negatives, train_epoch)
 
-from conftest import planted_dataset, store_sets
+from conftest import planted_dataset, store_sets, to_float64
 
 
 def cfg(**kw):
@@ -76,7 +76,8 @@ class TestJointLoss:
     def test_eta_zero_kills_implicit_head_gradient(self):
         model = ITEModel(4, 6, ModelConfig(embedding_dim=4, attention_heads=2,
                                            implicit_mlp_layers=2, explicit_mlp_layers=2),
-                         seed=1, dtype=np.float64)
+                         seed=1)
+        to_float64(model.params)
         users, items = np.array([0, 1, 2]), np.array([1, 5, 3])
         impl = model.forward(users, items)
         expl = model.forward(np.array([3, 0]), np.array([0, 2]))
@@ -472,7 +473,8 @@ class TestEpochLoop:
         # each example kind in its own forward and feeds joint_loss its head
         store, _ = small_prepared
         model = ITEModel(store.num_users, store.num_items,
-                         ModelConfig(embedding_dim=4, attention_heads=2), seed=12, dtype=np.float64)
+                         ModelConfig(embedding_dim=4, attention_heads=2), seed=12)
+        to_float64(model.params)
         config = cfg(batch_size=10**6, l2_weight=1e-3)
 
         class GradientSpy:
