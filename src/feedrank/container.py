@@ -143,12 +143,12 @@ def load_checkpoint(path: str):
 
     Returns (model, variant, meta).
     """
-    from .models import ModelConfig, build_model
+    from .models import VARIANTS, ModelConfig, build_model
 
     config, arrays = read_container(path)
     if config.get("kind") != "checkpoint":
         raise FormatError(f"{path}: not a checkpoint file")
-    _check_checkpoint(path, config, ModelConfig)
+    _check_checkpoint(path, config, ModelConfig, VARIANTS)
     model = build_model(config["variant"], config["num_users"], config["num_items"],
                         ModelConfig(**config["model"]), seed=0)
     model.params.load_arrays(arrays)
@@ -160,13 +160,16 @@ def load_checkpoint(path: str):
 _FIELD_KINDS = {"int": (int, "an int"), "float": ((int, float), "a number"), "str": (str, "a string")}
 
 
-def _check_checkpoint(path: str, config: dict, model_config: type) -> None:
+def _check_checkpoint(path: str, config: dict, model_config: type, variants: dict) -> None:
     """Raise a one-line FormatError unless the config record holds a string
     ``variant``, ``num_users`` and ``num_items`` as ints >= 0, a ``meta``
     object whose ``seed``, if present, is a non-bool int >= 0, and a
     ``model`` object with exactly the fields of ``model_config`` (a
     dataclass), each of its field's type: a non-bool int for an int, an int
-    or float for a float, a string for a string."""
+    or float for a float, a string for a string. For a variant named in
+    ``variants`` (variant -> (kind, side mode)), the record's
+    ``side_info_mode`` must be that side mode, and ``side_dim`` must be 0
+    when the mode is "none"."""
     if not isinstance(config.get("variant"), str):
         raise FormatError(f"{path}: config key 'variant' must be a string")
     for key in ("num_users", "num_items"):
@@ -190,3 +193,12 @@ def _check_checkpoint(path: str, config: dict, model_config: type) -> None:
         value, (kind, what) = record[f.name], _FIELD_KINDS[f.type]
         if isinstance(value, bool) or not isinstance(value, kind):
             raise FormatError(f"{path}: config key 'model.{f.name}' is {value!r}, not {what}")
+    variant = config["variant"]
+    if variant in variants:
+        mode, side_dim = variants[variant][1], record["side_dim"]
+        if record["side_info_mode"] != mode:
+            raise FormatError(f"{path}: config key 'model.side_info_mode' is "
+                              f"{record['side_info_mode']!r}, not {mode!r} as variant {variant!r} fixes")
+        if mode == "none" and side_dim != 0:
+            raise FormatError(f"{path}: config key 'model.side_dim' is {side_dim!r}, "
+                              f"not 0 as variant {variant!r} reads no side info")

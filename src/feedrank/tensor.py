@@ -17,25 +17,13 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import expit
 
 DEFAULT_DTYPE = np.float32
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# float32 erf(z) = z * P(z^2) / Q(z^2) on z clipped to [-4, 4] (outside it
-# erf is +-1 in float32): the coefficients of Eigen's generic_fast_erf_float,
-# highest power first
-_ERF_P = tuple(np.float32(c) for c in (
-    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06, -5.69250639462346e-05,
-    -7.34990630326855e-04, -2.95459980854025e-03, -1.60960333262415e-02))
-_ERF_Q = tuple(np.float32(c) for c in (
-    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
-    -1.42647390514189e-02))
-# elements per block of the float32 CDF: its three scratch arrays and the
-# output block stay in a 2 MB L2 cache
-_CDF_BLOCK = 65536
+# GELU's tanh form (arXiv 1606.08415), as BERT's reference code computes it
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 
 
 class ShapeError(ValueError):
@@ -243,9 +231,6 @@ class ParameterRegistry:
         self._params[name] = p
         return p
 
-    def __getitem__(self, name: str) -> Parameter:
-        return self._params[name]
-
     def __iter__(self) -> Iterator[Parameter]:
         return iter(self._params.values())
 
@@ -439,46 +424,37 @@ def relu(x: Tensor) -> Tensor:
     return _make(data, (x,), backward)
 
 
-def _normal_cdf_f32(x: np.ndarray) -> np.ndarray:
-    """Phi(x) = 0.5 * (1 + erf(x / sqrt(2))) of a float32 array through the
-    rational erf, evaluated by Horner in place one block at a time."""
-    flat = x.reshape(-1)
-    cdf = np.empty(x.shape, dtype=np.float32)
-    out = cdf.reshape(-1)
-    block = min(flat.size, _CDF_BLOCK)
-    z_buf, z2_buf, q_buf = (np.empty(block, dtype=np.float32) for _ in range(3))
-    for start in range(0, flat.size, _CDF_BLOCK):
-        stop = min(start + _CDF_BLOCK, flat.size)
-        m = stop - start
-        z, z2, q, p = z_buf[:m], z2_buf[:m], q_buf[:m], out[start:stop]
-        np.multiply(flat[start:stop], np.float32(_INV_SQRT2), out=z)
-        np.clip(z, np.float32(-4.0), np.float32(4.0), out=z)
-        np.multiply(z, z, out=z2)
-        for poly, acc in ((_ERF_P, p), (_ERF_Q, q)):
-            np.multiply(z2, poly[0], out=acc)
-            acc += poly[1]
-            for c in poly[2:]:
-                acc *= z2
-                acc += c
-        p *= z
-        p /= q
-        p *= np.float32(0.5)
-        p += np.float32(0.5)
-    return cdf
-
-
 def gelu(x: Tensor) -> Tensor:
-    """x * Phi(x). Float64 takes the exact standard Gaussian CDF; float32
-    takes a rational erf within 2e-6 of it."""
-    if x.data.dtype == np.float32:
-        cdf = _normal_cdf_f32(x.data)
-    else:
-        cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    data = (x.data * cdf).astype(x.data.dtype, copy=False)
+    """0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x^3))), within 4.8e-4
+    of x * Phi(x), in the input's precision."""
+    xd = x.data
+    with np.errstate(over="ignore"):  # x^2 overflows past 1.8e19 in float32; tanh gives +-1
+        t = xd * xd
+        t *= _GELU_C * _GELU_A
+        t += _GELU_C
+        t *= xd
+    np.tanh(t, out=t)
+    data = t * 0.5
+    data += 0.5
+    data *= xd
 
     def backward(g: np.ndarray) -> None:
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        _accumulate(x, g * (cdf + x.data * pdf))
+        # 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * c * (1 + 3a * x^2); 1 - t^2 is
+        # 0 wherever tanh saturates, so multiplying it in first keeps every
+        # product finite
+        s = t * t
+        np.subtract(1.0, s, out=s)
+        s *= xd
+        gx = s * xd
+        gx *= xd
+        gx *= 1.5 * _GELU_C * _GELU_A
+        s *= 0.5 * _GELU_C
+        gx += s
+        np.multiply(t, 0.5, out=s)
+        gx += s
+        gx += 0.5
+        gx *= g
+        _accumulate(x, gx)
 
     return _make(data, (x,), backward)
 

@@ -214,6 +214,22 @@ class TestCriterion4OverfitSanity:
                f"best HR@10 {result.best_hr:.3f} at epoch {result.best_epoch} "
                f"({elapsed:.0f}s < 300s)")
 
+    def test_bert_ite_si_learns(self, tmp_path):
+        # floor and seeds fixed in advance, not tuned to the scores they give
+        events, cats = planted_dataset(tmp_path, num_groups=10, users_per_group=5,
+                                       items_per_group=10, explicit_per_user=3)
+        train, cases = leave_one_out_split(ingest(str(events)), num_negatives=999, seed=0)
+        side = build_side_info(train, str(cats))
+        model = build_model("bert-ite-si", train.num_users, train.num_items,
+                            ModelConfig(embedding_dim=16, attention_heads=2,
+                                        side_dim=side.num_categories), seed=1)
+        cfg = TrainingConfig(learning_rate=0.01, batch_size=256, implicit_weight=0.5,
+                             l2_weight=1e-6, negatives_per_positive=9, epochs=3, seed=1)
+        result = fit(model, train, cfg, cases=cases, side_info=side, eval_topk=10)
+        report("criterion 4 bert-ite-si learns", result.best_hr >= 0.9,
+               f"best HR@10 {result.best_hr:.3f} at epoch {result.best_epoch}, "
+               f"per epoch {[round(h['hr'], 3) for h in result.history]}")
+
 
 @pytest.mark.skipif(not (RETAILROCKET_DIR and RUN_TRENDS),
                     reason="full-scale trend run: set RETAILROCKET_DIR and "

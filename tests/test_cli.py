@@ -618,6 +618,36 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err == f"error: {bad}: config key {message}\n"
 
+    @pytest.mark.parametrize("variant, changes, message", [
+        ("bert-ite", {"side_info_mode": "user_and_item", "side_dim": 12},
+         "'model.side_info_mode' is 'user_and_item', not 'none' as variant 'bert-ite' fixes"),
+        ("bert-ite", {"side_info_mode": "bogus"},
+         "'model.side_info_mode' is 'bogus', not 'none' as variant 'bert-ite' fixes"),
+        ("bert-ite", {"side_dim": 12}, "'model.side_dim' is 12, not 0 as variant 'bert-ite' reads no side info"),
+        ("ite", {"side_dim": 4}, "'model.side_dim' is 4, not 0 as variant 'ite' reads no side info"),
+        ("ite-si", {"side_info_mode": "item_only"},
+         "'model.side_info_mode' is 'item_only', not 'user_and_item' as variant 'ite-si' fixes"),
+        ("bert-ite-ossi", {"side_info_mode": "none", "side_dim": 0},
+         "'model.side_info_mode' is 'none', not 'item_only' as variant 'bert-ite-ossi' fixes"),
+    ])
+    def test_side_mode_other_than_the_variants_exits_one(self, tmp_path, prepared_path, capsys,
+                                                         variant, changes, message):
+        from feedrank.container import save_checkpoint
+
+        store = load_prepared(str(prepared_path)).store
+        model = build_model(variant, store.num_users, store.num_items,
+                            ModelConfig(embedding_dim=4, seq_len=4, transformer_layers=1, side_dim=4),
+                            seed=0)
+        ckpt = tmp_path / "side.ckpt"
+        save_checkpoint(str(ckpt), model, variant)
+        config, arrays = read_container(str(ckpt))
+        config["model"].update(changes)
+        write_container(str(ckpt), config, arrays)
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(prepared_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {ckpt}: config key {message}\n"
+        assert "HR=" not in captured.out
+
     def test_missing_checkpoint_exits_two(self, tmp_path, prepared_path):
         assert main(["evaluate", "--checkpoint", str(tmp_path / "none.ckpt"),
                      "--dataset", str(prepared_path)]) == 2

@@ -59,10 +59,8 @@ def oracle_attention(h, wq, wk, wv, wo, heads):
 
 
 def oracle_ffn_row(x, w1, b1, w2, b2):
-    from scipy.special import erf
-
     pre = x @ w1 + b1
-    glu = pre * 0.5 * (1.0 + erf(pre / math.sqrt(2.0)))
+    glu = 0.5 * pre * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (pre + 0.044715 * pre ** 3)))
     return glu @ w2 + b2
 
 

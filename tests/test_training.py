@@ -316,22 +316,21 @@ class TestSessionContexts:
 class TestAdam:
     def make_param(self, value):
         reg = ParameterRegistry()
-        reg.add("w", np.asarray(value, dtype=np.float64))
-        return reg
+        return reg, reg.add("w", np.asarray(value, dtype=np.float64))
 
     def test_zero_gradient_keeps_parameter(self):
-        reg = self.make_param([1.0, -2.0])
+        reg, w = self.make_param([1.0, -2.0])
         opt = Adam(reg, learning_rate=0.1)
-        reg["w"].value.grad = np.zeros(2)
+        w.value.grad = np.zeros(2)
         opt.step()
-        np.testing.assert_array_equal(reg["w"].data, [1.0, -2.0])
+        np.testing.assert_array_equal(w.data, [1.0, -2.0])
 
     def test_first_step_closed_form(self):
-        reg = self.make_param([0.5])
+        reg, w = self.make_param([0.5])
         opt = Adam(reg, learning_rate=0.001)
-        reg["w"].value.grad = np.array([1.0])
+        w.value.grad = np.array([1.0])
         opt.step()
-        delta = reg["w"].data[0] - 0.5
+        delta = w.data[0] - 0.5
         g = 1.0
         assert abs(delta + 0.001 * g / (math.sqrt(g * g) + 1e-8)) < 1e-9
 
@@ -349,19 +348,19 @@ class TestAdam:
             v_hat = v / (1 - b2 ** t)
             expected -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
-        reg = self.make_param(theta)
+        reg, w = self.make_param(theta)
         opt = Adam(reg, learning_rate=lr, beta1=b1, beta2=b2, eps=eps)
         for _ in range(2):
-            reg["w"].value.grad = g.copy()
+            w.value.grad = g.copy()
             opt.step()
-        np.testing.assert_allclose(reg["w"].data, expected, atol=1e-9)
+        np.testing.assert_allclose(w.data, expected, atol=1e-9)
 
     def test_gradients_cleared_after_step(self):
-        reg = self.make_param([1.0])
+        reg, w = self.make_param([1.0])
         opt = Adam(reg)
-        reg["w"].value.grad = np.array([1.0])
+        w.value.grad = np.array([1.0])
         opt.step()
-        assert reg["w"].grad is None
+        assert w.grad is None
 
 
 class TestEpochLoop:
