@@ -132,21 +132,20 @@ def multi_head_self_attention(h: Tensor, layer: TransformerLayer, query: Optiona
     sequences, sequence c being ``h`` followed by ``target[c]``, and the
     output is [C, t + 1, d]: every row of each sequence attending within
     that sequence. The prefix rows' scores among themselves are computed
-    once for all C (see ``_shared_prefix_head``). This form is forward only.
+    once for all C (``_shared_prefix_attention``). This form is forward only.
     """
     if query is None:
         query = h
     for x in (h, query, target):
         if x is not None and x.shape[-1] != layer.dim:
             raise ShapeError(f"input dim {x.shape[-1]} vs layer dim {layer.dim}")
-    if target is not None and T.grad_enabled():
-        raise ConfigError("shared-prefix attention is forward only; call it under no_grad()")
+    if target is not None:
+        if T.grad_enabled():
+            raise ConfigError("shared-prefix attention is forward only; call it under no_grad()")
+        return _shared_prefix_attention(h, target, layer)
     inv_scale = 1.0 / math.sqrt(layer.dim / layer.heads)
     heads = []
     for i in range(layer.heads):
-        if target is not None:
-            heads.append(_shared_prefix_head(h, target, layer, i, inv_scale))
-            continue
         q = T.matmul(query, layer.wq[i].value)
         k = T.matmul(h, layer.wk[i].value)
         v = T.matmul(h, layer.wv[i].value)
@@ -155,52 +154,52 @@ def multi_head_self_attention(h: Tensor, layer: TransformerLayer, query: Optiona
     return T.matmul(T.concat_many(heads, axis=-1), layer.wo.value)
 
 
-def _log_normaliser(scores: Tensor) -> Tensor:
-    """log(sum(exp(row))) of each row, as [..., 1]: the row max plus the log
-    of the softmax normaliser taken after subtracting it."""
-    e, m = T._exp_rows(scores.data)
-    m += np.log(e.sum(axis=0))
-    return Tensor(m.reshape(scores.shape[:-1] + (1,)))
+def _shared_prefix_attention(h: Tensor, target: Tensor, layer: TransformerLayer) -> Tensor:
+    """Every sequence ``[h; target[c]]`` through all heads and ``Wo``, as
+    [C, t + 1, d], for a prefix ``h`` [1, t, d] and targets [C, 1, d].
 
-
-def _shared_prefix_head(h: Tensor, target: Tensor, layer: TransformerLayer, i: int,
-                        inv_scale: float) -> Tensor:
-    """Head ``i`` of every sequence ``[h; target[c]]``, as [C, t + 1, hd].
-
-    Once per call: the prefix's Q/K/V, its [t, t] score block, and that
-    block's softmax state: each row's attention output over the prefix keys
-    and the log of its normaliser (row max plus log-sum of the shifted
-    exponentials). Per sequence: the target's q/k/v; one extra key column
-    merged into each prefix row; and the target row's own softmax over the
-    prefix keys and its own key.
-
-    Merging a column of score ``s`` and value ``v_t`` into a row whose
-    softmax over the earlier keys gave output ``o`` with log-normaliser
-    ``lse`` gives ``sigmoid(lse - s) * o + sigmoid(s - lse) * v_t``: the
-    running max/normaliser update of online softmax, written with both
-    folded into ``lse``.
+    Per head, a prefix row's softmax over the prefix keys gives its output
+    ``o`` and log-normaliser ``lse``, once per call. Sequence c adds one key
+    of score ``g`` and value ``v_t``, so over all t + 1 keys the row gives
+    (e^lse·o + e^g·v_t) / (e^lse + e^g) = σ(lse − g)·o + σ(g − lse)·v_t
+    = o + σ(g − lse)·(v_t − o): the online-softmax merge (arXiv 1805.02867)
+    with max and normaliser folded into ``lse``. ``Wo`` is linear and head i
+    meets only its rows ``Wo_i``, so it adds ``P + σ(g − lse)·(V − P)`` to
+    the prefix rows, with ``P = o·Wo_i`` [t, d] and ``V = v_t·Wo_i`` [C, d].
+    The target row is a softmax over its t + 1 scores. Target-dependent
+    arrays keep the C candidates on their last axis: each product is one
+    2-D GEMM over all of them, and each elementwise loop runs C long.
     """
-    c = target.shape[0]
-    q = T.matmul(h, layer.wq[i].value)                                  # [1, t, hd]
-    k = T.matmul(h, layer.wk[i].value)
-    v = T.matmul(h, layer.wv[i].value)
-    q_t = T.matmul(target, layer.wq[i].value)                           # [C, 1, hd]
-    k_t = T.matmul(target, layer.wk[i].value)
-    v_t = T.matmul(target, layer.wv[i].value)
-
-    scores = T.scale(T.matmul(q, T.transpose_last2(k)), inv_scale)     # [1, t, t]
-    prefix_out = T.matmul(T.softmax_rows(scores), v)                   # [1, t, hd]
-    # the target's key column of each prefix row, less that row's log-normaliser
-    gap = T.add(T.scale(T.matmul(q, T.transpose_last2(k_t)), inv_scale),
-                T.scale(_log_normaliser(scores), -1.0))                # [C, t, 1]
-    prefix_rows = T.add(T.elementwise_mul(prefix_out, T.sigmoid(T.scale(gap, -1.0))),
-                        T.elementwise_mul(v_t, T.sigmoid(gap)))         # [C, t, hd]
-
-    target_scores = T.concat(T.matmul(q_t, T.transpose_last2(k)),
-                             T.matmul(q_t, T.transpose_last2(k_t)), axis=-1)  # [C, 1, t + 1]
-    values = T.concat(T.broadcast_to(v, (c,) + v.shape[1:]), v_t, axis=-2)     # [C, t + 1, hd]
-    target_row = T.matmul(T.softmax_rows(T.scale(target_scores, inv_scale)), values)
-    return T.concat(prefix_rows, target_row, axis=-2)
+    x, tg = h.data[0], target.data[:, 0].T                 # [t, d], [d, C]
+    (d, c), t, hd = tg.shape, x.shape[0], layer.head_dim
+    inv_scale = 1.0 / math.sqrt(hd)
+    for i in range(layer.heads):
+        wq, wk, wv = (m[i].value.data for m in (layer.wq, layer.wk, layer.wv))
+        wo = layer.wo.value.data[i * hd:(i + 1) * hd].T    # [d, hd]
+        q, k, v = x @ wq, x @ wk, x @ wv                   # [t, hd]
+        q_t, k_t, v_t = wq.T @ tg, wk.T @ tg, wv.T @ tg    # [hd, C]
+        e, lse = T._exp_rows((q @ k.T) * inv_scale)        # e is [keys, rows]
+        norm = e.sum(axis=0)
+        lse += np.log(norm)
+        e /= norm
+        p = (e.T @ v) @ wo.T                               # [t, d]
+        gap = (q @ k_t) * inv_scale - lse[:, None]         # [t, C]
+        merged = (wo @ v_t) - p[:, :, None]                # [t, d, C]
+        merged *= T.sigmoid(Tensor(gap)).data[:, None, :]
+        merged += p[:, :, None]
+        scores = np.concatenate([k @ q_t, np.einsum("ij,ij->j", q_t, k_t)[None]]) * inv_scale
+        w, _ = T._exp_rows(scores.T)                       # [t + 1, C]
+        w /= w.sum(axis=0)
+        row = wo @ (v.T @ w[:t] + v_t * w[t])              # [d, C]
+        if i == 0:
+            prefix, rows = merged, row
+        else:
+            prefix += merged
+            rows += row
+    out = np.empty((c, t + 1, d), dtype=rows.dtype)
+    out[:, :t] = prefix.reshape(t * d, c).T.reshape(c, t, d)
+    out[:, t] = rows.T
+    return Tensor(out)
 
 
 def pffn(a: Tensor, layer: TransformerLayer) -> Tensor:

@@ -209,6 +209,61 @@ class TestMultiHeadSelfAttention:
         check_gradients(lambda: T.l2_sq(L.multi_head_self_attention(h, layer)), tensors, tol=1e-5)
 
 
+class TestSharedPrefixAttention:
+    """``target=`` runs C sequences ``[prefix; target[c]]`` at once; it must
+    equal the same layer run on the explicit [C, t + 1, d] batch."""
+
+    @staticmethod
+    def shared_and_explicit(layer, prefix, targets):
+        batch = np.concatenate([np.broadcast_to(prefix, (len(targets),) + prefix.shape[1:]), targets],
+                               axis=1)
+        with T.no_grad():
+            shared = L.multi_head_self_attention(Tensor(prefix), layer, target=Tensor(targets)).data
+            explicit = L.multi_head_self_attention(Tensor(batch), layer).data
+        return shared, explicit
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.integers(2, 40), t=st.integers(1, 8), heads=st.sampled_from([1, 2, 4]),
+           head_dim=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1))
+    def test_matches_explicit_batch(self, c, t, heads, head_dim, seed):
+        rng = np.random.default_rng(seed)
+        d = heads * head_dim
+        reg = ParameterRegistry()
+        layer = L.TransformerLayer(reg, "trm", d, heads, rng)
+        prefix = rng.standard_normal((1, t, d)).astype(np.float32)
+        targets = rng.standard_normal((c, 1, d)).astype(np.float32)
+        inputs = prefix.copy(), targets.copy()
+        shared32, _ = self.shared_and_explicit(layer, prefix, targets)
+        np.testing.assert_array_equal(prefix, inputs[0])
+        np.testing.assert_array_equal(targets, inputs[1])
+        to_float64(reg)
+        shared, explicit = self.shared_and_explicit(layer, prefix.astype(np.float64),
+                                                    targets.astype(np.float64))
+        assert shared32.dtype == np.float32 and shared.dtype == np.float64
+        assert shared.shape == explicit.shape == (c, t + 1, d)
+        np.testing.assert_allclose(shared, explicit, rtol=0, atol=1e-10)
+        # 1e-5 of the output's scale: an entry that sums terms of both signs
+        # to near 0 keeps only their absolute error, in either path
+        np.testing.assert_allclose(shared32, shared, rtol=1e-5, atol=1e-5 * np.abs(shared).max())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_large_parameters_stay_finite(self, dtype):
+        # scores in the thousands: merge weights saturate to 0 or 1 and the
+        # target row's softmax to one key, with no overflow warning
+        rng = np.random.default_rng(30)
+        reg = ParameterRegistry()
+        layer = L.TransformerLayer(reg, "trm", 8, 2, rng)
+        if dtype == np.float64:
+            to_float64(reg)
+        for p in reg:
+            p.value.data *= 30
+        prefix = rng.standard_normal((1, 6, 8)).astype(dtype)
+        targets = rng.standard_normal((50, 1, 8)).astype(dtype)
+        shared, explicit = self.shared_and_explicit(layer, prefix, targets)
+        assert shared.dtype == dtype and np.isfinite(shared).all()
+        np.testing.assert_allclose(shared, explicit, rtol=1e-5, atol=1e-5 * np.abs(explicit).max())
+
+
 class TestPFFN:
     def test_zero_weights_zero_output(self):
         layer, _ = make_transformer(3, 1)

@@ -408,7 +408,7 @@ class TestSharedPrefixForward:
         def no_shared_prefix(*args, **kwargs):
             raise AssertionError("shared-prefix attention used for a single target")
 
-        monkeypatch.setattr(L, "_shared_prefix_head", no_shared_prefix)
+        monkeypatch.setattr(L, "_shared_prefix_attention", no_shared_prefix)
         model = self.model("bert-ite", 2, 2, np.float64)
         with T.no_grad():
             res = model.forward(np.array([1]), np.array([[0, 2, 4, 6]]), np.array([3]))
@@ -417,17 +417,17 @@ class TestSharedPrefixForward:
 
     def test_many_targets_take_the_shared_path(self, monkeypatch):
         calls = []
-        head = L._shared_prefix_head
+        attention = L._shared_prefix_attention
 
         def counted(*args, **kwargs):
-            calls.append(args[1].shape)
-            return head(*args, **kwargs)
+            calls.append((args[1].shape, args[2]))
+            return attention(*args, **kwargs)
 
-        monkeypatch.setattr(L, "_shared_prefix_head", counted)
+        monkeypatch.setattr(L, "_shared_prefix_attention", counted)
         model = self.model("bert-ite", 2, 2, np.float64)
         with T.no_grad():
             model.forward(np.array([1]), np.array([[0, 2, 4, 6]]), np.array([3, 5, 7]))
-        assert calls == [(3, 1, 4)] * 2  # layer 1 only, once per head
+        assert calls == [((3, 1, 4), model.transformer[0])]  # layer 1 only, once per forward
 
     def test_forward_only(self):
         model = self.model("bert-ite", 2, 1, np.float64)

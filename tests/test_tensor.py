@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import erf, expit, logsumexp
+from scipy.special import erf, expit
 
 from feedrank import tensor as T
-from feedrank.layers import _log_normaliser
 from feedrank.tensor import ConfigError, ShapeError, Tensor
 
 from conftest import check_gradients
@@ -261,18 +260,6 @@ class TestRowKernels:
         span = np.ptp(x64, axis=-1, keepdims=True) if x.size else 0.0
         assert_within(np.abs(out.data - s), 4 * EPS32 * (span + shape[-1] + 2))
         np.testing.assert_allclose(xt.grad, grad, rtol=0, atol=1e-5 * (1 + np.abs(w64).max(initial=0)))
-
-    @given(row_shapes, layouts, st.integers(min_value=0, max_value=2 ** 31 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_log_normaliser(self, shape, layout, seed):
-        rng = np.random.default_rng(seed)
-        x = laid_out(rng.normal(loc=5.0, scale=3.0, size=shape).astype(np.float32), layout)
-        x_before = x.copy()
-        out = _log_normaliser(Tensor(x)).data
-        np.testing.assert_array_equal(x, x_before)
-        expected = logsumexp(x.astype(np.float64), axis=-1, keepdims=True)
-        assert out.dtype == np.float32 and out.shape == shape[:-1] + (1,)
-        np.testing.assert_allclose(out, expected, rtol=4 * EPS32 * (shape[-1] + 2), atol=1e-6)
 
     @given(row_shapes, layouts, st.integers(min_value=0, max_value=2 ** 31 - 1))
     @settings(max_examples=60, deadline=None)
