@@ -49,9 +49,9 @@ def rank_of_first(scores: np.ndarray, item_ids: np.ndarray) -> int:
     return 1 + better + tied_ahead
 
 
-def _case_scores(model, case: EvalCase, store: Optional[InteractionStore],
+def _case_scores(model, case: EvalCase, candidates: np.ndarray, store: Optional[InteractionStore],
                  side_info: Optional[SideInfo], seed: int) -> np.ndarray:
-    candidates = np.concatenate([[case.item], case.negatives]).astype(np.int64)
+    """Scores of ``candidates`` (int64: the case's item, then its negatives)."""
     scores = np.empty(candidates.size, dtype=np.float64)
     seq = None
     if model.kind == "bert":
@@ -79,7 +79,7 @@ def case_rank(model, case: EvalCase, store: Optional[InteractionStore] = None,
     infinite score raises ValueError: no rank would be meaningful, and NaN
     would otherwise lose every comparison and rank first."""
     candidates = np.concatenate([[case.item], case.negatives]).astype(np.int64)
-    scores = _case_scores(model, case, store, side_info, seed)
+    scores = _case_scores(model, case, candidates, store, side_info, seed)
     bad = int(np.sum(~np.isfinite(scores)))
     if bad:
         raise ValueError(f"user {case.user}: {bad} of {scores.size} candidate scores "

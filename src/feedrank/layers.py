@@ -119,30 +119,19 @@ class TransformerLayer:
         self.ln2_bias = params.add(f"{name}.ln2.bias", np.zeros(dim, dtype=T.DEFAULT_DTYPE))
 
 
-def multi_head_self_attention(h: Tensor, layer: TransformerLayer, query: Optional[Tensor] = None,
-                              target: Optional[Tensor] = None) -> Tensor:
+def multi_head_self_attention(h: Tensor, layer: TransformerLayer, query: Optional[Tensor] = None) -> Tensor:
     """Scaled dot-product attention per head, heads concatenated then mixed
     by the output projection. Bidirectional: no causal mask, no positions.
 
     ``h`` is [t, d] or [batch, t, d]. Keys and values come from every row of
     ``h``; queries come from ``query`` ([t_q, d] or [batch, t_q, d]) when it
     is given, else from ``h``, and the output has one row per query row.
-
-    With ``target`` ([C, 1, d]), ``h`` is a prefix [1, t, d] shared by C
-    sequences, sequence c being ``h`` followed by ``target[c]``, and the
-    output is [C, t + 1, d]: every row of each sequence attending within
-    that sequence. The prefix rows' scores among themselves are computed
-    once for all C (``_shared_prefix_attention``). This form is forward only.
     """
     if query is None:
         query = h
-    for x in (h, query, target):
-        if x is not None and x.shape[-1] != layer.dim:
+    for x in (h, query):
+        if x.shape[-1] != layer.dim:
             raise ShapeError(f"input dim {x.shape[-1]} vs layer dim {layer.dim}")
-    if target is not None:
-        if T.grad_enabled():
-            raise ConfigError("shared-prefix attention is forward only; call it under no_grad()")
-        return _shared_prefix_attention(h, target, layer)
     inv_scale = 1.0 / math.sqrt(layer.dim / layer.heads)
     heads = []
     for i in range(layer.heads):
@@ -154,9 +143,10 @@ def multi_head_self_attention(h: Tensor, layer: TransformerLayer, query: Optiona
     return T.matmul(T.concat_many(heads, axis=-1), layer.wo.value)
 
 
-def _shared_prefix_attention(h: Tensor, target: Tensor, layer: TransformerLayer) -> Tensor:
-    """Every sequence ``[h; target[c]]`` through all heads and ``Wo``, as
-    [C, t + 1, d], for a prefix ``h`` [1, t, d] and targets [C, 1, d].
+def _shared_prefix_attention(x: np.ndarray, tg: np.ndarray, layer: TransformerLayer) -> np.ndarray:
+    """Every sequence ``[x; tg[:, c]]`` through all heads and ``Wo``, as
+    [d, t + 1, C] (feature-major, candidates last), for a prefix ``x``
+    [t, d] and targets ``tg`` [d, C].
 
     Per head, a prefix row's softmax over the prefix keys gives its output
     ``o`` and log-normaliser ``lse``, once per call. Sequence c adds one key
@@ -165,14 +155,15 @@ def _shared_prefix_attention(h: Tensor, target: Tensor, layer: TransformerLayer)
     = o + σ(g − lse)·(v_t − o): the online-softmax merge (arXiv 1805.02867)
     with max and normaliser folded into ``lse``. ``Wo`` is linear and head i
     meets only its rows ``Wo_i``, so it adds ``P + σ(g − lse)·(V − P)`` to
-    the prefix rows, with ``P = o·Wo_i`` [t, d] and ``V = v_t·Wo_i`` [C, d].
-    The target row is a softmax over its t + 1 scores. Target-dependent
-    arrays keep the C candidates on their last axis: each product is one
-    2-D GEMM over all of them, and each elementwise loop runs C long.
+    the prefix rows, with ``P = o·Wo_i`` and ``V = v_t·Wo_i``. The target
+    row is a softmax over its t + 1 scores. Target-dependent arrays keep the
+    C candidates on their last axis: each product is one 2-D GEMM over all
+    of them, and each elementwise loop runs C long.
     """
-    x, tg = h.data[0], target.data[:, 0].T                 # [t, d], [d, C]
     (d, c), t, hd = tg.shape, x.shape[0], layer.head_dim
     inv_scale = 1.0 / math.sqrt(hd)
+    out = np.empty((d, t + 1, c), dtype=np.result_type(x, tg))
+    prefix, rows = out[:, :t], out[:, t]
     for i in range(layer.heads):
         wq, wk, wv = (m[i].value.data for m in (layer.wq, layer.wk, layer.wv))
         wo = layer.wo.value.data[i * hd:(i + 1) * hd].T    # [d, hd]
@@ -182,24 +173,51 @@ def _shared_prefix_attention(h: Tensor, target: Tensor, layer: TransformerLayer)
         norm = e.sum(axis=0)
         lse += np.log(norm)
         e /= norm
-        p = (e.T @ v) @ wo.T                               # [t, d]
+        p = (wo @ (v.T @ e))[:, :, None]                   # [d, t, 1]
         gap = (q @ k_t) * inv_scale - lse[:, None]         # [t, C]
-        merged = (wo @ v_t) - p[:, :, None]                # [t, d, C]
-        merged *= T.sigmoid(Tensor(gap)).data[:, None, :]
-        merged += p[:, :, None]
+        # the first head writes the output; the others add to it
+        merged = prefix if i == 0 else np.empty_like(prefix)
+        np.subtract((wo @ v_t)[:, None, :], p, out=merged)
+        merged *= T.sigmoid(Tensor(gap)).data
+        merged += p
         scores = np.concatenate([k @ q_t, np.einsum("ij,ij->j", q_t, k_t)[None]]) * inv_scale
         w, _ = T._exp_rows(scores.T)                       # [t + 1, C]
         w /= w.sum(axis=0)
         row = wo @ (v.T @ w[:t] + v_t * w[t])              # [d, C]
         if i == 0:
-            prefix, rows = merged, row
+            rows[...] = row
         else:
             prefix += merged
             rows += row
-    out = np.empty((c, t + 1, d), dtype=rows.dtype)
-    out[:, :t] = prefix.reshape(t * d, c).T.reshape(c, t, d)
-    out[:, t] = rows.T
-    return Tensor(out)
+    return out
+
+
+def _shared_prefix_layer(x: Tensor, target: Tensor, layer: TransformerLayer) -> Tensor:
+    """``transformer_layer`` over the C sequences ``[x; target[c]]`` for a
+    prefix ``x`` [1, t, d] and targets [C, 1, d], as their [C, t + 1, d]
+    rows. Every step after the attention is per row, so the layer runs on
+    one feature-major [d, (t + 1)·C] array: each weight is one GEMM from the
+    left, each per-feature bias and gain a broadcast along the rows, and
+    each layer norm normalises that array's columns in place. The rows are
+    written row-major once, at the end."""
+    for a in (x, target):
+        if a.shape[-1] != layer.dim:
+            raise ShapeError(f"input dim {a.shape[-1]} vs layer dim {layer.dim}")
+    xs, tg = x.data[0], target.data[:, 0].T                # [t, d], [d, C]
+    (d, c), t = tg.shape, xs.shape[0]
+    a = _shared_prefix_attention(xs, tg, layer)
+    a[:, :t] += xs.T[:, :, None]
+    a[:, t] += tg
+    a = a.reshape(d, (t + 1) * c)
+    T._layer_norm_features(a, layer.ln1_gain.value.data, layer.ln1_bias.value.data, out=a)
+    hidden = layer.ffn_w1.value.data.T @ a
+    hidden += layer.ffn_b1.value.data[:, None]
+    hidden = T.gelu(Tensor(hidden)).data
+    out = layer.ffn_w2.value.data.T @ hidden
+    out += layer.ffn_b2.value.data[:, None]
+    out += a
+    T._layer_norm_features(out, layer.ln2_gain.value.data, layer.ln2_bias.value.data, out=out)
+    return Tensor(np.ascontiguousarray(out.reshape(d, t + 1, c).transpose(2, 1, 0)))
 
 
 def pffn(a: Tensor, layer: TransformerLayer) -> Tensor:
@@ -220,17 +238,17 @@ def transformer_layer(x: Tensor, layer: TransformerLayer, training: bool = False
     With ``target`` ([C, 1, d]), ``x`` is a prefix [1, t, d] shared by C
     sequences ``[x; target[c]]`` and the output is their [C, t + 1, d] rows.
     Attention computes the prefix rows among themselves once; everything
-    after it runs per sequence, since every row has seen its target.
-    Forward only.
+    after it runs per sequence, since every row has seen its target
+    (``_shared_prefix_layer``). Forward only, without dropout.
     """
     if target is not None:
-        mh = multi_head_self_attention(x, layer, target=target)
-        query = T.concat(T.broadcast_to(x, (target.shape[0],) + x.shape[1:]), target, axis=-2)
-    else:
-        if query is None:
-            query = x
-        mh = multi_head_self_attention(x, layer, query=query)
-    mh = T.dropout(mh, layer.dropout_rate, training, rng)
+        if training or T.grad_enabled():
+            raise ConfigError("the shared-prefix layer is forward only; call it under no_grad() "
+                              "with training off")
+        return _shared_prefix_layer(x, target, layer)
+    if query is None:
+        query = x
+    mh = T.dropout(multi_head_self_attention(x, layer, query=query), layer.dropout_rate, training, rng)
     a = T.layer_norm(T.add(query, mh), layer.ln1_gain.value, layer.ln1_bias.value)
     ff = T.dropout(pffn(a, layer), layer.dropout_rate, training, rng)
     return T.layer_norm(T.add(a, ff), layer.ln2_gain.value, layer.ln2_bias.value)

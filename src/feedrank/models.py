@@ -237,9 +237,11 @@ class BertITEModel(_ImplicitExplicitModel):
         ``users`` [1] with ``sequences`` [1, n] scores B > 1 targets against
         one shared user and context (a leading 1 broadcasts, as in numpy).
         The first of two or more layers then attends among the shared rows
-        once, not once per target; the scores agree with scoring each
-        target alone to float rounding. This form is forward only: it
-        raises ``ConfigError`` under ``training`` or outside ``no_grad()``.
+        once, not once per target, and runs whole on one feature-major
+        array (``layers._shared_prefix_layer``); the scores agree with
+        scoring each target alone to float rounding. This form is forward
+        only: it raises ``ConfigError`` under ``training`` or outside
+        ``no_grad()``.
         """
         _check_side(self.config.side_info_mode, user_side, seq_side, target_side)
         users = np.asarray(users)

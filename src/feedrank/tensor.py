@@ -25,6 +25,8 @@ DEFAULT_DTYPE = np.float32
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
+LAYER_NORM_EPS = 1e-5
+
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested op."""
@@ -181,6 +183,26 @@ def _feature_major(a: np.ndarray) -> np.ndarray:
 def _row_major(t: np.ndarray, shape: tuple) -> np.ndarray:
     """Inverse of ``_feature_major``: [n, rows] back to contiguous ``shape``."""
     return np.ascontiguousarray(t.T).reshape(shape)
+
+
+def _layer_norm_features(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                         out: np.ndarray, eps: float = LAYER_NORM_EPS) -> np.ndarray:
+    """Layer norm of the rows a feature-major ``xhat`` ([n, rows]) holds as
+    columns: normalises ``xhat`` in place to zero mean and unit variance,
+    writes ``xhat * gain + bias`` (``gain`` and ``bias`` [n]) to ``out``,
+    which may be ``xhat``, and returns each row's 1 / sqrt(var + eps).
+    Row means are one BLAS product with a row of 1/n; every elementwise loop
+    runs the row count long."""
+    mean_row = np.full(xhat.shape[0], 1.0 / xhat.shape[0], dtype=xhat.dtype)
+    xhat -= mean_row @ xhat
+    inv = mean_row @ (xhat * xhat)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain[:, None], out=out)
+    out += bias[:, None]
+    return inv
 
 
 def _exp_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -426,7 +448,8 @@ def relu(x: Tensor) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x^3))), within 4.8e-4
-    of x * Phi(x), in the input's precision."""
+    of x * Phi(x), in the input's precision. When no backward will read the
+    tanh buffer, the result is written over it."""
     xd = x.data
     with np.errstate(over="ignore"):  # x^2 overflows past 1.8e19 in float32; tanh gives +-1
         t = xd * xd
@@ -434,7 +457,10 @@ def gelu(x: Tensor) -> Tensor:
         t += _GELU_C
         t *= xd
     np.tanh(t, out=t)
-    data = t * 0.5
+    if _grad_mode.enabled and x.requires_grad:
+        data = t * 0.5
+    else:
+        data = np.multiply(t, 0.5, out=t)
     data += 0.5
     data *= xd
 
@@ -478,25 +504,16 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _make(s, (x,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale by
     ``gain`` and shift by ``bias`` (both [n])."""
     n = x.shape[-1]
     if gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError(f"layer_norm gain {gain.shape} and bias {bias.shape} must be ({n},)")
-    # feature-major throughout: row means as one BLAS product with a row of
-    # 1/n, the gain and bias as per-feature scalars
-    mean_row = np.full(n, 1.0 / n, dtype=x.data.dtype)
     xhat = _feature_major(x.data)
-    xhat -= mean_row @ xhat
-    inv = mean_row @ (xhat * xhat)
-    inv += eps
-    np.sqrt(inv, out=inv)
-    np.reciprocal(inv, out=inv)
-    xhat *= inv
-    out = xhat * gain.data[:, None]
-    out += bias.data[:, None]
-    data = _row_major(out, x.shape).astype(x.data.dtype, copy=False)
+    out = np.empty_like(xhat)
+    inv = _layer_norm_features(xhat, gain.data, bias.data, out, eps)
+    data = _row_major(out, x.shape)
 
     def backward(g: np.ndarray) -> None:
         gt = _feature_major(g)
@@ -505,6 +522,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if bias.requires_grad:
             _accumulate(bias, gt.sum(axis=1))
         if x.requires_grad:
+            mean_row = np.full(n, 1.0 / n, dtype=x.data.dtype)
             gt *= gain.data[:, None]
             mean_gx_xhat = mean_row @ (gt * xhat)
             gt -= mean_row @ gt

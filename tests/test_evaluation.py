@@ -199,7 +199,7 @@ class TestIteEvaluation:
         monkeypatch.setattr(model, "forward_batch",
                             lambda users, items, *rest: sizes.append(items.size)
                             or forward(users, items, *rest))
-        scores = evaluation._case_scores(model, c, None, None, seed=0)
+        scores = evaluation._case_scores(model, c, candidates, None, None, seed=0)
         assert sizes == [1000]
         assert scores.tobytes() == chunked.tobytes()
 
@@ -257,8 +257,8 @@ class TestSequenceModelEvaluation:
             p.value.data[:] = rng.uniform(-1, 1, p.value.shape)
         user, history = 5, rng.integers(0, train.num_items, 6)  # long enough to need no padding
         c = case(user, 2, rng.integers(0, train.num_items, 512), history)
-        scores = evaluation._case_scores(model, c, train, side, seed=0)
         candidates = np.concatenate([[c.item], c.negatives])
+        scores = evaluation._case_scores(model, c, candidates, train, side, seed=0)
         one_at_a_time = np.empty(candidates.size)
         with no_grad():
             for j, item in enumerate(candidates):

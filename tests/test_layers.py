@@ -209,59 +209,129 @@ class TestMultiHeadSelfAttention:
         check_gradients(lambda: T.l2_sq(L.multi_head_self_attention(h, layer)), tensors, tol=1e-5)
 
 
+def shared_prefix_case(rng, c, t, heads, head_dim):
+    """A float32 layer with every bias, gain and shift drawn at random, a
+    prefix [1, t, d] and targets [C, 1, d]."""
+    d = heads * head_dim
+    reg = ParameterRegistry()
+    layer = L.TransformerLayer(reg, "trm", d, heads, rng)
+    for p in (layer.ffn_b1, layer.ffn_b2, layer.ln1_gain, layer.ln1_bias, layer.ln2_gain, layer.ln2_bias):
+        p.value.data += rng.standard_normal(p.value.shape).astype(np.float32)
+    prefix = rng.standard_normal((1, t, d)).astype(np.float32)
+    targets = rng.standard_normal((c, 1, d)).astype(np.float32)
+    return layer, reg, prefix, targets
+
+
+def explicit_batch(prefix, targets):
+    """The C sequences ``[prefix; targets[c]]`` as one [C, t + 1, d] batch."""
+    return np.concatenate([np.broadcast_to(prefix, (len(targets),) + prefix.shape[1:]), targets], axis=1)
+
+
+def check_matches_explicit_batch(shared_and_explicit, rounding_gain, c, t, heads, head_dim, seed):
+    """``shared_and_explicit(layer, prefix, targets)`` gives the shared path's
+    output and the explicit batch's, both [C, t + 1, d]: float64 within
+    1e-10, float32 within 1e-5 of float64 in the form below, times
+    ``rounding_gain(layer, batch)`` (per row), and the inputs unchanged."""
+    layer, reg, prefix, targets = shared_prefix_case(np.random.default_rng(seed), c, t, heads, head_dim)
+    inputs = prefix.copy(), targets.copy()
+    shared32, _ = shared_and_explicit(layer, prefix, targets)
+    np.testing.assert_array_equal(prefix, inputs[0])
+    np.testing.assert_array_equal(targets, inputs[1])
+    to_float64(reg)
+    prefix, targets = prefix.astype(np.float64), targets.astype(np.float64)
+    shared, explicit = shared_and_explicit(layer, prefix, targets)
+    assert shared32.dtype == np.float32 and shared.dtype == np.float64
+    assert shared.shape == explicit.shape == (c, t + 1, heads * head_dim)
+    np.testing.assert_allclose(shared, explicit, rtol=0, atol=1e-10)
+    # 1e-5 of the output's scale: an entry that sums terms of both signs
+    # to near 0 keeps only their absolute error, in either path
+    err = np.abs(shared32 - shared)
+    tol = rounding_gain(layer, explicit_batch(prefix, targets)) * (
+        1e-5 * np.abs(shared) + 1e-5 * np.abs(shared).max())
+    assert (err <= tol).all(), f"float32 off by {(err / tol).max():.3g} times its tolerance"
+
+
+def check_large_parameters_stay_finite(shared_and_explicit, dtype):
+    """Parameters x30: finite, no warning, and equal to the explicit batch
+    within 1e-5 of its scale."""
+    layer, reg, prefix, targets = shared_prefix_case(np.random.default_rng(30), 50, 6, 2, 4)
+    if dtype == np.float64:
+        to_float64(reg)
+    for p in reg:
+        p.value.data *= 30
+    shared, explicit = shared_and_explicit(layer, prefix.astype(dtype), targets.astype(dtype))
+    assert shared.dtype == dtype and np.isfinite(shared).all()
+    np.testing.assert_allclose(shared, explicit, rtol=1e-5, atol=1e-5 * np.abs(explicit).max())
+
+
 class TestSharedPrefixAttention:
-    """``target=`` runs C sequences ``[prefix; target[c]]`` at once; it must
-    equal the same layer run on the explicit [C, t + 1, d] batch."""
+    """``_shared_prefix_attention`` runs C sequences ``[prefix; target c]``
+    at once, feature-major; it must equal the same layer's attention on
+    the explicit [C, t + 1, d] batch."""
 
     @staticmethod
     def shared_and_explicit(layer, prefix, targets):
-        batch = np.concatenate([np.broadcast_to(prefix, (len(targets),) + prefix.shape[1:]), targets],
-                               axis=1)
         with T.no_grad():
-            shared = L.multi_head_self_attention(Tensor(prefix), layer, target=Tensor(targets)).data
-            explicit = L.multi_head_self_attention(Tensor(batch), layer).data
-        return shared, explicit
+            shared = L._shared_prefix_attention(prefix[0], targets[:, 0].T, layer)
+            explicit = L.multi_head_self_attention(Tensor(explicit_batch(prefix, targets)), layer).data
+        return shared.transpose(2, 1, 0), explicit
 
     @settings(max_examples=60, deadline=None)
     @given(c=st.integers(2, 40), t=st.integers(1, 8), heads=st.sampled_from([1, 2, 4]),
            head_dim=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1))
     def test_matches_explicit_batch(self, c, t, heads, head_dim, seed):
-        rng = np.random.default_rng(seed)
-        d = heads * head_dim
-        reg = ParameterRegistry()
-        layer = L.TransformerLayer(reg, "trm", d, heads, rng)
-        prefix = rng.standard_normal((1, t, d)).astype(np.float32)
-        targets = rng.standard_normal((c, 1, d)).astype(np.float32)
-        inputs = prefix.copy(), targets.copy()
-        shared32, _ = self.shared_and_explicit(layer, prefix, targets)
-        np.testing.assert_array_equal(prefix, inputs[0])
-        np.testing.assert_array_equal(targets, inputs[1])
-        to_float64(reg)
-        shared, explicit = self.shared_and_explicit(layer, prefix.astype(np.float64),
-                                                    targets.astype(np.float64))
-        assert shared32.dtype == np.float32 and shared.dtype == np.float64
-        assert shared.shape == explicit.shape == (c, t + 1, d)
-        np.testing.assert_allclose(shared, explicit, rtol=0, atol=1e-10)
-        # 1e-5 of the output's scale: an entry that sums terms of both signs
-        # to near 0 keeps only their absolute error, in either path
-        np.testing.assert_allclose(shared32, shared, rtol=1e-5, atol=1e-5 * np.abs(shared).max())
+        check_matches_explicit_batch(self.shared_and_explicit, lambda layer, batch: 1.0,
+                                     c, t, heads, head_dim, seed)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_large_parameters_stay_finite(self, dtype):
         # scores in the thousands: merge weights saturate to 0 or 1 and the
         # target row's softmax to one key, with no overflow warning
-        rng = np.random.default_rng(30)
-        reg = ParameterRegistry()
-        layer = L.TransformerLayer(reg, "trm", 8, 2, rng)
-        if dtype == np.float64:
-            to_float64(reg)
-        for p in reg:
-            p.value.data *= 30
-        prefix = rng.standard_normal((1, 6, 8)).astype(dtype)
-        targets = rng.standard_normal((50, 1, 8)).astype(dtype)
-        shared, explicit = self.shared_and_explicit(layer, prefix, targets)
-        assert shared.dtype == dtype and np.isfinite(shared).all()
-        np.testing.assert_allclose(shared, explicit, rtol=1e-5, atol=1e-5 * np.abs(explicit).max())
+        check_large_parameters_stay_finite(self.shared_and_explicit, dtype)
+
+
+class TestSharedPrefixLayer:
+    """``transformer_layer(prefix, layer, target=)`` runs the whole layer
+    for C sequences on one feature-major array; it must equal the layer on
+    the explicit [C, t + 1, d] batch."""
+
+    @staticmethod
+    def shared_and_explicit(layer, prefix, targets):
+        with T.no_grad():
+            shared = L.transformer_layer(Tensor(prefix), layer, target=Tensor(targets)).data
+            explicit = L.transformer_layer(Tensor(explicit_batch(prefix, targets)), layer).data
+        assert shared.flags.c_contiguous
+        return shared, explicit
+
+    @staticmethod
+    def rounding_gain(layer, batch):
+        """A layer norm divides its input row's float32 rounding, a few ulps
+        of the row's largest entry, by the row's std: each row's gain is the
+        larger of max|row| / std over its two layer norms' inputs, in
+        float64. On a few features of nearly equal value it is large, in
+        either path (d = 2 drew a case whose explicit float32 layer was
+        2.1e-5 off float64, 2.8e-5 of the output's scale)."""
+        with T.no_grad():
+            x = Tensor(batch)
+            pre1 = T.add(x, L.multi_head_self_attention(x, layer))
+            a = T.layer_norm(pre1, layer.ln1_gain.value, layer.ln1_bias.value)
+            pre2 = T.add(a, L.pffn(a, layer))
+        return np.maximum(*(np.abs(p.data).max(axis=-1, keepdims=True)
+                            / np.sqrt(p.data.var(axis=-1, keepdims=True) + T.LAYER_NORM_EPS)
+                            for p in (pre1, pre2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.integers(2, 40), t=st.integers(1, 8), heads=st.sampled_from([1, 2, 4]),
+           head_dim=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1))
+    def test_matches_explicit_batch(self, c, t, heads, head_dim, seed):
+        check_matches_explicit_batch(self.shared_and_explicit, self.rounding_gain,
+                                     c, t, heads, head_dim, seed)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_large_parameters_stay_finite(self, dtype):
+        # attention scores in the thousands and PFFN pre-activations far
+        # into GELU's saturated tails, with no overflow warning
+        check_large_parameters_stay_finite(self.shared_and_explicit, dtype)
 
 
 class TestPFFN:

@@ -406,9 +406,9 @@ class TestSharedPrefixForward:
 
     def test_one_target_takes_the_plain_path(self, monkeypatch):
         def no_shared_prefix(*args, **kwargs):
-            raise AssertionError("shared-prefix attention used for a single target")
+            raise AssertionError("shared-prefix layer used for a single target")
 
-        monkeypatch.setattr(L, "_shared_prefix_attention", no_shared_prefix)
+        monkeypatch.setattr(L, "_shared_prefix_layer", no_shared_prefix)
         model = self.model("bert-ite", 2, 2, np.float64)
         with T.no_grad():
             res = model.forward(np.array([1]), np.array([[0, 2, 4, 6]]), np.array([3]))
@@ -417,13 +417,13 @@ class TestSharedPrefixForward:
 
     def test_many_targets_take_the_shared_path(self, monkeypatch):
         calls = []
-        attention = L._shared_prefix_attention
+        shared_layer = L._shared_prefix_layer
 
         def counted(*args, **kwargs):
             calls.append((args[1].shape, args[2]))
-            return attention(*args, **kwargs)
+            return shared_layer(*args, **kwargs)
 
-        monkeypatch.setattr(L, "_shared_prefix_attention", counted)
+        monkeypatch.setattr(L, "_shared_prefix_layer", counted)
         model = self.model("bert-ite", 2, 2, np.float64)
         with T.no_grad():
             model.forward(np.array([1]), np.array([[0, 2, 4, 6]]), np.array([3, 5, 7]))

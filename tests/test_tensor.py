@@ -158,6 +158,18 @@ class TestGeluFloat32:
             out = T.gelu(Tensor(np.array([np.nan, np.inf, -np.inf], dtype=np.float32))).data
         assert np.isnan(out[0]) and out[1] == np.inf and np.isnan(out[2])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_result_without_backward_is_bit_identical(self, dtype):
+        # with no backward to read it, the tanh buffer takes the result
+        x = np.random.default_rng(6).uniform(-8.0, 8.0, (7, 33)).astype(dtype)
+        before = x.copy()
+        want = T.gelu(Tensor(x, requires_grad=True)).data
+        with T.no_grad():
+            got = T.gelu(Tensor(x, requires_grad=True)).data
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert T.gelu(Tensor(x)).data.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(x, before)
+
     def test_gradient_matches_float64(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(-6.0, 6.0, 200)
