@@ -106,6 +106,7 @@ class InteractionStore:
         held = np.unique(self.pair_key(*excluded))
         held_users, self.excluded_flat = np.divmod(held, self.num_items)
         self.excluded_offsets = _row_offsets(held_users, len(user_ids))
+        self._matrix_keys: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @property
     def num_users(self) -> int:
@@ -119,19 +120,41 @@ class InteractionStore:
         """``user * num_items + item``: pair keys sort by user, then item."""
         return np.asarray(users, dtype=np.int64) * self.num_items + np.asarray(items, dtype=np.int64)
 
+    def _keys(self, matrix: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A matrix's sorted distinct pair keys and its observed keys, each
+        then a sentinel above every key, and the event-table row of each
+        pair's first event, then -1: built on first use, kept read-only."""
+        if matrix not in self._matrix_keys:
+            if matrix not in (IMPLICIT, EXPLICIT):
+                raise DataError(f"matrix must be 'implicit' or 'explicit', got {matrix!r}")
+            rows = np.flatnonzero(self.explicit) if matrix == EXPLICIT else np.arange(self.items.size)
+            pairs, first = np.unique(self.pair_key(_row_ids(self.offsets)[rows], self.items[rows]),
+                                     return_index=True)
+            pairs = np.append(pairs, self.pair_key(self.num_users, 0))
+            held = self.pair_key(_row_ids(self.excluded_offsets), self.excluded_flat)
+            held = held[pairs[np.searchsorted(pairs, held)] != held]  # the ones no event has
+            cached = (pairs, np.insert(pairs, np.searchsorted(pairs, held), held), np.append(rows[first], -1))
+            for arr in cached:
+                arr.flags.writeable = False
+            self._matrix_keys[matrix] = cached
+        return self._matrix_keys[matrix]
+
     def pair_keys(self, matrix: str) -> np.ndarray:
         """Sorted distinct keys of the ``"implicit"`` or ``"explicit"`` matrix's pairs."""
-        if matrix == IMPLICIT:
-            rows = slice(None)
-        elif matrix == EXPLICIT:
-            rows = self.explicit
-        else:
-            raise DataError(f"matrix must be 'implicit' or 'explicit', got {matrix!r}")
-        return np.unique(self.pair_key(_row_ids(self.offsets)[rows], self.items[rows]))
+        return self._keys(matrix)[0][:-1]
 
-    def held_out_keys(self) -> np.ndarray:
-        """Sorted distinct keys of the held-out pairs."""
-        return self.pair_key(_row_ids(self.excluded_offsets), self.excluded_flat)
+    def observed_keys(self, matrix: str) -> np.ndarray:
+        """The sorted keys a draw from the matrix must avoid: its pairs and
+        every held-out pair, then a sentinel that keeps searchsorted in range."""
+        return self._keys(matrix)[1]
+
+    def context_ends(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
+        """The row each ``(users[j], items[j])`` session context ends before:
+        the pair's first event, or the end of the user's rows if it has none."""
+        pairs, _, first = self._keys(IMPLICIT)
+        keys = self.pair_key(users, items)
+        at = np.searchsorted(pairs, keys)
+        return np.where(pairs[at] == keys, first[at], self.offsets[users + 1])
 
     def observed_items(self, user: int) -> np.ndarray:
         """Ids of the user's events and held-out items; ids may repeat."""
@@ -171,6 +194,19 @@ class InteractionStore:
                                 self.seqs[keep], self.items[keep], self.explicit[keep], excluded)
 
 
+def _csv_rows(path: str, fh, delimiter: str = ","):
+    """``csv.reader`` rows of an open file, header first. A row it cannot
+    parse raises DataError naming the file and the data row (0 follows the header)."""
+    seq = -1
+    try:
+        for row in csv.reader(fh, delimiter=delimiter):
+            yield row
+            seq += 1
+    except csv.Error as exc:
+        where = f"data row {seq}" if seq >= 0 else "the header"
+        raise DataError(f"{path}: cannot parse {where}: {exc}") from None
+
+
 def ingest(log_path: str, classification: Optional[dict] = None, min_interactions: int = 5,
            columns: Optional[ColumnSpec] = None, delimiter: str = ",") -> InteractionStore:
     """Read a delimiter-separated event log into an InteractionStore.
@@ -187,7 +223,7 @@ def ingest(log_path: str, classification: Optional[dict] = None, min_interaction
     item_index: dict[str, int] = {}
     users, times, explicit, items = [], [], [], []
     with open(log_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = _csv_rows(log_path, fh, delimiter)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{log_path}: empty file")
@@ -317,7 +353,7 @@ def read_category_pairs(path: str, delimiter: str = ",") -> tuple[dict[str, set]
     mapping: dict[str, set] = {}
     skipped = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = _csv_rows(path, fh, delimiter)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty category file")
@@ -340,7 +376,7 @@ def read_retailrocket_properties(paths: Sequence[str]) -> dict[str, set]:
     latest: dict[str, tuple[int, str]] = {}
     for path in paths:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+            reader = _csv_rows(path, fh)
             header = next(reader, None)
             if header is None:
                 continue
@@ -418,31 +454,20 @@ class EvalCase:
 
 
 def sample_unobserved(num_items: int, excluded: Iterable[int], count: int,
-                      rng: np.random.Generator, allow_short: bool = False) -> np.ndarray:
-    """Uniform sample, without replacement, of item ids outside ``excluded``
-    (a set or an int array of ids in ``[0, num_items)``; repeats are fine).
+                      rng: np.random.Generator) -> np.ndarray:
+    """Evaluation negatives: a uniform sample, without replacement, of ids
+    outside ``excluded`` (a set or int array of ids in ``[0, num_items)``).
 
     Each round draws ``max(16, 2 * still needed)`` ids and keeps, in draw
     order, the first occurrence of every id neither excluded nor chosen in
     an earlier round, until ``count`` are chosen. When fewer than ``count``
-    ids are eligible, ``allow_short`` callers (evaluation negatives) get a
-    permutation of all of them and training callers ``count`` draws with
-    replacement, which needs at least one eligible id.
+    ids are eligible, the sample is a permutation of all of them.
     """
     ids = excluded if isinstance(excluded, np.ndarray) else np.fromiter(excluded, np.int64)
     blocked = np.zeros(num_items, dtype=bool)
     blocked[ids] = True
-    available = num_items - np.count_nonzero(blocked)
-    if available <= 0:
-        if allow_short:
-            return np.zeros(0, dtype=np.int64)
-        raise DataError("user has interacted with the whole catalog; nothing to sample")
-    if available < count:
-        eligible = np.flatnonzero(~blocked)
-        if allow_short:
-            return rng.permutation(eligible)
-        log.warning("only %d candidates for %d requested; sampling with replacement", available, count)
-        return rng.choice(eligible, size=count, replace=True)
+    if num_items - np.count_nonzero(blocked) < count:
+        return rng.permutation(np.flatnonzero(~blocked))
     chosen = [np.zeros(0, dtype=np.int64)]
     first = np.empty(num_items, dtype=np.int64)  # read only at the current round's draws
     while count:
@@ -478,8 +503,7 @@ def leave_one_out_split(store: InteractionStore, num_negatives: int = 999,
         before = store.items[store.offsets[u]:last]
         # the user's own events (the held-out item among them) and held-out items
         rng = np.random.default_rng([seed, u])
-        negatives = sample_unobserved(store.num_items, store.observed_items(u), num_negatives, rng,
-                                      allow_short=True)
+        negatives = sample_unobserved(store.num_items, store.observed_items(u), num_negatives, rng)
         cases.append(EvalCase(user=u, item=gt, negatives=negatives, history=before[before != gt]))
     train = store.without_pairs(users, store.items[lasts])
     return train, cases

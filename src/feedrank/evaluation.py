@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .data import EvalCase, InteractionStore, SideInfo
+from .data import IMPLICIT, EvalCase, InteractionStore, SideInfo
 from .models import predict_score
 from .training import pad_sequence
 
@@ -53,17 +53,19 @@ def _case_scores(model, case: EvalCase, candidates: np.ndarray, store: Optional[
                  side_info: Optional[SideInfo], seed: int) -> np.ndarray:
     """Scores of ``candidates`` (int64: the case's item, then its negatives)."""
     scores = np.empty(candidates.size, dtype=np.float64)
-    seq = None
+    # every candidate shares the case's user and context rows
+    users = np.array([case.user], dtype=np.int64)
+    contexts = None
     if model.kind == "bert":
         if store is None:
             raise ValueError("evaluating a sequence model requires the training store for padding")
-        rng = np.random.default_rng([seed, case.user])
-        observed = store.observed_any(case.user) | {case.item}
-        seq = pad_sequence(case.history, model.config.seq_len, store.num_items, observed, rng)
-    # every candidate shares the case's user and context rows
-    users = np.array([case.user], dtype=np.int64)
-    contexts = None if seq is None else seq[None, :]
-    chunk = candidates.size if seq is None else CHUNK
+        observed, key = store.observed_keys(IMPLICIT), store.pair_key(case.user, case.item)
+        at = np.searchsorted(observed, key)
+        if observed[at] != key:  # pads avoid the case's item, also where the store did not hold it out
+            observed = np.insert(observed, at, key)
+        contexts = pad_sequence(np.asarray(case.history, dtype=np.int64)[None, :], model.config.seq_len,
+                                store.num_items, observed, np.random.default_rng([seed, case.user]), users=users)
+    chunk = candidates.size if contexts is None else CHUNK
     for start in range(0, candidates.size, chunk):
         part = candidates[start:start + chunk]
         with T.no_grad():

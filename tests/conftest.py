@@ -139,6 +139,27 @@ def reference_sets(num_users, users, items, explicit, held_out=((), ())):
     return implicit_sets, explicit_sets, held_sets
 
 
+def reference_sample_unobserved(num_items, excluded, count, rng):
+    """The per-draw loop ``data.sample_unobserved`` replaced: the reference
+    for its values, dtype and rng state. ``excluded`` is a set of ids."""
+    available = num_items - len(excluded)
+    if available <= 0:
+        return np.zeros(0, dtype=np.int64)
+    if available < count:
+        return rng.permutation(np.array([i for i in range(num_items) if i not in excluded], dtype=np.int64))
+    chosen, seen = [], set()
+    while len(chosen) < count:
+        draw = rng.integers(0, num_items, size=max(16, 2 * (count - len(chosen))))
+        for item in draw.tolist():
+            if item in excluded or item in seen:
+                continue
+            seen.add(item)
+            chosen.append(item)
+            if len(chosen) == count:
+                break
+    return np.array(chosen, dtype=np.int64)
+
+
 def store_sets(store):
     """``reference_sets`` of a store's own event table and held-out rows."""
     def owners(offsets):

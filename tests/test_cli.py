@@ -90,6 +90,29 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert "data row 1" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("reader", ["ingest", "read_category_pairs", "read_retailrocket_properties"])
+    def test_unparsable_row_exits_one(self, tmp_path, capsys, reader):
+        # a field longer than csv's field size limit is a parse error
+        events, cats = planted_dataset(tmp_path, num_groups=2, users_per_group=3,
+                                       items_per_group=4, explicit_per_user=2)
+        long = "x" * (csv.field_size_limit() + 1)
+        out = tmp_path / "p.bin"
+        categories = ["--categories", str(cats)]
+        if reader == "ingest":
+            bad, row = events, 36  # after 6 users' 4 views and 2 carts
+            events.write_text(events.read_text() + f"2,u0,view,{long}\n")
+        elif reader == "read_category_pairs":
+            bad, row = cats, 8
+            cats.write_text(cats.read_text() + f"i0,{long}\n")
+        else:
+            bad, row = tmp_path / "props.csv", 1
+            bad.write_text(f"timestamp,itemid,property,value\n1,i0,categoryid,c0\n2,i1,categoryid,{long}\n")
+            categories = ["--categories", str(bad), "--categories-format", "retailrocket-properties"]
+        assert main(["prepare", "--events", str(events), *categories, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"{bad}: cannot parse data row {row}: field larger than field limit" in captured.err
+        assert len(captured.err.splitlines()) == 1 and not out.exists()
+
     def test_prepare_idempotent_byte_for_byte(self, tmp_path):
         events, cats = planted_dataset(tmp_path, num_groups=2, users_per_group=3,
                                        items_per_group=4, explicit_per_user=2)

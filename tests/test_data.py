@@ -1,7 +1,6 @@
 """Ingestion, side info, and leave-one-out split against hand-counted
 fixtures."""
 
-import logging
 from collections import Counter
 
 import numpy as np
@@ -16,7 +15,8 @@ from feedrank.data import (DEFAULT_CLASSIFICATION, EXPLICIT, ColumnSpec, DataErr
                            read_category_pairs, read_retailrocket_properties, sample_unobserved,
                            save_prepared)
 
-from conftest import encode_side_user, reference_sets, store_sets, write_categories_csv, write_events_csv
+from conftest import (encode_side_user, reference_sample_unobserved, reference_sets, store_sets,
+                      write_categories_csv, write_events_csv)
 
 
 def side_from_lists(num_categories, item_categories, user_vectors=()):
@@ -430,55 +430,23 @@ class TestLeaveOneOutSplit:
             assert case.negatives.size == unobserved
 
 
-def reference_sample_unobserved(num_items, excluded, count, rng, allow_short=False):
-    """The per-draw loop ``sample_unobserved`` replaced: the reference for
-    its values, dtype, warnings and rng state."""
-    available = num_items - len(excluded)
-    if available <= 0:
-        if allow_short:
-            return np.zeros(0, dtype=np.int64)
-        raise DataError("user has interacted with the whole catalog; nothing to sample")
-    if available < count:
-        eligible = np.array([i for i in range(num_items) if i not in excluded], dtype=np.int64)
-        if allow_short:
-            return rng.permutation(eligible)
-        logging.getLogger("feedrank.data").warning(
-            "only %d candidates for %d requested; sampling with replacement", available, count)
-        return rng.choice(eligible, size=count, replace=True)
-    chosen, seen = [], set()
-    while len(chosen) < count:
-        draw = rng.integers(0, num_items, size=max(16, 2 * (count - len(chosen))))
-        for item in draw.tolist():
-            if item in excluded or item in seen:
-                continue
-            seen.add(item)
-            chosen.append(item)
-            if len(chosen) == count:
-                break
-    return np.array(chosen, dtype=np.int64)
-
-
 class TestSampleUnobserved:
     @staticmethod
-    def run(sampler, caplog, seed, num_items, excluded, count, allow_short):
-        """(result or the DataError's message, rng state after, warnings)."""
+    def run(sampler, caplog, seed, num_items, excluded, count):
+        """(result, rng state after, warnings)."""
         rng = np.random.default_rng(seed)
         caplog.clear()
         with caplog.at_level("WARNING"):
-            try:
-                out = sampler(num_items, excluded, count, rng, allow_short=allow_short)
-            except DataError as exc:
-                out = str(exc)
+            out = sampler(num_items, excluded, count, rng)
         return out, rng.bit_generator.state, [r.getMessage() for r in caplog.records]
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), num_items=st.integers(1, 300), count=st.integers(0, 320),
-           allow_short=st.booleans(), as_array=st.booleans(), seed=st.integers(0, 2**32))
-    @example(data=None, num_items=9, count=0, allow_short=False, as_array=False, seed=1)   # no draw
-    @example(data=None, num_items=9, count=20, allow_short=True, as_array=True, seed=2)    # permutation
-    @example(data=None, num_items=9, count=20, allow_short=False, as_array=False, seed=3)  # replacement
-    @example(data=None, num_items=5, count=1, allow_short=False, as_array=True, seed=4)    # full catalog
-    def test_matches_the_per_draw_loop(self, caplog, data, num_items, count, allow_short, as_array, seed):
+           as_array=st.booleans(), seed=st.integers(0, 2**32))
+    @example(data=None, num_items=9, count=0, as_array=False, seed=1)   # no draw
+    @example(data=None, num_items=9, count=20, as_array=True, seed=2)   # permutation
+    @example(data=None, num_items=5, count=1, as_array=True, seed=4)    # full catalog
+    def test_matches_the_per_draw_loop(self, caplog, data, num_items, count, as_array, seed):
         if data is None:  # the explicit examples: a few ids out, or (5 items) all of them
             excluded = set(range(num_items)) if num_items == 5 else {0, 4, 7}
         else:
@@ -486,19 +454,13 @@ class TestSampleUnobserved:
                                            st.just(set(range(num_items)))))
         # the array form may repeat ids and come in any order
         given_ids = np.array(sorted(excluded) * 2, dtype=np.int64)[::-1] if as_array else excluded
-        got, got_state, got_logs = self.run(sample_unobserved, caplog, seed, num_items, given_ids,
-                                            count, allow_short)
+        got, got_state, got_logs = self.run(sample_unobserved, caplog, seed, num_items, given_ids, count)
         want, want_state, want_logs = self.run(reference_sample_unobserved, caplog, seed, num_items,
-                                               excluded, count, allow_short)
-        if isinstance(want, str):
-            assert isinstance(got, str) and got == want
-            assert not allow_short and len(excluded) == num_items
-        else:
-            assert got.dtype == want.dtype == np.int64
-            np.testing.assert_array_equal(got, want)
+                                               excluded, count)
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
         assert got_state == want_state
-        assert got_logs == want_logs
-        assert len(got_logs) == (not allow_short and 0 < num_items - len(excluded) < count)
+        assert got_logs == want_logs == []
 
 
 class TestStoreAgainstReference:
@@ -527,14 +489,23 @@ class TestStoreAgainstReference:
             want = sorted(u * n + i for u, row in enumerate(per_user) for i in row)
             got = store.pair_keys(matrix)
             assert got.dtype == np.int64 and got.tolist() == want
+            # the matrix's pairs and every held-out pair, then the sentinel
+            observed = sorted(u * n + i for u, row in enumerate(per_user) for i in row | held_out[u])
+            got = store.observed_keys(matrix)
+            assert got.dtype == np.int64 and got.tolist() == observed + [store.num_users * n]
         assert store.num_implicit_pairs() == sum(map(len, implicit))
         assert store.num_explicit_pairs() == sum(map(len, explicit))
         filled = sum(map(len, implicit))
         assert store.stats(labels=2) == DatasetStats(store.num_users, n, filled,
                                                      sum(map(len, explicit)), 2,
                                                      1.0 - filled / (store.num_users * n))
-        assert store.held_out_keys().tolist() == sorted(u * n + i for u, row in enumerate(held_out)
-                                                        for i in row)
+        # a session context ends before the pair's first event, or at the end of the user's rows
+        events = list(zip(np.repeat(np.arange(store.num_users), np.diff(store.offsets)).tolist(),
+                          store.items.tolist()))
+        users, items = np.divmod(np.arange(store.num_users * n), n)
+        assert store.context_ends(users, items).tolist() == [
+            events.index((u, i)) if (u, i) in events else store.offsets[u + 1]
+            for u, i in zip(users.tolist(), items.tolist())]
         assert store.excluded_flat.dtype == store.excluded_offsets.dtype == np.int64
         for u in range(store.num_users):
             lo, hi = store.excluded_offsets[u], store.excluded_offsets[u + 1]
@@ -582,6 +553,15 @@ class TestStoreAgainstReference:
         arrays["excluded_offsets"] = np.cumsum([0] + [len(row) for row in rows]).astype(np.int64)
         write_container(path, config, arrays)
         self.check(load_prepared(path).store, sets)
+
+    def test_cached_keys_are_built_once_and_read_only(self, tiny_store):
+        for matrix in ("implicit", "explicit"):
+            assert tiny_store.observed_keys(matrix) is tiny_store.observed_keys(matrix)
+            for keys in (tiny_store.pair_keys(matrix), tiny_store.observed_keys(matrix)):
+                with pytest.raises(ValueError, match="read-only"):
+                    keys[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            tiny_store._keys("implicit")[2][0] = 0
 
     @pytest.mark.parametrize("matrix", ["held_out", "Implicit", ""])
     def test_pair_keys_rejects_other_matrices(self, tiny_store, matrix):

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feedrank import evaluation
-from feedrank.data import EvalCase, build_side_info, ingest, leave_one_out_split
+from feedrank.data import DataError, EvalCase, InteractionStore, build_side_info, ingest, leave_one_out_split
 from feedrank.evaluation import (case_rank, case_ranks, evaluate, hr_at_k, ndcg_at_k, rank_of_first,
                                  topk_sweep)
 from feedrank.models import BertITEModel, ForwardResult, ModelConfig, build_model, predict_score
 from feedrank.tensor import Tensor, no_grad
+from feedrank.training import pad_sequence
 
 from conftest import planted_dataset
 
@@ -278,6 +279,50 @@ class TestSequenceModelEvaluation:
         monkeypatch.setattr(evaluation, "CHUNK", 5)
         assert (case_ranks(model, cases, train, seed=2, workers=2)
                 == case_ranks(model, cases, train, seed=2, workers=1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), num_users=st.integers(1, 3), num_items=st.integers(1, 10),
+           n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_context_equals_the_one_history_rebuild(self, data, num_users, num_items, n, seed):
+        # perfbench's eval-bert check rescores a case on this rebuild of its
+        # context, so evaluation must pad exactly as the one-history form
+        # does on observed_any(user) | {item}, from the case's own stream
+        items = st.integers(0, num_items - 1)
+        events = data.draw(st.lists(st.tuples(st.integers(0, num_users - 1), items, st.booleans()),
+                                    max_size=25))
+        held = data.draw(st.lists(st.tuples(st.integers(0, num_users - 1), items), max_size=6))
+        store = InteractionStore([f"u{u}" for u in range(num_users)], [f"i{i}" for i in range(num_items)],
+                                 [u for u, _, _ in events], np.arange(len(events)), np.arange(len(events)),
+                                 [i for _, i, _ in events], [e for _, _, e in events],
+                                 ([u for u, _ in held], [i for _, i in held]))
+        user = data.draw(st.integers(0, num_users - 1))
+        c = case(user, data.draw(items), data.draw(st.lists(items, max_size=3)),
+                 data.draw(st.lists(items, max_size=2 * n)))
+        observed = store.observed_any(user) | {c.item}
+        model = BertITEModel(num_users, num_items, ModelConfig(embedding_dim=4, seq_len=n,
+                                                               transformer_layers=1, attention_heads=2),
+                             seed=0)
+        contexts, forward = [], model.forward_batch
+
+        def spy(users, candidates, context, *args, **kwargs):
+            contexts.append(context)
+            return forward(users, candidates, context, *args, **kwargs)
+
+        model.forward_batch = spy
+
+        def rebuild():
+            return pad_sequence(c.history, n, num_items, observed, np.random.default_rng([seed, user]))
+
+        if len(c.history) < n and len(observed) == num_items:
+            for call in (rebuild, lambda: case_rank(model, c, store, seed=seed)):
+                with pytest.raises(DataError, match="whole catalog"):
+                    call()
+            return
+        case_rank(model, c, store, seed=seed)
+        want = rebuild()
+        assert contexts and all(ctx.dtype == np.int64 and ctx.shape == (1, n) for ctx in contexts)
+        for ctx in contexts:
+            np.testing.assert_array_equal(ctx[0], want)
 
     def test_bert_path_requires_store(self):
         model = BertITEModel(2, 30, ModelConfig(embedding_dim=4, seq_len=2,

@@ -20,7 +20,7 @@ from feedrank.training import (Adam, NonFiniteLossError, TrainingConfig, bce_sum
                                build_epoch_examples, fit, joint_loss, pad_sequence,
                                sample_negatives, train_epoch)
 
-from conftest import planted_dataset, store_sets, to_float64
+from conftest import planted_dataset, reference_sample_unobserved, store_sets, to_float64
 
 
 def cfg(**kw):
@@ -259,6 +259,39 @@ class TestPadSequence:
         b = pad_sequence([7], 5, 50, {7}, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), num_items=st.integers(1, 40), n=st.integers(1, 12),
+           as_array=st.booleans(), seed=st.integers(0, 2**32))
+    def test_one_history_matches_the_per_draw_loop(self, caplog, data, num_items, n, as_array, seed):
+        # the per-draw padding of earlier versions: the rounds of
+        # reference_sample_unobserved, or, when fewer items are eligible than
+        # there are slots to fill, draws with replacement and one warning
+        items = st.integers(0, num_items - 1)
+        observed = data.draw(st.one_of(st.sets(items), st.just(set(range(num_items)))))
+        history = data.draw(st.lists(items, max_size=15))
+        given_ids = np.array(sorted(observed) * 2, dtype=np.int64)[::-1] if as_array else observed
+        need, available = max(0, n - len(history)), num_items - len(observed)
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        caplog.clear()
+        if need and not available:
+            with pytest.raises(DataError) as err:
+                pad_sequence(history, n, num_items, given_ids, rng)
+            # the one-history form has no user id to name: it pads as a made-up user 0
+            assert str(err.value) == "a user has interacted with the whole catalog; nothing to sample"
+            return
+        with caplog.at_level("WARNING"):
+            out = pad_sequence(history, n, num_items, given_ids, rng)
+        if available < need:
+            eligible = np.array(sorted(set(range(num_items)) - observed), dtype=np.int64)
+            pads = want_rng.choice(eligible, size=need, replace=True)
+        else:
+            pads = reference_sample_unobserved(num_items, observed, need, want_rng)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, np.concatenate([pads, np.array(history[-n:], dtype=np.int64)]))
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        warnings = [r for r in caplog.records if "replacement" in r.getMessage()]
+        assert len(warnings) == (available < need)
+
 
 class TestSessionContexts:
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -290,9 +323,7 @@ class TestSessionContexts:
             eligible.append(num_items - len(store.observed_any(u)))
 
         def contexts():
-            index = training._session_index(store)
-            return training._session_contexts(store, index, row_users, anchors, n,
-                                              np.random.default_rng(seed))
+            return training._session_contexts(store, row_users, anchors, n, np.random.default_rng(seed))
 
         if any(k and not room for k, room in zip(need, eligible)):
             with pytest.raises(DataError, match="whole catalog"):
@@ -454,9 +485,9 @@ class TestEpochLoop:
             forwards.append(len(candidates))
             return forward(users, candidates, *args, **kwargs)
 
-        def session_contexts(store, index, users, *args):
+        def session_contexts(store, users, *args):
             draws.append(len(users))
-            return cut(store, index, users, *args)
+            return cut(store, users, *args)
 
         monkeypatch.setattr(model, "forward_batch", forward_batch)
         monkeypatch.setattr(training, "_session_contexts", session_contexts)
