@@ -135,10 +135,12 @@ def multi_head_self_attention(h: Tensor, layer: TransformerLayer, query: Optiona
     inv_scale = 1.0 / math.sqrt(layer.dim / layer.heads)
     heads = []
     for i in range(layer.heads):
-        q = T.matmul(query, layer.wq[i].value)
+        # the queries take the scale, not the [.., t_q, t] scores: the same
+        # scores bit for bit when 1/sqrt(d_h) is a power of two (d_h = 4^j)
+        q = T.scale(T.matmul(query, layer.wq[i].value), inv_scale)
         k = T.matmul(h, layer.wk[i].value)
         v = T.matmul(h, layer.wv[i].value)
-        scores = T.scale(T.matmul(q, T.transpose_last2(k)), inv_scale)
+        scores = T.matmul(q, T.transpose_last2(k))
         heads.append(T.matmul(T.softmax_rows(scores), v))
     return T.matmul(T.concat_many(heads, axis=-1), layer.wo.value)
 

@@ -2,8 +2,11 @@
 
 Every forward op builds a node holding a backward closure; calling
 ``backward()`` on a scalar walks the graph in reverse topological order and
-accumulates gradients into each ``requires_grad`` leaf. Ops operate on the
-last axis (or last two for matmul) so the same code serves 2-D math and
+accumulates gradients into each ``requires_grad`` leaf. A node's ``grad`` is
+its own: its backward may overwrite it in place and may hand it, or disjoint
+views of it, to one parent, which keeps the array it is given. Only ``add``
+gives one gradient to two operands, so it copies for the second. Ops operate
+on the last axis (or last two for matmul) so the same code serves 2-D math and
 batched 3-D activations. Only the broadcasting the models need is supported:
 row-wise bias add, scalar ops, leading extents of 1 in elementwise ops and
 matmul, and an explicit ``broadcast_to``.
@@ -152,9 +155,13 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        # a copy, never ``g`` itself: ``add`` hands one ``g`` to both operands
-        t.grad = np.empty_like(t.data)
-        t.grad[...] = g
+        # ``g`` is this tensor's from here on (module docstring); a copy only
+        # when it differs in shape or dtype, so ``grad`` matches ``data``
+        if g.shape == t.data.shape and g.dtype == t.data.dtype:
+            t.grad = g
+        else:
+            t.grad = np.empty_like(t.data)
+            t.grad[...] = g
     else:
         t.grad += g
 
@@ -339,7 +346,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
+            gb = _unbroadcast(g, b.shape)
+            _accumulate(b, gb.copy() if gb is g and a.grad is g else gb)
 
     return _make(data, (a, b), backward)
 
@@ -351,7 +359,7 @@ def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             _accumulate(a, _unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+            _accumulate(b, _unbroadcast(np.multiply(g, a.data, out=g), b.shape))
 
     return _make(data, (a, b), backward)
 
@@ -360,7 +368,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     data = x.data * x.data.dtype.type(c)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * c)
+        _accumulate(x, np.multiply(g, c, out=g))
 
     return _make(data, (x,), backward)
 
@@ -432,7 +440,8 @@ def sigmoid(x: Tensor) -> Tensor:
         s = expit(x.data)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * s * (1.0 - s))
+        g *= s
+        _accumulate(x, np.multiply(g, 1.0 - s, out=g))
 
     return _make(s, (x,), backward)
 
@@ -441,7 +450,7 @@ def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * (x.data > 0))
+        _accumulate(x, np.multiply(g, x.data > 0, out=g))
 
     return _make(data, (x,), backward)
 
@@ -496,10 +505,10 @@ def softmax_rows(x: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         # s * (g - rowsum(g * s)); the row sums are one BLAS product
-        gx = g * s
-        dot = gx.reshape(-1, n) @ np.ones((n, 1), dtype=gx.dtype)
-        gx -= s * dot.reshape(s.shape[:-1] + (1,))
-        _accumulate(x, gx)
+        g *= s
+        dot = g.reshape(-1, n) @ np.ones((n, 1), dtype=g.dtype)
+        g -= s * dot.reshape(s.shape[:-1] + (1,))
+        _accumulate(x, g)
 
     return _make(s, (x,), backward)
 
@@ -546,7 +555,8 @@ def dropout(x: Tensor, rate: float, training: bool, rng: Optional[np.random.Gene
     data = x.data * keep * x.data.dtype.type(factor)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * keep * factor)
+        g *= keep
+        _accumulate(x, np.multiply(g, factor, out=g))
 
     return _make(data, (x,), backward)
 
@@ -556,7 +566,7 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     inside = (x.data > lo) & (x.data < hi)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * inside)
+        _accumulate(x, np.multiply(g, inside, out=g))
 
     return _make(data, (x,), backward)
 
@@ -565,7 +575,7 @@ def log(x: Tensor) -> Tensor:
     data = np.log(x.data)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, g / x.data)
+        _accumulate(x, np.divide(g, x.data, out=g))
 
     return _make(data, (x,), backward)
 

@@ -7,11 +7,14 @@ of every input array, independent of the engine's backward passes.
 from __future__ import annotations
 
 import csv
+import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from feedrank import layers as L
 from feedrank import tensor as T
 
 
@@ -62,6 +65,54 @@ def check_gradients(build_loss, tensors, tol=1e-6, h=1e-4) -> float:
         assert err < tol, f"gradient mismatch (rel err {err:.3e} >= {tol}) for tensor of shape {t.shape}"
         worst = max(worst, err)
     return worst
+
+
+def copying_accumulate(t, g):
+    """The engine's ``_accumulate`` as it was before gradient buffers were
+    owned: a tensor's first gradient is always copied, so no two tensors
+    ever share a gradient array and no backward's in-place work can reach
+    another tensor's gradient. The oracle for the ownership rule."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g
+    else:
+        t.grad += g
+
+
+def scaled_scores_attention(h, layer, query=None):
+    """``layers.multi_head_self_attention`` as it was before the scale fold:
+    1/sqrt(d_h) scales each [.., t_q, t] score block, not the queries."""
+    if query is None:
+        query = h
+    inv_scale = 1.0 / math.sqrt(layer.dim / layer.heads)
+    heads = []
+    for i in range(layer.heads):
+        q = T.matmul(query, layer.wq[i].value)
+        k = T.matmul(h, layer.wk[i].value)
+        v = T.matmul(h, layer.wv[i].value)
+        scores = T.scale(T.matmul(q, T.transpose_last2(k)), inv_scale)
+        heads.append(T.matmul(T.softmax_rows(scores), v))
+    return T.matmul(T.concat_many(heads, axis=-1), layer.wo.value)
+
+
+@contextmanager
+def copying_engine():
+    """Run the block on ``copying_accumulate`` and ``scaled_scores_attention``:
+    the engine as it computed before gradient buffers were owned and the
+    attention scale moved to the queries."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_accumulate", copying_accumulate)
+        mp.setattr(L, "multi_head_self_attention", scaled_scores_attention)
+        yield
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: bit for bit, -0.0 and NaN payloads
+    included, whatever either array's memory layout."""
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
 
 
 def to_float64(params):

@@ -12,7 +12,8 @@ from feedrank import tensor as T
 from feedrank.data import SideInfo
 from feedrank.tensor import ConfigError, ParameterRegistry, Tensor
 
-from conftest import check_gradients, csr_to_dense, side_bag, to_float64
+from conftest import (check_gradients, csr_to_dense, same_bits, scaled_scores_attention, side_bag,
+                      to_float64)
 
 
 def make_table(rows, side_projection=None):
@@ -37,9 +38,8 @@ def attention_weights(h, layer, query=None):
     ``multi_head_self_attention`` weighs the value rows."""
     query = h if query is None else query
     inv_scale = 1.0 / math.sqrt(layer.head_dim)
-    return [T.softmax_rows(T.scale(T.matmul(T.matmul(query, layer.wq[i].value),
-                                            T.transpose_last2(T.matmul(h, layer.wk[i].value))),
-                                   inv_scale))
+    return [T.softmax_rows(T.matmul(T.scale(T.matmul(query, layer.wq[i].value), inv_scale),
+                                    T.transpose_last2(T.matmul(h, layer.wk[i].value))))
             for i in range(layer.heads)]
 
 
@@ -207,6 +207,40 @@ class TestMultiHeadSelfAttention:
         h = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         tensors = [h] + [p.value for p in reg if "ln" not in p.name and "ffn" not in p.name]
         check_gradients(lambda: T.l2_sq(L.multi_head_self_attention(h, layer)), tensors, tol=1e-5)
+
+
+class TestScaleFold:
+    """The attention scales the queries by 1/sqrt(d_h) instead of the scores.
+    That is exact when the scale is a power of two (d_h = 4); at d_h = 8 each
+    scaled query rounds once, which stays within 1e-5 of every float32
+    output's and gradient's largest entry (about 84 units in the last place
+    of 1.0)."""
+
+    @pytest.mark.parametrize("query_rows", [False, True])
+    @pytest.mark.parametrize("dim, exact", [(8, True), (16, False)])
+    def test_matches_scaled_scores(self, dim, exact, query_rows):
+        rng = np.random.default_rng(dim + query_rows)
+        reg = ParameterRegistry()
+        layer = L.TransformerLayer(reg, "trm", dim, 2, rng)
+        x = Tensor(rng.standard_normal((3, 5, dim)).astype(np.float32), requires_grad=True)
+        weight = Tensor(rng.standard_normal((3, 1 if query_rows else 5, dim)).astype(np.float32))
+
+        def run(attention):
+            x.grad = None
+            reg.zero_grads()
+            query = T.reshape(T.select_row(x, 0), (3, 1, dim)) if query_rows else None
+            out = attention(x, layer, query)
+            T.sum_all(T.elementwise_mul(out, weight)).backward()
+            return [out.data, x.grad] + [p.grad for p in reg if p.grad is not None]
+
+        got, want = run(L.multi_head_self_attention), run(scaled_scores_attention)
+        assert len(got) == len(want) == 2 + 3 * 2 + 1   # out, x, W_q, W_k, W_v per head, W_o
+        for a, b in zip(got, want):
+            if exact:
+                assert same_bits(a, b)
+            else:
+                assert a.dtype == np.float32
+                assert np.max(np.abs(a - b)) <= 1e-5 * np.max(np.abs(b))
 
 
 def shared_prefix_case(rng, c, t, heads, head_dim):

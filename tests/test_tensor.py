@@ -1,7 +1,9 @@
 """Engine ops: frozen hand values, invariants, and finite-difference checks."""
 
+import itertools
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from scipy.special import erf, expit
 from feedrank import tensor as T
 from feedrank.tensor import ConfigError, ShapeError, Tensor
 
-from conftest import check_gradients
+from conftest import check_gradients, copying_engine, same_bits
 from test_layers import oracle_layer_norm
 
 
@@ -85,6 +87,87 @@ class TestAccumulate:
         np.testing.assert_array_equal(x.grad, g)
         np.testing.assert_array_equal(y.grad, g)
         assert not np.shares_memory(x.grad, y.grad)
+
+
+def _unary_steps():
+    ops = {"scale": lambda t, rng: T.scale(t, 0.7),
+           "sigmoid": lambda t, rng: T.sigmoid(t),
+           "relu": lambda t, rng: T.relu(t),
+           "softmax_rows": lambda t, rng: T.softmax_rows(t),
+           "dropout": lambda t, rng: T.dropout(t, 0.25, True, rng),
+           "gelu": lambda t, rng: T.gelu(t),
+           "clamp": lambda t, rng: T.clamp(t, -0.5, 0.5),
+           "add_scalar": lambda t, rng: T.add_scalar(t, 0.5)}
+    steps = {}
+    for name, op in ops.items():
+        steps[name] = lambda a, b, ctx, op=op: op(a, ctx.rng)
+        steps[f"residual_{name}"] = lambda a, b, ctx, op=op: T.add(a, op(b, ctx.rng))
+    return steps
+
+
+# one graph step: reads two tensors of the pool (the same one twice, at
+# times) and appends its [2, 3, 3] result, so every result fans out to its
+# consumers and to the loss
+FAN_OUT_STEPS = {
+    "add": lambda a, b, ctx: T.add(a, b),
+    "bias": lambda a, b, ctx: T.add(a, ctx.bias),
+    "bias_first": lambda a, b, ctx: T.add(ctx.bias, a),
+    "mul": lambda a, b, ctx: T.elementwise_mul(a, b),
+    "concat": lambda a, b, ctx: T.matmul(T.concat(a, b, axis=-1), ctx.w),
+    "matmul_t": lambda a, b, ctx: T.matmul(a, T.transpose_last2(b)),
+    "transpose": lambda a, b, ctx: T.transpose_last2(a),
+    "reshape": lambda a, b, ctx: T.reshape(T.reshape(a, (6, 3)), (2, 3, 3)),
+    **_unary_steps(),
+}
+
+
+def run_fan_out_graph(steps, seed, dtype):
+    """Build the graph ``steps`` names on leaves x, y (pool 0, 1), a constant
+    (pool 2), a [6, 3] weight and a [3] bias, backpropagate a random
+    weighting of the sum of every step's result, and return the leaves."""
+    rng = np.random.default_rng(seed)
+    draw = lambda *shape: rng.standard_normal(shape).astype(dtype)
+    x, y = Tensor(draw(2, 3, 3), requires_grad=True), Tensor(draw(2, 3, 3), requires_grad=True)
+    ctx = SimpleNamespace(w=Tensor(draw(6, 3), requires_grad=True),
+                          bias=Tensor(draw(3), requires_grad=True), rng=rng)
+    pool = [x, y, Tensor(draw(2, 3, 3))]
+    for name, i, j in steps:
+        pool.append(FAN_OUT_STEPS[name](pool[i % len(pool)], pool[j % len(pool)], ctx))
+    total = pool[3]
+    for t in pool[4:]:
+        total = T.add(total, t)
+    T.sum_all(T.elementwise_mul(total, Tensor(draw(*total.shape)))).backward()
+    return [x, y, ctx.w, ctx.bias]
+
+
+class TestGradientOwnership:
+    """Backwards keep the arrays they are handed and work on them in place;
+    the gradients must equal, bit for bit, those of the engine that copied
+    every gradient on arrival, and no two leaves may share a buffer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.lists(st.tuples(st.sampled_from(sorted(FAN_OUT_STEPS)), st.integers(0, 63),
+                                    st.integers(0, 63)), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from([np.float32, np.float64]))
+    @example(steps=[("add", 0, 0)], seed=0, dtype=np.float32)
+    @example(steps=[("concat", 0, 0)], seed=1, dtype=np.float32)
+    @example(steps=[("matmul_t", 0, 0)], seed=2, dtype=np.float32)
+    @example(steps=[("transpose", 0, 0), ("matmul_t", 3, 3), ("mul", 3, 1)], seed=3, dtype=np.float32)
+    @example(steps=[("reshape", 0, 0), ("relu", 3, 3), ("residual_scale", 3, 4)], seed=4,
+             dtype=np.float32)
+    @example(steps=[(f"{kind}{op}", 0, 1) for op in ("scale", "softmax_rows", "dropout", "sigmoid",
+                                                       "relu") for kind in ("", "residual_")],
+             seed=5, dtype=np.float32)
+    def test_fan_out_gradients_match_the_copying_engine(self, steps, seed, dtype):
+        leaves = run_fan_out_graph(steps, seed, dtype)
+        with copying_engine():
+            expected = run_fan_out_graph(steps, seed, dtype)
+        for got, want in zip(leaves, expected):
+            assert (got.grad is None) == (want.grad is None)
+            assert got.grad is None or same_bits(got.grad, want.grad)
+        grads = [t.grad for t in leaves if t.grad is not None]
+        for a, b in itertools.combinations(grads, 2):
+            assert not np.shares_memory(a, b)
 
 
 class TestGelu:

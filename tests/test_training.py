@@ -12,7 +12,7 @@ from scipy.stats import chisquare
 
 from feedrank import tensor as T
 from feedrank import training
-from feedrank.data import DataError, InteractionStore, ingest, leave_one_out_split
+from feedrank.data import DataError, InteractionStore, build_side_info, ingest, leave_one_out_split
 from feedrank.evaluation import evaluate
 from feedrank.models import ITEModel, ModelConfig, build_model
 from feedrank.tensor import ConfigError, ParameterRegistry, Tensor
@@ -20,7 +20,8 @@ from feedrank.training import (Adam, NonFiniteLossError, TrainingConfig, bce_sum
                                build_epoch_examples, fit, joint_loss, pad_sequence,
                                sample_negatives, train_epoch)
 
-from conftest import planted_dataset, reference_sample_unobserved, store_sets, to_float64
+from conftest import (copying_engine, planted_dataset, reference_sample_unobserved, same_bits,
+                      store_sets, to_float64)
 
 
 def cfg(**kw):
@@ -472,6 +473,29 @@ class TestEpochLoop:
         assert results[0][0] == results[1][0]
         for name, arr in results[0][1].items():
             np.testing.assert_array_equal(arr, results[1][1][name])
+
+    @pytest.mark.parametrize("variant", ["ite", "bert-ite-si"])
+    def test_epoch_matches_the_copying_engine_bit_for_bit(self, tmp_path, variant):
+        # owned gradient buffers, in-place backwards and the attention scale
+        # on the queries (exact at d_h = 4) change no bit of a float32 epoch
+        events, cats = planted_dataset(tmp_path)
+        store, _ = leave_one_out_split(ingest(str(events)), num_negatives=10, seed=0)
+        side = build_side_info(store, str(cats)) if variant == "bert-ite-si" else None
+
+        def epoch():
+            model = build_model(variant, store.num_users, store.num_items,
+                                ModelConfig(embedding_dim=8, attention_heads=2,
+                                            side_dim=side.num_categories if side else 0), seed=9)
+            report = train_epoch(model, store, cfg(batch_size=256, learning_rate=0.01),
+                                 np.random.default_rng([21, 0]), side)
+            return report.mean_loss, model.params.state_arrays()
+
+        loss, params = epoch()
+        with copying_engine():
+            oracle_loss, oracle_params = epoch()
+        assert loss == oracle_loss
+        assert params.keys() == oracle_params.keys()
+        assert all(same_bits(params[name], oracle_params[name]) for name in params)
 
     @pytest.mark.parametrize("variant", ["ite", "bert-ite"])
     def test_one_forward_and_one_context_draw_per_batch(self, small_prepared, monkeypatch, variant):
