@@ -137,7 +137,7 @@ def write_run_config(path: Path, cfg: RunConfig) -> None:
     parser = configparser.ConfigParser()
     for section, (obj, keys) in _ini_sections(cfg).items():
         parser[section] = {key: str(getattr(obj, key)) for key in keys}
-    with open(path, "w", encoding="utf-8") as fh:
+    with container.atomic_write(path, "x", encoding="utf-8") as fh:
         parser.write(fh)
 
 
@@ -205,11 +205,11 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_metrics_csv(path: Path):
-    fh = open(path, "w", newline="", encoding="utf-8")
+def _metrics_csv(fh):
+    """A CSV writer on ``fh`` (opened with ``newline=""``), header written."""
     writer = csv.writer(fh)
     writer.writerow(CSV_HEADER)
-    return fh, writer
+    return writer
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -239,7 +239,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_run_config(out_dir / "config.ini", cfg)
-    csv_fh, csv_writer = _open_metrics_csv(out_dir / "metrics.csv")
+    csv_fh = open(out_dir / "metrics.csv", "w", newline="", encoding="utf-8")
+    csv_writer = _metrics_csv(csv_fh)
     jsonl_fh = open(out_dir / "epochs.jsonl", "w", encoding="utf-8")
 
     def on_epoch(record: dict) -> None:
@@ -309,8 +310,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if k == args.topk or args.topk_sweep:
             print(f"K={k} HR={hr:.6f} NDCG={ndcg:.6f}")
     if args.out:
-        fh, writer = _open_metrics_csv(Path(args.out))
-        with fh:
+        with container.atomic_write(args.out, "x", newline="", encoding="utf-8") as fh:
+            writer = _metrics_csv(fh)
             for k, hr, ndcg in rows:
                 writer.writerow([meta.get("epoch", 0), k, repr(hr), repr(ndcg), "",
                                  "" if args.no_timestamps else f"{seconds:.3f}"])

@@ -26,7 +26,8 @@ import math
 import os
 import secrets
 import struct
-from typing import BinaryIO
+from contextlib import contextmanager
+from typing import IO, BinaryIO, Iterator
 
 import numpy as np
 
@@ -40,21 +41,29 @@ class FormatError(ValueError):
     """The file is not a valid container (bad magic, truncation, bad record)."""
 
 
-def write_container(path: str, config: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write to a temporary file beside ``path``, then rename it onto
-    ``path``: a failed or interrupted write leaves any old file as it was.
-    There is no fsync, so this guards against a process crash, not against
-    power loss."""
+@contextmanager
+def atomic_write(path, mode: str = "xb", **open_args) -> Iterator[IO]:
+    """Yield a new temporary file beside ``path``, opened with ``mode`` (an
+    exclusive-create mode) and ``open_args``; when the block ends cleanly,
+    rename it onto ``path``. A failed or interrupted write removes it and
+    leaves any old file as it was. There is no fsync, so this guards
+    against a process crash, not against power loss."""
     path = os.fspath(path)
     tmp = f"{path}.{secrets.token_hex(4)}.tmp"
-    fh = open(tmp, "xb")
+    fh = open(tmp, mode, **open_args)
     try:
         with fh:
-            _write_records(fh, config, arrays)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def write_container(path: str, config: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write the container through ``atomic_write``."""
+    with atomic_write(path) as fh:
+        _write_records(fh, config, arrays)
 
 
 def _write_records(fh: BinaryIO, config: dict, arrays: dict[str, np.ndarray]) -> None:

@@ -124,25 +124,51 @@ def multi_head_self_attention(h: Tensor, layer: TransformerLayer, query: Optiona
     by the output projection. Bidirectional: no causal mask, no positions.
 
     ``h`` is [t, d] or [batch, t, d]. Keys and values come from every row of
-    ``h``; queries come from ``query`` ([t_q, d] or [batch, t_q, d]) when it
-    is given, else from ``h``, and the output has one row per query row.
+    ``h``; queries come from every row of ``h``, or, when ``query`` is given,
+    from its one row per sequence ([1, d] or [batch, 1, d]), and the output
+    has one row per query row. A ``query`` takes the folded form
+    (``_one_query_attention``), whose outputs differ from the per-head form's
+    by float rounding only.
     """
-    if query is None:
-        query = h
-    for x in (h, query):
+    for x in (h,) if query is None else (h, query):
         if x.shape[-1] != layer.dim:
             raise ShapeError(f"input dim {x.shape[-1]} vs layer dim {layer.dim}")
-    inv_scale = 1.0 / math.sqrt(layer.dim / layer.heads)
+    if query is not None:
+        return _one_query_attention(h, layer, query)
+    inv_scale = 1.0 / math.sqrt(layer.head_dim)
     heads = []
     for i in range(layer.heads):
-        # the queries take the scale, not the [.., t_q, t] scores: the same
+        # the queries take the scale, not the [.., t, t] scores: the same
         # scores bit for bit when 1/sqrt(d_h) is a power of two (d_h = 4^j)
-        q = T.scale(T.matmul(query, layer.wq[i].value), inv_scale)
+        q = T.scale(T.matmul(h, layer.wq[i].value), inv_scale)
         k = T.matmul(h, layer.wk[i].value)
         v = T.matmul(h, layer.wv[i].value)
         scores = T.matmul(q, T.transpose_last2(k))
         heads.append(T.matmul(T.softmax_rows(scores), v))
     return T.matmul(T.concat_many(heads, axis=-1), layer.wo.value)
+
+
+def _one_query_attention(h: Tensor, layer: TransformerLayer, query: Tensor) -> Tensor:
+    """``multi_head_self_attention`` for one query row per sequence,
+    projecting no row of ``h``. Head i's scores are ``q·(Wq_i·Wk_iᵀ/sqrt(d_h))·hᵀ``
+    and its output ``w_i·h·Wv_i`` meets only its rows ``Wo_i`` of ``Wo``. So
+    ``M = [Wq_1·Wk_1ᵀ … Wq_H·Wk_Hᵀ]/sqrt(d_h)`` ([d, H·d]) scores every head
+    at once, stacked on the query axis, and ``N = [Wv_1·Wo_1; …; Wv_H·Wo_H]``
+    ([H·d, d]) maps the heads' weighted rows, side by side, to the output.
+    Both are rebuilt each call from Tensor ops, so gradients reach every
+    weight."""
+    if query.ndim != h.ndim or query.shape[-2] != 1:
+        raise ShapeError(f"a query holds one row per sequence of keys {h.shape}, got {query.shape}")
+    d, heads, hd = layer.dim, layer.heads, layer.head_dim
+    m = T.scale(T.concat_many([T.matmul(wq.value, T.transpose_last2(wk.value))
+                               for wq, wk in zip(layer.wq, layer.wk)], axis=-1), 1.0 / math.sqrt(hd))
+    wo = T.reshape(layer.wo.value, (heads, hd * d))
+    n = T.concat_many([T.matmul(wv.value, T.reshape(T.select_row(wo, i), (hd, d)))
+                       for i, wv in enumerate(layer.wv)], axis=0)
+    lead = query.shape[:-2]
+    qk = T.reshape(T.matmul(query, m), lead + (heads, d))
+    w = T.softmax_rows(T.matmul(qk, T.transpose_last2(h)))
+    return T.matmul(T.reshape(T.matmul(w, h), lead + (1, heads * d)), n)
 
 
 def _shared_prefix_attention(x: np.ndarray, tg: np.ndarray, layer: TransformerLayer) -> np.ndarray:
@@ -233,9 +259,10 @@ def transformer_layer(x: Tensor, layer: TransformerLayer, training: bool = False
                       query: Optional[Tensor] = None, target: Optional[Tensor] = None) -> Tensor:
     """Two sublayers: LN(x + Drop(MH(x))) then LN(a + Drop(PFFN(a))).
 
-    With ``query`` (rows of ``x``), only those rows are computed: they
-    attend to every row of ``x``, and the residuals, dropouts, layer norms
-    and PFFN run on them alone.
+    With ``query`` (one row of each sequence in ``x``, [.., 1, d]), only that
+    row is computed: it attends to every row of ``x`` through the folded
+    form (``_one_query_attention``; the same outputs to float rounding), and
+    the residuals, dropouts, layer norms and PFFN run on it alone.
 
     With ``target`` ([C, 1, d]), ``x`` is a prefix [1, t, d] shared by C
     sequences ``[x; target[c]]`` and the output is their [C, t + 1, d] rows.
@@ -248,10 +275,8 @@ def transformer_layer(x: Tensor, layer: TransformerLayer, training: bool = False
             raise ConfigError("the shared-prefix layer is forward only; call it under no_grad() "
                               "with training off")
         return _shared_prefix_layer(x, target, layer)
-    if query is None:
-        query = x
     mh = T.dropout(multi_head_self_attention(x, layer, query=query), layer.dropout_rate, training, rng)
-    a = T.layer_norm(T.add(query, mh), layer.ln1_gain.value, layer.ln1_bias.value)
+    a = T.layer_norm(T.add(x if query is None else query, mh), layer.ln1_gain.value, layer.ln1_bias.value)
     ff = T.dropout(pffn(a, layer), layer.dropout_rate, training, rng)
     return T.layer_norm(T.add(a, ff), layer.ln2_gain.value, layer.ln2_bias.value)
 

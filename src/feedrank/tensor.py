@@ -296,14 +296,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    data = a.data @ b.data
+    # a 2-D ``b`` takes one GEMM over every leading row of ``a``, forward and
+    # backward, not a stack of small products (to sum, for ``b``'s gradient)
+    if a.ndim > 2 and b.ndim == 2:
+        data = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+    else:
+        data = a.data @ b.data
 
     def backward(g: np.ndarray) -> None:
-        # a 2-D ``b`` takes one GEMM over every leading row of ``a`` and
-        # ``g``, not a stack of small products (to sum, for ``b``'s gradient)
         if a.requires_grad:
             if b.ndim == 2:
-                ga = (g.reshape(-1, g.shape[-1]) @ b.data.T).reshape(a.shape)
+                # a contiguous bᵀ: BLAS multiplies by it faster than by b's view
+                ga = (g.reshape(-1, g.shape[-1]) @ np.ascontiguousarray(b.data.T)).reshape(a.shape)
             else:
                 ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
             _accumulate(a, ga)

@@ -82,8 +82,10 @@ def copying_accumulate(t, g):
 
 
 def scaled_scores_attention(h, layer, query=None):
-    """``layers.multi_head_self_attention`` as it was before the scale fold:
-    1/sqrt(d_h) scales each [.., t_q, t] score block, not the queries."""
+    """``layers.multi_head_self_attention`` as it was before the scale fold
+    and the one-query fold: each head projects every query, key and value
+    row, and 1/sqrt(d_h) scales each [.., t_q, t] score block, not the
+    queries."""
     if query is None:
         query = h
     inv_scale = 1.0 / math.sqrt(layer.dim / layer.heads)
@@ -99,12 +101,19 @@ def scaled_scores_attention(h, layer, query=None):
 
 @contextmanager
 def copying_engine():
-    """Run the block on ``copying_accumulate`` and ``scaled_scores_attention``:
-    the engine as it computed before gradient buffers were owned and the
-    attention scale moved to the queries."""
+    """Run the block on ``copying_accumulate``, with full self-attention on
+    ``scaled_scores_attention``: the engine as it computed before gradient
+    buffers were owned and the attention scale moved to the queries. A
+    one-row query still takes the folded form, which has no scaled-scores
+    counterpart to match bit for bit."""
+    folded = L._one_query_attention
+
+    def attention(h, layer, query=None):
+        return scaled_scores_attention(h, layer) if query is None else folded(h, layer, query)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "_accumulate", copying_accumulate)
-        mp.setattr(L, "multi_head_self_attention", scaled_scores_attention)
+        mp.setattr(L, "multi_head_self_attention", attention)
         yield
 
 

@@ -683,6 +683,53 @@ class TestEvaluate:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestInterruptedWrites:
+    """``train``'s config.ini and ``evaluate --out`` go through
+    ``container.atomic_write``: a writer that raises mid-write leaves the
+    file from the run before byte-identical, with no temporary file beside
+    it."""
+
+    @pytest.mark.parametrize("target", ["config.ini", "evaluate --out"])
+    def test_old_file_survives(self, tmp_path, prepared_path, monkeypatch, target):
+        run_dir = tmp_path / "run"
+        cfg = write_config(tmp_path / "cfg.ini", prepared_path, epochs=1, out=run_dir)
+        if target == "config.ini":
+            path = run_dir / "config.ini"
+            argv = ["train", "--config", str(cfg), "--no-timestamps"]
+            again = argv + ["--seed", "6"]     # a config.ini that differs
+        else:
+            assert main(["train", "--config", str(cfg), "--no-timestamps"]) == 0
+            path = tmp_path / "metrics.csv"
+            argv = ["evaluate", "--checkpoint", str(run_dir / "model.ckpt"), "--dataset",
+                    str(prepared_path), "--out", str(path)]
+            again = argv + ["--topk-sweep"]     # 20 rows, not 1
+        assert main(argv) == 0
+        before = path.read_bytes()
+        writes = []
+
+        def write(fh, text):
+            # the first write goes through, the second is interrupted
+            writes.append(text)
+            if len(writes) > 1:
+                raise KeyboardInterrupt
+            return fh.write(text)
+
+        if target == "config.ini":
+            real = configparser.ConfigParser.write
+            monkeypatch.setattr(configparser.ConfigParser, "write",
+                                lambda self, fh: real(self, types.SimpleNamespace(
+                                    write=lambda text: write(fh, text))))
+        else:
+            real = csv.writer
+            monkeypatch.setattr(csv, "writer", lambda fh: real(types.SimpleNamespace(
+                write=lambda text: write(fh, text))))
+        with pytest.raises(KeyboardInterrupt):
+            main(again)
+        assert len(writes) == 2
+        assert path.read_bytes() == before
+        assert not list(path.parent.glob("*.tmp"))
+
+
 class TestConfigParsing:
     def test_variant_specific_batch_default(self, tmp_path, prepared_path):
         from feedrank.cli import load_run_config

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from feedrank import layers as L
 from feedrank import tensor as T
 from feedrank.data import SideInfo
-from feedrank.tensor import ConfigError, ParameterRegistry, Tensor
+from feedrank.tensor import ConfigError, ParameterRegistry, ShapeError, Tensor
 
 from conftest import (check_gradients, csr_to_dense, same_bits, scaled_scores_attention, side_bag,
                       to_float64)
@@ -210,26 +210,25 @@ class TestMultiHeadSelfAttention:
 
 
 class TestScaleFold:
-    """The attention scales the queries by 1/sqrt(d_h) instead of the scores.
-    That is exact when the scale is a power of two (d_h = 4); at d_h = 8 each
-    scaled query rounds once, which stays within 1e-5 of every float32
-    output's and gradient's largest entry (about 84 units in the last place
-    of 1.0)."""
+    """Full self-attention scales the queries by 1/sqrt(d_h) instead of the
+    scores. That is exact when the scale is a power of two (d_h = 4); at
+    d_h = 8 each scaled query rounds once, which stays within 1e-5 of every
+    float32 output's and gradient's largest entry (about 84 units in the
+    last place of 1.0). A one-row query takes the folded form instead
+    (``TestOneQueryAttention``)."""
 
-    @pytest.mark.parametrize("query_rows", [False, True])
     @pytest.mark.parametrize("dim, exact", [(8, True), (16, False)])
-    def test_matches_scaled_scores(self, dim, exact, query_rows):
-        rng = np.random.default_rng(dim + query_rows)
+    def test_matches_scaled_scores(self, dim, exact):
+        rng = np.random.default_rng(dim)
         reg = ParameterRegistry()
         layer = L.TransformerLayer(reg, "trm", dim, 2, rng)
         x = Tensor(rng.standard_normal((3, 5, dim)).astype(np.float32), requires_grad=True)
-        weight = Tensor(rng.standard_normal((3, 1 if query_rows else 5, dim)).astype(np.float32))
+        weight = Tensor(rng.standard_normal((3, 5, dim)).astype(np.float32))
 
         def run(attention):
             x.grad = None
             reg.zero_grads()
-            query = T.reshape(T.select_row(x, 0), (3, 1, dim)) if query_rows else None
-            out = attention(x, layer, query)
+            out = attention(x, layer)
             T.sum_all(T.elementwise_mul(out, weight)).backward()
             return [out.data, x.grad] + [p.grad for p in reg if p.grad is not None]
 
@@ -241,6 +240,107 @@ class TestScaleFold:
             else:
                 assert a.dtype == np.float32
                 assert np.max(np.abs(a - b)) <= 1e-5 * np.max(np.abs(b))
+
+
+class TestOneQueryAttention:
+    """A query of one row per sequence takes the folded form
+    (``layers._one_query_attention``): the score and output weights are
+    multiplied together, so no row of the keys is projected. It must agree
+    with the per-head form given the same one-row query, and with that
+    row of the full layer, to float rounding: within 1e-10 in float64 and
+    1e-5 in float32 of the outputs' scale, and of the gradients' largest
+    entry. Both scales bound the terms summed, not the sums, which can
+    cancel to far less in either form (float32 Wq gradients of the
+    per-head form drew 9e-5 of their own largest entry off float64, and a
+    one-entry output 4.4e-5 of itself off the folded form's). Each output
+    row averages, per head, rows ``h·Wv_i·Wo_i``, so its scale is the
+    largest entry of ``|h|·Σ_i |Wv_i·Wo_i|``. A weight's gradient sums B·t
+    terms on the scale of the others' entries, so the gradients share one
+    scale."""
+
+    @staticmethod
+    def run(attention, layer, reg, x, r, weight):
+        """Output of ``attention(h, layer, query)`` with query row ``r`` of
+        ``x``, and the gradients of sum(output * weight): ``x``'s, then each
+        parameter's that gets one."""
+        h = Tensor(x, requires_grad=True)
+        reg.zero_grads()
+        query = T.reshape(T.select_row(h, r), (x.shape[0], 1, x.shape[2]))
+        out = attention(h, layer, query)
+        T.sum_all(T.elementwise_mul(out, Tensor(weight))).backward()
+        return [out.data, h.grad] + [p.grad for p in reg if p.grad is not None]
+
+    def check(self, layer, reg, x, r, tol):
+        weight = np.random.default_rng(r).standard_normal((x.shape[0], 1, x.shape[2])).astype(x.dtype)
+
+        def full_row(h, layer, query):
+            return T.reshape(T.select_row(L.multi_head_self_attention(h, layer), r), query.shape)
+
+        hd = layer.head_dim
+        out_scale = np.max(np.abs(x) @ sum(np.abs(wv.data @ layer.wo.data[i * hd:(i + 1) * hd])
+                                           for i, wv in enumerate(layer.wv)))
+        got = self.run(L.multi_head_self_attention, layer, reg, x, r, weight)
+        assert len(got) == 2 + 3 * layer.heads + 1   # out, x, W_q, W_k, W_v per head, W_o
+        for oracle in (scaled_scores_attention, full_row):
+            want = self.run(oracle, layer, reg, x, r, weight)
+            assert len(want) == len(got)
+            grad_scale = max(np.max(np.abs(b)) for b in want[1:])
+            for i, (a, b) in enumerate(zip(got, want)):
+                assert a.dtype == b.dtype == x.dtype and a.shape == b.shape
+                assert np.max(np.abs(a - b)) <= tol * (out_scale if i == 0 else grad_scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(b=st.integers(1, 40), t=st.integers(1, 23), heads=st.sampled_from([1, 2, 4]),
+           head_dim=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2 ** 31 - 1))
+    def test_matches_per_head_form_and_full_layer(self, b, t, heads, head_dim, data, seed):
+        rng = np.random.default_rng(seed)
+        reg = ParameterRegistry()
+        layer = L.TransformerLayer(reg, "trm", heads * head_dim, heads, rng)
+        x = rng.standard_normal((b, t, heads * head_dim)).astype(np.float32)
+        r = data.draw(st.integers(0, t - 1), label="query row")
+        self.check(layer, reg, x, r, 1e-5)
+        to_float64(reg)
+        self.check(layer, reg, x.astype(np.float64), r, 1e-10)
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_matches_scaled_scores(self, dim):
+        # 2 heads of d_h = 4 and 8: the query-row cases of TestScaleFold,
+        # which the folded form matches to rounding, not bit for bit
+        rng = np.random.default_rng(dim + 1)
+        reg = ParameterRegistry()
+        layer = L.TransformerLayer(reg, "trm", dim, 2, rng)
+        self.check(layer, reg, rng.standard_normal((3, 5, dim)).astype(np.float32), 0, 1e-5)
+
+    def test_large_parameters_stay_finite(self):
+        # scores in the thousands saturate the softmax on one key, with no
+        # overflow warning (the suite fails on any RuntimeWarning)
+        rng = np.random.default_rng(30)
+        reg = ParameterRegistry()
+        layer = L.TransformerLayer(reg, "trm", 8, 2, rng)
+        for p in reg:
+            p.value.data *= 30
+        x = rng.standard_normal((50, 22, 8)).astype(np.float32)
+        got = self.run(L.multi_head_self_attention, layer, reg, x, 0, np.ones((50, 1, 8), np.float32))
+        assert all(np.isfinite(a).all() for a in got)
+
+    def test_unbatched_query_matches_full_layer(self):
+        # keys [t, d] and a query [1, d]
+        rng = np.random.default_rng(32)
+        layer, _ = make_transformer(8, 4, rng)
+        h = rng.standard_normal((6, 8))
+        full = L.multi_head_self_attention(Tensor(h), layer).data
+        for r in range(6):
+            row = L.multi_head_self_attention(Tensor(h), layer, query=Tensor(h[r:r + 1]))
+            assert row.shape == (1, 8)
+            np.testing.assert_allclose(row.data, full[r:r + 1], rtol=0, atol=1e-10 * np.abs(full).max())
+
+    def test_two_row_query_is_refused(self):
+        layer, _ = make_transformer(4, 2)
+        x = Tensor(np.random.default_rng(31).standard_normal((2, 5, 4)))
+        with pytest.raises(ShapeError, match="one row per sequence"):
+            L.multi_head_self_attention(x, layer, query=Tensor(x.data[:, :2]))
+        with pytest.raises(ShapeError, match="one row per sequence"):
+            L.transformer_layer(x, layer, query=Tensor(x.data[:, :2]))
 
 
 def shared_prefix_case(rng, c, t, heads, head_dim):

@@ -477,7 +477,8 @@ class TestEpochLoop:
     @pytest.mark.parametrize("variant", ["ite", "bert-ite-si"])
     def test_epoch_matches_the_copying_engine_bit_for_bit(self, tmp_path, variant):
         # owned gradient buffers, in-place backwards and the attention scale
-        # on the queries (exact at d_h = 4) change no bit of a float32 epoch
+        # on the queries (exact at d_h = 4) change no bit of a float32 epoch;
+        # the last layer's one-row query takes the folded form on both sides
         events, cats = planted_dataset(tmp_path)
         store, _ = leave_one_out_split(ingest(str(events)), num_negatives=10, seed=0)
         side = build_side_info(store, str(cats)) if variant == "bert-ite-si" else None
