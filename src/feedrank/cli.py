@@ -185,12 +185,11 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     if args.categories:
         if args.categories_format == "retailrocket-properties":
             mapping = data.read_retailrocket_properties(args.categories)
-            side = data.build_side_info(train_store, mapping=mapping)
+        elif len(args.categories) != 1:
+            raise ConfigError("pairs format takes exactly one category file")
         else:
-            if len(args.categories) != 1:
-                raise ConfigError("pairs format takes exactly one category file")
-            side = data.build_side_info(train_store, category_path=args.categories[0],
-                                        delimiter=args.delimiter)
+            mapping = data.read_category_pairs(args.categories[0], args.delimiter)
+        side = data.build_side_info(train_store, mapping)
     stats = store.stats(labels=side.num_categories if side else 0)
     for line in stats.lines():
         print(line)
@@ -263,7 +262,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     try:
         result = training.fit(model, prepared.store, cfg.training, cases=prepared.cases,
-                              side_info=prepared.side_info if _needs_side(cfg.variant) else None,
+                              side_info=prepared.side_info,
                               eval_topk=cfg.eval_topk, workers=args.workers, on_epoch=on_epoch)
     finally:
         csv_fh.close()
@@ -291,19 +290,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if (model.num_users, model.num_items) != (store.num_users, store.num_items):
         raise ConfigError(f"checkpoint is built for {model.num_users} users and {model.num_items} items, "
                           f"dataset has {store.num_users} users and {store.num_items} items")
-    side = None
-    if _needs_side(variant):
-        if prepared.side_info is None:
-            raise ConfigError(f"checkpoint variant {variant!r} needs a dataset with side info")
-        if prepared.side_info.num_categories != model.config.side_dim:
-            raise ConfigError(
-                f"checkpoint expects {model.config.side_dim} categories, dataset has "
-                f"{prepared.side_info.num_categories}")
-        side = prepared.side_info
+    if _needs_side(variant) and prepared.side_info is None:
+        raise ConfigError(f"checkpoint variant {variant!r} needs a dataset with side info")
     seed = args.seed if args.seed is not None else meta.get("seed", 0)
     started = time.perf_counter()
     ks = list(range(1, 21)) if args.topk_sweep else [args.topk]
-    rows = evaluation.topk_sweep(model, prepared.cases, store=store, side_info=side,
+    rows = evaluation.topk_sweep(model, prepared.cases, store=store, side_info=prepared.side_info,
                                  ks=ks, seed=seed, workers=args.workers)
     seconds = time.perf_counter() - started
     for k, hr, ndcg in rows:

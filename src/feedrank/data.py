@@ -329,14 +329,16 @@ class SideInfo:
     with -1 to the longest of those rows, never a dense
     ``[..., num_categories]`` vector."""
 
-    num_categories: int
     labels: list[str]
     item_offsets: np.ndarray
     item_categories: np.ndarray
     user_offsets: np.ndarray
     user_categories: np.ndarray
     user_weights: np.ndarray
-    skipped_rows: int = 0
+
+    @property
+    def num_categories(self) -> int:
+        return len(self.labels)
 
     def item_matrix(self, items: np.ndarray) -> np.ndarray:
         """Category ids of ``items``: int64 ``[*items.shape, m]``, -1 padded."""
@@ -348,7 +350,7 @@ class SideInfo:
         return _csr_rows(self.user_offsets, self.user_categories, self.user_weights, users)
 
 
-def read_category_pairs(path: str, delimiter: str = ",") -> tuple[dict[str, set], int]:
+def read_category_pairs(path: str, delimiter: str = ",") -> dict[str, set]:
     """item_id,category_id rows -> {item: {labels}}; malformed rows skipped."""
     mapping: dict[str, set] = {}
     skipped = 0
@@ -364,7 +366,7 @@ def read_category_pairs(path: str, delimiter: str = ",") -> tuple[dict[str, set]
             mapping.setdefault(row[0], set()).add(row[1])
     if skipped:
         log.warning("%s: skipped %d malformed category rows", path, skipped)
-    return mapping, skipped
+    return mapping
 
 
 def read_retailrocket_properties(paths: Sequence[str]) -> dict[str, set]:
@@ -404,15 +406,10 @@ def read_retailrocket_properties(paths: Sequence[str]) -> dict[str, set]:
     return {item: {value} for item, (_, value) in latest.items()}
 
 
-def build_side_info(store: InteractionStore, category_path: Optional[str] = None,
-                    mapping: Optional[dict[str, set]] = None, delimiter: str = ",") -> SideInfo:
-    """Attach categories to a store (pass the training view so the per-user
-    frequency vectors never see held-out items)."""
-    skipped = 0
-    if mapping is None:
-        if category_path is None:
-            raise DataError("build_side_info needs a category file or mapping")
-        mapping, skipped = read_category_pairs(category_path, delimiter)
+def build_side_info(store: InteractionStore, mapping: dict[str, set]) -> SideInfo:
+    """Attach an {item: {categories}} mapping, as the category readers give
+    it, to a store (pass the training view so the per-user frequency vectors
+    never see held-out items)."""
     labels = sorted({c for item in set(mapping) & set(store.item_ids) for c in mapping[item]})
     label_index = {c: j for j, c in enumerate(labels)}
     item_categories = [sorted(label_index[c] for c in mapping.get(ext, ())) for ext in store.item_ids]
@@ -433,7 +430,7 @@ def build_side_info(store: InteractionStore, category_path: Optional[str] = None
     if uncategorized_users:
         log.warning("%d users have no categorized interactions; their side vectors are zero",
                     uncategorized_users)
-    return SideInfo(len(labels), labels, item_offsets, item_flat, user_offsets, user_flat, weights, skipped)
+    return SideInfo(labels, item_offsets, item_flat, user_offsets, user_flat, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +671,7 @@ def load_prepared(path: str) -> PreparedDataset:
              zip(arrays["case_users"], arrays["case_items"], negatives, histories)]
     side = None
     if config["has_side_info"]:
-        side = SideInfo(len(config["labels"]), config["labels"],
-                        arrays["side_item_offsets"], arrays["side_item_flat"],
+        side = SideInfo(config["labels"], arrays["side_item_offsets"], arrays["side_item_flat"],
                         arrays["side_user_offsets"], arrays["side_user_idx"], arrays["side_user_val"])
     stats = DatasetStats(**config["stats"])
     return PreparedDataset(store, cases, side, stats, config["meta"])

@@ -93,9 +93,7 @@ def evaluate(model, cases: Sequence[EvalCase], store: Optional[InteractionStore]
              side_info: Optional[SideInfo] = None, k: int = 10, seed: int = 0,
              workers: int = 1) -> tuple[float, float]:
     """Mean HR@k and NDCG@k over all cases (dropout-free forward passes)."""
-    ranks = case_ranks(model, cases, store, side_info, seed, workers)
-    hr = float(np.mean([hr_at_k(r, k) for r in ranks]))
-    ndcg = float(np.mean([ndcg_at_k(r, k) for r in ranks]))
+    [(_, hr, ndcg)] = topk_sweep(model, cases, store, side_info, [k], seed, workers)
     return hr, ndcg
 
 

@@ -74,16 +74,16 @@ class EmbeddingTable:
                               glorot_uniform(rng, side_dim, dim, (dim, side_dim)))
         return cls(rows, side)
 
-    def lookup(self, indices: np.ndarray, side=None) -> Tensor:
-        """rows[indices], plus, when ``side`` is given, the sum of the
-        side-projection columns of each index's categories. ``side`` is a
-        bag ``[*indices.shape, m]`` of category ids padded with -1 (each
-        weighted 1), or a pair of such ids and their weights."""
+    def lookup(self, indices: np.ndarray, ids: Optional[np.ndarray] = None,
+               weights: Optional[np.ndarray] = None) -> Tensor:
+        """rows[indices], plus, when ``ids`` is given, the sum of the
+        side-projection columns of each index's categories: ``ids`` is a bag
+        ``[*indices.shape, m]`` of category ids padded with -1, each weighted
+        by ``weights`` (same shape) or, without them, by 1."""
         out = T.gather_rows(self.rows.value, indices)
-        if side is not None:
+        if ids is not None:
             if self.side_projection is None:
                 raise ConfigError(f"table {self.rows.name!r} has no side projection but side data was given")
-            ids, weights = side if isinstance(side, tuple) else (side, None)
             out = T.add(out, T.embedding_bag(T.transpose_last2(self.side_projection.value), ids, weights))
         return out
 

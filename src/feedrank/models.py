@@ -91,18 +91,6 @@ def _head_scores(phi: Tensor, head: Tensor) -> Tensor:
     return T.sigmoid(T.reshape(T.matmul(phi, col), (phi.shape[0],)))
 
 
-def _check_side(mode: str, user_side, *item_sides) -> None:
-    """Side bags must be given exactly when ``mode`` uses them."""
-    want_user = mode == "user_and_item"
-    want_item = mode != "none"
-    if want_user != (user_side is not None):
-        raise ConfigError(f"side_info_mode={mode!r}: user side bags "
-                          + ("required" if want_user else "not accepted"))
-    if any(want_item != (side is not None) for side in item_sides):
-        raise ConfigError(f"side_info_mode={mode!r}: item side bags "
-                          + ("required" if want_item else "not accepted"))
-
-
 class _ImplicitExplicitModel:
     """What every variant shares: the side widths, the implicit head, the
     chained explicit tower and head, and the batched input path.
@@ -137,30 +125,32 @@ class _ImplicitExplicitModel:
         y_hat = _head_scores(phi_explicit, self.explicit_head.value)
         return ForwardResult(x_hat, y_hat, embedding_rows)
 
+    def _side_bags(self, side_info, users: np.ndarray, *items: np.ndarray) -> tuple:
+        """The category bags the variant adds to its id embeddings, read from
+        ``side_info`` (a ``data.SideInfo`` with ``config.side_dim``
+        categories): the users' (ids, weights), then each item array's ids;
+        (None, None) and None where the variant reads none. A side-free
+        variant ignores ``side_info``."""
+        mode = self.config.side_info_mode
+        if mode == "none":
+            return ((None, None),) + (None,) * len(items)
+        if side_info is None:
+            raise ConfigError(f"model variant needs side info ({mode})")
+        if side_info.num_categories != self.config.side_dim:
+            raise ConfigError(f"side info has {side_info.num_categories} categories, "
+                              f"the model's side_dim is {self.config.side_dim}")
+        user = side_info.user_matrix(users) if mode == "user_and_item" else (None, None)
+        return (user,) + tuple(side_info.item_matrix(x) for x in items)
+
     def forward_batch(self, users: np.ndarray, candidates: np.ndarray,
                       contexts: Optional[np.ndarray] = None, side_info=None,
                       training: bool = False,
                       rng: Optional[np.random.Generator] = None) -> ForwardResult:
-        """Score (user, candidate) rows, looking up the category bags the
-        variant uses in ``side_info`` (a ``data.SideInfo`` with
-        ``config.side_dim`` categories).
-
-        ``contexts`` is the [B, n] padded session ahead of each candidate;
-        sequence models need it, the others ignore it. ``users`` (and
-        ``contexts``) may hold a single row shared by every candidate, so
-        its bags are built once.
-        """
-        mode = self.config.side_info_mode
-        if mode != "none":
-            if side_info is None:
-                raise ConfigError(f"model variant needs side info ({mode})")
-            if side_info.num_categories != self.config.side_dim:
-                raise ConfigError(f"side info has {side_info.num_categories} categories, "
-                                  f"the model's side_dim is {self.config.side_dim}")
+        """``forward`` with the arguments in one order for every variant:
+        ``contexts`` is the [B, n] padded session ahead of each candidate,
+        which sequence models read and the others ignore."""
         items = (contexts, candidates) if self.kind == "bert" else (candidates,)
-        user_side = side_info.user_matrix(users) if mode == "user_and_item" else None
-        item_sides = [side_info.item_matrix(x) if mode != "none" else None for x in items]
-        return self.forward(users, *items, user_side, *item_sides, training=training, rng=rng)
+        return self.forward(users, *items, side_info, training=training, rng=rng)
 
 
 class ITEModel(_ImplicitExplicitModel):
@@ -179,22 +169,19 @@ class ITEModel(_ImplicitExplicitModel):
         self.implicit_tower = L.dense_tower(params, "implicit_mlp", 2 * mlp_emb, mlp_widths, "relu", rng)
         return 2 * k
 
-    def forward(self, users: np.ndarray, items: np.ndarray,
-                user_side: Optional[np.ndarray] = None,
-                item_side: Optional[np.ndarray] = None,
+    def forward(self, users: np.ndarray, items: np.ndarray, side_info=None,
                 training: bool = False,
                 rng: Optional[np.random.Generator] = None) -> ForwardResult:
         """Score a batch of (user, item) pairs. ``items`` is an int array
-        [B] and ``users`` one of [B] or [1] (one user for every item); side
-        bags (see ``EmbeddingTable.lookup``) have a row per id when the
-        variant uses them. The model has
-        no dropout, so ``training`` and ``rng`` change nothing."""
-        _check_side(self.config.side_info_mode, user_side, item_side)
+        [B] and ``users`` one of [B] or [1] (one user for every item);
+        ``side_info`` is a ``data.SideInfo`` when the variant uses one. The
+        model has no dropout, so ``training`` and ``rng`` change nothing."""
         users = np.asarray(users)
         items = np.asarray(items)
-        pg = self.gmf_user.lookup(users, user_side)
+        user_side, item_side = self._side_bags(side_info, users, items)
+        pg = self.gmf_user.lookup(users, *user_side)
         qg = self.gmf_item.lookup(items, item_side)
-        pm = self.mlp_user.lookup(users, user_side)
+        pm = self.mlp_user.lookup(users, *user_side)
         qm = self.mlp_item.lookup(items, item_side)
 
         # a single user row serves every item
@@ -223,16 +210,12 @@ class BertITEModel(_ImplicitExplicitModel):
         return k
 
     def forward(self, users: np.ndarray, sequences: np.ndarray, targets: np.ndarray,
-                user_side: Optional[np.ndarray] = None,
-                seq_side: Optional[np.ndarray] = None,
-                target_side: Optional[np.ndarray] = None,
-                training: bool = False,
+                side_info=None, training: bool = False,
                 rng: Optional[np.random.Generator] = None) -> ForwardResult:
         """Score a batch of (user, n-item context, target) triples.
 
         ``targets`` is int [B] and ``sequences`` int [B, n] (pre-padded);
-        side bags (see ``EmbeddingTable.lookup``) have a row per id when the
-        variant uses them.
+        ``side_info`` is a ``data.SideInfo`` when the variant uses one.
 
         ``users`` [1] with ``sequences`` [1, n] scores B > 1 targets against
         one shared user and context (a leading 1 broadcasts, as in numpy).
@@ -243,7 +226,6 @@ class BertITEModel(_ImplicitExplicitModel):
         only: it raises ``ConfigError`` under ``training`` or outside
         ``no_grad()``.
         """
-        _check_side(self.config.side_info_mode, user_side, seq_side, target_side)
         users = np.asarray(users)
         sequences = np.asarray(sequences)
         targets = np.asarray(targets)
@@ -261,7 +243,8 @@ class BertITEModel(_ImplicitExplicitModel):
                               "call under no_grad() with training off")
         k = self.config.embedding_dim
 
-        u_emb = self.user_table.lookup(users, user_side)          # [P, K]
+        user_side, seq_side, target_side = self._side_bags(side_info, users, sequences, targets)
+        u_emb = self.user_table.lookup(users, *user_side)         # [P, K]
         seq_emb = self.item_table.lookup(sequences, seq_side)     # [P, n, K]
         tgt_emb = self.item_table.lookup(targets, target_side)    # [B, K]
 

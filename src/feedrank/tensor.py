@@ -20,7 +20,6 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 DEFAULT_DTYPE = np.float32
 
@@ -431,17 +430,14 @@ def concat_many(parts: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """1 / (1 + exp(-x)). Float64 takes scipy's exact ``expit``; float32
-    takes numpy's vector ``exp``; below about -88.7, exp(-x) overflows to
-    inf and the result is 0, where the true value is subnormal."""
-    if x.data.dtype == np.float32:
-        s = np.negative(x.data)
-        with np.errstate(over="ignore"):
-            np.exp(s, out=s)
-        s += np.float32(1.0)
-        np.reciprocal(s, out=s)
-    else:
-        s = expit(x.data)
+    """1 / (1 + exp(-x)) in the input's precision. Where exp(-x) overflows
+    to inf (below about -88.7 in float32, -709.8 in float64) the result is
+    0, where the true value is below the smallest normal float."""
+    s = np.negative(x.data)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    np.reciprocal(s, out=s)
 
     def backward(g: np.ndarray) -> None:
         g *= s

@@ -16,6 +16,7 @@ import pytest
 
 from feedrank import layers as L
 from feedrank import tensor as T
+from feedrank.data import SideInfo
 
 
 def finite_difference(value_fn, arrays, h=1e-4):
@@ -148,14 +149,25 @@ def encode_side_user(items, item_categories, num_categories):
     return counts
 
 
-def side_bag(dense, weighted=False):
-    """The category bag ``EmbeddingTable.lookup`` takes for a dense side
-    matrix ``[..., T]`` (None stays None): each row's nonzero columns in
-    ascending order, padded with -1 to the longest row, and with
-    ``weighted`` their values as well. The bag's lookup adds exactly what
-    ``dense @ side_projection.T`` adds."""
-    if dense is None:
-        return None
+def side_from_lists(num_categories, item_categories, user_vectors=()):
+    """SideInfo from per-item category lists and per-user (categories, weights)."""
+    def csr(rows, dtype):
+        offsets = np.cumsum([0] + [len(row) for row in rows])
+        flat = np.concatenate([np.asarray(row, dtype=dtype) for row in rows]) if rows else []
+        return offsets.astype(np.int64), np.asarray(flat, dtype=dtype)
+
+    item_offsets, item_flat = csr(item_categories, np.int64)
+    user_offsets, user_flat = csr([idx for idx, _ in user_vectors], np.int64)
+    _, weights = csr([val for _, val in user_vectors], np.float64)
+    return SideInfo([str(c) for c in range(num_categories)], item_offsets, item_flat,
+                    user_offsets, user_flat, weights)
+
+
+def side_bag(dense):
+    """The category ids and weights ``EmbeddingTable.lookup`` takes for a
+    dense side matrix ``[..., T]``: each row's nonzero columns in ascending
+    order, padded with -1 to the longest row, and their values. The bag's
+    lookup adds exactly what ``dense @ side_projection.T`` adds."""
     dense = np.asarray(dense)
     flat = dense.reshape(-1, dense.shape[-1])
     nonzero = flat != 0
@@ -165,8 +177,6 @@ def side_bag(dense, weighted=False):
     columns = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
     pad = np.arange(width) >= counts[:, None]
     ids = np.where(pad, -1, columns).reshape(dense.shape[:-1] + (width,))
-    if not weighted:
-        return ids
     weights = np.where(pad, 0.0, np.take_along_axis(flat, columns, axis=1))
     return ids, weights.reshape(ids.shape)
 

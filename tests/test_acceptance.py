@@ -19,7 +19,8 @@ import pytest
 from feedrank import layers as L
 from feedrank import tensor as T
 from feedrank.container import load_checkpoint, save_checkpoint
-from feedrank.data import (build_side_info, ingest, leave_one_out_split, read_retailrocket_properties)
+from feedrank.data import (build_side_info, ingest, leave_one_out_split, read_category_pairs,
+                           read_retailrocket_properties)
 from feedrank.evaluation import evaluate, hr_at_k, ndcg_at_k, rank_of_first, topk_sweep
 from feedrank.models import BertITEModel, ITEModel, ModelConfig, build_model
 from feedrank.tensor import ParameterRegistry, Tensor
@@ -78,7 +79,7 @@ class TestCriterion1GradientFidelity:
         side = rng.standard_normal((4, 3))
         idx = np.array([0, 2, 2, 5])
         worst["embedding"] = check_gradients(
-            lambda: T.l2_sq(table.lookup(idx, (np.tile(np.arange(3), (4, 1)), side))),
+            lambda: T.l2_sq(table.lookup(idx, np.tile(np.arange(3), (4, 1)), side)),
             [table.rows.value, table.side_projection.value], tol=1e-5)
 
         reg = ParameterRegistry()
@@ -219,7 +220,7 @@ class TestCriterion4OverfitSanity:
         events, cats = planted_dataset(tmp_path, num_groups=10, users_per_group=5,
                                        items_per_group=10, explicit_per_user=3)
         train, cases = leave_one_out_split(ingest(str(events)), num_negatives=999, seed=0)
-        side = build_side_info(train, str(cats))
+        side = build_side_info(train, read_category_pairs(str(cats)))
         model = build_model("bert-ite-si", train.num_users, train.num_items,
                             ModelConfig(embedding_dim=16, attention_heads=2,
                                         side_dim=side.num_categories), seed=1)
@@ -229,6 +230,24 @@ class TestCriterion4OverfitSanity:
         report("criterion 4 bert-ite-si learns", result.best_hr >= 0.9,
                f"best HR@10 {result.best_hr:.3f} at epoch {result.best_epoch}, "
                f"per epoch {[round(h['hr'], 3) for h in result.history]}")
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    def test_bert_ite_learns(self, tmp_path):
+        # plain bert-ite, without the categories that name each user's group
+        # on this log; floor (50x the random rate) and seeds fixed in advance
+        started = time.perf_counter()
+        events, _ = planted_dataset(tmp_path, num_groups=10, users_per_group=5,
+                                    items_per_group=10, explicit_per_user=3)
+        train, cases = leave_one_out_split(ingest(str(events)), num_negatives=999, seed=0)
+        model = build_model("bert-ite", train.num_users, train.num_items,
+                            ModelConfig(embedding_dim=16, attention_heads=2), seed=1)
+        cfg = TrainingConfig(learning_rate=0.01, batch_size=256, implicit_weight=0.5,
+                             l2_weight=1e-6, negatives_per_positive=9, epochs=15, seed=1)
+        result = fit(model, train, cfg, cases=cases, eval_topk=10)
+        report("criterion 4 bert-ite learns", result.best_hr >= 0.5,
+               f"best HR@10 {result.best_hr:.3f} at epoch {result.best_epoch}, "
+               f"per epoch {[round(h['hr'], 3) for h in result.history]} "
+               f"({time.perf_counter() - started:.1f}s)")
 
 
 @pytest.mark.skipif(not (RETAILROCKET_DIR and RUN_TRENDS),
@@ -351,7 +370,7 @@ class TestCriterion7CheckpointRoundTrip:
         events, cats = planted_dataset(tmp_path, num_groups=4, users_per_group=4,
                                        items_per_group=6, explicit_per_user=2)
         train, cases = leave_one_out_split(ingest(str(events)), num_negatives=12, seed=0)
-        side = build_side_info(train, str(cats))
+        side = build_side_info(train, read_category_pairs(str(cats)))
         cfg = ModelConfig(embedding_dim=8, seq_len=4, transformer_layers=1, attention_heads=2,
                           side_dim=side.num_categories)
         model = build_model("bert-ite-si", train.num_users, train.num_items, cfg, seed=9)

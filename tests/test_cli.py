@@ -563,6 +563,23 @@ class TestEvaluate:
                                 f"dataset has {store.num_users} users and {store.num_items} items\n")
         assert "HR=" not in captured.out
 
+    @pytest.mark.parametrize("variant", ["ite-si", "bert-ite-ossi"])
+    def test_checkpoint_for_other_categories_exits_one(self, tmp_path, prepared_path, capsys, variant):
+        from feedrank.container import save_checkpoint
+
+        prepared = load_prepared(str(prepared_path))
+        side_dim = prepared.side_info.num_categories + 1
+        model = build_model(variant, prepared.store.num_users, prepared.store.num_items,
+                            ModelConfig(embedding_dim=4, seq_len=4, transformer_layers=1,
+                                        side_dim=side_dim), seed=0)
+        ckpt = tmp_path / "other.ckpt"
+        save_checkpoint(str(ckpt), model, variant)
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(prepared_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: side info has {side_dim - 1} categories, "
+                                f"the model's side_dim is {side_dim}\n")
+        assert "HR=" not in captured.out
+
     @pytest.mark.parametrize("key,value,message", [
         ("variant", None, "'variant' must be a string"),
         ("variant", 3, "'variant' must be a string"),

@@ -10,27 +10,13 @@ from hypothesis import strategies as st
 
 from feedrank.container import FormatError, read_container, write_container
 from feedrank.data import (DEFAULT_CLASSIFICATION, EXPLICIT, ColumnSpec, DataError, DatasetStats,
-                           InteractionStore, PreparedDataset, SideInfo, build_side_info,
+                           InteractionStore, PreparedDataset, build_side_info,
                            ingest, leave_one_out_split, load_prepared,
                            read_category_pairs, read_retailrocket_properties, sample_unobserved,
                            save_prepared)
 
-from conftest import (encode_side_user, reference_sample_unobserved, reference_sets, store_sets,
-                      write_categories_csv, write_events_csv)
-
-
-def side_from_lists(num_categories, item_categories, user_vectors=()):
-    """SideInfo from per-item category lists and per-user (categories, weights)."""
-    def csr(rows, dtype):
-        offsets = np.cumsum([0] + [len(row) for row in rows])
-        flat = np.concatenate([np.asarray(row, dtype=dtype) for row in rows]) if rows else []
-        return offsets.astype(np.int64), np.asarray(flat, dtype=dtype)
-
-    item_offsets, item_flat = csr(item_categories, np.int64)
-    user_offsets, user_flat = csr([idx for idx, _ in user_vectors], np.int64)
-    _, weights = csr([val for _, val in user_vectors], np.float64)
-    return SideInfo(num_categories, [str(c) for c in range(num_categories)],
-                    item_offsets, item_flat, user_offsets, user_flat, weights)
+from conftest import (encode_side_user, reference_sample_unobserved, reference_sets, side_from_lists,
+                      store_sets, write_categories_csv, write_events_csv)
 
 
 # small logs with many tied timestamps: (time, user, event type, item)
@@ -222,7 +208,7 @@ class TestSideInfo:
             ("a", "c2"), ("a", "c5"), ("b", "c0"), ("c", "c0"), ("d", "c1"),
             ("e", "c1"), ("f", "c5"),
         ])
-        side = build_side_info(tiny_store, str(cats))
+        side = build_side_info(tiny_store, read_category_pairs(str(cats)))
         assert side.num_categories == 4  # c0, c1, c2, c5
         bag = side.item_matrix([tiny_store.item_ids.index("a")])
         np.testing.assert_array_equal(bag, [[2, 3]])  # c2, c5
@@ -334,25 +320,25 @@ class TestSideInfo:
         cats = write_categories_csv(tmp_path / "c.csv", [
             ("a", "A"), ("b", "A"), ("c", "A"), ("d", "B"),
         ])
-        side = build_side_info(store, str(cats))
+        side = build_side_info(store, read_category_pairs(str(cats)))
         ids, weights = side.user_matrix([0])
         np.testing.assert_array_equal(ids, [[0, 1]])
         np.testing.assert_allclose(weights, [[0.75, 0.25]])
 
     def test_uncategorized_user_zero_vector(self, tiny_store, tmp_path):
         cats = write_categories_csv(tmp_path / "c.csv", [("a", "A")])
-        side = build_side_info(tiny_store, str(cats))
+        side = build_side_info(tiny_store, read_category_pairs(str(cats)))
         u2 = tiny_store.user_ids.index("u2")  # interacted only with e, f
         ids, weights = side.user_matrix([u2])
         assert ids.shape == weights.shape == (1, 0)  # an empty bag: no side term
 
-    def test_malformed_rows_skipped_and_counted(self, tmp_path, tiny_store, caplog):
+    def test_malformed_rows_skipped_and_counted(self, tmp_path, caplog):
         path = tmp_path / "c.csv"
         path.write_text("itemid,categoryid\na,A\nbroken\n,B\nb,\nc,C\n")
         with caplog.at_level("WARNING"):
-            side = build_side_info(tiny_store, str(path))
-        assert side.skipped_rows == 3
-        assert side.num_categories == 2
+            mapping = read_category_pairs(str(path))
+        assert mapping == {"a": {"A"}, "c": {"C"}}
+        assert [r.getMessage() for r in caplog.records] == [f"{path}: skipped 3 malformed category rows"]
 
     def test_retailrocket_properties_latest_value_wins(self, tmp_path):
         path = tmp_path / "props.csv"
@@ -575,7 +561,7 @@ class TestPreparedRoundTrip:
         cats = write_categories_csv(tmp_path / "c.csv",
                                     [("a", "A"), ("b", "B"), ("e", "A"), ("f", "B")])
         train, cases = leave_one_out_split(tiny_store, num_negatives=2, seed=3)
-        side = build_side_info(train, str(cats))
+        side = build_side_info(train, read_category_pairs(str(cats)))
         prepared = PreparedDataset(train, cases, side, tiny_store.stats(side.num_categories),
                                    meta={"seed": 3})
         path = tmp_path / "prep.bin"
@@ -611,7 +597,7 @@ class TestPreparedRoundTrip:
         cats = write_categories_csv(tmp_path / "c.csv",
                                     [("a", "A"), ("b", "A"), ("c", "A"), ("d", "B")])
         train, _ = leave_one_out_split(store)
-        side = build_side_info(train, str(cats))
+        side = build_side_info(train, read_category_pairs(str(cats)))
         ids, weights = side.user_matrix([0])
         np.testing.assert_array_equal(ids, [[0]])
         np.testing.assert_allclose(weights, [[1.0]])
@@ -626,7 +612,7 @@ class TestMalformedDataset:
     def dataset(self, tiny_store, tmp_path):
         cats = write_categories_csv(tmp_path / "c.csv", [("a", "A"), ("b", "B"), ("e", "A")])
         train, cases = leave_one_out_split(tiny_store, num_negatives=2, seed=3)
-        side = build_side_info(train, str(cats))
+        side = build_side_info(train, read_category_pairs(str(cats)))
         path = tmp_path / "prep.bin"
         save_prepared(str(path), PreparedDataset(train, cases, side, tiny_store.stats()))
         return path

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feedrank import evaluation
-from feedrank.data import DataError, EvalCase, InteractionStore, build_side_info, ingest, leave_one_out_split
+from feedrank.data import (DataError, EvalCase, InteractionStore, build_side_info, ingest, leave_one_out_split,
+                           read_category_pairs)
 from feedrank.evaluation import (case_rank, case_ranks, evaluate, hr_at_k, ndcg_at_k, rank_of_first,
                                  topk_sweep)
 from feedrank.models import BertITEModel, ForwardResult, ModelConfig, build_model, predict_score
@@ -249,7 +250,7 @@ class TestSequenceModelEvaluation:
         # 513 candidates cross the 512-row chunk boundary
         events, cats = planted_dataset(tmp_path, num_groups=4, users_per_group=3, items_per_group=6)
         train, _ = leave_one_out_split(ingest(str(events)), num_negatives=8, seed=0)
-        side = build_side_info(train, str(cats))
+        side = build_side_info(train, read_category_pairs(str(cats)))
         model = build_model(variant, train.num_users, train.num_items,
                             ModelConfig(embedding_dim=8, seq_len=4, transformer_layers=2,
                                         attention_heads=2, side_dim=side.num_categories), seed=3)

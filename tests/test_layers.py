@@ -73,9 +73,8 @@ def oracle_layer_norm(x, eps=1e-5):
 def embed(table, index, side=None):
     """One row of ``table`` as a [dim] vector, with the weighted bag of a
     dense side vector when one is given."""
-    row = table.lookup(np.asarray([index]), None if side is None
-                       else side_bag(np.asarray(side)[None, :], weighted=True))
-    return row.data[0]
+    bag = () if side is None else side_bag(np.asarray(side)[None, :])
+    return table.lookup(np.asarray([index]), *bag).data[0]
 
 
 class TestEmbedding:
@@ -103,10 +102,10 @@ class TestEmbedding:
     def test_gradient_flows_to_row_and_projection(self):
         rng = np.random.default_rng(4)
         table = make_table(rng.standard_normal((4, 3)), rng.standard_normal((3, 2)))
-        side = side_bag(rng.standard_normal((2, 2)), weighted=True)
+        side = side_bag(rng.standard_normal((2, 2)))
         idx = np.array([0, 2])
         check_gradients(
-            lambda: T.sum_all(T.l2_sq(table.lookup(idx, side))),
+            lambda: T.sum_all(T.l2_sq(table.lookup(idx, *side))),
             [table.rows.value, table.side_projection.value], tol=1e-6)
 
 
@@ -129,16 +128,16 @@ class TestSideBagLookup:
         user_offsets, user_flat = csr(num_categories)
         rng = np.random.default_rng(seed)
         user_weights = rng.uniform(0.0, 1.0, user_flat.size)
-        side = SideInfo(num_categories, [str(c) for c in range(num_categories)],
+        side = SideInfo([str(c) for c in range(num_categories)],
                         item_offsets, item_flat, user_offsets, user_flat, user_weights)
         table = make_table(rng.standard_normal((vocab, dim)), rng.standard_normal((dim, num_categories)))
         rows = rng.integers(0, vocab, shape)
         projection = table.side_projection.data
         for bag, (values, offsets, flat) in (
-                (side.item_matrix(rows), (None, item_offsets, item_flat)),
+                ((side.item_matrix(rows),), (None, item_offsets, item_flat)),
                 (side.user_matrix(rows), (user_weights, user_offsets, user_flat))):
             dense = csr_to_dense(offsets, flat, values, rows, num_categories, np.float64)
-            got = table.lookup(rows, bag).data
+            got = table.lookup(rows, *bag).data
             np.testing.assert_allclose(got, table.rows.data[rows] + dense @ projection.T, rtol=0, atol=1e-12)
 
 

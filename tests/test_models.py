@@ -13,7 +13,7 @@ from feedrank.data import SideInfo
 from feedrank.models import BertITEModel, ITEModel, ModelConfig, build_model, predict_score
 from feedrank.tensor import ConfigError
 
-from conftest import check_gradients, encode_side_user, side_bag, to_float64
+from conftest import check_gradients, encode_side_user, side_from_lists, to_float64
 from test_layers import oracle_attention, oracle_ffn_row, oracle_layer_norm
 
 
@@ -23,11 +23,10 @@ def ite_config(k=2, x=1, y=1, side_mode="none", side_dim=0):
                        side_dim=side_dim)
 
 
-def ite_forward(model: ITEModel, user: int, item: int, item_side=None):
+def ite_forward(model: ITEModel, user: int, item: int, side_info=None):
     """(implicit, explicit) probabilities of one pair, dropout-free."""
-    side = None if item_side is None else side_bag(np.asarray(item_side)[None, :])
     with T.no_grad():
-        res = model.forward(np.array([user]), np.array([item]), item_side=side)
+        res = model.forward(np.array([user]), np.array([item]), side_info)
     return res.x_hat.item(), res.y_hat.item()
 
 
@@ -77,12 +76,15 @@ def oracle_bert_forward(model: BertITEModel, u: int, seq, target: int):
     return float(x_hat), float(y_hat)
 
 
-def repeat_rows(array, c):
-    """``array`` (or each array of a weighted bag's pair) with every row
-    repeated ``c`` times; None stays None."""
-    if isinstance(array, tuple):
-        return tuple(repeat_rows(a, c) for a in array)
-    return None if array is None else np.repeat(array, c, axis=0)
+def random_side_info(rng, num_users, num_items, num_categories=3):
+    """SideInfo giving each item a random subset of the categories, and each
+    user a random subset weighted uniformly in [0, 1)."""
+    def subset():
+        return np.flatnonzero(rng.integers(0, 2, num_categories))
+
+    users = [subset() for _ in range(num_users)]
+    return side_from_lists(num_categories, [subset() for _ in range(num_items)],
+                           [(u, rng.random(u.size)) for u in users])
 
 
 def scores_of(res):
@@ -146,46 +148,40 @@ class TestITEForward:
 
     def test_side_required_but_absent(self):
         model = ITEModel(4, 4, ite_config(side_mode="user_and_item", side_dim=3), seed=7)
-        with pytest.raises(ConfigError, match="required"):
+        with pytest.raises(ConfigError, match=r"needs side info \(user_and_item\)"):
             model.forward(np.array([0]), np.array([0]))
 
-    def test_side_given_but_not_accepted(self):
+    def test_side_free_variant_ignores_side_info(self):
         model = ITEModel(4, 4, ite_config(), seed=8)
-        with pytest.raises(ConfigError, match="not accepted"):
-            model.forward(np.array([0]), np.array([0]), item_side=np.array([[0, 1, 2]]))
+        side = side_from_lists(3, [[0, 1, 2]] * 4, [([0], [1.0])] * 4)
+        assert ite_forward(model, 0, 1, side) == ite_forward(model, 0, 1)
 
     def test_item_only_mode(self):
         model = ITEModel(4, 4, ite_config(side_mode="item_only", side_dim=3), seed=9)
         to_float64(model.params)
-        x0, y0 = ite_forward(model, 0, 1, item_side=np.zeros(3))
-        x1, y1 = ite_forward(model, 0, 1, item_side=np.ones(3))
-        assert (x0, y0) != (x1, y1)  # side vector reaches the item embedding
+        x0, y0 = ite_forward(model, 0, 1, side_from_lists(3, [[]] * 4))
+        x1, y1 = ite_forward(model, 0, 1, side_from_lists(3, [[0, 1, 2]] * 4))
+        assert (x0, y0) != (x1, y1)  # the item's categories reach its embedding
 
     @pytest.mark.parametrize("variant", ["ite", "ite-si", "ite-ossi"])
     def test_one_user_for_many_items_matches_repeated_user(self, variant):
         model = build_model(variant, 4, 9, ite_config(k=4, x=2, y=2, side_dim=3), seed=10)
         rng = np.random.default_rng(10)
         items = rng.integers(0, 9, 7)
-        mode = model.config.side_info_mode
-        user_side = rng.random((1, 3)).astype(np.float32) if mode == "user_and_item" else None
-        item_side = rng.random((7, 3)).astype(np.float32) if mode != "none" else None
+        side = random_side_info(rng, 4, 9)
         with T.no_grad():
-            one = model.forward(np.array([2]), items, side_bag(user_side, weighted=True),
-                                side_bag(item_side, weighted=True))
-            each = model.forward(np.full(7, 2), items, side_bag(repeat_rows(user_side, 7), weighted=True),
-                                 side_bag(item_side, weighted=True))
+            one = model.forward(np.array([2]), items, side)
+            each = model.forward(np.full(7, 2), items, side)
         for got, want in zip(scores_of(one), scores_of(each)):
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
-            if mode != "user_and_item":  # the same rows meet the same ops
+            if model.config.side_info_mode != "user_and_item":  # the same rows meet the same ops
                 np.testing.assert_array_equal(got, want)
 
 
 def one_category_each(num_categories, num_users, num_items):
     """SideInfo where user or item r has the single category r % num_categories, weight 1."""
-    users, items = np.arange(num_users) % num_categories, np.arange(num_items) % num_categories
-    return SideInfo(num_categories, [str(c) for c in range(num_categories)],
-                    np.arange(num_items + 1), items, np.arange(num_users + 1), users,
-                    np.ones(num_users))
+    return side_from_lists(num_categories, [[i % num_categories] for i in range(num_items)],
+                           [([u % num_categories], [1.0]) for u in range(num_users)])
 
 
 class TestForwardBatchSideInfo:
@@ -302,11 +298,11 @@ class TestBertITEForward:
         assert [l.weight.value.shape for l in model.explicit_tower] == [(8, 8), (4, 8), (2, 4)]
 
 
-def full_encoder_forward(model: BertITEModel, users, sequences, targets, user_side=None,
-                         seq_side=None, target_side=None):
+def full_encoder_forward(model: BertITEModel, users, sequences, targets, side_info=None):
     """The encoder without pruning: every layer on every row, then the user row."""
     b, k = len(users), model.config.embedding_dim
-    u_emb = model.user_table.lookup(users, user_side)
+    user_side, seq_side, target_side = model._side_bags(side_info, users, sequences, targets)
+    u_emb = model.user_table.lookup(users, *user_side)
     seq_emb = model.item_table.lookup(sequences, seq_side)
     tgt_emb = model.item_table.lookup(targets, target_side)
     x = T.concat_many([T.reshape(u_emb, (b, 1, k)), seq_emb, T.reshape(tgt_emb, (b, 1, k))], axis=-2)
@@ -329,13 +325,10 @@ class TestPrunedEncoder:
         randomize_away_from_kinks(model, seed)
         rng = np.random.default_rng(seed)
         users, seqs, targets = rng.integers(0, 4, b), rng.integers(0, 7, (b, n)), rng.integers(0, 7, b)
-        mode = model.config.side_info_mode
-        user_side = side_bag(rng.random((b, side_dim)) if mode == "user_and_item" else None, weighted=True)
-        seq_side = side_bag(rng.integers(0, 2, (b, n, side_dim)) if mode != "none" else None)
-        target_side = side_bag(rng.integers(0, 2, (b, side_dim)) if mode != "none" else None)
+        side = random_side_info(rng, 4, 7, side_dim)
         with T.no_grad():
-            got = model.forward(users, seqs, targets, user_side, seq_side, target_side)
-            want = full_encoder_forward(model, users, seqs, targets, user_side, seq_side, target_side)
+            got = model.forward(users, seqs, targets, side)
+            want = full_encoder_forward(model, users, seqs, targets, side)
         np.testing.assert_allclose(got.x_hat.data, want.x_hat.data, rtol=0, atol=1e-10)
         np.testing.assert_allclose(got.y_hat.data, want.y_hat.data, rtol=0, atol=1e-10)
 
@@ -361,16 +354,12 @@ class TestPrunedEncoder:
 
 
 def shared_prefix_inputs(model, rng, c, n, side_dim=3):
-    """One user and context shared by ``c`` targets, with the side bags the
-    variant uses."""
-    mode = model.config.side_info_mode
+    """One user and context shared by ``c`` targets, and a SideInfo over the
+    model's users and items."""
     user = rng.integers(0, model.num_users, 1)
     seq = rng.integers(0, model.num_items, (1, n))
     targets = rng.integers(0, model.num_items, c)
-    user_side = side_bag(rng.random((1, side_dim)) if mode == "user_and_item" else None, weighted=True)
-    seq_side = side_bag(rng.integers(0, 2, (1, n, side_dim)) if mode != "none" else None)
-    target_side = side_bag(rng.integers(0, 2, (c, side_dim)) if mode != "none" else None)
-    return user, seq, targets, user_side, seq_side, target_side
+    return user, seq, targets, random_side_info(rng, model.num_users, model.num_items, side_dim)
 
 
 class TestSharedPrefixForward:
@@ -394,12 +383,11 @@ class TestSharedPrefixForward:
     def test_matches_broadcast_batch(self, variant, layers, heads, dtype, tol):
         model = self.model(variant, layers, heads, dtype, seed=layers * 10 + heads)
         c = 23
-        user, seq, targets, user_side, seq_side, target_side = shared_prefix_inputs(
-            model, np.random.default_rng(heads), c, model.config.seq_len)
+        user, seq, targets, side = shared_prefix_inputs(model, np.random.default_rng(heads), c,
+                                                        model.config.seq_len)
         with T.no_grad():
-            got = model.forward(user, seq, targets, user_side, seq_side, target_side)
-            want = model.forward(repeat_rows(user, c), repeat_rows(seq, c), targets,
-                                 repeat_rows(user_side, c), repeat_rows(seq_side, c), target_side)
+            got = model.forward(user, seq, targets, side)
+            want = model.forward(np.repeat(user, c), np.repeat(seq, c, axis=0), targets, side)
         assert got.x_hat.shape == (c,)
         for g, w in zip(scores_of(got), scores_of(want)):
             np.testing.assert_allclose(g, w, **tol)
@@ -453,18 +441,15 @@ class TestSharedPrefixForward:
     def test_scores_ignore_candidate_order_and_chunking(self, variant, layers, heads, c, cuts, seed):
         model = self.model(variant, layers, heads, np.float64, seed=seed)
         rng = np.random.default_rng(seed)
-        user, seq, targets, user_side, seq_side, target_side = shared_prefix_inputs(
-            model, rng, c, model.config.seq_len)
+        user, seq, targets, side = shared_prefix_inputs(model, rng, c, model.config.seq_len)
         order = rng.permutation(c)
         bounds = [0] + sorted({x for x in cuts if x < c}) + [c]
         with T.no_grad():
-            want = model.forward(user, seq, targets, user_side, seq_side, target_side)
+            want = model.forward(user, seq, targets, side)
             got = np.empty((2, c))
             for a, b in zip(bounds, bounds[1:]):
                 part = order[a:b]
-                got[:, part] = scores_of(model.forward(
-                    user, seq, targets[part], user_side, seq_side,
-                    None if target_side is None else target_side[part]))
+                got[:, part] = scores_of(model.forward(user, seq, targets[part], side))
         np.testing.assert_allclose(got, scores_of(want), rtol=1e-12, atol=0)
 
 
@@ -485,10 +470,10 @@ class TestConfigValidation:
         except ConfigError:
             return
         users, targets = np.array([0, 1]), np.array([1, 2])
-        if model.kind == "bert":  # bert-ite-si: user, context and target side bags
-            res = model.forward(users, np.zeros((2, n), dtype=np.int64), targets,
-                                side_bag(np.ones((2, 2)), weighted=True), side_bag(np.ones((2, n, 2))),
-                                side_bag(np.ones((2, 2))), training=True, rng=np.random.default_rng(0))
+        if model.kind == "bert":  # bert-ite-si: every user and item in both categories
+            side = side_from_lists(2, [[0, 1]] * 3, [([0, 1], [1.0, 1.0])] * 2)
+            res = model.forward(users, np.zeros((2, n), dtype=np.int64), targets, side,
+                                training=True, rng=np.random.default_rng(0))
         else:
             res = model.forward(users, targets)
         assert np.all(np.isfinite(res.x_hat.data)) and np.all(np.isfinite(res.y_hat.data))

@@ -12,7 +12,8 @@ from scipy.stats import chisquare
 
 from feedrank import tensor as T
 from feedrank import training
-from feedrank.data import DataError, InteractionStore, build_side_info, ingest, leave_one_out_split
+from feedrank.data import (DataError, InteractionStore, build_side_info, ingest, leave_one_out_split,
+                           read_category_pairs)
 from feedrank.evaluation import evaluate
 from feedrank.models import ITEModel, ModelConfig, build_model
 from feedrank.tensor import ConfigError, ParameterRegistry, Tensor
@@ -481,7 +482,7 @@ class TestEpochLoop:
         # the last layer's one-row query takes the folded form on both sides
         events, cats = planted_dataset(tmp_path)
         store, _ = leave_one_out_split(ingest(str(events)), num_negatives=10, seed=0)
-        side = build_side_info(store, str(cats)) if variant == "bert-ite-si" else None
+        side = build_side_info(store, read_category_pairs(str(cats))) if variant == "bert-ite-si" else None
 
         def epoch():
             model = build_model(variant, store.num_users, store.num_items,
