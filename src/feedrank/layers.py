@@ -74,17 +74,27 @@ class EmbeddingTable:
                               glorot_uniform(rng, side_dim, dim, (dim, side_dim)))
         return cls(rows, side)
 
-    def lookup(self, indices: np.ndarray, ids: Optional[np.ndarray] = None,
-               weights: Optional[np.ndarray] = None) -> Tensor:
-        """rows[indices], plus, when ``ids`` is given, the sum of the
-        side-projection columns of each index's categories: ``ids`` is a bag
-        ``[*indices.shape, m]`` of category ids padded with -1, each weighted
-        by ``weights`` (same shape) or, without them, by 1."""
+    def side_columns(self, ids: Optional[np.ndarray], weights: Optional[np.ndarray] = None) -> Optional[Tensor]:
+        """Each bag's side-projection columns summed, ``[bags, dim]``, for
+        ``ids`` ``[bags, m]`` of category ids padded with -1, each weighted by
+        ``weights`` (same shape) or, without them, by 1; None without ``ids``."""
+        if ids is None:
+            return None
+        if self.side_projection is None:
+            raise ConfigError(f"table {self.rows.name!r} has no side projection but side data was given")
+        return T.embedding_bag(T.transpose_last2(self.side_projection.value), ids, weights)
+
+    def lookup(self, indices: np.ndarray, columns: Optional[Tensor] = None,
+               inverse: Optional[np.ndarray] = None) -> Tensor:
+        """rows[indices], plus, when ``columns`` (from ``side_columns``, one
+        row per distinct index) is given, ``columns[inverse]``: ``inverse``,
+        the shape of ``indices``, gives each index its bag. So a bag's columns
+        are summed once, however often its index occurs."""
         out = T.gather_rows(self.rows.value, indices)
-        if ids is not None:
-            if self.side_projection is None:
-                raise ConfigError(f"table {self.rows.name!r} has no side projection but side data was given")
-            out = T.add(out, T.embedding_bag(T.transpose_last2(self.side_projection.value), ids, weights))
+        if columns is not None:
+            if np.shape(inverse) != np.shape(indices):
+                raise ShapeError(f"inverse {np.shape(inverse)} vs indices {np.shape(indices)}")
+            out = T.add(out, T.gather_rows(columns, inverse))
         return out
 
 

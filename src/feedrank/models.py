@@ -128,19 +128,29 @@ class _ImplicitExplicitModel:
     def _side_bags(self, side_info, users: np.ndarray, *items: np.ndarray) -> tuple:
         """The category bags the variant adds to its id embeddings, read from
         ``side_info`` (a ``data.SideInfo`` with ``config.side_dim``
-        categories): the users' (ids, weights), then each item array's ids;
-        (None, None) and None where the variant reads none. A side-free
-        variant ignores ``side_info``."""
+        categories) once per distinct id: the distinct users' (ids, weights),
+        the distinct items' (ids, None) over every item array together, and
+        each array's inverse, which gives each occurrence its bag
+        (``EmbeddingTable.side_columns`` and ``lookup`` take them). (None,
+        None) and None where the variant reads none. A side-free variant
+        ignores ``side_info``."""
         mode = self.config.side_info_mode
         if mode == "none":
-            return ((None, None),) + (None,) * len(items)
+            return (None, None), (None, None), (None,) * (1 + len(items))
         if side_info is None:
             raise ConfigError(f"model variant needs side info ({mode})")
         if side_info.num_categories != self.config.side_dim:
             raise ConfigError(f"side info has {side_info.num_categories} categories, "
                               f"the model's side_dim is {self.config.side_dim}")
-        user = side_info.user_matrix(users) if mode == "user_and_item" else (None, None)
-        return (user,) + tuple(side_info.item_matrix(x) for x in items)
+        # the inverse's shape differs across numpy versions, so it is set here
+        user, user_at = (None, None), None
+        if mode == "user_and_item":
+            distinct, inverse = np.unique(users, return_inverse=True)
+            user, user_at = side_info.user_matrix(distinct), inverse.reshape(users.shape)
+        distinct, inverse = np.unique(np.concatenate([x.reshape(-1) for x in items]), return_inverse=True)
+        parts = np.split(inverse.reshape(-1), np.cumsum([x.size for x in items])[:-1])
+        item = (side_info.item_matrix(distinct), None)
+        return user, item, (user_at,) + tuple(part.reshape(x.shape) for x, part in zip(items, parts))
 
     def forward_batch(self, users: np.ndarray, candidates: np.ndarray,
                       contexts: Optional[np.ndarray] = None, side_info=None,
@@ -178,11 +188,11 @@ class ITEModel(_ImplicitExplicitModel):
         model has no dropout, so ``training`` and ``rng`` change nothing."""
         users = np.asarray(users)
         items = np.asarray(items)
-        user_side, item_side = self._side_bags(side_info, users, items)
-        pg = self.gmf_user.lookup(users, *user_side)
-        qg = self.gmf_item.lookup(items, item_side)
-        pm = self.mlp_user.lookup(users, *user_side)
-        qm = self.mlp_item.lookup(items, item_side)
+        user_bag, item_bag, (user_at, item_at) = self._side_bags(side_info, users, items)
+        pg = self.gmf_user.lookup(users, self.gmf_user.side_columns(*user_bag), user_at)
+        qg = self.gmf_item.lookup(items, self.gmf_item.side_columns(*item_bag), item_at)
+        pm = self.mlp_user.lookup(users, self.mlp_user.side_columns(*user_bag), user_at)
+        qm = self.mlp_item.lookup(items, self.mlp_item.side_columns(*item_bag), item_at)
 
         # a single user row serves every item
         pg, pm = T.broadcast_to(pg, qg.shape), T.broadcast_to(pm, qm.shape)
@@ -243,10 +253,11 @@ class BertITEModel(_ImplicitExplicitModel):
                               "call under no_grad() with training off")
         k = self.config.embedding_dim
 
-        user_side, seq_side, target_side = self._side_bags(side_info, users, sequences, targets)
-        u_emb = self.user_table.lookup(users, *user_side)         # [P, K]
-        seq_emb = self.item_table.lookup(sequences, seq_side)     # [P, n, K]
-        tgt_emb = self.item_table.lookup(targets, target_side)    # [B, K]
+        user_bag, item_bag, (user_at, seq_at, target_at) = self._side_bags(side_info, users, sequences, targets)
+        item_columns = self.item_table.side_columns(*item_bag)   # shared by sequences and targets
+        u_emb = self.user_table.lookup(users, self.user_table.side_columns(*user_bag), user_at)   # [P, K]
+        seq_emb = self.item_table.lookup(sequences, item_columns, seq_at)                         # [P, n, K]
+        tgt_emb = self.item_table.lookup(targets, item_columns, target_at)                        # [B, K]
 
         prefix = T.concat(T.reshape(u_emb, (p, 1, k)), seq_emb, axis=-2)   # [P, n+1, K]
         tgt_row = T.reshape(tgt_emb, (b, 1, k))

@@ -616,7 +616,7 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
         lo, hi = int(idx.min()), int(idx.max())
         if lo < 0 or hi >= table.shape[0]:
             raise IndexError(f"lookup index out of range: [{lo}, {hi}] vs table of {table.shape[0]} rows")
-    data = table.data[idx]
+    data = np.take(table.data, idx, axis=0)
 
     def backward(g: np.ndarray) -> None:
         if table.requires_grad:

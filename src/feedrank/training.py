@@ -103,18 +103,6 @@ def joint_loss(implicit_pred: Optional[Tensor], implicit_labels: Optional[np.nda
     return total
 
 
-def _first_occurrences(rows: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a 2-D array that no earlier entry of their row
-    equals."""
-    order = np.argsort(rows, axis=1, kind="stable")
-    ranked = np.take_along_axis(rows, order, axis=1)
-    first = np.ones(rows.shape, dtype=bool)
-    first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    mask = np.empty_like(first)
-    np.put_along_axis(mask, order, first, axis=1)
-    return mask
-
-
 def _draw_unobserved(observed: np.ndarray, users: np.ndarray, need: np.ndarray, num_items: int,
                      width: int, rng: np.random.Generator) -> np.ndarray:
     """``[len(users), width]`` items whose row r holds ``need[r]`` uniform
@@ -123,9 +111,12 @@ def _draw_unobserved(observed: np.ndarray, users: np.ndarray, need: np.ndarray, 
     in ``observed`` (from ``InteractionStore.observed_keys``).
 
     Every row is drawn at once, by rejecting draws the user observed and
-    repeats within the row. A row whose user has fewer eligible items than
-    it needs is drawn with replacement instead, and the call logs how many
-    rows did so.
+    repeats within the row. Each round sorts every row of its items so far
+    and its new draws once, by (item, column), and that one sort serves both
+    checks: a repeat sits right after its first occurrence, and the row's
+    pair keys rise, so their search in ``observed`` walks it forward. A row
+    whose user has fewer eligible items than it needs is drawn with
+    replacement instead, and the call logs how many rows did so.
     """
     n = num_items
     out = np.full((users.size, width), -1, dtype=np.int64)
@@ -146,15 +137,33 @@ def _draw_unobserved(observed: np.ndarray, users: np.ndarray, need: np.ndarray, 
     pending = np.flatnonzero((eligible >= need) & (need > 0))
     while pending.size:
         want = need[pending]
-        draw = rng.integers(0, n, size=(pending.size, max(16, 2 * int((want - filled[pending]).max()))))
-        keys = base[pending, None] + draw
-        fresh = observed[np.searchsorted(observed, keys)] != keys
-        # the row's items so far, then its fresh draws; -1 marks no item
-        cand = np.concatenate([out[pending], np.where(fresh, draw, -1)], axis=1)
-        keep = _first_occurrences(cand) & (cand >= 0)
-        slot = np.cumsum(keep, axis=1)
-        at, col = np.nonzero(keep & (slot <= want[:, None]))
-        out[pending[at], slot[at, col] - 1] = cand[at, col]
+        draws = max(16, 2 * int((want - filled[pending]).max()))
+        # each row's items so far (-1 marks no item) and its draws, sorted by
+        # (item, column) through the one key (item << shift) | column; the
+        # temporaries are updated in place and their buffers reused
+        item = np.concatenate([out[pending], rng.integers(0, n, size=(pending.size, draws))], axis=1)
+        shift = (item.shape[1] - 1).bit_length()
+        item <<= shift
+        item |= np.arange(item.shape[1])
+        item.sort(axis=1)
+        col = item & ((1 << shift) - 1)
+        item >>= shift
+        # first occurrences of items the row's user has not observed
+        keep = item >= 0
+        keep[:, 1:] &= item[:, 1:] != item[:, :-1]
+        item += base[pending, None]  # pair keys, rising along the row
+        found = np.searchsorted(observed, item)
+        np.take(observed, found, out=found, mode="clip")  # in range: observed ends in its sentinel
+        keep &= found != item
+        item -= base[pending, None]
+        item[~keep] = -1
+        # back in column order, so the earliest kept items fill the row
+        cand = found
+        np.put_along_axis(cand, col, item, axis=1)
+        keep = cand >= 0
+        slot = np.cumsum(keep, axis=1, out=col)
+        at, c = np.nonzero(keep & (slot <= want[:, None]))
+        out[pending[at], slot[at, c] - 1] = cand[at, c]
         filled[pending] = np.minimum(slot[:, -1], want)
         pending = pending[filled[pending] < want]
     return out

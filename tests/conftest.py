@@ -7,6 +7,7 @@ of every input array, independent of the engine's backward passes.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 from contextlib import contextmanager
 from pathlib import Path
@@ -15,8 +16,9 @@ import numpy as np
 import pytest
 
 from feedrank import layers as L
+from feedrank import models
 from feedrank import tensor as T
-from feedrank.data import SideInfo
+from feedrank.data import DataError, SideInfo
 
 
 def finite_difference(value_fn, arrays, h=1e-4):
@@ -238,6 +240,103 @@ def store_sets(store):
     return reference_sets(store.num_users, owners(store.offsets), store.items.tolist(),
                           store.explicit.tolist(),
                           (owners(store.excluded_offsets), store.excluded_flat.tolist()))
+
+
+def _first_occurrences(rows):
+    """Mask of the entries of a 2-D array that no earlier entry of their row
+    equals."""
+    order = np.argsort(rows, axis=1, kind="stable")
+    ranked = np.take_along_axis(rows, order, axis=1)
+    first = np.ones(rows.shape, dtype=bool)
+    first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    mask = np.empty_like(first)
+    np.put_along_axis(mask, order, first, axis=1)
+    return mask
+
+
+def reference_draw_unobserved(observed, users, need, num_items, width, rng):
+    """``training._draw_unobserved`` as it was before its one sort per row:
+    each round searches every draw in ``observed`` in draw order, then finds
+    each row's first occurrences by a stable argsort. The reference for its
+    values, rng use and warnings."""
+    n = num_items
+    out = np.full((users.size, width), -1, dtype=np.int64)
+    base = users * n
+    eligible = n - (np.searchsorted(observed, base + n) - np.searchsorted(observed, base))
+    empty = np.flatnonzero((eligible == 0) & (need > 0))
+    if empty.size:
+        raise DataError("a user has interacted with the whole catalog; nothing to sample")
+    short = np.flatnonzero(eligible < need)
+    for r in short:
+        lo, hi = np.searchsorted(observed, [base[r], base[r] + n])
+        pool = np.setdiff1d(np.arange(n), observed[lo:hi] - base[r])
+        out[r, :need[r]] = rng.choice(pool, size=need[r], replace=True)
+    if short.size:
+        logging.getLogger(__name__).warning(
+            "%d of %d rows have fewer eligible items than they draw; sampling them with replacement",
+            short.size, users.size)
+    filled = np.zeros(users.size, dtype=np.int64)
+    pending = np.flatnonzero((eligible >= need) & (need > 0))
+    while pending.size:
+        want = need[pending]
+        draw = rng.integers(0, n, size=(pending.size, max(16, 2 * int((want - filled[pending]).max()))))
+        keys = base[pending, None] + draw
+        fresh = observed[np.searchsorted(observed, keys)] != keys
+        cand = np.concatenate([out[pending], np.where(fresh, draw, -1)], axis=1)
+        keep = _first_occurrences(cand) & (cand >= 0)
+        slot = np.cumsum(keep, axis=1)
+        at, col = np.nonzero(keep & (slot <= want[:, None]))
+        out[pending[at], slot[at, col] - 1] = cand[at, col]
+        filled[pending] = np.minimum(slot[:, -1], want)
+        pending = pending[filled[pending] < want]
+    return out
+
+
+def per_occurrence_side_bags(model, side_info, users, *items):
+    """``models._ImplicitExplicitModel._side_bags`` as it was before bags
+    were fetched per distinct id: every occurrence's own bag (the items'
+    over every item array in turn), with inverses that give occurrence k
+    bag k."""
+    mode = model.config.side_info_mode
+    if mode == "none":
+        return (None, None), (None, None), (None,) * (1 + len(items))
+    user, user_at = (None, None), None
+    if mode == "user_and_item":
+        user, user_at = side_info.user_matrix(users), np.arange(users.size).reshape(users.shape)
+    flat = np.concatenate([x.reshape(-1) for x in items])
+    ats = np.split(np.arange(flat.size), np.cumsum([x.size for x in items])[:-1])
+    return (user, (side_info.item_matrix(flat), None),
+            (user_at,) + tuple(at.reshape(x.shape) for x, at in zip(items, ats)))
+
+
+def per_occurrence_side_columns(table, ids, weights=None):
+    """Holds the bags back for ``per_occurrence_lookup``, which sums them."""
+    return None if ids is None else (ids, weights)
+
+
+def per_occurrence_lookup(table, indices, columns=None, inverse=None):
+    """``layers.EmbeddingTable.lookup`` as it was before bags were summed per
+    distinct id: every occurrence's bag product (``inverse`` picks its bag
+    from ``columns``, the bags ``per_occurrence_side_columns`` held back) is
+    summed on its own."""
+    out = T.gather_rows(table.rows.value, indices)
+    if columns is not None:
+        ids, weights = columns
+        out = T.add(out, T.embedding_bag(T.transpose_last2(table.side_projection.value), ids[inverse],
+                                         None if weights is None else weights[inverse]))
+    return out
+
+
+@contextmanager
+def per_occurrence_side():
+    """Run the block with side information fetched and summed per
+    occurrence: the model input path as it was before distinct ids shared
+    their bags and bag products."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models._ImplicitExplicitModel, "_side_bags", per_occurrence_side_bags)
+        mp.setattr(L.EmbeddingTable, "side_columns", per_occurrence_side_columns)
+        mp.setattr(L.EmbeddingTable, "lookup", per_occurrence_lookup)
+        yield
 
 
 def write_events_csv(path: Path, rows, header=("timestamp", "visitorid", "event", "itemid")) -> Path:

@@ -77,9 +77,11 @@ class TestCriterion1GradientFidelity:
         to_float64(reg)
         table.rows.value.data[:] = rng.uniform(-1, 1, size=(6, 4))
         side = rng.standard_normal((4, 3))
-        idx = np.array([0, 2, 2, 5])
+        # one bag per distinct index (0, 2, 5): index 2 occurs twice and shares its bag
+        idx, inverse = np.array([0, 2, 2, 5]), np.array([0, 1, 1, 2])
+        bags = np.tile(np.arange(3), (3, 1)), side[:3]
         worst["embedding"] = check_gradients(
-            lambda: T.l2_sq(table.lookup(idx, np.tile(np.arange(3), (4, 1)), side)),
+            lambda: T.l2_sq(table.lookup(idx, table.side_columns(*bags), inverse)),
             [table.rows.value, table.side_projection.value], tol=1e-5)
 
         reg = ParameterRegistry()

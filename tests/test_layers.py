@@ -73,8 +73,10 @@ def oracle_layer_norm(x, eps=1e-5):
 def embed(table, index, side=None):
     """One row of ``table`` as a [dim] vector, with the weighted bag of a
     dense side vector when one is given."""
-    bag = () if side is None else side_bag(np.asarray(side)[None, :])
-    return table.lookup(np.asarray([index]), *bag).data[0]
+    if side is None:
+        return table.lookup(np.asarray([index])).data[0]
+    columns = table.side_columns(*side_bag(np.asarray(side)[None, :]))
+    return table.lookup(np.asarray([index]), columns, np.zeros(1, dtype=np.int64)).data[0]
 
 
 class TestEmbedding:
@@ -99,13 +101,20 @@ class TestEmbedding:
         with pytest.raises(IndexError):
             embed(table, 3)
 
+    def test_inverse_must_match_indices(self):
+        table = make_table(np.zeros((3, 2)), np.ones((2, 4)))
+        columns = table.side_columns(np.array([[0, 1], [2, -1]]))
+        with pytest.raises(ShapeError, match="inverse"):
+            table.lookup(np.array([0, 1, 2]), columns, np.array([0, 1]))
+
     def test_gradient_flows_to_row_and_projection(self):
         rng = np.random.default_rng(4)
         table = make_table(rng.standard_normal((4, 3)), rng.standard_normal((3, 2)))
         side = side_bag(rng.standard_normal((2, 2)))
-        idx = np.array([0, 2])
+        # row 0 occurs twice and shares its bag
+        idx, inverse = np.array([0, 2, 0]), np.array([0, 1, 0])
         check_gradients(
-            lambda: T.sum_all(T.l2_sq(table.lookup(idx, *side))),
+            lambda: T.sum_all(T.l2_sq(table.lookup(idx, table.side_columns(*side), inverse))),
             [table.rows.value, table.side_projection.value], tol=1e-6)
 
 
@@ -132,12 +141,14 @@ class TestSideBagLookup:
                         item_offsets, item_flat, user_offsets, user_flat, user_weights)
         table = make_table(rng.standard_normal((vocab, dim)), rng.standard_normal((dim, num_categories)))
         rows = rng.integers(0, vocab, shape)
+        distinct, inverse = np.unique(rows, return_inverse=True)
+        inverse = inverse.reshape(rows.shape)
         projection = table.side_projection.data
         for bag, (values, offsets, flat) in (
-                ((side.item_matrix(rows),), (None, item_offsets, item_flat)),
-                (side.user_matrix(rows), (user_weights, user_offsets, user_flat))):
+                ((side.item_matrix(distinct), None), (None, item_offsets, item_flat)),
+                (side.user_matrix(distinct), (user_weights, user_offsets, user_flat))):
             dense = csr_to_dense(offsets, flat, values, rows, num_categories, np.float64)
-            got = table.lookup(rows, *bag).data
+            got = table.lookup(rows, table.side_columns(*bag), inverse).data
             np.testing.assert_allclose(got, table.rows.data[rows] + dense @ projection.T, rtol=0, atol=1e-12)
 
 

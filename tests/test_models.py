@@ -13,7 +13,8 @@ from feedrank.data import SideInfo
 from feedrank.models import BertITEModel, ITEModel, ModelConfig, build_model, predict_score
 from feedrank.tensor import ConfigError
 
-from conftest import check_gradients, encode_side_user, side_from_lists, to_float64
+from conftest import (check_gradients, encode_side_user, per_occurrence_side, same_bits, side_from_lists,
+                      to_float64)
 from test_layers import oracle_attention, oracle_ffn_row, oracle_layer_norm
 
 
@@ -195,25 +196,85 @@ class TestForwardBatchSideInfo:
             model.forward_batch(np.array([0, 1]), np.array([2, 3]), np.zeros((2, 3), dtype=np.int64), side)
         assert str(info.value) == f"side info has {num_categories} categories, the model's side_dim is 3"
 
-    def test_bert_si_reads_side_info_through_its_two_lookups(self, monkeypatch):
+    def test_bert_si_reads_side_info_once_per_distinct_id(self, monkeypatch):
         """perfbench traces SideInfo.item_matrix and SideInfo.user_matrix in
-        a bert-ite-si training step and counts item_matrix's result bytes."""
+        a bert-ite-si training step and counts item_matrix's result bytes.
+        A forward asks for the distinct users, then for the distinct items of
+        its sequences and targets together, each in one call."""
         calls = []
         for name in ("item_matrix", "user_matrix"):
             def spy(self, rows, _name=name, _method=getattr(SideInfo, name)):
                 result = _method(self, rows)
-                calls.append((_name, np.shape(rows), result))
+                calls.append((_name, np.asarray(rows).tolist(), result))
                 return result
             monkeypatch.setattr(SideInfo, name, spy)
         cfg = ModelConfig(embedding_dim=4, seq_len=3, transformer_layers=1, attention_heads=2, side_dim=3)
-        model = build_model("bert-ite-si", 4, 6, cfg, seed=0)
-        model.forward_batch(np.array([0, 1]), np.array([2, 3]), np.array([[0, 1, 2], [3, 4, 5]]),
-                            one_category_each(3, 4, 6), training=True, rng=np.random.default_rng(0))
-        assert [(name, shape) for name, shape, _ in calls] == [
-            ("user_matrix", (2,)), ("item_matrix", (2, 3)), ("item_matrix", (2,))]
+        model = build_model("bert-ite-si", 4, 7, cfg, seed=0)
+        model.forward_batch(np.array([3, 1, 3]), np.array([6, 2, 6]), np.array([[0, 1, 2], [5, 4, 0], [0, 1, 2]]),
+                            one_category_each(3, 4, 7), training=True, rng=np.random.default_rng(0))
+        assert [(name, rows) for name, rows, _ in calls] == [
+            ("user_matrix", [1, 3]), ("item_matrix", [0, 1, 2, 4, 5, 6])]
         for name, _, result in calls:
             if name == "item_matrix":
-                assert isinstance(result, np.ndarray) and result.nbytes == result.size * 8
+                assert isinstance(result, np.ndarray) and result.dtype == np.int64
+                assert result.nbytes == result.size * 8
+
+
+class TestDistinctSideBags:
+    """Side columns summed once per distinct id against the per-occurrence
+    lookup (``conftest.per_occurrence_side``): the same forward bits and the
+    same gradient bits, except the side projections', which now sum per
+    distinct id and so agree to float rounding."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(variant=st.sampled_from(["ite-si", "ite-ossi", "bert-ite-si", "bert-ite-ossi"]),
+           b=st.integers(1, 24), seed=st.integers(0, 2 ** 16))
+    def test_training_forward_and_gradients(self, variant, b, seed):
+        cfg = ModelConfig(embedding_dim=4, seq_len=5, transformer_layers=2, attention_heads=2,
+                          explicit_mlp_layers=2, dropout=0.1, side_dim=6)
+        model = build_model(variant, 5, 12, cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        side = random_side_info(rng, 5, 12, 6)
+        # few users and items, so ids repeat within the batch
+        users, candidates, contexts = rng.integers(0, 5, b), rng.integers(0, 12, b), rng.integers(0, 12, (b, 5))
+
+        def step():
+            res = model.forward_batch(users, candidates, contexts, side, training=True,
+                                      rng=np.random.default_rng(seed))
+            loss = T.add(T.sum_all(res.x_hat), T.sum_all(res.y_hat))
+            for rows in res.embedding_rows:
+                loss = T.add(loss, T.l2_sq(rows))
+            loss.backward()
+            grads = {p.name: p.value.grad.copy() for p in model.params if p.value.grad is not None}
+            model.params.zero_grads()
+            return res, grads
+
+        got, got_grads = step()
+        with per_occurrence_side():
+            want, want_grads = step()
+        assert same_bits(got.x_hat.data, want.x_hat.data) and same_bits(got.y_hat.data, want.y_hat.data)
+        assert got_grads.keys() == want_grads.keys()
+        for name, want_grad in want_grads.items():
+            if name.endswith(".side_projection"):
+                scale = np.abs(want_grad).max()
+                assert np.abs(got_grads[name] - want_grad).max() <= 1e-6 * scale, name
+            else:
+                assert same_bits(got_grads[name], want_grad), name
+
+    @settings(max_examples=20, deadline=None)
+    @given(variant=st.sampled_from(["bert-ite-si", "bert-ite-ossi"]), c=st.integers(2, 30),
+           seed=st.integers(0, 2 ** 16))
+    def test_shared_context_scoring(self, variant, c, seed):
+        cfg = ModelConfig(embedding_dim=4, seq_len=5, transformer_layers=2, attention_heads=2, side_dim=6)
+        model = build_model(variant, 5, 12, cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        side = random_side_info(rng, 5, 12, 6)
+        user, context, targets = rng.integers(0, 5, 1), rng.integers(0, 12, (1, 5)), rng.integers(0, 12, c)
+        with T.no_grad():
+            got = model.forward(user, context, targets, side)
+            with per_occurrence_side():
+                want = model.forward(user, context, targets, side)
+        assert same_bits(got.x_hat.data, want.x_hat.data) and same_bits(got.y_hat.data, want.y_hat.data)
 
 
 class TestVariantRoster:
@@ -301,10 +362,10 @@ class TestBertITEForward:
 def full_encoder_forward(model: BertITEModel, users, sequences, targets, side_info=None):
     """The encoder without pruning: every layer on every row, then the user row."""
     b, k = len(users), model.config.embedding_dim
-    user_side, seq_side, target_side = model._side_bags(side_info, users, sequences, targets)
-    u_emb = model.user_table.lookup(users, *user_side)
-    seq_emb = model.item_table.lookup(sequences, seq_side)
-    tgt_emb = model.item_table.lookup(targets, target_side)
+    user_bag, item_bag, (user_at, seq_at, target_at) = model._side_bags(side_info, users, sequences, targets)
+    u_emb = model.user_table.lookup(users, model.user_table.side_columns(*user_bag), user_at)
+    seq_emb = model.item_table.lookup(sequences, model.item_table.side_columns(*item_bag), seq_at)
+    tgt_emb = model.item_table.lookup(targets, model.item_table.side_columns(*item_bag), target_at)
     x = T.concat_many([T.reshape(u_emb, (b, 1, k)), seq_emb, T.reshape(tgt_emb, (b, 1, k))], axis=-2)
     for layer in model.transformer:
         x = L.transformer_layer(x, layer)

@@ -21,8 +21,8 @@ from feedrank.training import (Adam, NonFiniteLossError, TrainingConfig, bce_sum
                                build_epoch_examples, fit, joint_loss, pad_sequence,
                                sample_negatives, train_epoch)
 
-from conftest import (copying_engine, planted_dataset, reference_sample_unobserved, same_bits,
-                      store_sets, to_float64)
+from conftest import (copying_engine, planted_dataset, reference_draw_unobserved,
+                      reference_sample_unobserved, same_bits, store_sets, to_float64)
 
 
 def cfg(**kw):
@@ -293,6 +293,74 @@ class TestPadSequence:
         assert rng.bit_generator.state == want_rng.bit_generator.state
         warnings = [r for r in caplog.records if "replacement" in r.getMessage()]
         assert len(warnings) == (available < need)
+
+
+def draw_with(sampler, caplog, observed, users, need, num_items, width, seed):
+    """One sampler call on a fresh generator: its rows (or its DataError's
+    message), its replacement warnings and the generator's end state."""
+    rng = np.random.default_rng(seed)
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        try:
+            out = sampler(observed, users, need, num_items, width, rng)
+        except DataError as err:
+            out = str(err)
+    warnings = [r.getMessage() for r in caplog.records if "replacement" in r.getMessage()]
+    return out, warnings, rng.bit_generator.state
+
+
+class TestDrawUnobservedMatchesReference:
+    """The one sort per row gives what the per-draw search with a stable
+    argsort gave: the same rows bit for bit, the same rng use and the same
+    warnings."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), num_users=st.integers(1, 4), num_items=st.integers(1, 200),
+           width=st.integers(0, 24), seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical(self, caplog, data, num_users, num_items, width, seed):
+        items = st.integers(0, num_items - 1)
+        # any observed set, or all but a few items, whose rows take several
+        # rounds or fall back to drawing with replacement
+        few_left = st.sets(items, max_size=3).map(lambda left: set(range(num_items)) - left)
+        observed_sets = [data.draw(st.one_of(st.sets(items, max_size=num_items), few_left))
+                         for _ in range(num_users)]
+        observed = np.array(sorted(u * num_items + i for u, seen in enumerate(observed_sets) for i in seen)
+                            + [num_users * num_items], dtype=np.int64)
+        users = np.array(data.draw(st.lists(st.integers(0, num_users - 1), max_size=12)), dtype=np.int64)
+        need = np.array(data.draw(st.lists(st.integers(0, width), min_size=users.size, max_size=users.size)),
+                        dtype=np.int64)
+        got, want = (draw_with(sampler, caplog, observed, users, need, num_items, width, seed)
+                     for sampler in (training._draw_unobserved, reference_draw_unobserved))
+        if isinstance(want[0], str):
+            assert got[0] == want[0]
+        else:
+            assert same_bits(got[0], want[0])
+        assert got[1:] == want[1:]
+
+    def test_rows_of_several_rounds(self, caplog):
+        # 3 eligible items of 300 for every row: a round of 16 draws rarely
+        # finds them all
+        observed = np.array([u * 300 + i for u in range(2) for i in range(297)] + [600], dtype=np.int64)
+        users, need = np.repeat([0, 1, 0], 20), np.tile([3, 2, 1, 0], 15)
+        got, want = (draw_with(sampler, caplog, observed, users, need, 300, 3, 11)
+                     for sampler in (training._draw_unobserved, reference_draw_unobserved))
+        assert same_bits(got[0], want[0]) and got[1:] == want[1:]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), num_items=st.integers(1, 60), n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_evaluation_pad(self, data, num_items, n, seed):
+        items = st.integers(0, num_items - 1)
+        observed = data.draw(st.sets(items, max_size=num_items - 1))
+        history = data.draw(st.lists(items, max_size=n))
+
+        def pad():
+            return pad_sequence(history, n, num_items, observed, np.random.default_rng(seed))
+
+        got = pad()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(training, "_draw_unobserved", reference_draw_unobserved)
+            want = pad()
+        assert same_bits(got, want)
 
 
 class TestSessionContexts:
