@@ -36,9 +36,9 @@ class DenseLayer:
     def __init__(self, weight: Parameter, bias: Parameter, activation: str = "identity"):
         if activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {activation!r}")
-        out_dim, in_dim = weight.value.shape
-        if bias.value.shape != (out_dim,):
-            raise ShapeError(f"bias shape {bias.value.shape} vs weight {weight.value.shape}")
+        out_dim, in_dim = weight.shape
+        if bias.shape != (out_dim,):
+            raise ShapeError(f"bias shape {bias.shape} vs weight {weight.shape}")
         self.weight = weight
         self.bias = bias
         self.activation = activation
@@ -51,7 +51,7 @@ class DenseLayer:
         return cls(w, b, activation)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.add(T.matmul(x, T.transpose_last2(self.weight.value)), self.bias.value)
+        y = T.add(T.matmul(x, T.transpose_last2(self.weight)), self.bias)
         return ACTIVATIONS[self.activation](y)
 
 
@@ -82,7 +82,7 @@ class EmbeddingTable:
             return None
         if self.side_projection is None:
             raise ConfigError(f"table {self.rows.name!r} has no side projection but side data was given")
-        return T.embedding_bag(T.transpose_last2(self.side_projection.value), ids, weights)
+        return T.embedding_bag(T.transpose_last2(self.side_projection), ids, weights)
 
     def lookup(self, indices: np.ndarray, columns: Optional[Tensor] = None,
                inverse: Optional[np.ndarray] = None) -> Tensor:
@@ -90,7 +90,7 @@ class EmbeddingTable:
         row per distinct index) is given, ``columns[inverse]``: ``inverse``,
         the shape of ``indices``, gives each index its bag. So a bag's columns
         are summed once, however often its index occurs."""
-        out = T.gather_rows(self.rows.value, indices)
+        out = T.gather_rows(self.rows, indices)
         if columns is not None:
             if np.shape(inverse) != np.shape(indices):
                 raise ShapeError(f"inverse {np.shape(inverse)} vs indices {np.shape(indices)}")
@@ -150,12 +150,12 @@ def multi_head_self_attention(h: Tensor, layer: TransformerLayer, query: Optiona
     for i in range(layer.heads):
         # the queries take the scale, not the [.., t, t] scores: the same
         # scores bit for bit when 1/sqrt(d_h) is a power of two (d_h = 4^j)
-        q = T.scale(T.matmul(h, layer.wq[i].value), inv_scale)
-        k = T.matmul(h, layer.wk[i].value)
-        v = T.matmul(h, layer.wv[i].value)
+        q = T.scale(T.matmul(h, layer.wq[i]), inv_scale)
+        k = T.matmul(h, layer.wk[i])
+        v = T.matmul(h, layer.wv[i])
         scores = T.matmul(q, T.transpose_last2(k))
         heads.append(T.matmul(T.softmax_rows(scores), v))
-    return T.matmul(T.concat_many(heads, axis=-1), layer.wo.value)
+    return T.matmul(T.concat_many(heads, axis=-1), layer.wo)
 
 
 def _one_query_attention(h: Tensor, layer: TransformerLayer, query: Tensor) -> Tensor:
@@ -170,10 +170,10 @@ def _one_query_attention(h: Tensor, layer: TransformerLayer, query: Tensor) -> T
     if query.ndim != h.ndim or query.shape[-2] != 1:
         raise ShapeError(f"a query holds one row per sequence of keys {h.shape}, got {query.shape}")
     d, heads, hd = layer.dim, layer.heads, layer.head_dim
-    m = T.scale(T.concat_many([T.matmul(wq.value, T.transpose_last2(wk.value))
+    m = T.scale(T.concat_many([T.matmul(wq, T.transpose_last2(wk))
                                for wq, wk in zip(layer.wq, layer.wk)], axis=-1), 1.0 / math.sqrt(hd))
-    wo = T.reshape(layer.wo.value, (heads, hd * d))
-    n = T.concat_many([T.matmul(wv.value, T.reshape(T.select_row(wo, i), (hd, d)))
+    wo = T.reshape(layer.wo, (heads, hd * d))
+    n = T.concat_many([T.matmul(wv, T.reshape(T.select_row(wo, i), (hd, d)))
                        for i, wv in enumerate(layer.wv)], axis=0)
     lead = query.shape[:-2]
     qk = T.reshape(T.matmul(query, m), lead + (heads, d))
@@ -203,8 +203,8 @@ def _shared_prefix_attention(x: np.ndarray, tg: np.ndarray, layer: TransformerLa
     out = np.empty((d, t + 1, c), dtype=np.result_type(x, tg))
     prefix, rows = out[:, :t], out[:, t]
     for i in range(layer.heads):
-        wq, wk, wv = (m[i].value.data for m in (layer.wq, layer.wk, layer.wv))
-        wo = layer.wo.value.data[i * hd:(i + 1) * hd].T    # [d, hd]
+        wq, wk, wv = (m[i].data for m in (layer.wq, layer.wk, layer.wv))
+        wo = layer.wo.data[i * hd:(i + 1) * hd].T          # [d, hd]
         q, k, v = x @ wq, x @ wk, x @ wv                   # [t, hd]
         q_t, k_t, v_t = wq.T @ tg, wk.T @ tg, wv.T @ tg    # [hd, C]
         e, lse = T._exp_rows((q @ k.T) * inv_scale)        # e is [keys, rows]
@@ -247,21 +247,21 @@ def _shared_prefix_layer(x: Tensor, target: Tensor, layer: TransformerLayer) -> 
     a[:, :t] += xs.T[:, :, None]
     a[:, t] += tg
     a = a.reshape(d, (t + 1) * c)
-    T._layer_norm_features(a, layer.ln1_gain.value.data, layer.ln1_bias.value.data, out=a)
-    hidden = layer.ffn_w1.value.data.T @ a
-    hidden += layer.ffn_b1.value.data[:, None]
+    T._layer_norm_features(a, layer.ln1_gain.data, layer.ln1_bias.data, out=a)
+    hidden = layer.ffn_w1.data.T @ a
+    hidden += layer.ffn_b1.data[:, None]
     hidden = T.gelu(Tensor(hidden)).data
-    out = layer.ffn_w2.value.data.T @ hidden
-    out += layer.ffn_b2.value.data[:, None]
+    out = layer.ffn_w2.data.T @ hidden
+    out += layer.ffn_b2.data[:, None]
     out += a
-    T._layer_norm_features(out, layer.ln2_gain.value.data, layer.ln2_bias.value.data, out=out)
+    T._layer_norm_features(out, layer.ln2_gain.data, layer.ln2_bias.data, out=out)
     return Tensor(np.ascontiguousarray(out.reshape(d, t + 1, c).transpose(2, 1, 0)))
 
 
 def pffn(a: Tensor, layer: TransformerLayer) -> Tensor:
     """Row-wise feed-forward: GELU(a @ W1 + b1) @ W2 + b2."""
-    hidden = T.gelu(T.add(T.matmul(a, layer.ffn_w1.value), layer.ffn_b1.value))
-    return T.add(T.matmul(hidden, layer.ffn_w2.value), layer.ffn_b2.value)
+    hidden = T.gelu(T.add(T.matmul(a, layer.ffn_w1), layer.ffn_b1))
+    return T.add(T.matmul(hidden, layer.ffn_w2), layer.ffn_b2)
 
 
 def transformer_layer(x: Tensor, layer: TransformerLayer, training: bool = False,
@@ -286,9 +286,9 @@ def transformer_layer(x: Tensor, layer: TransformerLayer, training: bool = False
                               "with training off")
         return _shared_prefix_layer(x, target, layer)
     mh = T.dropout(multi_head_self_attention(x, layer, query=query), layer.dropout_rate, training, rng)
-    a = T.layer_norm(T.add(x if query is None else query, mh), layer.ln1_gain.value, layer.ln1_bias.value)
+    a = T.layer_norm(T.add(x if query is None else query, mh), layer.ln1_gain, layer.ln1_bias)
     ff = T.dropout(pffn(a, layer), layer.dropout_rate, training, rng)
-    return T.layer_norm(T.add(a, ff), layer.ln2_gain.value, layer.ln2_bias.value)
+    return T.layer_norm(T.add(a, ff), layer.ln2_gain, layer.ln2_bias)
 
 
 def dense_tower(params: ParameterRegistry, name: str, in_dim: int, widths: Sequence[int],

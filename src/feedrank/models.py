@@ -120,9 +120,9 @@ class _ImplicitExplicitModel:
                                         L.glorot_uniform(rng, expl_widths[-1], 1, (expl_widths[-1],)))
 
     def _heads(self, phi_implicit: Tensor, embedding_rows: list) -> ForwardResult:
-        x_hat = _head_scores(phi_implicit, self.implicit_head.value)
+        x_hat = _head_scores(phi_implicit, self.implicit_head)
         phi_explicit = L.apply_tower(self.explicit_tower, phi_implicit)
-        y_hat = _head_scores(phi_explicit, self.explicit_head.value)
+        y_hat = _head_scores(phi_explicit, self.explicit_head)
         return ForwardResult(x_hat, y_hat, embedding_rows)
 
     def _side_bags(self, side_info, users: np.ndarray, *items: np.ndarray) -> tuple:

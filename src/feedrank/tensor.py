@@ -221,26 +221,17 @@ def _exp_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, m
 
 
-class Parameter:
-    """Named trainable tensor."""
+class Parameter(Tensor):
+    """Named trainable leaf: a Tensor that always requires its gradient."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("name",)
 
-    def __init__(self, name: str, value: Tensor):
+    def __init__(self, name: str, data):
+        super().__init__(data, requires_grad=True)
         self.name = name
-        value.requires_grad = True
-        self.value = value
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.value.data
-
-    @property
-    def grad(self) -> Optional[np.ndarray]:
-        return self.value.grad
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Parameter({self.name!r}, shape={self.value.shape})"
+        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 class ParameterRegistry:
@@ -250,12 +241,10 @@ class ParameterRegistry:
         self._params: dict[str, Parameter] = {}
 
     def add(self, name: str, data) -> Parameter:
+        """A new parameter holding a copy of ``data``."""
         if name in self._params:
             raise ConfigError(f"duplicate parameter name: {name!r}")
-        arr = np.array(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(DEFAULT_DTYPE)
-        p = Parameter(name, Tensor(arr, requires_grad=True))
+        p = Parameter(name, np.array(data))
         self._params[name] = p
         return p
 
@@ -264,10 +253,10 @@ class ParameterRegistry:
 
     def zero_grads(self) -> None:
         for p in self._params.values():
-            p.value.grad = None
+            p.grad = None
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.value.data for name, p in self._params.items()}
+        return {name: p.data for name, p in self._params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         unknown = [name for name in arrays if name not in self._params]
@@ -277,11 +266,11 @@ class ParameterRegistry:
             if name not in arrays:
                 raise ConfigError(f"missing parameter in state: {name!r}")
             arr = arrays[name]
-            if tuple(arr.shape) != p.value.shape:
+            if tuple(arr.shape) != p.shape:
                 raise ShapeError(
-                    f"parameter {name!r}: stored shape {tuple(arr.shape)} vs model shape {p.value.shape}"
+                    f"parameter {name!r}: stored shape {tuple(arr.shape)} vs model shape {p.shape}"
                 )
-            p.value.data = arr.astype(p.value.data.dtype)
+            p.data = arr.astype(p.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -626,11 +615,18 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
                 # the flat scatter below must write through a view of grad
                 table.grad = np.ascontiguousarray(table.grad)
             # one 1-D scatter of element offsets takes numpy's fast ufunc.at
-            # path, where a row-wise scatter does not; elements are added in
-            # the same order, so the sums are bit-identical
+            # path, where a row-wise scatter does not. Up to 8 features a row,
+            # offsets and g go feature-major ([k, rows]), so the broadcast
+            # runs the row count long; longer rows touch fewer cache lines row
+            # by row. Each element gets its additions in occurrence order
+            # either way, so the sums are bit-identical to a row-wise scatter
             k = math.prod(table.shape[1:])
-            offsets = idx.reshape(-1, 1).astype(np.intp, copy=False) * k + np.arange(k)
-            np.add.at(table.grad.reshape(-1), offsets.reshape(-1), g.reshape(-1))
+            starts = idx.reshape(-1).astype(np.intp, copy=False) * k
+            if k <= 8:
+                offsets, values = np.arange(k)[:, None] + starts, g.reshape(idx.size, k).T
+            else:
+                offsets, values = starts[:, None] + np.arange(k), g
+            np.add.at(table.grad.reshape(-1), offsets.reshape(-1), values.reshape(-1))
 
     return _make(data, (table,), backward)
 

@@ -222,8 +222,8 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = {p.name: np.zeros_like(p.value.data) for p in params}
-        self._v = {p.name: np.zeros_like(p.value.data) for p in params}
+        self._m = {p.name: np.zeros_like(p.data) for p in params}
+        self._v = {p.name: np.zeros_like(p.data) for p in params}
 
     @classmethod
     def from_config(cls, params: ParameterRegistry, config: TrainingConfig) -> "Adam":
@@ -234,9 +234,9 @@ class Adam:
         correction1 = 1.0 - self.beta1 ** self.t
         correction2 = 1.0 - self.beta2 ** self.t
         for p in self.params:
-            g = p.value.grad
+            g = p.grad
             if g is None:
-                g = np.zeros_like(p.value.data)
+                g = np.zeros_like(p.data)
             m = self._m[p.name]
             v = self._v[p.name]
             m *= self.beta1
@@ -245,7 +245,7 @@ class Adam:
             v += (1.0 - self.beta2) * (g * g)
             m_hat = m / correction1
             v_hat = v / correction2
-            p.value.data -= (self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.value.data.dtype)
+            p.data -= (self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
         self.params.zero_grads()
 
 

@@ -94,12 +94,12 @@ def scaled_scores_attention(h, layer, query=None):
     inv_scale = 1.0 / math.sqrt(layer.dim / layer.heads)
     heads = []
     for i in range(layer.heads):
-        q = T.matmul(query, layer.wq[i].value)
-        k = T.matmul(h, layer.wk[i].value)
-        v = T.matmul(h, layer.wv[i].value)
+        q = T.matmul(query, layer.wq[i])
+        k = T.matmul(h, layer.wk[i])
+        v = T.matmul(h, layer.wv[i])
         scores = T.scale(T.matmul(q, T.transpose_last2(k)), inv_scale)
         heads.append(T.matmul(T.softmax_rows(scores), v))
-    return T.matmul(T.concat_many(heads, axis=-1), layer.wo.value)
+    return T.matmul(T.concat_many(heads, axis=-1), layer.wo)
 
 
 @contextmanager
@@ -132,7 +132,7 @@ def to_float64(params):
     for finite differences on a model or layer that was built, as every one
     is, in float32. Call it before making an ``Adam`` over the parameters."""
     for p in params:
-        p.value.data = p.value.data.astype(np.float64)
+        p.data = p.data.astype(np.float64)
 
 
 def encode_side_user(items, item_categories, num_categories):
@@ -319,10 +319,10 @@ def per_occurrence_lookup(table, indices, columns=None, inverse=None):
     distinct id: every occurrence's bag product (``inverse`` picks its bag
     from ``columns``, the bags ``per_occurrence_side_columns`` held back) is
     summed on its own."""
-    out = T.gather_rows(table.rows.value, indices)
+    out = T.gather_rows(table.rows, indices)
     if columns is not None:
         ids, weights = columns
-        out = T.add(out, T.embedding_bag(T.transpose_last2(table.side_projection.value), ids[inverse],
+        out = T.add(out, T.embedding_bag(T.transpose_last2(table.side_projection), ids[inverse],
                                          None if weights is None else weights[inverse]))
     return out
 

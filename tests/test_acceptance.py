@@ -70,19 +70,19 @@ class TestCriterion1GradientFidelity:
         to_float64(reg)
         x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
         worst["dense"] = check_gradients(lambda: T.l2_sq(dense(x)),
-                                         [x, dense.weight.value, dense.bias.value], tol=1e-5)
+                                         [x, dense.weight, dense.bias], tol=1e-5)
 
         reg = ParameterRegistry()
         table = L.EmbeddingTable.build(reg, "e", 6, 4, rng, side_dim=3)
         to_float64(reg)
-        table.rows.value.data[:] = rng.uniform(-1, 1, size=(6, 4))
+        table.rows.data[:] = rng.uniform(-1, 1, size=(6, 4))
         side = rng.standard_normal((4, 3))
         # one bag per distinct index (0, 2, 5): index 2 occurs twice and shares its bag
         idx, inverse = np.array([0, 2, 2, 5]), np.array([0, 1, 1, 2])
         bags = np.tile(np.arange(3), (3, 1)), side[:3]
         worst["embedding"] = check_gradients(
             lambda: T.l2_sq(table.lookup(idx, table.side_columns(*bags), inverse)),
-            [table.rows.value, table.side_projection.value], tol=1e-5)
+            [table.rows, table.side_projection], tol=1e-5)
 
         reg = ParameterRegistry()
         trm = L.TransformerLayer(reg, "t", 4, 2, rng, dropout_rate=0.0)
@@ -90,14 +90,14 @@ class TestCriterion1GradientFidelity:
         h = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         worst["attention"] = check_gradients(
             lambda: T.l2_sq(L.multi_head_self_attention(h, trm)),
-            [h] + [p.value for p in trm.wq + trm.wk + trm.wv] + [trm.wo.value], tol=1e-5, h=1e-3)
+            [h] + trm.wq + trm.wk + trm.wv + [trm.wo], tol=1e-5, h=1e-3)
         worst["pffn"] = check_gradients(
             lambda: T.l2_sq(L.pffn(h, trm)),
-            [h, trm.ffn_w1.value, trm.ffn_b1.value, trm.ffn_w2.value, trm.ffn_b2.value],
+            [h, trm.ffn_w1, trm.ffn_b1, trm.ffn_w2, trm.ffn_b2],
             tol=1e-5, h=1e-3)
         worst["transformer"] = check_gradients(
             lambda: T.l2_sq(L.transformer_layer(h, trm)),
-            [h] + [p.value for p in reg], tol=1e-5, h=1e-3)
+            [h] + list(reg), tol=1e-5, h=1e-3)
 
         # model forwards (M=N=8, K=4); h=1e-4 keeps relu kink crossings rare
         ite = small_ite(seed=1)
@@ -105,7 +105,7 @@ class TestCriterion1GradientFidelity:
         worst["ite_forward"] = check_gradients(
             lambda: T.add(T.sum_all(ite.forward(users, items).x_hat),
                           T.sum_all(ite.forward(users, items).y_hat)),
-            [p.value for p in ite.params], tol=1e-5, h=1e-4)
+            list(ite.params), tol=1e-5, h=1e-4)
 
         bert = small_bert(seed=2)
         seqs = np.array([[1, 2, 3, 4], [0, 7, 6, 5]])
@@ -113,7 +113,7 @@ class TestCriterion1GradientFidelity:
         worst["bert_forward"] = check_gradients(
             lambda: T.add(T.sum_all(bert.forward(busers, seqs, btargets).x_hat),
                           T.sum_all(bert.forward(busers, seqs, btargets).y_hat)),
-            [p.value for p in bert.params], tol=1e-5, h=1e-3)
+            list(bert.params), tol=1e-5, h=1e-3)
 
         # end-to-end joint loss (rel err < 1e-4), small config M=N=8, K=4, n=4, L=1;
         # moderate weight scale keeps predictions away from the log-loss
@@ -129,7 +129,7 @@ class TestCriterion1GradientFidelity:
             return joint_loss(res.x_hat, impl_labels, res2.y_hat, expl_labels,
                               res.embedding_rows + res2.embedding_rows, cfg)
 
-        worst["ite_joint_loss"] = check_gradients(ite_loss, [p.value for p in ite.params],
+        worst["ite_joint_loss"] = check_gradients(ite_loss, list(ite.params),
                                                   tol=1e-4, h=1e-4)
 
         def bert_loss():
@@ -138,7 +138,7 @@ class TestCriterion1GradientFidelity:
             return joint_loss(res.x_hat, np.array([1.0, 0.0]), res2.y_hat, np.array([0.0, 1.0]),
                               res.embedding_rows + res2.embedding_rows, cfg)
 
-        worst["bert_joint_loss"] = check_gradients(bert_loss, [p.value for p in bert.params],
+        worst["bert_joint_loss"] = check_gradients(bert_loss, list(bert.params),
                                                    tol=1e-4, h=1e-3)
 
         elapsed = time.perf_counter() - started

@@ -394,7 +394,7 @@ class TestTrain:
     def test_non_finite_loss_exits_one(self, tmp_path, prepared_path, capsys, monkeypatch):
         def poisoned_build(*args, **kwargs):
             model = build_model(*args, **kwargs)
-            model.gmf_user.rows.value.data[0] = np.nan
+            model.gmf_user.rows.data[0] = np.nan
             return model
 
         monkeypatch.setattr(cli, "build_model", poisoned_build)
@@ -502,11 +502,11 @@ class TestEvaluate:
 
         model = ITEModel(2, 6, ModelConfig(embedding_dim=2, attention_heads=1), seed=0)
         for p in model.params:
-            p.value.data[:] = 0.0
-        model.gmf_user.rows.value.data[:] = np.eye(2)
-        model.gmf_item.rows.value.data[:, 0] = [0, 0, 3, 0, -1, -2]   # user 0 scores
-        model.gmf_item.rows.value.data[:, 1] = [2, 0, 0, 0, 1, -1]    # user 1 scores
-        model.implicit_head.value.data[:2] = 1.0
+            p.data[:] = 0.0
+        model.gmf_user.rows.data[:] = np.eye(2)
+        model.gmf_item.rows.data[:, 0] = [0, 0, 3, 0, -1, -2]   # user 0 scores
+        model.gmf_item.rows.data[:, 1] = [2, 0, 0, 0, 1, -1]    # user 1 scores
+        model.implicit_head.data[:2] = 1.0
         ckpt = tmp_path / "oracle.ckpt"
         save_checkpoint(str(ckpt), model, "ite")
 
@@ -538,7 +538,7 @@ class TestEvaluate:
         from feedrank.container import save_checkpoint
 
         model, variant, meta = load_checkpoint(str(trained))
-        model.gmf_user.rows.value.data[0] = np.nan
+        model.gmf_user.rows.data[0] = np.nan
         poisoned = tmp_path / "nan.ckpt"
         save_checkpoint(str(poisoned), model, variant, meta=meta)
         assert main(["evaluate", "--checkpoint", str(poisoned), "--dataset", str(prepared_path)]) == 1

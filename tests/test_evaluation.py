@@ -187,7 +187,7 @@ class TestIteEvaluation:
         model = ITEModel(4, 1100, ModelConfig(embedding_dim=8, attention_heads=2), seed=7)
         rng = np.random.default_rng(3)
         for p in model.params:
-            p.value.data[:] = rng.uniform(-1, 1, p.value.shape)
+            p.data[:] = rng.uniform(-1, 1, p.shape)
         c = case(2, 5, rng.permutation(1100)[:999])
         candidates = np.concatenate([[c.item], c.negatives])
         chunked = np.empty(candidates.size)
@@ -256,7 +256,7 @@ class TestSequenceModelEvaluation:
                                         attention_heads=2, side_dim=side.num_categories), seed=3)
         rng = np.random.default_rng(1)
         for p in model.params:
-            p.value.data[:] = rng.uniform(-1, 1, p.value.shape)
+            p.data[:] = rng.uniform(-1, 1, p.shape)
         user, history = 5, rng.integers(0, train.num_items, 6)  # long enough to need no padding
         c = case(user, 2, rng.integers(0, train.num_items, 512), history)
         candidates = np.concatenate([[c.item], c.negatives])

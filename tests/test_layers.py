@@ -38,8 +38,8 @@ def attention_weights(h, layer, query=None):
     ``multi_head_self_attention`` weighs the value rows."""
     query = h if query is None else query
     inv_scale = 1.0 / math.sqrt(layer.head_dim)
-    return [T.softmax_rows(T.matmul(T.scale(T.matmul(query, layer.wq[i].value), inv_scale),
-                                    T.transpose_last2(T.matmul(h, layer.wk[i].value))))
+    return [T.softmax_rows(T.matmul(T.scale(T.matmul(query, layer.wq[i]), inv_scale),
+                                    T.transpose_last2(T.matmul(h, layer.wk[i]))))
             for i in range(layer.heads)]
 
 
@@ -115,7 +115,7 @@ class TestEmbedding:
         idx, inverse = np.array([0, 2, 0]), np.array([0, 1, 0])
         check_gradients(
             lambda: T.sum_all(T.l2_sq(table.lookup(idx, table.side_columns(*side), inverse))),
-            [table.rows.value, table.side_projection.value], tol=1e-6)
+            [table.rows, table.side_projection], tol=1e-6)
 
 
 class TestSideBagLookup:
@@ -170,10 +170,10 @@ class TestMultiHeadSelfAttention:
 
     def test_matches_scripted_oracle_t2_d2_h1(self):
         layer, _ = make_transformer(2, 1)
-        layer.wq[0].value.data = np.array([[0.3, -0.2], [0.5, 0.1]])
-        layer.wk[0].value.data = np.array([[-0.4, 0.2], [0.6, 0.7]])
-        layer.wv[0].value.data = np.array([[0.1, 0.9], [-0.3, 0.2]])
-        layer.wo.value.data = np.array([[1.1, -0.5], [0.2, 0.8]])
+        layer.wq[0].data = np.array([[0.3, -0.2], [0.5, 0.1]])
+        layer.wk[0].data = np.array([[-0.4, 0.2], [0.6, 0.7]])
+        layer.wv[0].data = np.array([[0.1, 0.9], [-0.3, 0.2]])
+        layer.wo.data = np.array([[1.1, -0.5], [0.2, 0.8]])
         h = np.array([[0.5, -1.0], [1.5, 0.25]])
         out = L.multi_head_self_attention(Tensor(h), layer)
         expected = oracle_attention(h, [layer.wq[0].data], [layer.wk[0].data],
@@ -215,7 +215,7 @@ class TestMultiHeadSelfAttention:
         rng = np.random.default_rng(10)
         layer, reg = make_transformer(4, 2, rng)
         h = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        tensors = [h] + [p.value for p in reg if "ln" not in p.name and "ffn" not in p.name]
+        tensors = [h] + [p for p in reg if "ln" not in p.name and "ffn" not in p.name]
         check_gradients(lambda: T.l2_sq(L.multi_head_self_attention(h, layer)), tensors, tol=1e-5)
 
 
@@ -328,7 +328,7 @@ class TestOneQueryAttention:
         reg = ParameterRegistry()
         layer = L.TransformerLayer(reg, "trm", 8, 2, rng)
         for p in reg:
-            p.value.data *= 30
+            p.data *= 30
         x = rng.standard_normal((50, 22, 8)).astype(np.float32)
         got = self.run(L.multi_head_self_attention, layer, reg, x, 0, np.ones((50, 1, 8), np.float32))
         assert all(np.isfinite(a).all() for a in got)
@@ -360,7 +360,7 @@ def shared_prefix_case(rng, c, t, heads, head_dim):
     reg = ParameterRegistry()
     layer = L.TransformerLayer(reg, "trm", d, heads, rng)
     for p in (layer.ffn_b1, layer.ffn_b2, layer.ln1_gain, layer.ln1_bias, layer.ln2_gain, layer.ln2_bias):
-        p.value.data += rng.standard_normal(p.value.shape).astype(np.float32)
+        p.data += rng.standard_normal(p.shape).astype(np.float32)
     prefix = rng.standard_normal((1, t, d)).astype(np.float32)
     targets = rng.standard_normal((c, 1, d)).astype(np.float32)
     return layer, reg, prefix, targets
@@ -402,7 +402,7 @@ def check_large_parameters_stay_finite(shared_and_explicit, dtype):
     if dtype == np.float64:
         to_float64(reg)
     for p in reg:
-        p.value.data *= 30
+        p.data *= 30
     shared, explicit = shared_and_explicit(layer, prefix.astype(dtype), targets.astype(dtype))
     assert shared.dtype == dtype and np.isfinite(shared).all()
     np.testing.assert_allclose(shared, explicit, rtol=1e-5, atol=1e-5 * np.abs(explicit).max())
@@ -458,7 +458,7 @@ class TestSharedPrefixLayer:
         with T.no_grad():
             x = Tensor(batch)
             pre1 = T.add(x, L.multi_head_self_attention(x, layer))
-            a = T.layer_norm(pre1, layer.ln1_gain.value, layer.ln1_bias.value)
+            a = T.layer_norm(pre1, layer.ln1_gain, layer.ln1_bias)
             pre2 = T.add(a, L.pffn(a, layer))
         return np.maximum(*(np.abs(p.data).max(axis=-1, keepdims=True)
                             / np.sqrt(p.data.var(axis=-1, keepdims=True) + T.LAYER_NORM_EPS)
@@ -482,7 +482,7 @@ class TestPFFN:
     def test_zero_weights_zero_output(self):
         layer, _ = make_transformer(3, 1)
         for p in (layer.ffn_w1, layer.ffn_b1, layer.ffn_w2, layer.ffn_b2):
-            p.value.data[:] = 0.0
+            p.data[:] = 0.0
         out = L.pffn(Tensor(np.ones((2, 3))), layer)
         np.testing.assert_array_equal(out.data, np.zeros((2, 3)))
 
@@ -497,10 +497,10 @@ class TestPFFN:
 
     def test_matches_scripted_oracle_d2(self):
         layer, _ = make_transformer(2, 1)
-        layer.ffn_w1.value.data = np.arange(16, dtype=np.float64).reshape(2, 8) * 0.1
-        layer.ffn_b1.value.data = np.linspace(-0.4, 0.3, 8)
-        layer.ffn_w2.value.data = np.arange(16, dtype=np.float64).reshape(8, 2) * -0.05
-        layer.ffn_b2.value.data = np.array([0.2, -0.1])
+        layer.ffn_w1.data = np.arange(16, dtype=np.float64).reshape(2, 8) * 0.1
+        layer.ffn_b1.data = np.linspace(-0.4, 0.3, 8)
+        layer.ffn_w2.data = np.arange(16, dtype=np.float64).reshape(8, 2) * -0.05
+        layer.ffn_b2.data = np.array([0.2, -0.1])
         a = np.array([[0.7, -1.2], [0.0, 2.0]])
         out = L.pffn(Tensor(a), layer)
         expected = oracle_ffn_row(a, layer.ffn_w1.data, layer.ffn_b1.data,
@@ -511,7 +511,7 @@ class TestPFFN:
         rng = np.random.default_rng(12)
         layer, reg = make_transformer(2, 1, rng)
         a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-        tensors = [a, layer.ffn_w1.value, layer.ffn_b1.value, layer.ffn_w2.value, layer.ffn_b2.value]
+        tensors = [a, layer.ffn_w1, layer.ffn_b1, layer.ffn_w2, layer.ffn_b2]
         check_gradients(lambda: T.l2_sq(L.pffn(a, layer)), tensors, tol=1e-5)
 
 
@@ -520,10 +520,10 @@ class TestTransformerLayer:
         layer, _ = make_transformer(4, 2)
         for plist in (layer.wq, layer.wk, layer.wv):
             for p in plist:
-                p.value.data[:] = 0.0
-        layer.wo.value.data[:] = 0.0
+                p.data[:] = 0.0
+        layer.wo.data[:] = 0.0
         for p in (layer.ffn_w1, layer.ffn_b1, layer.ffn_w2, layer.ffn_b2):
-            p.value.data[:] = 0.0
+            p.data[:] = 0.0
         x = np.random.default_rng(13).standard_normal((3, 4))
         out = L.transformer_layer(Tensor(x), layer, training=False)
         np.testing.assert_allclose(out.data, oracle_layer_norm(oracle_layer_norm(x)), atol=1e-10)
@@ -573,7 +573,7 @@ class TestTransformerLayer:
         rng = np.random.default_rng(20)
         layer, reg = make_transformer(4, 2, rng)
         x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-        tensors = [x] + [p.value for p in reg]
+        tensors = [x] + list(reg)
         def loss():
             user_row = T.reshape(T.select_row(x, 0), (2, 1, 4))
             return T.l2_sq(L.transformer_layer(x, layer, query=user_row))
@@ -586,7 +586,7 @@ class TestTransformerLayer:
         rng = np.random.default_rng(17)
         layer, reg = make_transformer(4, 2, rng)
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        tensors = [x] + [p.value for p in reg]
+        tensors = [x] + list(reg)
         check_gradients(lambda: T.l2_sq(L.transformer_layer(x, layer)), tensors, tol=1e-5, h=1e-3)
 
 
@@ -603,7 +603,7 @@ class TestDenseLayer:
     def test_tower_halves_widths(self):
         reg = ParameterRegistry()
         tower = L.dense_tower(reg, "t", 16, [8, 4, 2], "relu", np.random.default_rng(0))
-        assert [l.weight.value.shape for l in tower] == [(8, 16), (4, 8), (2, 4)]
+        assert [l.weight.shape for l in tower] == [(8, 16), (4, 8), (2, 4)]
 
     def test_unknown_activation(self):
         reg = ParameterRegistry()
@@ -617,4 +617,4 @@ class TestDenseLayer:
         layer = L.DenseLayer.build(reg, "d", 3, 2, "gelu", rng)
         to_float64(reg)
         x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        check_gradients(lambda: T.l2_sq(layer(x)), [x, layer.weight.value, layer.bias.value], tol=1e-5)
+        check_gradients(lambda: T.l2_sq(layer(x)), [x, layer.weight, layer.bias], tol=1e-5)

@@ -96,7 +96,7 @@ class TestITEForward:
     def test_zero_implicit_head_gives_half(self):
         model = ITEModel(4, 4, ite_config(), seed=1)
         to_float64(model.params)
-        model.implicit_head.value.data[:] = 0.0
+        model.implicit_head.data[:] = 0.0
         for u, i in [(0, 0), (3, 2), (1, 3)]:
             x_hat, _ = ite_forward(model, u, i)
             assert x_hat == 0.5
@@ -105,9 +105,9 @@ class TestITEForward:
         # zero GMF tables + a head reading only the GMF half => sigma(0)
         model = ITEModel(4, 4, ite_config(k=2), seed=2)
         to_float64(model.params)
-        model.gmf_user.rows.value.data[:] = 0.0
-        model.implicit_head.value.data[:] = 0.0
-        model.implicit_head.value.data[:2] = 5.0  # GMF half of the implicit layer
+        model.gmf_user.rows.data[:] = 0.0
+        model.implicit_head.data[:] = 0.0
+        model.implicit_head.data[:2] = 5.0  # GMF half of the implicit layer
         x_hat, _ = ite_forward(model, 1, 1)
         assert x_hat == 0.5
 
@@ -116,7 +116,7 @@ class TestITEForward:
         to_float64(model.params)
         rng = np.random.default_rng(33)
         for p in model.params:  # hand-set weights, order 1 magnitudes
-            p.value.data[:] = rng.uniform(-1.0, 1.0, size=p.value.shape)
+            p.data[:] = rng.uniform(-1.0, 1.0, size=p.shape)
         for u in range(4):
             for i in range(4):
                 got = ite_forward(model, u, i)
@@ -131,10 +131,10 @@ class TestITEForward:
 
     def test_tower_shapes_follow_halving_pattern(self):
         model = ITEModel(3, 3, ite_config(k=4, x=3, y=3), seed=0)
-        assert [l.weight.value.shape for l in model.implicit_tower] == [(16, 32), (8, 16), (4, 8)]
-        assert [l.weight.value.shape for l in model.explicit_tower] == [(8, 8), (4, 8), (2, 4)]
-        assert model.implicit_head.value.shape == (8,)   # 2K
-        assert model.explicit_head.value.shape == (2,)
+        assert [l.weight.shape for l in model.implicit_tower] == [(16, 32), (8, 16), (4, 8)]
+        assert [l.weight.shape for l in model.explicit_tower] == [(8, 8), (4, 8), (2, 4)]
+        assert model.implicit_head.shape == (8,)   # 2K
+        assert model.explicit_head.shape == (2,)
 
     def test_outputs_strictly_inside_unit_interval(self):
         model = ITEModel(6, 6, ite_config(k=4, x=2, y=2), seed=5)
@@ -245,7 +245,7 @@ class TestDistinctSideBags:
             for rows in res.embedding_rows:
                 loss = T.add(loss, T.l2_sq(rows))
             loss.backward()
-            grads = {p.name: p.value.grad.copy() for p in model.params if p.value.grad is not None}
+            grads = {p.name: p.grad.copy() for p in model.params if p.grad is not None}
             model.params.zero_grads()
             return res, grads
 
@@ -312,14 +312,14 @@ class TestBertITEForward:
         # phi = u_rep * target embedding; a zero target forces sigma(0)
         model = BertITEModel(3, 4, self.cfg(), seed=12)
         to_float64(model.params)
-        model.item_table.rows.value.data[2] = 0.0
+        model.item_table.rows.data[2] = 0.0
         x_hat, _ = bert_ite_forward(model, 0, [1, 3], 2)
         assert x_hat == 0.5
 
     def test_identical_sequence_items_permutation_invariant(self):
         model = BertITEModel(3, 6, self.cfg(n=4), seed=13)
         to_float64(model.params)
-        model.item_table.rows.value.data[:4] = model.item_table.rows.value.data[0]
+        model.item_table.rows.data[:4] = model.item_table.rows.data[0]
         a = bert_ite_forward(model, 1, [0, 1, 2, 3], 5)
         b = bert_ite_forward(model, 1, [3, 0, 1, 2], 5)
         np.testing.assert_allclose(a, b, atol=1e-12)
@@ -330,7 +330,7 @@ class TestBertITEForward:
         rng = np.random.default_rng(44)
         for p in model.params:
             if "ln" not in p.name:
-                p.value.data[:] = rng.uniform(-0.8, 0.8, size=p.value.shape)
+                p.data[:] = rng.uniform(-0.8, 0.8, size=p.shape)
         got = bert_ite_forward(model, 1, [0, 3], 4)
         np.testing.assert_allclose(got, oracle_bert_forward(model, 1, [0, 3], 4), atol=1e-10)
 
@@ -356,7 +356,7 @@ class TestBertITEForward:
     def test_explicit_tower_widths(self):
         model = BertITEModel(3, 5, ModelConfig(embedding_dim=8, attention_heads=2,
                                                explicit_mlp_layers=3), seed=18)
-        assert [l.weight.value.shape for l in model.explicit_tower] == [(8, 8), (4, 8), (2, 4)]
+        assert [l.weight.shape for l in model.explicit_tower] == [(8, 8), (4, 8), (2, 4)]
 
 
 def full_encoder_forward(model: BertITEModel, users, sequences, targets, side_info=None):
@@ -594,9 +594,9 @@ def randomize_away_from_kinks(model, seed, scale=0.5):
     rng = np.random.default_rng(seed)
     for p in model.params:
         if ".ln" in p.name and "gain" in p.name:
-            p.value.data[:] = 1.0 + rng.uniform(-0.1, 0.1, size=p.value.shape)
+            p.data[:] = 1.0 + rng.uniform(-0.1, 0.1, size=p.shape)
         else:
-            p.value.data[:] = rng.uniform(-scale, scale, size=p.value.shape)
+            p.data[:] = rng.uniform(-scale, scale, size=p.shape)
 
 
 class TestModelGradients:
@@ -606,7 +606,7 @@ class TestModelGradients:
         randomize_away_from_kinks(model, seed=100)
         users = np.array([0, 1, 2])
         items = np.array([1, 3, 0])
-        tensors = [p.value for p in model.params]
+        tensors = list(model.params)
 
         def loss():
             res = model.forward(users, items)
@@ -623,7 +623,7 @@ class TestModelGradients:
         users = np.array([0, 2])
         seqs = np.array([[1, 2], [0, 4]])
         targets = np.array([3, 1])
-        tensors = [p.value for p in model.params]
+        tensors = list(model.params)
 
         def loss():
             res = model.forward(users, seqs, targets)
@@ -641,7 +641,7 @@ class TestModelGradients:
         users = np.array([0, 2])
         seqs = np.array([[1, 2], [0, 4]])
         targets = np.array([3, 1])
-        tensors = [p.value for p in model.params]
+        tensors = list(model.params)
 
         def loss():
             res = model.forward(users, seqs, targets)

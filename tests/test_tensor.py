@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import erf, expit
 
 from feedrank import tensor as T
+from feedrank.models import BertITEModel, ModelConfig
 from feedrank.tensor import ConfigError, ShapeError, Tensor
 
 from conftest import check_gradients, copying_engine, same_bits
@@ -601,6 +602,18 @@ class TestGatherScatter:
         assert table.grad.dtype == dtype and table.grad.shape == (vocab, *dims)
         assert table.grad.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("dims", [(9,), (3, 4), (32,)])
+    def test_rows_of_more_than_8_features_scatter_row_by_row_bit_for_bit(self, dims):
+        rng = np.random.default_rng(dims[0])
+        table = Tensor(rng.standard_normal((4, *dims)).astype(np.float32), requires_grad=True)
+        idx = rng.integers(0, 4, size=(5, 3))
+        w = rng.standard_normal((5, 3, *dims)).astype(np.float32)
+        expected = rng.standard_normal(table.shape).astype(np.float32)
+        table.grad = expected.copy()
+        T.sum_all(T.elementwise_mul(T.gather_rows(table, idx), Tensor(w))).backward()
+        np.add.at(expected, idx, w)
+        assert table.grad.tobytes() == expected.tobytes()
+
 
 class TestEmbeddingBag:
     """embedding_bag sums weighted table rows per bag and skips -1 pads."""
@@ -787,3 +800,38 @@ class TestParameterRegistry:
         reg.add("a", np.zeros(3))
         with pytest.raises(ShapeError):
             reg.load_arrays({"a": np.zeros(4, dtype=np.float32)})
+
+    def test_add_returns_a_named_leaf_tensor(self):
+        reg = T.ParameterRegistry()
+        w = reg.add("w", np.zeros((2, 3), dtype=np.float32))
+        assert isinstance(w, Tensor) and isinstance(w, T.Parameter)
+        assert w.requires_grad and w.name == "w" and w.shape == (2, 3)
+        assert list(reg) == [w]
+
+    def test_add_copies_its_input_and_makes_ints_float32(self):
+        reg = T.ParameterRegistry()
+        src = np.arange(3, dtype=np.float64)
+        a = reg.add("a", src)
+        src[:] = 7.0
+        np.testing.assert_array_equal(a.data, [0.0, 1.0, 2.0])
+        assert a.dtype == np.float64
+        b = reg.add("b", np.arange(3))
+        assert b.dtype == np.float32
+        np.testing.assert_array_equal(b.data, [0.0, 1.0, 2.0])
+
+    def test_backward_and_load_reach_the_objects_the_model_holds(self):
+        config = ModelConfig(embedding_dim=4, attention_heads=2, transformer_layers=1, seq_len=2, dropout=0.0)
+        model = BertITEModel(3, 6, config, seed=0)
+        layer = model.transformer[0]
+        held = [model.user_table.rows, model.item_table.rows, layer.wq[0], layer.wo, layer.ln2_gain,
+                model.implicit_head, model.explicit_tower[0].weight, model.explicit_head]
+        registered = {id(p) for p in model.params}
+        assert all(id(p) in registered for p in held)
+        res = model.forward_batch(np.array([0, 2]), np.array([1, 5]), np.array([[3, 4], [0, 1]]))
+        T.add(T.sum_all(res.x_hat), T.sum_all(res.y_hat)).backward()
+        for p in model.params:
+            assert p.grad is not None and p.grad.shape == p.shape, p.name
+        model.params.load_arrays({name: np.full(arr.shape, 0.5, dtype=np.float32)
+                                  for name, arr in model.params.state_arrays().items()})
+        for p in held:
+            np.testing.assert_array_equal(p.data, np.full(p.shape, 0.5, dtype=np.float32))

@@ -422,14 +422,14 @@ class TestAdam:
     def test_zero_gradient_keeps_parameter(self):
         reg, w = self.make_param([1.0, -2.0])
         opt = Adam(reg, learning_rate=0.1)
-        w.value.grad = np.zeros(2)
+        w.grad = np.zeros(2)
         opt.step()
         np.testing.assert_array_equal(w.data, [1.0, -2.0])
 
     def test_first_step_closed_form(self):
         reg, w = self.make_param([0.5])
         opt = Adam(reg, learning_rate=0.001)
-        w.value.grad = np.array([1.0])
+        w.grad = np.array([1.0])
         opt.step()
         delta = w.data[0] - 0.5
         g = 1.0
@@ -452,14 +452,14 @@ class TestAdam:
         reg, w = self.make_param(theta)
         opt = Adam(reg, learning_rate=lr, beta1=b1, beta2=b2, eps=eps)
         for _ in range(2):
-            w.value.grad = g.copy()
+            w.grad = g.copy()
             opt.step()
         np.testing.assert_allclose(w.data, expected, atol=1e-9)
 
     def test_gradients_cleared_after_step(self):
         reg, w = self.make_param([1.0])
         opt = Adam(reg)
-        w.value.grad = np.array([1.0])
+        w.grad = np.array([1.0])
         opt.step()
         assert w.grad is None
 
@@ -603,7 +603,7 @@ class TestEpochLoop:
 
         class GradientSpy:
             def step(self):
-                self.grads = {p.name: p.value.grad.copy() for p in model.params}
+                self.grads = {p.name: p.grad.copy() for p in model.params}
                 model.params.zero_grads()
 
         spy = GradientSpy()
@@ -622,7 +622,7 @@ class TestEpochLoop:
         loss.backward()
         assert report.mean_loss == pytest.approx(loss.item(), rel=1e-12)
         for p in model.params:
-            ref = p.value.grad
+            ref = p.grad
             assert np.linalg.norm(spy.grads[p.name] - ref) <= 1e-12 * np.linalg.norm(ref), p.name
 
     def test_batches_without_explicit_rows_train(self):
@@ -665,7 +665,7 @@ class TestEpochLoop:
         store, _ = small_prepared
         model = ITEModel(store.num_users, store.num_items,
                          ModelConfig(embedding_dim=4, attention_heads=2), seed=9)
-        model.gmf_user.rows.value.data[user] = np.nan
+        model.gmf_user.rows.data[user] = np.nan
         config = cfg(batch_size=batch_size)
         rows = build_epoch_examples(store, config.negatives_per_positive, np.random.default_rng(3))
         step = int(np.flatnonzero(rows[:, 1] == user)[0]) // batch_size + 1
