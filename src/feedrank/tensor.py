@@ -615,18 +615,11 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
                 # the flat scatter below must write through a view of grad
                 table.grad = np.ascontiguousarray(table.grad)
             # one 1-D scatter of element offsets takes numpy's fast ufunc.at
-            # path, where a row-wise scatter does not. Up to 8 features a row,
-            # offsets and g go feature-major ([k, rows]), so the broadcast
-            # runs the row count long; longer rows touch fewer cache lines row
-            # by row. Each element gets its additions in occurrence order
-            # either way, so the sums are bit-identical to a row-wise scatter
+            # path, where a row-wise scatter does not; elements are added in
+            # the same order, so the sums are bit-identical
             k = math.prod(table.shape[1:])
-            starts = idx.reshape(-1).astype(np.intp, copy=False) * k
-            if k <= 8:
-                offsets, values = np.arange(k)[:, None] + starts, g.reshape(idx.size, k).T
-            else:
-                offsets, values = starts[:, None] + np.arange(k), g
-            np.add.at(table.grad.reshape(-1), offsets.reshape(-1), values.reshape(-1))
+            offsets = idx.reshape(-1, 1).astype(np.intp, copy=False) * k + np.arange(k)
+            np.add.at(table.grad.reshape(-1), offsets.reshape(-1), g.reshape(-1))
 
     return _make(data, (table,), backward)
 

@@ -294,36 +294,33 @@ def reference_draw_unobserved(observed, users, need, num_items, width, rng):
 
 def per_occurrence_side_bags(model, side_info, users, *items):
     """``models._ImplicitExplicitModel._side_bags`` as it was before bags
-    were fetched per distinct id: every occurrence's own bag (the items'
-    over every item array in turn), with inverses that give occurrence k
-    bag k."""
+    were fetched per distinct id, and blind to which inverse the model hands
+    each lookup: a table's bags are a reader of ``side_info`` that
+    ``per_occurrence_lookup`` calls on the ids it looks up. The inverses
+    returned only have the shapes of the id arrays."""
     mode = model.config.side_info_mode
     if mode == "none":
         return (None, None), (None, None), (None,) * (1 + len(items))
-    user, user_at = (None, None), None
-    if mode == "user_and_item":
-        user, user_at = side_info.user_matrix(users), np.arange(users.size).reshape(users.shape)
-    flat = np.concatenate([x.reshape(-1) for x in items])
-    ats = np.split(np.arange(flat.size), np.cumsum([x.size for x in items])[:-1])
-    return (user, (side_info.item_matrix(flat), None),
-            (user_at,) + tuple(at.reshape(x.shape) for x, at in zip(items, ats)))
+    user = (side_info.user_matrix, None) if mode == "user_and_item" else (None, None)
+    item = (lambda ids: (side_info.item_matrix(ids), None), None)
+    return (user, item, (None if user[0] is None else np.zeros(users.shape, np.intp),)
+            + tuple(np.zeros(x.shape, np.intp) for x in items))
 
 
-def per_occurrence_side_columns(table, ids, weights=None):
-    """Holds the bags back for ``per_occurrence_lookup``, which sums them."""
-    return None if ids is None else (ids, weights)
+def per_occurrence_side_columns(table, read, weights=None):
+    """Holds the bag reader back for ``per_occurrence_lookup``."""
+    return read
 
 
 def per_occurrence_lookup(table, indices, columns=None, inverse=None):
     """``layers.EmbeddingTable.lookup`` as it was before bags were summed per
-    distinct id: every occurrence's bag product (``inverse`` picks its bag
-    from ``columns``, the bags ``per_occurrence_side_columns`` held back) is
-    summed on its own."""
+    distinct id: every occurrence's bag product is summed on its own, from
+    the bag its own id has in the side information (``columns``, the reader
+    ``per_occurrence_side_columns`` held back); ``inverse`` is unused."""
     out = T.gather_rows(table.rows, indices)
     if columns is not None:
-        ids, weights = columns
-        out = T.add(out, T.embedding_bag(T.transpose_last2(table.side_projection), ids[inverse],
-                                         None if weights is None else weights[inverse]))
+        ids, weights = columns(indices)
+        out = T.add(out, T.embedding_bag(T.transpose_last2(table.side_projection), ids, weights))
     return out
 
 

@@ -602,18 +602,6 @@ class TestGatherScatter:
         assert table.grad.dtype == dtype and table.grad.shape == (vocab, *dims)
         assert table.grad.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("dims", [(9,), (3, 4), (32,)])
-    def test_rows_of_more_than_8_features_scatter_row_by_row_bit_for_bit(self, dims):
-        rng = np.random.default_rng(dims[0])
-        table = Tensor(rng.standard_normal((4, *dims)).astype(np.float32), requires_grad=True)
-        idx = rng.integers(0, 4, size=(5, 3))
-        w = rng.standard_normal((5, 3, *dims)).astype(np.float32)
-        expected = rng.standard_normal(table.shape).astype(np.float32)
-        table.grad = expected.copy()
-        T.sum_all(T.elementwise_mul(T.gather_rows(table, idx), Tensor(w))).backward()
-        np.add.at(expected, idx, w)
-        assert table.grad.tobytes() == expected.tobytes()
-
 
 class TestEmbeddingBag:
     """embedding_bag sums weighted table rows per bag and skips -1 pads."""
