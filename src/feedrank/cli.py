@@ -58,10 +58,10 @@ def keep_freed_memory() -> bool:
     By default glibc hands the free top of the heap back to the kernel once
     it exceeds a trim threshold, and serves blocks above an mmap threshold
     with their own mappings; both thresholds follow the largest block freed
-    so far. Evaluation frees a few MB of activations after every candidate
-    chunk, so each chunk would fault its pages in afresh. This sets the mmap
-    threshold to glibc's cap and the trim threshold to 256 MiB: freed blocks
-    stay in the heap for the next chunk, and each heap may keep up to
+    so far. Evaluation frees a few MB of activations after every case's
+    forward, so each forward would fault its pages in afresh. This sets the
+    mmap threshold to glibc's cap and the trim threshold to 256 MiB: freed
+    blocks stay in the heap for the next forward, and each heap may keep up to
     256 MiB of freed memory at its top. Setting either one turns the moving
     thresholds off, so both are set. Returns whether they were; where
     ``mallopt`` is missing or refuses the mmap threshold, nothing changes.

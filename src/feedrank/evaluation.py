@@ -18,10 +18,6 @@ from .data import IMPLICIT, EvalCase, InteractionStore, SideInfo
 from .models import predict_score
 from .training import pad_sequence
 
-# candidates per forward of a sequence model, whose candidates each carry
-# [n+2, 4K] activations; an ite case is scored in one forward
-CHUNK = 512
-
 
 def hr_at_k(rank: int, k: int) -> int:
     """1 when the ground-truth item lands in the top k, else 0."""
@@ -51,8 +47,8 @@ def rank_of_first(scores: np.ndarray, item_ids: np.ndarray) -> int:
 
 def _case_scores(model, case: EvalCase, candidates: np.ndarray, store: Optional[InteractionStore],
                  side_info: Optional[SideInfo], seed: int) -> np.ndarray:
-    """Scores of ``candidates`` (int64: the case's item, then its negatives)."""
-    scores = np.empty(candidates.size, dtype=np.float64)
+    """Scores of ``candidates`` (int64: the case's item, then its
+    negatives), all in one forward."""
     # every candidate shares the case's user and context rows
     users = np.array([case.user], dtype=np.int64)
     contexts = None
@@ -65,14 +61,9 @@ def _case_scores(model, case: EvalCase, candidates: np.ndarray, store: Optional[
             observed = np.insert(observed, at, key)
         contexts = pad_sequence(np.asarray(case.history, dtype=np.int64)[None, :], model.config.seq_len,
                                 store.num_items, observed, np.random.default_rng([seed, case.user]), users=users)
-    chunk = candidates.size if contexts is None else CHUNK
-    for start in range(0, candidates.size, chunk):
-        part = candidates[start:start + chunk]
-        with T.no_grad():
-            res = model.forward_batch(users, part, contexts, side_info)
-        scores[start:start + part.size] = predict_score(
-            res.x_hat.data.astype(np.float64), res.y_hat.data.astype(np.float64))
-    return scores
+    with T.no_grad():
+        res = model.forward_batch(users, candidates, contexts, side_info)
+    return predict_score(res.x_hat.data.astype(np.float64), res.y_hat.data.astype(np.float64))
 
 
 def case_rank(model, case: EvalCase, store: Optional[InteractionStore] = None,

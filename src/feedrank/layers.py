@@ -13,6 +13,10 @@ import numpy as np
 from . import tensor as T
 from .tensor import ConfigError, Parameter, ParameterRegistry, ShapeError, Tensor
 
+# candidates per block of the shared-prefix layer's row-wise half: a
+# block's [4d, (t + 1)·B] hidden array stays in cache
+BLOCK = 128
+
 ACTIVATIONS = {
     "relu": T.relu,
     "sigmoid": T.sigmoid,
@@ -233,29 +237,42 @@ def _shared_prefix_attention(x: np.ndarray, tg: np.ndarray, layer: TransformerLa
 def _shared_prefix_layer(x: Tensor, target: Tensor, layer: TransformerLayer) -> Tensor:
     """``transformer_layer`` over the C sequences ``[x; target[c]]`` for a
     prefix ``x`` [1, t, d] and targets [C, 1, d], as their [C, t + 1, d]
-    rows. Every step after the attention is per row, so the layer runs on
-    one feature-major [d, (t + 1)·C] array: each weight is one GEMM from the
-    left, each per-feature bias and gain a broadcast along the rows, and
-    each layer norm normalises that array's columns in place. The rows are
-    written row-major once, at the end."""
+    rows. The attention and its residual run once over all C candidates.
+    Every step after them is per row, so it runs on blocks of ``BLOCK``
+    candidates, each one feature-major [d, (t + 1)·B] array in buffers that
+    stay in cache: each weight is one GEMM from the left, each per-feature
+    bias and gain a broadcast along the rows, and each layer norm
+    normalises the block's columns in place. Each block's rows are written
+    straight into the C-contiguous output. Each column is computed alone,
+    so the block size changes no value."""
     for a in (x, target):
         if a.shape[-1] != layer.dim:
             raise ShapeError(f"input dim {a.shape[-1]} vs layer dim {layer.dim}")
     xs, tg = x.data[0], target.data[:, 0].T                # [t, d], [d, C]
     (d, c), t = tg.shape, xs.shape[0]
-    a = _shared_prefix_attention(xs, tg, layer)
-    a[:, :t] += xs.T[:, :, None]
-    a[:, t] += tg
-    a = a.reshape(d, (t + 1) * c)
-    T._layer_norm_features(a, layer.ln1_gain.data, layer.ln1_bias.data, out=a)
-    hidden = layer.ffn_w1.data.T @ a
-    hidden += layer.ffn_b1.data[:, None]
-    hidden = T.gelu(Tensor(hidden)).data
-    out = layer.ffn_w2.data.T @ hidden
-    out += layer.ffn_b2.data[:, None]
-    out += a
-    T._layer_norm_features(out, layer.ln2_gain.data, layer.ln2_bias.data, out=out)
-    return Tensor(np.ascontiguousarray(out.reshape(d, t + 1, c).transpose(2, 1, 0)))
+    att = _shared_prefix_attention(xs, tg, layer)          # [d, t + 1, C]
+    att[:, :t] += xs.T[:, :, None]
+    att[:, t] += tg
+    out = np.empty((c, t + 1, d), dtype=att.dtype)
+    # every block works in the front of buffers sized for the widest block,
+    # so the same memory stays in cache from block to block
+    widest = (t + 1) * min(BLOCK, c)
+    a_buf, h_buf, r_buf = (np.empty(k * d * widest, dtype=att.dtype) for k in (1, 4, 1))
+    for start in range(0, c, BLOCK):
+        stop = min(start + BLOCK, c)
+        block, n = slice(start, stop), (t + 1) * (stop - start)
+        a = a_buf[:d * n].reshape(d, n)
+        a.reshape(d, t + 1, -1)[...] = att[:, :, block]
+        T._layer_norm_features(a, layer.ln1_gain.data, layer.ln1_bias.data, out=a)
+        hidden = np.matmul(layer.ffn_w1.data.T, a, out=h_buf[:4 * d * n].reshape(4 * d, n))
+        hidden += layer.ffn_b1.data[:, None]
+        hidden = T.gelu(Tensor(hidden)).data
+        rows = np.matmul(layer.ffn_w2.data.T, hidden, out=r_buf[:d * n].reshape(d, n))
+        rows += layer.ffn_b2.data[:, None]
+        rows += a
+        T._layer_norm_features(rows, layer.ln2_gain.data, layer.ln2_bias.data, out=rows)
+        out[block] = rows.reshape(d, t + 1, -1).transpose(2, 1, 0)
+    return Tensor(out)
 
 
 def pffn(a: Tensor, layer: TransformerLayer) -> Tensor:

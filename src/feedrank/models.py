@@ -230,11 +230,12 @@ class BertITEModel(_ImplicitExplicitModel):
         ``users`` [1] with ``sequences`` [1, n] scores B > 1 targets against
         one shared user and context (a leading 1 broadcasts, as in numpy).
         The first of two or more layers then attends among the shared rows
-        once, not once per target, and runs whole on one feature-major
-        array (``layers._shared_prefix_layer``); the scores agree with
-        scoring each target alone to float rounding. This form is forward
-        only: it raises ``ConfigError`` under ``training`` or outside
-        ``no_grad()``.
+        once, not once per target, and runs its row-wise half on
+        feature-major blocks of ``layers.BLOCK`` targets
+        (``layers._shared_prefix_layer``); the scores agree with scoring
+        each target alone to float rounding, and do not depend on how many
+        targets one call scores. This form is forward only: it raises
+        ``ConfigError`` under ``training`` or outside ``no_grad()``.
         """
         users = np.asarray(users)
         sequences = np.asarray(sequences)

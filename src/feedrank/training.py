@@ -245,7 +245,8 @@ class Adam:
             v += (1.0 - self.beta2) * (g * g)
             m_hat = m / correction1
             v_hat = v / correction2
-            p.data -= (self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.data.dtype)
+            update = self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= update.astype(p.data.dtype, copy=False)
         self.params.zero_grads()
 
 

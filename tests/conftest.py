@@ -120,6 +120,27 @@ def copying_engine():
         yield
 
 
+def whole_array_shared_prefix_layer(x, target, layer):
+    """``layers._shared_prefix_layer`` as it ran before its row-wise half
+    went in candidate blocks: the residual, both layer norms and the PFFN on
+    one feature-major [d, (t + 1)·C] array, written row-major at the end."""
+    xs, tg = x.data[0], target.data[:, 0].T
+    (d, c), t = tg.shape, xs.shape[0]
+    a = L._shared_prefix_attention(xs, tg, layer)
+    a[:, :t] += xs.T[:, :, None]
+    a[:, t] += tg
+    a = a.reshape(d, (t + 1) * c)
+    T._layer_norm_features(a, layer.ln1_gain.data, layer.ln1_bias.data, out=a)
+    hidden = layer.ffn_w1.data.T @ a
+    hidden += layer.ffn_b1.data[:, None]
+    hidden = T.gelu(T.Tensor(hidden)).data
+    out = layer.ffn_w2.data.T @ hidden
+    out += layer.ffn_b2.data[:, None]
+    out += a
+    T._layer_norm_features(out, layer.ln2_gain.data, layer.ln2_bias.data, out=out)
+    return np.ascontiguousarray(out.reshape(d, t + 1, c).transpose(2, 1, 0))
+
+
 def same_bits(a, b) -> bool:
     """Equal shape, dtype and bytes: bit for bit, -0.0 and NaN payloads
     included, whatever either array's memory layout."""

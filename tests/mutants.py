@@ -101,6 +101,19 @@ MUTANTS = (
            "src/feedrank/tensor.py",
            "offsets.reshape(-1), g.reshape(-1))", "offsets.reshape(-1), g.reshape(idx.size, k).T.reshape(-1))",
            ("tests/test_tensor.py::TestGatherScatter::test_gradient_equals_row_wise_scatter_bit_for_bit",)),
+    Mutant("the shared-prefix layer writes its candidate blocks in reverse order",
+           "src/feedrank/layers.py",
+           "out[block] = rows", "out[c - stop:c - start] = rows",
+           ("tests/test_layers.py::TestSharedPrefixLayer::test_candidate_blocks_match_the_whole_array_layer",
+            "tests/test_evaluation.py::TestSequenceModelEvaluation::"
+            "test_shared_context_scores_match_one_candidate_at_a_time")),
+    Mutant("the shared-prefix layer skips the first layer norm after its first candidate block",
+           "src/feedrank/layers.py",
+           "        T._layer_norm_features(a, layer.ln1_gain.data",
+           "        if start == 0:\n            T._layer_norm_features(a, layer.ln1_gain.data",
+           ("tests/test_layers.py::TestSharedPrefixLayer::test_candidate_blocks_match_the_whole_array_layer",
+            "tests/test_evaluation.py::TestSequenceModelEvaluation::"
+            "test_shared_context_scores_match_one_candidate_at_a_time")),
     Mutant("a parameter shares the array it was built from",
            "src/feedrank/tensor.py",
            "p = Parameter(name, np.array(data))", "p = Parameter(name, data)",

@@ -830,14 +830,14 @@ class TestMemoryPolicy:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is set through glibc")
     def test_chunked_bert_forward_reuses_freed_memory(self):
         # eval-bert's shape: a bert-ite model over 1,100 items scoring one
-        # case's 512-candidate chunks; without the policy each chunk faults
-        # about a thousand fresh pages in
+        # case's 1,000 candidates in one forward; without the policy each
+        # forward faults about 500 fresh pages in
         assert cli.keep_freed_memory()
         model = build_model("bert-ite", 60, 1100, ModelConfig(embedding_dim=8), seed=42)
         rng = np.random.default_rng(0)
         users = np.array([7], dtype=np.int64)
         contexts = rng.integers(0, 1100, size=(1, 20))
-        candidates = rng.integers(0, 1100, size=512)
+        candidates = rng.integers(0, 1100, size=1000)
 
         def chunks(count):
             with no_grad():

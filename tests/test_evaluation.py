@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feedrank import evaluation
+from feedrank import evaluation, layers
 from feedrank.data import (DataError, EvalCase, InteractionStore, build_side_info, ingest, leave_one_out_split,
                            read_category_pairs)
 from feedrank.evaluation import (case_rank, case_ranks, evaluate, hr_at_k, ndcg_at_k, rank_of_first,
@@ -35,6 +35,18 @@ class FakeModel:
 def case(user, item, negatives, history=()):
     return EvalCase(user, item, np.asarray(negatives, dtype=np.int64),
                     np.asarray(history, dtype=np.int64))
+
+
+def chunked_scores(forward, user, candidates, *rest):
+    """Scores of ``candidates`` for ``user`` from forwards of at most 512
+    of them each."""
+    scores = np.empty(candidates.size)
+    with no_grad():
+        for start in range(0, candidates.size, 512):
+            res = forward(np.array([user]), candidates[start:start + 512], *rest)
+            scores[start:start + 512] = predict_score(res.x_hat.data.astype(np.float64),
+                                                      res.y_hat.data.astype(np.float64))
+    return scores
 
 
 class TestPointMetrics:
@@ -190,12 +202,7 @@ class TestIteEvaluation:
             p.data[:] = rng.uniform(-1, 1, p.shape)
         c = case(2, 5, rng.permutation(1100)[:999])
         candidates = np.concatenate([[c.item], c.negatives])
-        chunked = np.empty(candidates.size)
-        with no_grad():
-            for start in range(0, candidates.size, evaluation.CHUNK):
-                res = model.forward_batch(np.array([c.user]), candidates[start:start + evaluation.CHUNK])
-                chunked[start:start + evaluation.CHUNK] = predict_score(res.x_hat.data.astype(np.float64),
-                                                           res.y_hat.data.astype(np.float64))
+        chunked = chunked_scores(model.forward_batch, c.user, candidates)
         sizes = []
         forward = model.forward_batch
         monkeypatch.setattr(model, "forward_batch",
@@ -247,7 +254,7 @@ class TestSequenceModelEvaluation:
 
     @pytest.mark.parametrize("variant", ["bert-ite", "bert-ite-si", "bert-ite-ossi"])
     def test_shared_context_scores_match_one_candidate_at_a_time(self, tmp_path, variant):
-        # 513 candidates cross the 512-row chunk boundary
+        # 513 candidates end in a one-candidate block of the shared-prefix layer
         events, cats = planted_dataset(tmp_path, num_groups=4, users_per_group=3, items_per_group=6)
         train, _ = leave_one_out_split(ingest(str(events)), num_negatives=8, seed=0)
         side = build_side_info(train, read_category_pairs(str(cats)))
@@ -270,6 +277,29 @@ class TestSequenceModelEvaluation:
         assert scores.size == 513
         np.testing.assert_allclose(scores, one_at_a_time, rtol=1e-5, atol=0)
 
+    @pytest.mark.parametrize("variant", ["bert-ite", "bert-ite-si"])
+    def test_case_scored_in_one_forward_equal_to_chunked(self, tmp_path, monkeypatch, variant):
+        events, cats = planted_dataset(tmp_path, num_groups=4, users_per_group=3, items_per_group=6)
+        train, _ = leave_one_out_split(ingest(str(events)), num_negatives=8, seed=0)
+        side = build_side_info(train, read_category_pairs(str(cats)))
+        model = build_model(variant, train.num_users, train.num_items,
+                            ModelConfig(embedding_dim=8, seq_len=4, transformer_layers=2,
+                                        attention_heads=2, side_dim=side.num_categories), seed=5)
+        rng = np.random.default_rng(3)
+        for p in model.params:
+            p.data[:] = rng.uniform(-1, 1, p.shape)
+        c = case(4, 2, rng.integers(0, train.num_items, 999), rng.integers(0, train.num_items, 2))
+        candidates = np.concatenate([[c.item], c.negatives])
+        calls = []
+        forward = model.forward_batch
+        monkeypatch.setattr(model, "forward_batch",
+                            lambda users, items, contexts, *rest: calls.append((items.size, contexts))
+                            or forward(users, items, contexts, *rest))
+        scores = evaluation._case_scores(model, c, candidates, train, side, seed=0)
+        [(size, contexts)] = calls
+        assert size == 1000
+        assert scores.tobytes() == chunked_scores(forward, c.user, candidates, contexts, side).tobytes()
+
     def test_bert_workers_do_not_change_ranks(self, tmp_path, monkeypatch):
         events, _ = planted_dataset(tmp_path, num_groups=3, users_per_group=3,
                                     items_per_group=8, explicit_per_user=2)
@@ -277,7 +307,8 @@ class TestSequenceModelEvaluation:
         model = BertITEModel(train.num_users, train.num_items,
                              ModelConfig(embedding_dim=4, seq_len=3, transformer_layers=2,
                                          attention_heads=2), seed=4)
-        monkeypatch.setattr(evaluation, "CHUNK", 5)
+        # blocks of 5 candidates: each thread crosses block edges within its case
+        monkeypatch.setattr(layers, "BLOCK", 5)
         assert (case_ranks(model, cases, train, seed=2, workers=2)
                 == case_ranks(model, cases, train, seed=2, workers=1))
 

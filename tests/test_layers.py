@@ -13,7 +13,7 @@ from feedrank.data import SideInfo
 from feedrank.tensor import ConfigError, ParameterRegistry, ShapeError, Tensor
 
 from conftest import (check_gradients, csr_to_dense, same_bits, scaled_scores_attention, side_bag,
-                      to_float64)
+                      to_float64, whole_array_shared_prefix_layer)
 
 
 def make_table(rows, side_projection=None):
@@ -470,6 +470,21 @@ class TestSharedPrefixLayer:
     def test_matches_explicit_batch(self, c, t, heads, head_dim, seed):
         check_matches_explicit_batch(self.shared_and_explicit, self.rounding_gain,
                                      c, t, heads, head_dim, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.sampled_from([1, L.BLOCK - 1, L.BLOCK, L.BLOCK + 1, 2 * L.BLOCK + 3]), t=st.integers(1, 8),
+           heads=st.sampled_from([1, 2, 4]), head_dim=st.integers(1, 3), seed=st.integers(0, 2 ** 31 - 1))
+    def test_candidate_blocks_match_the_whole_array_layer(self, c, t, heads, head_dim, seed):
+        # C on either side of the block size: one partial block, one full
+        # block, and full blocks followed by a partial one
+        layer, reg, prefix, targets = shared_prefix_case(np.random.default_rng(seed), c, t, heads, head_dim)
+        to_float64(reg)
+        prefix, targets = Tensor(prefix.astype(np.float64)), Tensor(targets.astype(np.float64))
+        with T.no_grad():
+            blocked = L.transformer_layer(prefix, layer, target=targets).data
+        whole = whole_array_shared_prefix_layer(prefix, targets, layer)
+        assert blocked.shape == (c, t + 1, heads * head_dim) and blocked.flags.c_contiguous
+        np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_large_parameters_stay_finite(self, dtype):
