@@ -55,7 +55,7 @@ class DenseLayer:
         return cls(w, b, activation)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.add(T.matmul(x, T.transpose_last2(self.weight)), self.bias)
+        y = T.linear(x, self.weight, self.bias)
         return ACTIVATIONS[self.activation](y)
 
 

@@ -1,8 +1,9 @@
 """Dense tensor engine: numpy arrays with reverse-mode gradients.
 
 Every forward op builds a node holding a backward closure; calling
-``backward()`` on a scalar walks the graph in reverse topological order and
-accumulates gradients into each ``requires_grad`` leaf. A node's ``grad`` is
+``backward()`` on a scalar walks the graph in reverse topological order,
+accumulates gradients into each ``requires_grad`` leaf, and unlinks each
+interior node as soon as its backward has run. A node's ``grad`` is
 its own: its backward may overwrite it in place and may hand it, or disjoint
 views of it, to one parent, which keeps the array it is given. Only ``add``
 gives one gradient to two operands, so it copies for the second. Ops operate
@@ -102,15 +103,16 @@ class Tensor:
             raise ShapeError(f"backward() requires a scalar, got shape {self.shape}")
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-        # interior grads are no longer needed; keep leaf grads only
-        for node in reversed(order):
+        while order:
+            # every consumer of a node runs before it, so once its backward
+            # has run nothing reads its gradient, parents or closure again;
+            # dropping them frees what only the graph held, often its
+            # output, before the next backward runs. Leaves keep ``grad``.
+            node = order.pop()
             if node._backward is not None:
-                node.grad = None
-                node._parents = ()
-                node._backward = None
+                if node.grad is not None:
+                    node._backward(node.grad)
+                node.grad, node._parents, node._backward = None, (), None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -308,6 +310,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, _unbroadcast(gb, b.shape))
 
     return _make(data, (a, b), backward)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``x @ weight.T + bias`` for ``weight`` stored [out, in] and ``bias``
+    [out], as one node. It does the products and sums of ``add(matmul(x,
+    transpose_last2(weight)), bias)``, so its outputs and gradients are
+    bit-identical to that composition's for operands of one dtype, without
+    its two interior nodes or a second [rows, out] array: the bias is added
+    into the product."""
+    if x.ndim < 2 or weight.ndim != 2:
+        raise ShapeError(f"linear needs a >=2-D input and a 2-D weight, got {x.shape} and {weight.shape}")
+    if x.shape[-1] != weight.shape[1] or bias.shape != weight.shape[:1]:
+        raise ShapeError(f"linear input {x.shape}, weight {weight.shape} and bias {bias.shape} disagree")
+    k = x.shape[-1]
+    # matmul's forms: one GEMM over every leading row of a 3-D ``x``
+    if x.ndim > 2:
+        data = (x.data.reshape(-1, k) @ weight.data.T).reshape(x.shape[:-1] + weight.shape[:1])
+    else:
+        data = x.data @ weight.data.T
+    data += bias.data
+
+    def backward(g: np.ndarray) -> None:
+        if bias.requires_grad:
+            _accumulate(bias, _unbroadcast(g, bias.shape))
+        g2 = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            _accumulate(x, (g2 @ weight.data).reshape(x.shape))
+        if weight.requires_grad:
+            _accumulate(weight, (x.data.reshape(-1, k).T @ g2).T)
+
+    return _make(data, (x, weight, bias), backward)
 
 
 def transpose_last2(x: Tensor) -> Tensor:

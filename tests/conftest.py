@@ -84,6 +84,13 @@ def copying_accumulate(t, g):
         t.grad += g
 
 
+def composed_linear(x, weight, bias):
+    """``tensor.linear`` as ``DenseLayer`` composed it before it was one node:
+    a product with the weight's transposed view, then a bias add. The fused
+    op must match its outputs and gradients bit for bit."""
+    return T.add(T.matmul(x, T.transpose_last2(weight)), bias)
+
+
 def scaled_scores_attention(h, layer, query=None):
     """``layers.multi_head_self_attention`` as it was before the scale fold
     and the one-query fold: each head projects every query, key and value

@@ -118,6 +118,25 @@ MUTANTS = (
            "src/feedrank/tensor.py",
            "p = Parameter(name, np.array(data))", "p = Parameter(name, data)",
            ("tests/test_tensor.py::TestParameterRegistry::test_add_copies_its_input_and_makes_ints_float32",)),
+    Mutant("linear drops its bias gradient",
+           "src/feedrank/tensor.py",
+           "_accumulate(bias, _unbroadcast(g, bias.shape))", "pass",
+           ("tests/test_tensor.py::TestLinear::test_bit_identical_to_the_composed_form",
+            "tests/test_tensor.py::TestLinear::test_gradients_match_finite_differences")),
+    Mutant("linear leaves its weight gradient untransposed, which only a square layer survives",
+           "src/feedrank/tensor.py",
+           "_accumulate(weight, (x.data.reshape(-1, k).T @ g2).T)",
+           "_accumulate(weight, x.data.reshape(-1, k).T @ g2)",
+           ("tests/test_tensor.py::TestLinear::test_bit_identical_to_the_composed_form",
+            "tests/test_tensor.py::TestLinear::test_gradients_match_finite_differences")),
+    Mutant("the backward walk clears a node before its backward runs",
+           "src/feedrank/tensor.py",
+           "                if node.grad is not None:\n                    node._backward(node.grad)\n"
+           "                node.grad, node._parents, node._backward = None, (), None\n",
+           "                node.grad, node._parents, node._backward = None, (), None\n"
+           "                if node.grad is not None:\n                    node._backward(node.grad)\n",
+           ("tests/test_tensor.py::TestBackwardWalk::test_a_consumer_is_freed_before_its_parents_backward_runs",
+            "tests/test_tensor.py::TestMatmul::test_gradient_matches_finite_differences")),
 )
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from feedrank import tensor as T
 from feedrank.models import BertITEModel, ModelConfig
 from feedrank.tensor import ConfigError, ShapeError, Tensor
 
-from conftest import check_gradients, copying_engine, same_bits
+from conftest import check_gradients, composed_linear, copying_engine, same_bits
 from test_layers import oracle_layer_norm
 
 
@@ -88,6 +89,77 @@ class TestAccumulate:
         np.testing.assert_array_equal(x.grad, g)
         np.testing.assert_array_equal(y.grad, g)
         assert not np.shares_memory(x.grad, y.grad)
+
+
+class TestLinear:
+    """``linear`` against ``conftest.composed_linear``, the three ops it
+    replaces in every dense layer."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(lead=st.lists(st.integers(1, 5), min_size=1, max_size=3), k=st.integers(1, 9),
+           out=st.integers(1, 9), square=st.booleans(), x_grad=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(lead=[3], k=4, out=4, square=True, x_grad=True, seed=0)
+    @example(lead=[2, 3], k=5, out=2, square=False, x_grad=True, seed=1)
+    def test_bit_identical_to_the_composed_form(self, lead, k, out, square, x_grad, seed):
+        out = k if square else out
+        rng = np.random.default_rng(seed)
+        draw = lambda *shape: rng.standard_normal(shape).astype(np.float32)
+        xs, w, b, c = draw(*lead, k), draw(out, k), draw(out), draw(*lead, out)
+        results = []
+        for op in (T.linear, composed_linear):
+            x = Tensor(xs.copy(), requires_grad=x_grad)
+            weight, bias = Tensor(w.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
+            y = op(x, weight, bias)
+            # relu hands on a gradient with zeros, as in a dense tower
+            T.sum_all(T.elementwise_mul(T.relu(y), Tensor(c))).backward()
+            results.append((y.data, x.grad, weight.grad, bias.grad))
+        for got, want in zip(*results):
+            assert (got is None) == (want is None)
+            assert got is None or same_bits(got, want)
+
+    @pytest.mark.parametrize("x_shape,out", [((2, 3, 4), 4), ((5, 3), 2)])
+    def test_gradients_match_finite_differences(self, x_shape, out):
+        rng = np.random.default_rng(3)
+        x = t64(rng.standard_normal(x_shape), requires_grad=True)
+        weight = t64(rng.standard_normal((out, x_shape[-1])), requires_grad=True)
+        bias = t64(rng.standard_normal(out), requires_grad=True)
+        c = t64(rng.standard_normal(x_shape[:-1] + (out,)))
+        check_gradients(lambda: T.sum_all(T.elementwise_mul(T.linear(x, weight, bias), c)),
+                        [x, weight, bias])
+
+    def test_shape_mismatches_name_the_shapes(self):
+        x, weight = t64(np.ones((2, 3))), t64(np.ones((4, 3)))
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
+            T.linear(x, t64(np.ones((4, 2))), t64(np.ones(4)))
+        with pytest.raises(ShapeError, match=r"bias \(3,\)"):
+            T.linear(x, weight, t64(np.ones(3)))
+        with pytest.raises(ShapeError, match="2-D weight"):
+            T.linear(x, t64(np.ones((1, 4, 3))), t64(np.ones(4)))
+
+
+class TestBackwardWalk:
+    def test_a_consumer_is_freed_before_its_parents_backward_runs(self):
+        x = t64(np.linspace(-1.0, 1.0, 6).reshape(2, 3), requires_grad=True)
+        parent = T.scale(x, 2.0)
+        consumer = T.sigmoid(parent)
+        output = weakref.ref(consumer.data)
+        loss = T.sum_all(consumer)
+        del consumer
+        freed, parent_backward = [], parent._backward
+
+        def spy(g):
+            freed.append(output() is None)
+            parent_backward(g)
+
+        parent._backward = spy
+        loss.backward()
+        assert freed == [True]
+        s = 1.0 / (1.0 + np.exp(-2.0 * x.data))
+        np.testing.assert_allclose(x.grad, 2.0 * s * (1.0 - s), rtol=1e-12)
+        # interior nodes leave the graph; the leaf keeps its gradient
+        for node in (loss, parent):
+            assert node.grad is None and node._parents == () and node._backward is None
 
 
 def _unary_steps():
