@@ -190,12 +190,11 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         else:
             mapping = data.read_category_pairs(args.categories[0], args.delimiter)
         side = data.build_side_info(train_store, mapping)
-    stats = store.stats(labels=side.num_categories if side else 0)
-    for line in stats.lines():
+    for line in store.stats(labels=side.num_categories if side else 0).lines():
         print(line)
     print(f"eval cases {len(cases)}")
     if args.out:
-        prepared = data.PreparedDataset(train_store, cases, side, stats,
+        prepared = data.PreparedDataset(train_store, cases, side,
                                         meta={"seed": args.seed,
                                               "eval_negatives": args.eval_negatives,
                                               "min_interactions": args.min_interactions})

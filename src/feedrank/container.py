@@ -140,7 +140,7 @@ def save_checkpoint(path: str, model, variant: str, meta: dict | None = None) ->
         "variant": variant,
         "num_users": model.num_users,
         "num_items": model.num_items,
-        "model": model.config.to_dict(),
+        "model": dataclasses.asdict(model.config),
         "meta": meta or {},
     }
     arrays = {name: arr.astype("<f4") for name, arr in model.params.state_arrays().items()}

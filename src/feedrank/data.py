@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -63,12 +63,10 @@ class DatasetStats:
             f"sparsity   {self.sparsity:.5%}",
         ]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _row_offsets(rows: np.ndarray, num_rows: int) -> np.ndarray:
-    """CSR offsets of a table whose row-id column ``rows`` is sorted."""
+    """CSR offsets of a table that holds, row by row, the entries whose row
+    ids are ``rows``."""
     offsets = np.zeros(num_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=num_rows), out=offsets[1:])
     return offsets
@@ -80,29 +78,27 @@ def _row_ids(offsets: np.ndarray) -> np.ndarray:
 
 
 class InteractionStore:
-    """Every event in one table sorted by (user, timestamp, file order),
-    plus the held-out pairs.
+    """Every event in one table, each user's in the order ``ingest`` gave
+    them (by timestamp, then file row), plus the held-out pairs.
 
-    The table's columns are ``times``, ``seqs`` (the event's data row in the
-    log), ``items`` and the behaviour flag ``explicit``; user u's events are
-    rows ``offsets[u]:offsets[u + 1]``. The implicit matrix is every event
-    (an explicit one counts as implicit too), the explicit matrix the
-    explicit events. User u's held-out items, kept out of both training data
-    and negative-sampling pools, are the ascending, distinct
+    The table's columns are ``items`` and the behaviour flag ``explicit``;
+    user u's events are rows ``offsets[u]:offsets[u + 1]``, kept in the
+    order given. The implicit matrix is every event (an explicit one counts
+    as implicit too), the explicit matrix the explicit events. User u's
+    held-out items, kept out of both training data and negative-sampling
+    pools, are the ascending, distinct
     ``excluded_flat[excluded_offsets[u]:excluded_offsets[u + 1]]``, given as
     ``excluded`` (users, items) pairs in any order, repeats allowed.
     """
 
-    def __init__(self, user_ids: list[str], item_ids: list[str], users: np.ndarray,
-                 times: np.ndarray, seqs: np.ndarray, items: np.ndarray, explicit: np.ndarray,
+    def __init__(self, user_ids: list[str], item_ids: list[str], offsets: np.ndarray,
+                 items: np.ndarray, explicit: np.ndarray,
                  excluded: tuple[np.ndarray, np.ndarray] = ((), ())):
         self.user_ids = user_ids
         self.item_ids = item_ids
-        users, times, seqs, items = (np.asarray(col, dtype=np.int64) for col in (users, times, seqs, items))
-        order = np.lexsort((seqs, times, users))
-        self.times, self.seqs, self.items = times[order], seqs[order], items[order]
-        self.explicit = np.asarray(explicit, dtype=bool)[order]
-        self.offsets = _row_offsets(users[order], len(user_ids))
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.items = np.asarray(items, dtype=np.int64)
+        self.explicit = np.asarray(explicit, dtype=bool)
         held = np.unique(self.pair_key(*excluded))
         held_users, self.excluded_flat = np.divmod(held, self.num_items)
         self.excluded_offsets = _row_offsets(held_users, len(user_ids))
@@ -190,8 +186,9 @@ class InteractionStore:
         keep = ~np.isin(self.pair_key(event_users, self.items), self.pair_key(users, items))
         excluded = (np.concatenate((_row_ids(self.excluded_offsets), users)),
                     np.concatenate((self.excluded_flat, items)))
-        return InteractionStore(self.user_ids, self.item_ids, event_users[keep], self.times[keep],
-                                self.seqs[keep], self.items[keep], self.explicit[keep], excluded)
+        offsets = _row_offsets(event_users[keep], self.num_users)
+        return InteractionStore(self.user_ids, self.item_ids, offsets, self.items[keep],
+                                self.explicit[keep], excluded)
 
 
 def _csv_rows(path: str, fh, delimiter: str = ","):
@@ -215,7 +212,8 @@ def ingest(log_path: str, classification: Optional[dict] = None, min_interaction
     remaining users are reindexed densely in order of first appearance, and
     items in order of first appearance when the log is read user by user.
     Duplicate (user, item, type) events collapse into one membership but
-    every event keeps its timestamp for ordering.
+    every event keeps its place in the order: each user's events sorted by
+    timestamp, ties in file order.
     """
     classification = classification or DEFAULT_CLASSIFICATION
     cols = columns or ColumnSpec()
@@ -271,10 +269,12 @@ def ingest(log_path: str, classification: Optional[dict] = None, min_interaction
     numbered = seen[np.argsort(first)]
     new_item = np.empty(len(item_index), dtype=np.int64)  # read only at seen items
     new_item[numbered] = np.arange(numbered.size)
+    # the one event order every later step keeps: by user, then timestamp, then file row
+    order = np.lexsort((rows, times[rows], users))
     user_names, item_names = list(user_index), list(item_index)
     return InteractionStore([user_names[u] for u in np.flatnonzero(kept)],
-                            [item_names[i] for i in numbered], users, times[rows], rows,
-                            new_item[raw_items], np.array(explicit, dtype=bool)[rows])
+                            [item_names[i] for i in numbered], _row_offsets(users, int(kept.sum())),
+                            new_item[raw_items[order]], np.array(explicit, dtype=bool)[rows[order]])
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +516,6 @@ class PreparedDataset:
     store: InteractionStore           # training view
     cases: list[EvalCase]
     side_info: Optional[SideInfo]
-    stats: DatasetStats               # of the full pre-split store
     meta: dict = field(default_factory=dict)
 
 
@@ -534,8 +533,7 @@ def _unflatten(flat: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
 # a dataset file's CSR records: offsets record -> (the records it splits into
 # rows, what those rows are)
 _DATASET_ROWS = {
-    "implicit_offsets": (("implicit_times", "implicit_seqs", "implicit_items"), "users"),
-    "explicit_offsets": (("explicit_times", "explicit_seqs", "explicit_items"), "users"),
+    "event_offsets": (("event_items", "event_explicit"), "users"),
     "excluded_offsets": (("excluded_flat",), "users"),
     "case_neg_offsets": (("case_neg_flat",), "cases"),
     "case_hist_offsets": (("case_hist_flat",), "cases"),
@@ -544,9 +542,9 @@ _SIDE_ROWS = {
     "side_item_offsets": (("side_item_flat",), "items"),
     "side_user_offsets": (("side_user_idx", "side_user_val"), "users"),
 }
-# records of ids -> what they index
+# records of ids -> what they index (an event's explicit flag is 0 or 1)
 _ID_RECORDS = {
-    "implicit_items": "items", "explicit_items": "items", "excluded_flat": "items",
+    "event_items": "items", "event_explicit": "flags", "excluded_flat": "items",
     "case_users": "users", "case_items": "items", "case_neg_flat": "items",
     "case_hist_flat": "items", "side_item_flat": "labels", "side_user_idx": "labels",
 }
@@ -558,11 +556,10 @@ def _check_dataset(path: str, config: dict, arrays: dict[str, np.ndarray]) -> No
     at 0, never decrease, end at their flat records' length and have one row
     per user, item or case, and ids inside their range; config
     ``user_ids``, ``item_ids`` and ``labels`` lists of strings, a bool
-    ``has_side_info``, a ``stats`` object holding exactly the
-    ``DatasetStats`` fields as numbers, and a ``meta`` object."""
+    ``has_side_info`` and a ``meta`` object."""
     from .container import FormatError
 
-    missing = [key for key in ("user_ids", "item_ids", "labels", "stats", "meta") if key not in config]
+    missing = [key for key in ("user_ids", "item_ids", "labels", "meta") if key not in config]
     if missing:
         raise FormatError(f"{path}: missing config key(s) {', '.join(missing)}")
     for key in ("user_ids", "item_ids", "labels"):
@@ -571,14 +568,6 @@ def _check_dataset(path: str, config: dict, arrays: dict[str, np.ndarray]) -> No
             raise FormatError(f"{path}: config key {key!r} must be a list of strings")
     if not isinstance(config.get("has_side_info"), bool):
         raise FormatError(f"{path}: config key 'has_side_info' is {config.get('has_side_info')!r}, not a bool")
-    stats, keys = config["stats"], [f.name for f in fields(DatasetStats)]
-    if not isinstance(stats, dict) or sorted(stats) != sorted(keys):
-        raise FormatError(f"{path}: config key 'stats' must be an object with exactly the keys "
-                          f"{', '.join(keys)}")
-    odd = [key for key in keys if isinstance(stats[key], bool)
-           or not isinstance(stats[key], (int, float))]
-    if odd:
-        raise FormatError(f"{path}: config stats {odd[0]!r} is {stats[odd[0]]!r}, not a number")
     if not isinstance(config["meta"], dict):
         raise FormatError(f"{path}: config key 'meta' must be an object")
     layout = dict(_DATASET_ROWS, **(_SIDE_ROWS if config["has_side_info"] else {}))
@@ -587,7 +576,7 @@ def _check_dataset(path: str, config: dict, arrays: dict[str, np.ndarray]) -> No
     if missing:
         raise FormatError(f"{path}: missing record(s) {', '.join(missing)}")
     counts = {"users": len(config["user_ids"]), "items": len(config["item_ids"]),
-              "labels": len(config["labels"]), "cases": arrays["case_users"].size}
+              "labels": len(config["labels"]), "cases": arrays["case_users"].size, "flags": 2}
     for name in names:
         arr, kind = arrays[name], _ID_RECORDS.get(name)
         want = np.dtype(np.float64 if name == "side_user_val" else np.int64)
@@ -622,22 +611,14 @@ def save_prepared(path: str, prepared: PreparedDataset) -> None:
     store = prepared.store
     config = {
         "kind": "dataset",
-        "num_users": store.num_users,
-        "num_items": store.num_items,
         "user_ids": store.user_ids,
         "item_ids": store.item_ids,
-        "stats": prepared.stats.to_dict(),
         "has_side_info": prepared.side_info is not None,
         "labels": prepared.side_info.labels if prepared.side_info else [],
         "meta": prepared.meta,
     }
-    arrays: dict[str, np.ndarray] = {}
-    users = _row_ids(store.offsets)
-    for name, rows in (("implicit", ~store.explicit), ("explicit", store.explicit)):
-        arrays[f"{name}_times"] = store.times[rows]
-        arrays[f"{name}_offsets"] = _row_offsets(users[rows], store.num_users)
-        arrays[f"{name}_seqs"] = store.seqs[rows]
-        arrays[f"{name}_items"] = store.items[rows]
+    arrays = {"event_offsets": store.offsets, "event_items": store.items,
+              "event_explicit": store.explicit.astype(np.int64)}
     arrays["excluded_flat"], arrays["excluded_offsets"] = store.excluded_flat, store.excluded_offsets
     arrays["case_users"] = np.array([c.user for c in prepared.cases], dtype=np.int64)
     arrays["case_items"] = np.array([c.item for c in prepared.cases], dtype=np.int64)
@@ -658,13 +639,9 @@ def load_prepared(path: str) -> PreparedDataset:
     if config.get("kind") != "dataset":
         raise container.FormatError(f"{path}: not a prepared-dataset file")
     _check_dataset(path, config, arrays)
-    behaviours = ("implicit", "explicit")
-    times, seqs, items = (np.concatenate([arrays[f"{b}_{col}"] for b in behaviours])
-                          for col in ("times", "seqs", "items"))
-    users = np.concatenate([_row_ids(arrays[f"{b}_offsets"]) for b in behaviours])
-    explicit = np.repeat([False, True], [arrays[f"{b}_items"].size for b in behaviours])
-    store = InteractionStore(config["user_ids"], config["item_ids"], users, times, seqs, items,
-                             explicit, (_row_ids(arrays["excluded_offsets"]), arrays["excluded_flat"]))
+    store = InteractionStore(config["user_ids"], config["item_ids"], arrays["event_offsets"],
+                             arrays["event_items"], arrays["event_explicit"],
+                             (_row_ids(arrays["excluded_offsets"]), arrays["excluded_flat"]))
     negatives = _unflatten(arrays["case_neg_flat"], arrays["case_neg_offsets"])
     histories = _unflatten(arrays["case_hist_flat"], arrays["case_hist_offsets"])
     cases = [EvalCase(int(u), int(i), neg, hist) for u, i, neg, hist in
@@ -673,5 +650,4 @@ def load_prepared(path: str) -> PreparedDataset:
     if config["has_side_info"]:
         side = SideInfo(config["labels"], arrays["side_item_offsets"], arrays["side_item_flat"],
                         arrays["side_user_offsets"], arrays["side_user_idx"], arrays["side_user_val"])
-    stats = DatasetStats(**config["stats"])
-    return PreparedDataset(store, cases, side, stats, config["meta"])
+    return PreparedDataset(store, cases, side, config["meta"])

@@ -17,7 +17,7 @@ ranking score is their product.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -61,9 +61,6 @@ class ModelConfig:
             raise ConfigError(f"side_info_mode must be one of {SIDE_MODES}, got {self.side_info_mode!r}")
         if self.side_info_mode != "none" and self.side_dim <= 0:
             raise ConfigError("side_info_mode requires side_dim > 0")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

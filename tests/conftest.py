@@ -223,6 +223,16 @@ def csr_to_dense(offsets, columns, values, rows, width, dtype):
     return out.reshape(rows.shape + (width,))
 
 
+def event_table(num_users, users, items, explicit, times=None):
+    """The ``offsets, items, explicit`` columns an ``InteractionStore``
+    takes, from event columns in any order: each user's events sorted by
+    ``times`` (by default, the order given), ties in the order given."""
+    times = range(len(users)) if times is None else times
+    rows = sorted(range(len(users)), key=lambda j: (users[j], times[j], j))
+    counts = [sum(1 for u in users if u == v) for v in range(num_users)]
+    return np.cumsum([0, *counts]), [items[j] for j in rows], [explicit[j] for j in rows]
+
+
 def reference_sets(num_users, users, items, explicit, held_out=((), ())):
     """Each user's implicit, explicit and held-out item sets, by a plain
     loop over event columns (one user, item and explicit flag per event)

@@ -52,6 +52,23 @@ MUTANTS = (
            "cached = (pairs, pairs.copy(), np.append(rows[first], -1))",
            ("tests/test_data.py::TestStoreAgainstReference::test_matrices_stats_and_held_out_rows",
             "tests/test_training.py::TestSampleNegatives::test_excluded_items_never_sampled")),
+    Mutant("ingest puts later file rows first among equal timestamps",
+           "src/feedrank/data.py",
+           "order = np.lexsort((rows, times[rows], users))",
+           "order = np.lexsort((-rows, times[rows], users))",
+           ("tests/test_data.py::TestLeaveOneOutSplit::test_timestamp_tie_breaks_by_file_order",
+            "tests/test_data.py::TestEventTable::test_rows_are_each_users_events_by_time_then_file_order")),
+    Mutant("a prepared file's explicit flags go unchecked",
+           "src/feedrank/data.py",
+           '"event_explicit": "flags", ', "",
+           ("tests/test_data.py::TestMalformedDataset::test_ids_out_of_range_rejected[event_explicit-2]",
+            "tests/test_data.py::TestMalformedDataset::test_ids_out_of_range_rejected[event_explicit--1]")),
+    Mutant("without_pairs builds its offsets from every event, dropped ones too",
+           "src/feedrank/data.py",
+           "offsets = _row_offsets(event_users[keep], self.num_users)",
+           "offsets = _row_offsets(event_users, self.num_users)",
+           ("tests/test_data.py::TestStoreAgainstReference::"
+            "test_without_pairs_moves_pairs_from_table_to_held_out",)),
     Mutant("the cached key arrays left writable",
            "src/feedrank/data.py",
            "arr.flags.writeable = False", "pass",

@@ -11,6 +11,7 @@ models at full scale.
 import math
 import os
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -186,7 +187,7 @@ class TestCriterion3IngestionStatistics:
         stats = store.stats(labels=side.num_categories)
         expected = {"users": 36751, "items": 83274, "implicit": 396923,
                     "explicit": 18450, "labels": 1699}
-        got = stats.to_dict()
+        got = asdict(stats)
         offsets = {k: abs(got[k] - v) / v for k, v in expected.items()}
         sparsity_off = abs(stats.sparsity - 0.99987)
         elapsed = time.perf_counter() - started

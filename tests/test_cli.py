@@ -125,11 +125,11 @@ class TestPrepare:
         assert outs[0] == outs[1]
 
     # sha256 of prepared.bin for the default planted log, taken when the
-    # stats' sparsity became 1 - implicit / cells; any change to the file
-    # format, the split, the negative draw or the stats moves it
+    # events became one table in their order (event_* records); any change
+    # to the file format, the split or the negative draw moves it
     @pytest.mark.parametrize("with_categories, digest", [
-        (True, "e0072229abf9c01cd5b14a11c11f5de4b295ab60708a33d221e1d0348e7e5e06"),
-        (False, "50ef55571e58cb38aee3ac9375f71fb85cdb33af6f69cac2d67d91716fd1b904"),
+        (True, "1c0f7d0aef5624b00bd48bec04d0b7e2c1871042d76a23ddc0b31a5058808568"),
+        (False, "340a2833efddb0d30d6ce204d71c65e1a5585c8ab740ba471321563cc4e90bca"),
     ], ids=["with-categories", "without-categories"])
     def test_prepared_file_matches_golden_digest(self, tmp_path, with_categories, digest):
         events, cats = planted_dataset(tmp_path)
@@ -370,26 +370,34 @@ class TestTrain:
             assert not run_dir.exists()
 
     def test_dataset_missing_a_record_exits_one(self, tmp_path, prepared_path, capsys):
-        config, arrays = read_container(str(prepared_path))
-        del arrays["implicit_offsets"]
-        write_container(str(prepared_path), config, arrays)
-        run_dir = tmp_path / "run-bad"
-        cfg = write_config(tmp_path / "cfg.ini", prepared_path, out=run_dir)
-        assert main(["train", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert "missing record(s) implicit_offsets" in err and len(err.splitlines()) == 1
-        assert not run_dir.exists()
+        from feedrank.container import save_checkpoint
 
-    def test_dataset_with_bad_stats_exits_one(self, tmp_path, prepared_path, capsys):
         config, arrays = read_container(str(prepared_path))
-        del config["stats"]["labels"]
-        write_container(str(prepared_path), config, arrays)
+        num_users, num_items = len(config["user_ids"]), len(config["item_ids"])
+        checkpoint = tmp_path / "model.ckpt"
+        save_checkpoint(str(checkpoint), build_model("ite", num_users, num_items, ModelConfig()), "ite")
+        no_offsets = tmp_path / "no-offsets.bin"
+        write_container(str(no_offsets), config, {k: v for k, v in arrays.items() if k != "event_offsets"})
+        # the earlier layout: each behaviour's events in records of their own,
+        # with timestamps and file rows
+        older = {k: v for k, v in arrays.items() if not k.startswith("event_")}
+        users = np.repeat(np.arange(num_users), np.diff(arrays["event_offsets"]))
+        flags = arrays["event_explicit"]
+        for name, rows in (("implicit", flags == 0), ("explicit", flags == 1)):
+            older[f"{name}_offsets"] = np.cumsum([0, *np.bincount(users[rows], minlength=num_users)])
+            older[f"{name}_items"] = arrays["event_items"][rows]
+            older[f"{name}_times"] = older[f"{name}_seqs"] = np.flatnonzero(rows)
+        parent_format = tmp_path / "parent-format.bin"
+        write_container(str(parent_format), config, older)
         run_dir = tmp_path / "run-bad"
-        cfg = write_config(tmp_path / "cfg.ini", prepared_path, out=run_dir)
-        assert main(["train", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert "'stats' must be an object" in err and len(err.splitlines()) == 1
-        assert not run_dir.exists()
+        for dataset, missing in ((no_offsets, "event_offsets"),
+                                 (parent_format, "event_offsets, event_items, event_explicit")):
+            cfg = write_config(tmp_path / "cfg.ini", dataset, out=run_dir)
+            assert main(["train", "--config", str(cfg)]) == 1
+            assert main(["evaluate", "--checkpoint", str(checkpoint), "--dataset", str(dataset)]) == 1
+            err = capsys.readouterr().err
+            assert err.splitlines() == [f"error: {dataset}: missing record(s) {missing}"] * 2
+            assert not run_dir.exists()
 
     def test_non_finite_loss_exits_one(self, tmp_path, prepared_path, capsys, monkeypatch):
         def poisoned_build(*args, **kwargs):
@@ -496,7 +504,7 @@ class TestEvaluate:
         store = store_from_sets(2, 6, [{0, 3}, {2, 3}], [set(), set()])
         cases = [EvalCase(0, 2, np.array([3, 4, 5]), np.zeros(0, dtype=np.int64)),
                  EvalCase(1, 1, np.array([0, 4, 5]), np.zeros(0, dtype=np.int64))]
-        prepared = PreparedDataset(store, cases, None, store.stats())
+        prepared = PreparedDataset(store, cases, None)
         dataset = tmp_path / "oracle.bin"
         save_prepared(str(dataset), prepared)
 

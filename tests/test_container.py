@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ class TestCheckpoint:
         loaded, variant, meta = load_checkpoint(str(path))
         assert variant == "bert-ite"
         assert meta == {"epoch": 3}
-        assert loaded.config.to_dict() == model.config.to_dict()
+        assert asdict(loaded.config) == asdict(model.config)
         for name, arr in model.params.state_arrays().items():
             np.testing.assert_array_equal(loaded.params.state_arrays()[name], arr)
 

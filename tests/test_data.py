@@ -15,8 +15,8 @@ from feedrank.data import (DEFAULT_CLASSIFICATION, EXPLICIT, ColumnSpec, DataErr
                            read_category_pairs, read_retailrocket_properties, sample_unobserved,
                            save_prepared)
 
-from conftest import (encode_side_user, reference_sample_unobserved, reference_sets, side_from_lists,
-                      store_sets, write_categories_csv, write_events_csv)
+from conftest import (encode_side_user, event_table, reference_sample_unobserved, reference_sets,
+                      side_from_lists, store_sets, write_categories_csv, write_events_csv)
 
 
 # small logs with many tied timestamps: (time, user, event type, item)
@@ -152,8 +152,6 @@ class TestEventTable:
                             for seq, (t, user, event, item) in enumerate(rows) if user == name)
             lo, hi = store.offsets[u], store.offsets[u + 1]
             assert [store.item_ids[j] for j in store.items[lo:hi]] == [e[2] for e in events]
-            assert store.times[lo:hi].tolist() == [e[0] for e in events]
-            assert store.seqs[lo:hi].tolist() == [e[1] for e in events]
             assert store.explicit[lo:hi].tolist() == [e[3] for e in events]
             assert implicit[u] == {store.item_ids.index(e[2]) for e in events}
             assert explicit[u] == {store.item_ids.index(e[2]) for e in events if e[3]}
@@ -195,7 +193,7 @@ class TestEventTable:
         if categories is not None:
             side = build_side_info(train, mapping={f"i{i}": {f"c{c}" for c in cats}
                                                    for i, cats in categories.items()})
-        prepared = PreparedDataset(train, cases, side, store.stats(), meta={"seed": seed})
+        prepared = PreparedDataset(train, cases, side, meta={"seed": seed})
         first, second = tmp_path / "a.bin", tmp_path / "b.bin"
         save_prepared(str(first), prepared)
         save_prepared(str(second), load_prepared(str(first)))
@@ -286,7 +284,7 @@ class TestSideInfo:
         items = [i for _, i, _ in events] + [0] * num_users
         explicit = [e for _, _, e in events] + [True] * num_users
         store = InteractionStore([f"u{u}" for u in range(num_users)], [f"i{i}" for i in range(num_items)],
-                                 users, np.zeros(len(users)), np.arange(len(users)), items, explicit)
+                                 *event_table(num_users, users, items, explicit))
         if split:
             store, _ = leave_one_out_split(store, num_negatives=0)
         mapping = data.draw(st.dictionaries(st.integers(0, num_items - 1),
@@ -451,8 +449,8 @@ class TestSampleUnobserved:
 
 class TestStoreAgainstReference:
     """The store's arrays against per-user sets built by a plain loop, on
-    random events and held-out pairs given unsorted, repeated, and for
-    only some users."""
+    random events, put in each user's rows by ``event_table``, and held-out
+    pairs given unsorted, repeated, and for only some users."""
 
     @staticmethod
     def draw_store(data):
@@ -464,7 +462,7 @@ class TestStoreAgainstReference:
         users, items, explicit, times = ([e[k] for e in events] for k in range(4))
         held_out = ([u for u, _ in held], [i for _, i in held])
         store = InteractionStore([f"u{u}" for u in range(num_users)], [f"i{i}" for i in range(num_items)],
-                                 users, times, np.arange(len(events)), items, explicit, held_out)
+                                 *event_table(num_users, users, items, explicit, times), held_out)
         return store, reference_sets(num_users, users, items, explicit, held_out)
 
     @staticmethod
@@ -516,20 +514,22 @@ class TestStoreAgainstReference:
             explicit[u].discard(i)
             held_out[u].add(i)
         self.check(train, (implicit, explicit, held_out))
-        kept = [(u, i) not in removed for u, i in zip(
-            np.repeat(np.arange(store.num_users), np.diff(store.offsets)).tolist(), store.items.tolist())]
-        np.testing.assert_array_equal(train.times, store.times[kept])
-        np.testing.assert_array_equal(train.seqs, store.seqs[kept])
+        event_users = np.repeat(np.arange(store.num_users), np.diff(store.offsets))
+        kept = [(u, i) not in removed for u, i in zip(event_users.tolist(), store.items.tolist())]
+        np.testing.assert_array_equal(train.items, store.items[kept])
+        np.testing.assert_array_equal(train.explicit, store.explicit[kept])
+        np.testing.assert_array_equal(np.diff(train.offsets),
+                                      np.bincount(event_users[kept], minlength=store.num_users))
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_save_load_round_trip(self, tmp_path, data):
         store, sets = self.draw_store(data)
         path = str(tmp_path / "store.bin")
-        save_prepared(path, PreparedDataset(store, [], None, store.stats()))
+        save_prepared(path, PreparedDataset(store, [], None))
         loaded = load_prepared(path).store
         self.check(loaded, sets)
-        for col in ("times", "seqs", "items", "explicit", "offsets"):
+        for col in ("items", "explicit", "offsets"):
             np.testing.assert_array_equal(getattr(loaded, col), getattr(store, col))
         # a file whose held-out rows are unsorted and repeat items loads normalised
         config, arrays = read_container(path)
@@ -562,15 +562,14 @@ class TestPreparedRoundTrip:
                                     [("a", "A"), ("b", "B"), ("e", "A"), ("f", "B")])
         train, cases = leave_one_out_split(tiny_store, num_negatives=2, seed=3)
         side = build_side_info(train, read_category_pairs(str(cats)))
-        prepared = PreparedDataset(train, cases, side, tiny_store.stats(side.num_categories),
-                                   meta={"seed": 3})
+        prepared = PreparedDataset(train, cases, side, meta={"seed": 3})
         path = tmp_path / "prep.bin"
         save_prepared(str(path), prepared)
         loaded = load_prepared(str(path))
 
         assert loaded.store.user_ids == train.user_ids
         assert loaded.store.item_ids == train.item_ids
-        for col in ("times", "seqs", "items", "explicit", "offsets", "excluded_offsets", "excluded_flat"):
+        for col in ("items", "explicit", "offsets", "excluded_offsets", "excluded_flat"):
             got, want = getattr(loaded.store, col), getattr(train, col)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
@@ -586,7 +585,6 @@ class TestPreparedRoundTrip:
             got, want = getattr(loaded.side_info, col), getattr(side, col)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
-        assert loaded.stats == prepared.stats
         assert loaded.meta == {"seed": 3}
 
     def test_side_vectors_computed_on_training_view_only(self, tmp_path):
@@ -603,7 +601,6 @@ class TestPreparedRoundTrip:
         np.testing.assert_allclose(weights, [[1.0]])
 
 
-STATS = {"users": 1, "items": 2, "implicit": 3, "explicit": 4, "labels": 0, "sparsity": 0.5}
 MISSING = object()
 
 
@@ -614,7 +611,7 @@ class TestMalformedDataset:
         train, cases = leave_one_out_split(tiny_store, num_negatives=2, seed=3)
         side = build_side_info(train, read_category_pairs(str(cats)))
         path = tmp_path / "prep.bin"
-        save_prepared(str(path), PreparedDataset(train, cases, side, tiny_store.stats()))
+        save_prepared(str(path), PreparedDataset(train, cases, side))
         return path
 
     def rewrite(self, path, change):
@@ -622,14 +619,14 @@ class TestMalformedDataset:
         change(arrays)
         write_container(str(path), config, arrays)
 
-    @pytest.mark.parametrize("record", ["implicit_offsets", "explicit_items", "excluded_flat",
+    @pytest.mark.parametrize("record", ["event_offsets", "event_items", "event_explicit", "excluded_flat",
                                         "case_hist_offsets", "side_user_val"])
     def test_missing_record_is_named(self, dataset, record):
         self.rewrite(dataset, lambda arrays: arrays.pop(record))
         with pytest.raises(FormatError, match=f"missing record.*{record}"):
             load_prepared(str(dataset))
 
-    @pytest.mark.parametrize("record", ["implicit_offsets", "excluded_offsets", "case_neg_offsets",
+    @pytest.mark.parametrize("record", ["event_offsets", "excluded_offsets", "case_neg_offsets",
                                         "side_item_offsets", "side_user_offsets"])
     @pytest.mark.parametrize("change, message", [
         (lambda off: off + 1, "starts at 1, not 0"),
@@ -644,7 +641,8 @@ class TestMalformedDataset:
         with pytest.raises(FormatError, match=f"{record}.*{message}"):
             load_prepared(str(dataset))
 
-    @pytest.mark.parametrize("record, value", [("explicit_items", 6), ("case_users", -1),
+    @pytest.mark.parametrize("record, value", [("event_items", 6), ("event_explicit", 2),
+                                               ("event_explicit", -1), ("case_users", -1),
                                                ("side_item_flat", 2)])
     def test_ids_out_of_range_rejected(self, dataset, record, value):
         def apply(arrays):
@@ -655,29 +653,21 @@ class TestMalformedDataset:
 
     def test_wrong_dtype_rejected(self, dataset):
         def apply(arrays):
-            arrays["implicit_times"] = arrays["implicit_times"].astype(np.float64)
+            arrays["event_explicit"] = arrays["event_explicit"].astype(np.float64)
         self.rewrite(dataset, apply)
-        with pytest.raises(FormatError, match="implicit_times.*not a 1-D int64"):
+        with pytest.raises(FormatError, match="event_explicit.*not a 1-D int64"):
             load_prepared(str(dataset))
 
-    @pytest.mark.parametrize("key, value, message", [
-        ("stats", [1, 2], "'stats' must be an object"),
-        ("stats", None, "'stats' must be an object"),
-        ("stats", {k: v for k, v in STATS.items() if k != "labels"},
-         "'stats' must be an object with exactly the keys"),
-        ("stats", dict(STATS, extra=1), "'stats' must be an object with exactly the keys"),
-        ("stats", dict(STATS, users="1"), "stats 'users' is '1', not a number"),
-        ("stats", dict(STATS, labels=True), "stats 'labels' is True, not a number"),
-        ("stats", dict(STATS, sparsity=None), "stats 'sparsity' is None, not a number"),
-        ("meta", [], "'meta' must be an object"),
-        ("meta", "seed=0", "'meta' must be an object"),
-        ("meta", MISSING, "missing config key.*meta"),
+    @pytest.mark.parametrize("value, message", [
+        ([], "'meta' must be an object"),
+        ("seed=0", "'meta' must be an object"),
+        (MISSING, "missing config key.*meta"),
     ])
-    def test_bad_stats_or_meta_rejected(self, dataset, key, value, message):
+    def test_bad_meta_rejected(self, dataset, value, message):
         config, arrays = read_container(str(dataset))
-        config[key] = value
+        config["meta"] = value
         if value is MISSING:
-            del config[key]
+            del config["meta"]
         write_container(str(dataset), config, arrays)
         with pytest.raises(FormatError, match=message):
             load_prepared(str(dataset))

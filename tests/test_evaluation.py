@@ -16,7 +16,7 @@ from feedrank.models import BertITEModel, ForwardResult, ModelConfig, build_mode
 from feedrank.tensor import Tensor, no_grad
 from feedrank.training import pad_sequence
 
-from conftest import planted_dataset
+from conftest import event_table, planted_dataset
 
 
 class FakeModel:
@@ -324,8 +324,8 @@ class TestSequenceModelEvaluation:
                                     max_size=25))
         held = data.draw(st.lists(st.tuples(st.integers(0, num_users - 1), items), max_size=6))
         store = InteractionStore([f"u{u}" for u in range(num_users)], [f"i{i}" for i in range(num_items)],
-                                 [u for u, _, _ in events], np.arange(len(events)), np.arange(len(events)),
-                                 [i for _, i, _ in events], [e for _, _, e in events],
+                                 *event_table(num_users, [u for u, _, _ in events], [i for _, i, _ in events],
+                                              [e for _, _, e in events]),
                                  ([u for u, _ in held], [i for _, i in held]))
         user = data.draw(st.integers(0, num_users - 1))
         c = case(user, data.draw(items), data.draw(st.lists(items, max_size=3)),

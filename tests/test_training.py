@@ -21,7 +21,7 @@ from feedrank.training import (Adam, NonFiniteLossError, TrainingConfig, bce_sum
                                build_epoch_examples, fit, joint_loss, pad_sequence,
                                sample_negatives, train_epoch)
 
-from conftest import (copying_engine, planted_dataset, reference_draw_unobserved,
+from conftest import (copying_engine, event_table, planted_dataset, reference_draw_unobserved,
                       reference_sample_unobserved, same_bits, store_sets, to_float64)
 
 
@@ -101,8 +101,8 @@ def held_out_pairs(held_out_sets):
 
 
 def store_from_sets(num_users, num_items, implicit_sets, explicit_sets, held_out_sets=()):
-    """One event per (user, item, behaviour), each at its own time step,
-    and each user's held-out items."""
+    """One event per (user, item, behaviour), each user's implicit ones
+    first, and each user's held-out items."""
     users, items, explicit = [], [], []
     for u in range(num_users):
         for flag, sets in ((False, implicit_sets), (True, explicit_sets)):
@@ -110,9 +110,8 @@ def store_from_sets(num_users, num_items, implicit_sets, explicit_sets, held_out
                 users.append(u)
                 items.append(i)
                 explicit.append(flag)
-    steps = np.arange(len(users))
     return InteractionStore([f"u{j}" for j in range(num_users)], [f"i{j}" for j in range(num_items)],
-                            users, steps, steps, items, explicit, held_out_pairs(held_out_sets))
+                            *event_table(num_users, users, items, explicit), held_out_pairs(held_out_sets))
 
 
 class TestSampleNegatives:
@@ -373,12 +372,11 @@ class TestSessionContexts:
         sequences = [data.draw(st.lists(items, max_size=10)) for _ in range(num_users)]
         users = [u for u, seq in enumerate(sequences) for _ in seq]
         events = [i for seq in sequences for i in seq]
-        steps = np.arange(len(events))
         flags = data.draw(st.lists(st.booleans(), min_size=len(events), max_size=len(events)))
         held_out = [data.draw(st.sets(items)) for _ in range(num_users)]
         store = InteractionStore([f"u{j}" for j in range(num_users)],
                                  [f"i{j}" for j in range(num_items)],
-                                 users, steps, steps, events, flags, held_out_pairs(held_out))
+                                 *event_table(num_users, users, events, flags), held_out_pairs(held_out))
         # anchors drawn from the whole catalog: one the user never had was held out
         rows = data.draw(st.lists(st.tuples(st.integers(0, num_users - 1), items), max_size=20))
         row_users = np.array([u for u, _ in rows], dtype=np.int64)
