@@ -84,7 +84,7 @@ def _needs_side(variant: str) -> bool:
 # Config fields the program sets itself, never read from or written to an INI
 # file: key -> where its value comes from.
 DERIVED_KEYS = {
-    "model": {"side_info_mode": "the variant", "side_dim": "the dataset's category count"},
+    "model": {"side_dim": "the dataset's category count"},
     "training": {"seed": "[run] seed"},
 }
 
@@ -236,6 +236,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a run that fails must not leave an earlier run's model beside its config
+    (out_dir / "model.ckpt").unlink(missing_ok=True)
     write_run_config(out_dir / "config.ini", cfg)
     csv_fh = open(out_dir / "metrics.csv", "w", newline="", encoding="utf-8")
     csv_writer = _metrics_csv(csv_fh)
@@ -269,7 +271,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     model.params.load_arrays(result.best_params)
     ckpt = out_dir / "model.ckpt"
-    container.save_checkpoint(str(ckpt), model, cfg.variant,
+    container.save_checkpoint(str(ckpt), model,
                               meta={"epoch": result.best_epoch, "hr": result.best_hr,
                                     "ndcg": result.best_ndcg, "eval_topk": cfg.eval_topk,
                                     "seed": cfg.seed})

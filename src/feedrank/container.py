@@ -133,11 +133,11 @@ def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(path: str, model, variant: str, meta: dict | None = None) -> None:
-    """Write a model's parameters (as float32) plus its build config."""
+def save_checkpoint(path: str, model, meta: dict | None = None) -> None:
+    """Write a model's variant, build config and parameters (as float32)."""
     config = {
         "kind": "checkpoint",
-        "variant": variant,
+        "variant": model.variant,
         "num_users": model.num_users,
         "num_items": model.num_items,
         "model": dataclasses.asdict(model.config),
@@ -166,7 +166,7 @@ def load_checkpoint(path: str):
 
 # what a checkpoint's ``model`` record may hold for a field of each declared
 # type (by name: ModelConfig's module postpones its annotations)
-_FIELD_KINDS = {"int": (int, "an int"), "float": ((int, float), "a number"), "str": (str, "a string")}
+_FIELD_KINDS = {"int": (int, "an int"), "float": ((int, float), "a number")}
 
 
 def _check_checkpoint(path: str, config: dict, model_config: type, variants: dict) -> None:
@@ -175,10 +175,8 @@ def _check_checkpoint(path: str, config: dict, model_config: type, variants: dic
     object whose ``seed``, if present, is a non-bool int >= 0, and a
     ``model`` object with exactly the fields of ``model_config`` (a
     dataclass), each of its field's type: a non-bool int for an int, an int
-    or float for a float, a string for a string. For a variant named in
-    ``variants`` (variant -> (kind, side mode)), the record's
-    ``side_info_mode`` must be that side mode, and ``side_dim`` must be 0
-    when the mode is "none"."""
+    or float for a float. For a variant named in ``variants`` (variant ->
+    (kind, side mode)) whose side mode is "none", ``side_dim`` must be 0."""
     if not isinstance(config.get("variant"), str):
         raise FormatError(f"{path}: config key 'variant' must be a string")
     for key in ("num_users", "num_items"):
@@ -202,12 +200,7 @@ def _check_checkpoint(path: str, config: dict, model_config: type, variants: dic
         value, (kind, what) = record[f.name], _FIELD_KINDS[f.type]
         if isinstance(value, bool) or not isinstance(value, kind):
             raise FormatError(f"{path}: config key 'model.{f.name}' is {value!r}, not {what}")
-    variant = config["variant"]
-    if variant in variants:
-        mode, side_dim = variants[variant][1], record["side_dim"]
-        if record["side_info_mode"] != mode:
-            raise FormatError(f"{path}: config key 'model.side_info_mode' is "
-                              f"{record['side_info_mode']!r}, not {mode!r} as variant {variant!r} fixes")
-        if mode == "none" and side_dim != 0:
-            raise FormatError(f"{path}: config key 'model.side_dim' is {side_dim!r}, "
-                              f"not 0 as variant {variant!r} reads no side info")
+    variant, side_dim = config["variant"], record["side_dim"]
+    if variant in variants and variants[variant][1] == "none" and side_dim != 0:
+        raise FormatError(f"{path}: config key 'model.side_dim' is {side_dim!r}, "
+                          f"not 0 as variant {variant!r} reads no side info")

@@ -35,8 +35,6 @@ VARIANTS = {
     "bert-ite-ossi": ("bert", "item_only"),
 }
 
-SIDE_MODES = ("none", "item_only", "user_and_item")
-
 
 @dataclass
 class ModelConfig:
@@ -47,7 +45,6 @@ class ModelConfig:
     implicit_mlp_layers: int = 3         # depth of the fusion tower (ITE)
     explicit_mlp_layers: int = 3         # depth of the explicit tower
     dropout: float = 0.1
-    side_info_mode: str = "none"
     side_dim: int = 0                    # T (category count)
 
     def validate(self) -> None:
@@ -57,10 +54,6 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if not 0 <= self.dropout < 1:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.side_info_mode not in SIDE_MODES:
-            raise ConfigError(f"side_info_mode must be one of {SIDE_MODES}, got {self.side_info_mode!r}")
-        if self.side_info_mode != "none" and self.side_dim <= 0:
-            raise ConfigError("side_info_mode requires side_dim > 0")
 
 
 @dataclass
@@ -97,16 +90,23 @@ class _ImplicitExplicitModel:
     """
 
     kind: str
+    variant: str   # the model's name in VARIANTS, which fixes its side mode; the class's is side-free
 
     def __init__(self, num_users: int, num_items: int, config: ModelConfig,
-                 seed: int = 0):
+                 seed: int = 0, variant: Optional[str] = None):
         config.validate()
+        if variant is not None:
+            self.variant = variant
+        kind, mode = VARIANTS.get(self.variant, (None, None))
+        if kind != self.kind:
+            raise ConfigError(f"{type(self).__name__} cannot build variant {self.variant!r}")
+        if mode != "none" and config.side_dim <= 0:
+            raise ConfigError(f"variant {self.variant!r} needs side_dim > 0, got {config.side_dim}")
         self.num_users = num_users
         self.num_items = num_items
         self.config = config
         self.params = params = ParameterRegistry()
         rng = np.random.default_rng(seed)
-        mode = config.side_info_mode
         user_side = config.side_dim if mode == "user_and_item" else 0
         item_side = config.side_dim if mode != "none" else 0
         phi_dim = self._build_encoder(params, rng, user_side, item_side)
@@ -131,7 +131,7 @@ class _ImplicitExplicitModel:
         (``EmbeddingTable.side_columns`` and ``lookup`` take them). (None,
         None) and None where the variant reads none. A side-free variant
         ignores ``side_info``."""
-        mode = self.config.side_info_mode
+        mode = VARIANTS[self.variant][1]
         if mode == "none":
             return (None, None), (None, None), (None,) * (1 + len(items))
         if side_info is None:
@@ -164,6 +164,7 @@ class ITEModel(_ImplicitExplicitModel):
     """GMF/MLP fusion front end with a chained explicit tower."""
 
     kind = "ite"
+    variant = "ite"
 
     def _build_encoder(self, params, rng, user_side, item_side) -> int:
         k = self.config.embedding_dim
@@ -202,6 +203,7 @@ class BertITEModel(_ImplicitExplicitModel):
     """Transformer session encoder feeding the implicit/explicit heads."""
 
     kind = "bert"
+    variant = "bert-ite"
 
     def _build_encoder(self, params, rng, user_side, item_side) -> int:
         if self.config.transformer_layers < 1:
@@ -280,11 +282,10 @@ def build_model(variant: str, num_users: int, num_items: int, config: ModelConfi
     if variant not in VARIANTS:
         raise ConfigError(f"unknown model variant {variant!r}; expected one of {sorted(VARIANTS)}")
     kind, side_mode = VARIANTS[variant]
-    cfg = replace(config, side_info_mode=side_mode)
     if side_mode == "none":
-        cfg = replace(cfg, side_dim=0)
+        config = replace(config, side_dim=0)
     cls = ITEModel if kind == "ite" else BertITEModel
-    return cls(num_users, num_items, cfg, seed=seed)
+    return cls(num_users, num_items, config, seed=seed, variant=variant)
 
 
 def predict_score(x_hat, y_hat):

@@ -199,11 +199,17 @@ def _layer_norm_features(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     columns: normalises ``xhat`` in place to zero mean and unit variance,
     writes ``xhat * gain + bias`` (``gain`` and ``bias`` [n]) to ``out``,
     which may be ``xhat``, and returns each row's 1 / sqrt(var + eps).
-    Row means are one BLAS product with a row of 1/n; every elementwise loop
-    runs the row count long."""
-    mean_row = np.full(xhat.shape[0], 1.0 / xhat.shape[0], dtype=xhat.dtype)
-    xhat -= mean_row @ xhat
-    inv = mean_row @ (xhat * xhat)
+    Row means are sums down the columns, which add each column's features
+    in the same order wherever the column sits (a BLAS product with a row
+    of 1/n rounds a column by its position, so blocks of columns would not
+    match the whole array); every elementwise loop runs the row count
+    long."""
+    n = xhat.shape[0]
+    mean = xhat.sum(axis=0)
+    mean /= n
+    xhat -= mean
+    inv = (xhat * xhat).sum(axis=0)
+    inv /= n
     inv += eps
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)

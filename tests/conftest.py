@@ -336,7 +336,7 @@ def per_occurrence_side_bags(model, side_info, users, *items):
     each lookup: a table's bags are a reader of ``side_info`` that
     ``per_occurrence_lookup`` calls on the ids it looks up. The inverses
     returned only have the shapes of the id arrays."""
-    mode = model.config.side_info_mode
+    mode = models.VARIANTS[model.variant][1]
     if mode == "none":
         return (None, None), (None, None), (None,) * (1 + len(items))
     user = (side_info.user_matrix, None) if mode == "user_and_item" else (None, None)

@@ -154,6 +154,26 @@ MUTANTS = (
            "                if node.grad is not None:\n                    node._backward(node.grad)\n",
            ("tests/test_tensor.py::TestBackwardWalk::test_a_consumer_is_freed_before_its_parents_backward_runs",
             "tests/test_tensor.py::TestMatmul::test_gradient_matches_finite_differences")),
+    Mutant("a model class builds another class's variant",
+           "src/feedrank/models.py",
+           "if kind != self.kind:", "if kind is None:",
+           ("tests/test_models.py::TestVariantRoster::test_variant_of_another_class_rejected",)),
+    Mutant("a side variant builds with no categories",
+           "src/feedrank/models.py",
+           'if mode != "none" and config.side_dim <= 0:', 'if mode != "none" and config.side_dim < 0:',
+           ("tests/test_models.py::TestVariantRoster::test_side_variant_needs_side_dim",)),
+    Mutant("a checkpoint records its class's side-free variant, not the model's",
+           "src/feedrank/container.py",
+           '"variant": model.variant,', '"variant": type(model).variant,',
+           ("tests/test_models.py::TestVariantRoster::test_checkpoint_records_the_models_variant",)),
+    Mutant("a side-free checkpoint's side_dim goes unchecked",
+           "src/feedrank/container.py",
+           'variants[variant][1] == "none" and side_dim != 0:', 'variants[variant][1] == "none" and side_dim < 0:',
+           ("tests/test_cli.py::TestEvaluate::test_side_mode_other_than_the_variants_exits_one",)),
+    Mutant("a re-run of train keeps the earlier run's model.ckpt",
+           "src/feedrank/cli.py",
+           '(out_dir / "model.ckpt").unlink(missing_ok=True)', "pass",
+           ("tests/test_cli.py::TestTrain::test_non_finite_loss_exits_one",)),
 )
 
 

@@ -383,9 +383,9 @@ class TestCriterion7CheckpointRoundTrip:
 
         first = tmp_path / "a.ckpt"
         second = tmp_path / "b.ckpt"
-        save_checkpoint(str(first), model, "bert-ite-si", meta={"epoch": 0})
-        loaded, variant, meta = load_checkpoint(str(first))
-        save_checkpoint(str(second), loaded, variant, meta=meta)
+        save_checkpoint(str(first), model, meta={"epoch": 0})
+        loaded, _, meta = load_checkpoint(str(first))
+        save_checkpoint(str(second), loaded, meta=meta)
         byte_identical = first.read_bytes() == second.read_bytes()
         after = evaluate(loaded, cases, store=train, side_info=side, k=10, seed=5)
         report("criterion 7 checkpoint round-trip",

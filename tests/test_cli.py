@@ -375,7 +375,7 @@ class TestTrain:
         config, arrays = read_container(str(prepared_path))
         num_users, num_items = len(config["user_ids"]), len(config["item_ids"])
         checkpoint = tmp_path / "model.ckpt"
-        save_checkpoint(str(checkpoint), build_model("ite", num_users, num_items, ModelConfig()), "ite")
+        save_checkpoint(str(checkpoint), build_model("ite", num_users, num_items, ModelConfig()))
         no_offsets = tmp_path / "no-offsets.bin"
         write_container(str(no_offsets), config, {k: v for k, v in arrays.items() if k != "event_offsets"})
         # the earlier layout: each behaviour's events in records of their own,
@@ -405,11 +405,15 @@ class TestTrain:
             model.gmf_user.rows.data[0] = np.nan
             return model
 
-        monkeypatch.setattr(cli, "build_model", poisoned_build)
         cfg = write_config(tmp_path / "nan.ini", prepared_path, out=tmp_path / "run-nan")
+        assert main(["train", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "build_model", poisoned_build)
         assert main(["train", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "non-finite training loss nan at step" in err and len(err.splitlines()) == 1
+        # the earlier run's model would be read as this run's
+        assert not (tmp_path / "run-nan" / "model.ckpt").exists()
 
     def test_five_epoch_smoke_loss_decreases(self, tmp_path, prepared_path):
         import json
@@ -516,7 +520,7 @@ class TestEvaluate:
         model.gmf_item.rows.data[:, 1] = [2, 0, 0, 0, 1, -1]    # user 1 scores
         model.implicit_head.data[:2] = 1.0
         ckpt = tmp_path / "oracle.ckpt"
-        save_checkpoint(str(ckpt), model, "ite")
+        save_checkpoint(str(ckpt), model)
 
         assert main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(dataset)]) == 0
         printed = capsys.readouterr().out
@@ -545,10 +549,10 @@ class TestEvaluate:
     def test_nan_parameter_exits_one(self, tmp_path, prepared_path, trained, capsys):
         from feedrank.container import save_checkpoint
 
-        model, variant, meta = load_checkpoint(str(trained))
+        model, _, meta = load_checkpoint(str(trained))
         model.gmf_user.rows.data[0] = np.nan
         poisoned = tmp_path / "nan.ckpt"
-        save_checkpoint(str(poisoned), model, variant, meta=meta)
+        save_checkpoint(str(poisoned), model, meta=meta)
         assert main(["evaluate", "--checkpoint", str(poisoned), "--dataset", str(prepared_path)]) == 1
         err = capsys.readouterr().err
         assert "NaN or infinite" in err and len(err.splitlines()) == 1
@@ -564,7 +568,7 @@ class TestEvaluate:
         model = build_model(variant, users, items,
                             ModelConfig(embedding_dim=4, seq_len=4, transformer_layers=1), seed=0)
         ckpt = tmp_path / "other.ckpt"
-        save_checkpoint(str(ckpt), model, variant)
+        save_checkpoint(str(ckpt), model)
         assert main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(prepared_path)]) == 1
         captured = capsys.readouterr()
         assert captured.err == (f"error: checkpoint is built for {users} users and {items} items, "
@@ -581,7 +585,7 @@ class TestEvaluate:
                             ModelConfig(embedding_dim=4, seq_len=4, transformer_layers=1,
                                         side_dim=side_dim), seed=0)
         ckpt = tmp_path / "other.ckpt"
-        save_checkpoint(str(ckpt), model, variant)
+        save_checkpoint(str(ckpt), model)
         assert main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(prepared_path)]) == 1
         captured = capsys.readouterr()
         assert captured.err == (f"error: side info has {side_dim - 1} categories, "
@@ -648,7 +652,8 @@ class TestEvaluate:
         ("transformer_layers", True, "'model.transformer_layers' is True, not an int"),
         ("dropout", "x", "'model.dropout' is 'x', not a number"),
         ("dropout", False, "'model.dropout' is False, not a number"),
-        ("side_info_mode", 0, "'model.side_info_mode' is 0, not a string"),
+        # the record as written before the variant alone fixed the side mode
+        ("side_info_mode", "none", "'model' holds unknown keys 'side_info_mode'"),
         ("side_dim", None, "'model.side_dim' is missing"),
         ("attention_heads", None, "'model.attention_heads' is missing"),
         ("hidden_size", 8, "'model' holds unknown keys 'hidden_size'"),
@@ -666,17 +671,17 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err == f"error: {bad}: config key {message}\n"
 
+    # a record that still holds a side mode (the older format) is refused
+    # for that key, whichever mode it names
     @pytest.mark.parametrize("variant, changes, message", [
         ("bert-ite", {"side_info_mode": "user_and_item", "side_dim": 12},
-         "'model.side_info_mode' is 'user_and_item', not 'none' as variant 'bert-ite' fixes"),
-        ("bert-ite", {"side_info_mode": "bogus"},
-         "'model.side_info_mode' is 'bogus', not 'none' as variant 'bert-ite' fixes"),
+         "'model' holds unknown keys 'side_info_mode'"),
+        ("bert-ite", {"side_info_mode": "bogus"}, "'model' holds unknown keys 'side_info_mode'"),
         ("bert-ite", {"side_dim": 12}, "'model.side_dim' is 12, not 0 as variant 'bert-ite' reads no side info"),
         ("ite", {"side_dim": 4}, "'model.side_dim' is 4, not 0 as variant 'ite' reads no side info"),
-        ("ite-si", {"side_info_mode": "item_only"},
-         "'model.side_info_mode' is 'item_only', not 'user_and_item' as variant 'ite-si' fixes"),
+        ("ite-si", {"side_info_mode": "item_only"}, "'model' holds unknown keys 'side_info_mode'"),
         ("bert-ite-ossi", {"side_info_mode": "none", "side_dim": 0},
-         "'model.side_info_mode' is 'none', not 'item_only' as variant 'bert-ite-ossi' fixes"),
+         "'model' holds unknown keys 'side_info_mode'"),
     ])
     def test_side_mode_other_than_the_variants_exits_one(self, tmp_path, prepared_path, capsys,
                                                          variant, changes, message):
@@ -687,7 +692,7 @@ class TestEvaluate:
                             ModelConfig(embedding_dim=4, seq_len=4, transformer_layers=1, side_dim=4),
                             seed=0)
         ckpt = tmp_path / "side.ckpt"
-        save_checkpoint(str(ckpt), model, variant)
+        save_checkpoint(str(ckpt), model)
         config, arrays = read_container(str(ckpt))
         config["model"].update(changes)
         write_container(str(ckpt), config, arrays)
@@ -802,7 +807,7 @@ class TestConfigParsing:
                      id="model-typo"),
         pytest.param("[trainig]\nepochs = 3\n", "unknown section [trainig]", id="section-typo"),
         pytest.param("[model]\nside_dim = 4\n", "[model] side_dim is set from", id="side-dim"),
-        pytest.param("[model]\nside_info_mode = item_only\n", "[model] side_info_mode is set from",
+        pytest.param("[model]\nside_info_mode = item_only\n", "unknown key [model] side_info_mode",
                      id="side-info-mode"),
         pytest.param("[training]\nseed = 3\n", "[training] seed is set from", id="training-seed"),
         pytest.param("[training]\nepochs = two\n", "[training] epochs = 'two' is not a valid int",

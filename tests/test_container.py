@@ -165,7 +165,7 @@ class TestCheckpoint:
     def test_round_trip_restores_parameters_exactly(self, tmp_path):
         model = self.build()
         path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), model, "bert-ite", meta={"epoch": 3})
+        save_checkpoint(str(path), model, meta={"epoch": 3})
         loaded, variant, meta = load_checkpoint(str(path))
         assert variant == "bert-ite"
         assert meta == {"epoch": 3}
@@ -176,9 +176,9 @@ class TestCheckpoint:
     def test_save_load_save_byte_identical(self, tmp_path):
         model = self.build()
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(str(a), model, "bert-ite", meta={"epoch": 1})
-        loaded, variant, meta = load_checkpoint(str(a))
-        save_checkpoint(str(b), loaded, variant, meta=meta)
+        save_checkpoint(str(a), model, meta={"epoch": 1})
+        loaded, _, meta = load_checkpoint(str(a))
+        save_checkpoint(str(b), loaded, meta=meta)
         assert a.read_bytes() == b.read_bytes()
 
     def test_loaded_checkpoint_evaluates_identically(self, tmp_path):
@@ -189,14 +189,14 @@ class TestCheckpoint:
         model = build_model("bert-ite", train.num_users, train.num_items, cfg, seed=4)
         before = evaluate(model, cases, store=train, k=5, seed=2)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), model, "bert-ite")
+        save_checkpoint(str(path), model)
         loaded, _, _ = load_checkpoint(str(path))
         after = evaluate(loaded, cases, store=train, k=5, seed=2)
         assert before == after
 
     def test_record_naming_no_parameter_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(str(path), self.build(), "bert-ite")
+        save_checkpoint(str(path), self.build())
         config, arrays = read_container(str(path))
         write_container(str(path), config, {**arrays, "trm9.stray": np.zeros(2, dtype=np.float32)})
         with pytest.raises(ConfigError, match="names no parameter.*'trm9.stray'"):

@@ -9,8 +9,9 @@ from scipy.special import expit
 
 from feedrank import layers as L
 from feedrank import tensor as T
+from feedrank.container import load_checkpoint, save_checkpoint
 from feedrank.data import SideInfo
-from feedrank.models import BertITEModel, ITEModel, ModelConfig, build_model, predict_score
+from feedrank.models import VARIANTS, BertITEModel, ITEModel, ModelConfig, build_model, predict_score
 from feedrank.tensor import ConfigError
 
 from conftest import (check_gradients, encode_side_user, per_occurrence_side, same_bits, side_from_lists,
@@ -18,10 +19,9 @@ from conftest import (check_gradients, encode_side_user, per_occurrence_side, sa
 from test_layers import oracle_attention, oracle_ffn_row, oracle_layer_norm
 
 
-def ite_config(k=2, x=1, y=1, side_mode="none", side_dim=0):
+def ite_config(k=2, x=1, y=1, side_dim=0):
     return ModelConfig(embedding_dim=k, attention_heads=1, implicit_mlp_layers=x,
-                       explicit_mlp_layers=y, dropout=0.0, side_info_mode=side_mode,
-                       side_dim=side_dim)
+                       explicit_mlp_layers=y, dropout=0.0, side_dim=side_dim)
 
 
 def ite_forward(model: ITEModel, user: int, item: int, side_info=None):
@@ -148,7 +148,7 @@ class TestITEForward:
             ite_forward(model, 4, 0)
 
     def test_side_required_but_absent(self):
-        model = ITEModel(4, 4, ite_config(side_mode="user_and_item", side_dim=3), seed=7)
+        model = ITEModel(4, 4, ite_config(side_dim=3), seed=7, variant="ite-si")
         with pytest.raises(ConfigError, match=r"needs side info \(user_and_item\)"):
             model.forward(np.array([0]), np.array([0]))
 
@@ -158,7 +158,7 @@ class TestITEForward:
         assert ite_forward(model, 0, 1, side) == ite_forward(model, 0, 1)
 
     def test_item_only_mode(self):
-        model = ITEModel(4, 4, ite_config(side_mode="item_only", side_dim=3), seed=9)
+        model = ITEModel(4, 4, ite_config(side_dim=3), seed=9, variant="ite-ossi")
         to_float64(model.params)
         x0, y0 = ite_forward(model, 0, 1, side_from_lists(3, [[]] * 4))
         x1, y1 = ite_forward(model, 0, 1, side_from_lists(3, [[0, 1, 2]] * 4))
@@ -175,7 +175,7 @@ class TestITEForward:
             each = model.forward(np.full(7, 2), items, side)
         for got, want in zip(scores_of(one), scores_of(each)):
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
-            if model.config.side_info_mode != "user_and_item":  # the same rows meet the same ops
+            if variant != "ite-si":  # the same rows meet the same ops
                 np.testing.assert_array_equal(got, want)
 
 
@@ -280,16 +280,35 @@ class TestDistinctSideBags:
 class TestVariantRoster:
     def test_variants_share_code_paths(self):
         cfg = ModelConfig(embedding_dim=4, attention_heads=2, side_dim=5)
+        # class, and which tables project categories: user, item
         roster = {
-            "ite": (ITEModel, "none"), "ite-si": (ITEModel, "user_and_item"),
-            "ite-ossi": (ITEModel, "item_only"), "bert-ite": (BertITEModel, "none"),
-            "bert-ite-si": (BertITEModel, "user_and_item"),
-            "bert-ite-ossi": (BertITEModel, "item_only"),
+            "ite": (ITEModel, False, False), "ite-si": (ITEModel, True, True),
+            "ite-ossi": (ITEModel, False, True), "bert-ite": (BertITEModel, False, False),
+            "bert-ite-si": (BertITEModel, True, True), "bert-ite-ossi": (BertITEModel, False, True),
         }
-        for variant, (cls, mode) in roster.items():
+        for variant, (cls, user_side, item_side) in roster.items():
             model = build_model(variant, 4, 4, cfg, seed=0)
-            assert type(model) is cls
-            assert model.config.side_info_mode == mode
+            assert type(model) is cls and model.variant == variant
+            user, item = (model.gmf_user, model.gmf_item) if cls is ITEModel else (model.user_table, model.item_table)
+            assert (user.side_projection is not None, item.side_projection is not None) == (user_side, item_side)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_checkpoint_records_the_models_variant(self, tmp_path, variant):
+        model = build_model(variant, 4, 5, ModelConfig(embedding_dim=4, seq_len=3, transformer_layers=1,
+                                                       side_dim=3), seed=0)
+        save_checkpoint(str(tmp_path / "m.ckpt"), model)
+        loaded, recorded, _ = load_checkpoint(str(tmp_path / "m.ckpt"))
+        assert model.variant == recorded == loaded.variant == variant
+
+    @pytest.mark.parametrize("cls, variant", [(ITEModel, "bert-ite"), (BertITEModel, "ite-si"), (ITEModel, "mf")])
+    def test_variant_of_another_class_rejected(self, cls, variant):
+        with pytest.raises(ConfigError, match=f"{cls.__name__} cannot build variant '{variant}'"):
+            cls(4, 4, ModelConfig(embedding_dim=4, side_dim=3), variant=variant)
+
+    @pytest.mark.parametrize("variant", ["ite-si", "ite-ossi", "bert-ite-si", "bert-ite-ossi"])
+    def test_side_variant_needs_side_dim(self, variant):
+        with pytest.raises(ConfigError, match=f"variant '{variant}' needs side_dim > 0, got 0"):
+            build_model(variant, 4, 4, ModelConfig(embedding_dim=4), seed=0)
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
