@@ -27,6 +27,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import container, data, evaluation, training
 from .models import VARIANTS, ModelConfig, build_model
 from .tensor import ConfigError
@@ -75,10 +77,6 @@ def keep_freed_memory() -> bool:
     mallopt.restype = ctypes.c_int
     return (mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES) == 1
             and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES) == 1)
-
-
-def _needs_side(variant: str) -> bool:
-    return VARIANTS[variant][1] != "none"
 
 
 # Config fields the program sets itself, never read from or written to an INI
@@ -225,7 +223,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     _check_at_least_one(args.workers, "--workers")
     cfg.training.validate()
     prepared = data.load_prepared(cfg.prepared)
-    if _needs_side(cfg.variant):
+    if VARIANTS[cfg.variant][1] != "none":
         if prepared.side_info is None:
             raise ConfigError(
                 f"variant {cfg.variant!r} needs side information but {cfg.prepared!r} "
@@ -291,7 +289,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if (model.num_users, model.num_items) != (store.num_users, store.num_items):
         raise ConfigError(f"checkpoint is built for {model.num_users} users and {model.num_items} items, "
                           f"dataset has {store.num_users} users and {store.num_items} items")
-    if _needs_side(variant) and prepared.side_info is None:
+    if VARIANTS[variant][1] != "none" and prepared.side_info is None:
         raise ConfigError(f"checkpoint variant {variant!r} needs a dataset with side info")
     seed = args.seed if args.seed is not None else meta.get("seed", 0)
     started = time.perf_counter()
@@ -300,8 +298,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                                  ks=ks, seed=seed, workers=args.workers)
     seconds = time.perf_counter() - started
     for k, hr, ndcg in rows:
-        if k == args.topk or args.topk_sweep:
-            print(f"K={k} HR={hr:.6f} NDCG={ndcg:.6f}")
+        print(f"K={k} HR={hr:.6f} NDCG={ndcg:.6f}")
     if args.out:
         with container.atomic_write(args.out, "x", newline="", encoding="utf-8") as fh:
             writer = _metrics_csv(fh)
@@ -362,7 +359,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     keep_freed_memory()
     try:
-        return args.func(args)
+        # no numpy warning lines: the non-finite loss and score checks stop a run
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,7 +2,7 @@
 
 Layout (all integers little-endian):
 
-    magic              9 bytes, b"FEEDRANK1"
+    header             HEADERS[kind]: b"FEEDRANK <kind> <format number>\n"
     config_len         uint32
     config             JSON, UTF-8
     repeated records:
@@ -24,21 +24,25 @@ import dataclasses
 import json
 import math
 import os
+import re
 import secrets
 import struct
 from contextlib import contextmanager
-from typing import IO, BinaryIO, Iterator
+from typing import IO, Iterator
 
 import numpy as np
 
-MAGIC = b"FEEDRANK1"
+# kind -> (format number, the command that writes it); a change to a kind's
+# records or config keys bumps its number
+FORMATS = {"dataset": (2, "prepare"), "checkpoint": (2, "train")}
+HEADERS = {kind: f"FEEDRANK {kind} {number}\n".encode("ascii") for kind, (number, _) in FORMATS.items()}
 
 _TAG_BY_DTYPE = {np.dtype("<f4"): 0, np.dtype("<f8"): 1, np.dtype("<i8"): 2}
 _DTYPE_BY_TAG = {tag: dt for dt, tag in _TAG_BY_DTYPE.items()}
 
 
 class FormatError(ValueError):
-    """The file is not a valid container (bad magic, truncation, bad record)."""
+    """The file is not a valid container of its kind (another header, truncation, a bad record)."""
 
 
 @contextmanager
@@ -60,32 +64,41 @@ def atomic_write(path, mode: str = "xb", **open_args) -> Iterator[IO]:
         raise
 
 
-def write_container(path: str, config: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write the container through ``atomic_write``."""
+def write_container(path: str, kind: str, config: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write a container of ``kind`` through ``atomic_write``."""
     with atomic_write(path) as fh:
-        _write_records(fh, config, arrays)
+        fh.write(HEADERS[kind])
+        blob = json.dumps(config, separators=(",", ":")).encode("utf-8")
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        for name, arr in arrays.items():
+            arr = np.ascontiguousarray(arr)
+            dt = arr.dtype.newbyteorder("<")
+            if dt not in _TAG_BY_DTYPE:
+                raise FormatError(f"record {name!r}: unsupported dtype {arr.dtype}")
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<BI", _TAG_BY_DTYPE[dt], arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr.astype(dt, copy=False).tobytes())
 
 
-def _write_records(fh: BinaryIO, config: dict, arrays: dict[str, np.ndarray]) -> None:
-    fh.write(MAGIC)
-    blob = json.dumps(config, separators=(",", ":")).encode("utf-8")
-    fh.write(struct.pack("<I", len(blob)))
-    fh.write(blob)
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        dt = arr.dtype.newbyteorder("<")
-        if dt not in _TAG_BY_DTYPE:
-            raise FormatError(f"record {name!r}: unsupported dtype {arr.dtype}")
-        encoded = name.encode("utf-8")
-        fh.write(struct.pack("<I", len(encoded)))
-        fh.write(encoded)
-        fh.write(struct.pack("<BI", _TAG_BY_DTYPE[dt], arr.ndim))
-        fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        fh.write(arr.astype(dt, copy=False).tobytes())
-
-
-def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+def read_container(path: str, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The config and records of a container of ``kind``; another header is a one-line FormatError."""
     with open(path, "rb") as fh:
+        line = fh.readline(64)
+        if line != HEADERS[kind]:
+            found = re.fullmatch(rb"FEEDRANK (\w+) (\d+)\n", line)
+            if found:
+                held = b" format ".join(found.groups()).decode("ascii")
+            elif line.startswith(b"FEEDRANK1"):
+                held = "an unnumbered FEEDRANK1 file"
+            else:
+                held = "not a feedrank file"
+            number, command = FORMATS[kind]
+            raise FormatError(f"{path} is {held}; this feedrank reads {kind} format {number}: "
+                              f"re-run feedrank {command}")
         size = os.fstat(fh.fileno()).st_size
 
         def read(count: int, what: str) -> bytes:
@@ -95,9 +108,6 @@ def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
                                   f"{count} bytes declared, {size - fh.tell()} left")
             return fh.read(count)
 
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}; not a container file")
         (config_len,) = struct.unpack("<I", read(4, "config length"))
         try:
             config = json.loads(read(config_len, "config").decode("utf-8"))
@@ -136,7 +146,6 @@ def read_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
 def save_checkpoint(path: str, model, meta: dict | None = None) -> None:
     """Write a model's variant, build config and parameters (as float32)."""
     config = {
-        "kind": "checkpoint",
         "variant": model.variant,
         "num_users": model.num_users,
         "num_items": model.num_items,
@@ -144,7 +153,7 @@ def save_checkpoint(path: str, model, meta: dict | None = None) -> None:
         "meta": meta or {},
     }
     arrays = {name: arr.astype("<f4") for name, arr in model.params.state_arrays().items()}
-    write_container(path, config, arrays)
+    write_container(path, "checkpoint", config, arrays)
 
 
 def load_checkpoint(path: str):
@@ -154,9 +163,7 @@ def load_checkpoint(path: str):
     """
     from .models import VARIANTS, ModelConfig, build_model
 
-    config, arrays = read_container(path)
-    if config.get("kind") != "checkpoint":
-        raise FormatError(f"{path}: not a checkpoint file")
+    config, arrays = read_container(path, "checkpoint")
     _check_checkpoint(path, config, ModelConfig, VARIANTS)
     model = build_model(config["variant"], config["num_users"], config["num_items"],
                         ModelConfig(**config["model"]), seed=0)

@@ -16,6 +16,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import container
+from .container import FormatError
+
 log = logging.getLogger(__name__)
 
 IMPLICIT = "implicit"
@@ -557,8 +560,6 @@ def _check_dataset(path: str, config: dict, arrays: dict[str, np.ndarray]) -> No
     per user, item or case, and ids inside their range; config
     ``user_ids``, ``item_ids`` and ``labels`` lists of strings, a bool
     ``has_side_info`` and a ``meta`` object."""
-    from .container import FormatError
-
     missing = [key for key in ("user_ids", "item_ids", "labels", "meta") if key not in config]
     if missing:
         raise FormatError(f"{path}: missing config key(s) {', '.join(missing)}")
@@ -606,11 +607,8 @@ def _check_dataset(path: str, config: dict, arrays: dict[str, np.ndarray]) -> No
 
 
 def save_prepared(path: str, prepared: PreparedDataset) -> None:
-    from . import container
-
     store = prepared.store
     config = {
-        "kind": "dataset",
         "user_ids": store.user_ids,
         "item_ids": store.item_ids,
         "has_side_info": prepared.side_info is not None,
@@ -629,15 +627,11 @@ def save_prepared(path: str, prepared: PreparedDataset) -> None:
         arrays["side_item_flat"], arrays["side_item_offsets"] = side.item_categories, side.item_offsets
         arrays["side_user_idx"], arrays["side_user_offsets"] = side.user_categories, side.user_offsets
         arrays["side_user_val"] = side.user_weights
-    container.write_container(path, config, arrays)
+    container.write_container(path, "dataset", config, arrays)
 
 
 def load_prepared(path: str) -> PreparedDataset:
-    from . import container
-
-    config, arrays = container.read_container(path)
-    if config.get("kind") != "dataset":
-        raise container.FormatError(f"{path}: not a prepared-dataset file")
+    config, arrays = container.read_container(path, "dataset")
     _check_dataset(path, config, arrays)
     store = InteractionStore(config["user_ids"], config["item_ids"], arrays["event_offsets"],
                              arrays["event_items"], arrays["event_explicit"],

@@ -170,6 +170,15 @@ MUTANTS = (
            "src/feedrank/container.py",
            'variants[variant][1] == "none" and side_dim != 0:', 'variants[variant][1] == "none" and side_dim < 0:',
            ("tests/test_cli.py::TestEvaluate::test_side_mode_other_than_the_variants_exits_one",)),
+    Mutant("a file of another kind or format number is read as if its header were this one's",
+           "src/feedrank/container.py",
+           "if line != HEADERS[kind]:", "if False:",
+           ("tests/test_container.py::TestContainer::test_another_header_is_named_before_the_config_is_read",
+            "tests/test_cli.py::TestFileFormats::test_exits_one_with_one_line")),
+    Mutant("the command line prints numpy's floating-point warnings",
+           "src/feedrank/cli.py",
+           'with np.errstate(all="ignore"):', "with np.errstate():",
+           ("tests/test_cli.py::TestTrain::test_overflowing_learning_rate_exits_one_with_one_line",)),
     Mutant("a re-run of train keeps the earlier run's model.ckpt",
            "src/feedrank/cli.py",
            '(out_dir / "model.ckpt").unlink(missing_ok=True)', "pass",

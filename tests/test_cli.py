@@ -3,6 +3,7 @@
 import configparser
 import csv
 import hashlib
+import json
 import platform
 import resource
 import types
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from feedrank import cli
 from feedrank.cli import RunConfig, load_run_config, main, write_run_config
-from feedrank.container import load_checkpoint, read_container, write_container
+from feedrank.container import FORMATS, HEADERS, load_checkpoint, read_container, write_container
 from feedrank.data import load_prepared
 from feedrank.models import VARIANTS, ModelConfig, build_model
 from feedrank.tensor import no_grad
@@ -31,6 +32,14 @@ def prepared_path(tmp_path):
                  "--out", str(out), "--eval-negatives", "15", "--seed", "3"])
     assert code == 0
     return out
+
+
+@pytest.fixture
+def trained(tmp_path, prepared_path):
+    run_dir = tmp_path / "trained"
+    cfg = write_config(tmp_path / "cfg-t.ini", prepared_path, epochs=1, out=run_dir)
+    assert main(["train", "--config", str(cfg), "--no-timestamps"]) == 0
+    return run_dir / "model.ckpt"
 
 
 def write_config(path, prepared, variant="ite", epochs=2, out=None, extra_model=(), extra_train=()):
@@ -125,11 +134,12 @@ class TestPrepare:
         assert outs[0] == outs[1]
 
     # sha256 of prepared.bin for the default planted log, taken when the
-    # events became one table in their order (event_* records); any change
-    # to the file format, the split or the negative draw moves it
+    # header took the dataset's format number (records as when the events
+    # became one table); any change to the file format, the split or the
+    # negative draw moves it
     @pytest.mark.parametrize("with_categories, digest", [
-        (True, "1c0f7d0aef5624b00bd48bec04d0b7e2c1871042d76a23ddc0b31a5058808568"),
-        (False, "340a2833efddb0d30d6ce204d71c65e1a5585c8ab740ba471321563cc4e90bca"),
+        (True, "9469b36c49af01915067ae1d32e52ef58afe505137d31817387203b5ed0445e2"),
+        (False, "1a2a33b1679d8dcdb525eff2ff8d4a7a6d47393a4b721eb139534c6b200aa584"),
     ], ids=["with-categories", "without-categories"])
     def test_prepared_file_matches_golden_digest(self, tmp_path, with_categories, digest):
         events, cats = planted_dataset(tmp_path)
@@ -372,14 +382,16 @@ class TestTrain:
     def test_dataset_missing_a_record_exits_one(self, tmp_path, prepared_path, capsys):
         from feedrank.container import save_checkpoint
 
-        config, arrays = read_container(str(prepared_path))
+        config, arrays = read_container(str(prepared_path), "dataset")
         num_users, num_items = len(config["user_ids"]), len(config["item_ids"])
         checkpoint = tmp_path / "model.ckpt"
         save_checkpoint(str(checkpoint), build_model("ite", num_users, num_items, ModelConfig()))
         no_offsets = tmp_path / "no-offsets.bin"
-        write_container(str(no_offsets), config, {k: v for k, v in arrays.items() if k != "event_offsets"})
-        # the earlier layout: each behaviour's events in records of their own,
-        # with timestamps and file rows
+        write_container(str(no_offsets), "dataset", config,
+                        {k: v for k, v in arrays.items() if k != "event_offsets"})
+        # the layout before the events became one table, behind a current
+        # header: each behaviour's events in records of their own, with
+        # timestamps and file rows
         older = {k: v for k, v in arrays.items() if not k.startswith("event_")}
         users = np.repeat(np.arange(num_users), np.diff(arrays["event_offsets"]))
         flags = arrays["event_explicit"]
@@ -388,7 +400,7 @@ class TestTrain:
             older[f"{name}_items"] = arrays["event_items"][rows]
             older[f"{name}_times"] = older[f"{name}_seqs"] = np.flatnonzero(rows)
         parent_format = tmp_path / "parent-format.bin"
-        write_container(str(parent_format), config, older)
+        write_container(str(parent_format), "dataset", config, older)
         run_dir = tmp_path / "run-bad"
         for dataset, missing in ((no_offsets, "event_offsets"),
                                  (parent_format, "event_offsets, event_items, event_explicit")):
@@ -415,6 +427,19 @@ class TestTrain:
         # the earlier run's model would be read as this run's
         assert not (tmp_path / "run-nan" / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("variant", ["ite", "bert-ite"])
+    def test_overflowing_learning_rate_exits_one_with_one_line(self, tmp_path, prepared_path, capsys,
+                                                               variant):
+        # float32 overflows in the first steps; numpy's warnings would print
+        # before the non-finite loss line
+        run_dir = tmp_path / "run-big"
+        cfg = write_config(tmp_path / "big.ini", prepared_path, variant=variant, out=run_dir)
+        cfg.write_text(cfg.read_text().replace("learning_rate = 0.01", "learning_rate = 1e38"))
+        assert main(["train", "--config", str(cfg), "--no-timestamps"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite training loss nan at step ")
+        assert not (run_dir / "model.ckpt").exists()
+
     def test_five_epoch_smoke_loss_decreases(self, tmp_path, prepared_path):
         import json
         import time
@@ -440,13 +465,6 @@ class TestTrain:
 
 
 class TestEvaluate:
-    @pytest.fixture
-    def trained(self, tmp_path, prepared_path):
-        run_dir = tmp_path / "trained"
-        cfg = write_config(tmp_path / "cfg-t.ini", prepared_path, epochs=1, out=run_dir)
-        assert main(["train", "--config", str(cfg), "--no-timestamps"]) == 0
-        return run_dir / "model.ckpt"
-
     def test_prints_and_writes_metrics(self, tmp_path, prepared_path, trained, capsys):
         out_csv = tmp_path / "metrics.csv"
         assert main(["evaluate", "--checkpoint", str(trained), "--dataset", str(prepared_path),
@@ -528,7 +546,7 @@ class TestEvaluate:
 
     def test_corrupt_checkpoint_exits_one(self, tmp_path, prepared_path, capsys):
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(b"FEEDRANK1garbage-but-not-a-container")
+        bad.write_bytes(HEADERS["checkpoint"] + b"garbage-but-not-a-container")
         assert main(["evaluate", "--checkpoint", str(bad), "--dataset", str(prepared_path)]) == 1
         assert "error" in capsys.readouterr().err
 
@@ -536,9 +554,10 @@ class TestEvaluate:
         # every extent of the first record, rewritten to 2**32 - 1
         bad = tmp_path / "huge.ckpt"
         blob = bytearray(trained.read_bytes())
-        config_len = int.from_bytes(blob[9:13], "little")
-        name_len = int.from_bytes(blob[13 + config_len:17 + config_len], "little")
-        extents = 13 + config_len + 4 + name_len + 5
+        config_at = len(HEADERS["checkpoint"]) + 4
+        config_len = int.from_bytes(blob[config_at - 4:config_at], "little")
+        name_len = int.from_bytes(blob[config_at + config_len:config_at + config_len + 4], "little")
+        extents = config_at + config_len + 4 + name_len + 5
         rank = int.from_bytes(blob[extents - 4:extents], "little")
         blob[extents:extents + 4 * rank] = b"\xff" * 4 * rank
         bad.write_bytes(bytes(blob))
@@ -604,13 +623,13 @@ class TestEvaluate:
     ])
     def test_malformed_checkpoint_record_exits_one(self, tmp_path, prepared_path, trained, capsys,
                                                    key, value, message):
-        config, arrays = read_container(str(trained))
+        config, arrays = read_container(str(trained), "checkpoint")
         if value is None:
             del config[key]
         else:
             config[key] = value
         bad = tmp_path / "bad.ckpt"
-        write_container(str(bad), config, arrays)
+        write_container(str(bad), "checkpoint", config, arrays)
         assert main(["evaluate", "--checkpoint", str(bad), "--dataset", str(prepared_path)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {bad}: config key {message}\n"
@@ -618,10 +637,10 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("seed", [None, [1], 2.7, -1, True, "3"])
     def test_malformed_meta_seed_exits_one(self, tmp_path, prepared_path, trained, capsys, seed):
-        config, arrays = read_container(str(trained))
+        config, arrays = read_container(str(trained), "checkpoint")
         config["meta"]["seed"] = seed
         bad = tmp_path / "bad.ckpt"
-        write_container(str(bad), config, arrays)
+        write_container(str(bad), "checkpoint", config, arrays)
         assert main(["evaluate", "--checkpoint", str(bad), "--dataset", str(prepared_path)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {bad}: config key 'meta.seed' is {seed!r}, not an int >= 0\n"
@@ -639,9 +658,9 @@ class TestEvaluate:
     ])
     def test_malformed_dataset_config_exits_one(self, tmp_path, prepared_path, trained, capsys,
                                                 key, value, message):
-        config, arrays = read_container(str(prepared_path))
+        config, arrays = read_container(str(prepared_path), "dataset")
         config[key] = value
-        write_container(str(prepared_path), config, arrays)
+        write_container(str(prepared_path), "dataset", config, arrays)
         assert main(["evaluate", "--checkpoint", str(trained), "--dataset", str(prepared_path)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {prepared_path}: config key {message}\n"
@@ -660,13 +679,13 @@ class TestEvaluate:
     ])
     def test_malformed_model_record_exits_one(self, tmp_path, prepared_path, trained, capsys,
                                               key, value, message):
-        config, arrays = read_container(str(trained))
+        config, arrays = read_container(str(trained), "checkpoint")
         if value is None:
             del config["model"][key]
         else:
             config["model"][key] = value
         bad = tmp_path / "bad.ckpt"
-        write_container(str(bad), config, arrays)
+        write_container(str(bad), "checkpoint", config, arrays)
         assert main(["evaluate", "--checkpoint", str(bad), "--dataset", str(prepared_path)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {bad}: config key {message}\n"
@@ -693,9 +712,9 @@ class TestEvaluate:
                             seed=0)
         ckpt = tmp_path / "side.ckpt"
         save_checkpoint(str(ckpt), model)
-        config, arrays = read_container(str(ckpt))
+        config, arrays = read_container(str(ckpt), "checkpoint")
         config["model"].update(changes)
-        write_container(str(ckpt), config, arrays)
+        write_container(str(ckpt), "checkpoint", config, arrays)
         assert main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(prepared_path)]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {ckpt}: config key {message}\n"
@@ -711,6 +730,61 @@ class TestEvaluate:
             assert main(["evaluate", "--checkpoint", str(trained), "--dataset",
                          str(prepared_path), "--out", str(out), "--no-timestamps"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def parent_written(path, kind):
+    """The bytes the tree before format numbers wrote for the same inputs:
+    magic FEEDRANK1, then a config record that starts with a ``kind`` key;
+    every other config key and every record is the same."""
+    raw = path.read_bytes()[len(HEADERS[kind]):]
+    size = int.from_bytes(raw[:4], "little")
+    config = json.loads(raw[4:4 + size])
+    blob = json.dumps({"kind": kind, **config}, separators=(",", ":")).encode("utf-8")
+    return b"FEEDRANK1" + len(blob).to_bytes(4, "little") + blob + raw[4 + size:]
+
+
+class TestFileFormats:
+    """A file of another format number or kind stops ``train`` and
+    ``evaluate`` with one line that names what the file holds, what this
+    program reads, and the command that writes it, before any run
+    directory is made."""
+
+    COMMANDS = {"dataset": "prepare", "checkpoint": "train"}
+
+    @pytest.mark.parametrize("source", ["dataset", "checkpoint"])
+    @pytest.mark.parametrize("change", ["FEEDRANK1", "next number", "other kind"])
+    def test_exits_one_with_one_line(self, tmp_path, prepared_path, trained, capsys, source, change):
+        files = {"dataset": prepared_path, "checkpoint": trained}
+        other = "checkpoint" if source == "dataset" else "dataset"
+        number = FORMATS[source][0]
+        bad, role = tmp_path / f"bad-{source}", source
+        if change == "FEEDRANK1":
+            bad.write_bytes(parent_written(files[source], source))
+            held = "an unnumbered FEEDRANK1 file"
+        elif change == "next number":
+            body = files[source].read_bytes()[len(HEADERS[source]):]
+            bad.write_bytes(f"FEEDRANK {source} {number + 1}\n".encode("ascii") + body)
+            held = f"{source} format {number + 1}"
+        else:
+            bad.write_bytes(files[source].read_bytes())
+            held, role = f"{source} format {number}", other
+
+        def line(kind):
+            return (f"error: {bad} is {held}; this feedrank reads {kind} format {FORMATS[kind][0]}: "
+                    f"re-run feedrank {self.COMMANDS[kind]}")
+
+        paths = dict(files, **{role: bad})
+        assert main(["evaluate", "--checkpoint", str(paths["checkpoint"]),
+                     "--dataset", str(paths["dataset"])]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [line(role)] and "HR=" not in captured.out
+        # a dataset in a checkpoint's place is a good dataset for train
+        if role == "dataset" or change != "other kind":
+            run_dir = tmp_path / "run-bad"
+            cfg = write_config(tmp_path / "bad.ini", bad, out=run_dir)
+            assert main(["train", "--config", str(cfg)]) == 1
+            assert capsys.readouterr().err.splitlines() == [line("dataset")]
+            assert not run_dir.exists()
 
 
 class TestInterruptedWrites:

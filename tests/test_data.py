@@ -532,12 +532,12 @@ class TestStoreAgainstReference:
         for col in ("items", "explicit", "offsets"):
             np.testing.assert_array_equal(getattr(loaded, col), getattr(store, col))
         # a file whose held-out rows are unsorted and repeat items loads normalised
-        config, arrays = read_container(path)
+        config, arrays = read_container(path, "dataset")
         rows = [data.draw(st.permutations(row.tolist() * data.draw(st.integers(1, 3))))
                 for row in np.split(arrays["excluded_flat"], arrays["excluded_offsets"][1:-1])]
         arrays["excluded_flat"] = np.array(sum(rows, []), dtype=np.int64)
         arrays["excluded_offsets"] = np.cumsum([0] + [len(row) for row in rows]).astype(np.int64)
-        write_container(path, config, arrays)
+        write_container(path, "dataset", config, arrays)
         self.check(load_prepared(path).store, sets)
 
     def test_cached_keys_are_built_once_and_read_only(self, tiny_store):
@@ -615,9 +615,9 @@ class TestMalformedDataset:
         return path
 
     def rewrite(self, path, change):
-        config, arrays = read_container(str(path))
+        config, arrays = read_container(str(path), "dataset")
         change(arrays)
-        write_container(str(path), config, arrays)
+        write_container(str(path), "dataset", config, arrays)
 
     @pytest.mark.parametrize("record", ["event_offsets", "event_items", "event_explicit", "excluded_flat",
                                         "case_hist_offsets", "side_user_val"])
@@ -664,10 +664,10 @@ class TestMalformedDataset:
         (MISSING, "missing config key.*meta"),
     ])
     def test_bad_meta_rejected(self, dataset, value, message):
-        config, arrays = read_container(str(dataset))
+        config, arrays = read_container(str(dataset), "dataset")
         config["meta"] = value
         if value is MISSING:
             del config["meta"]
-        write_container(str(dataset), config, arrays)
+        write_container(str(dataset), "dataset", config, arrays)
         with pytest.raises(FormatError, match=message):
             load_prepared(str(dataset))

@@ -535,7 +535,7 @@ class TestSharedPrefixForward:
 
 class TestSessionOrderBlindness:
     """bert-ite has no positional encoding and its attention runs both ways,
-    so it sees a session's n context items as a set (ROADMAP item 9):
+    so it sees a session's n context items as a set (ROADMAP item 10):
     permuting the items of any row leaves every score unchanged up to float32
     rounding, in the per-row forward and in shared-context scoring, whose
     sums over the keys run in another order. This states today's behaviour;
