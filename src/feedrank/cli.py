@@ -34,7 +34,6 @@ from .models import VARIANTS, ModelConfig, build_model
 from .tensor import ConfigError
 
 DEFAULT_EVAL_NEGATIVES = 999
-CSV_HEADER = ["epoch", "K", "HR", "NDCG", "loss", "seconds"]
 
 # glibc's mallopt parameters (malloc.h) and the values the command line sets
 M_TRIM_THRESHOLD = -1
@@ -201,13 +200,6 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _metrics_csv(fh):
-    """A CSV writer on ``fh`` (opened with ``newline=""``), header written."""
-    writer = csv.writer(fh)
-    writer.writerow(CSV_HEADER)
-    return writer
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     _check_non_negative(args.seed, "--seed")
     cfg = load_run_config(args.config)
@@ -237,8 +229,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     # a run that fails must not leave an earlier run's model beside its config
     (out_dir / "model.ckpt").unlink(missing_ok=True)
     write_run_config(out_dir / "config.ini", cfg)
-    csv_fh = open(out_dir / "metrics.csv", "w", newline="", encoding="utf-8")
-    csv_writer = _metrics_csv(csv_fh)
     jsonl_fh = open(out_dir / "epochs.jsonl", "w", encoding="utf-8")
 
     def on_epoch(record: dict) -> None:
@@ -249,13 +239,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         jsonl_fh.write(json.dumps(row, sort_keys=True) + "\n")
         jsonl_fh.flush()
         hr = record.get("hr")
-        ndcg = record.get("ndcg")
-        csv_writer.writerow([record["epoch"], cfg.eval_topk,
-                             "" if hr is None else repr(hr),
-                             "" if ndcg is None else repr(ndcg),
-                             repr(record["mean_loss"]),
-                             "" if args.no_timestamps else f"{seconds:.3f}"])
-        csv_fh.flush()
         status = f" hr@{cfg.eval_topk}={hr:.4f} ndcg@{cfg.eval_topk}={record['ndcg']:.4f}" if hr is not None else ""
         print(f"epoch {record['epoch']}: loss={record['mean_loss']:.5f}{status}")
 
@@ -264,7 +247,6 @@ def cmd_train(args: argparse.Namespace) -> int:
                               side_info=prepared.side_info,
                               eval_topk=cfg.eval_topk, workers=args.workers, on_epoch=on_epoch)
     finally:
-        csv_fh.close()
         jsonl_fh.close()
 
     model.params.load_arrays(result.best_params)
@@ -301,7 +283,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         print(f"K={k} HR={hr:.6f} NDCG={ndcg:.6f}")
     if args.out:
         with container.atomic_write(args.out, "x", newline="", encoding="utf-8") as fh:
-            writer = _metrics_csv(fh)
+            writer = csv.writer(fh)
+            writer.writerow(["epoch", "K", "HR", "NDCG", "loss", "seconds"])
             for k, hr, ndcg in rows:
                 writer.writerow([meta.get("epoch", 0), k, repr(hr), repr(ndcg), "",
                                  "" if args.no_timestamps else f"{seconds:.3f}"])

@@ -34,7 +34,7 @@ import numpy as np
 
 # kind -> (format number, the command that writes it); a change to a kind's
 # records or config keys bumps its number
-FORMATS = {"dataset": (2, "prepare"), "checkpoint": (2, "train")}
+FORMATS = {"dataset": (3, "prepare"), "checkpoint": (2, "train")}
 HEADERS = {kind: f"FEEDRANK {kind} {number}\n".encode("ascii") for kind, (number, _) in FORMATS.items()}
 
 _TAG_BY_DTYPE = {np.dtype("<f4"): 0, np.dtype("<f8"): 1, np.dtype("<i8"): 2}

@@ -529,17 +529,11 @@ def _flatten(ragged: Iterable[np.ndarray], dtype=np.int64) -> tuple[np.ndarray, 
     return flat, offsets
 
 
-def _unflatten(flat: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
-    return [flat[offsets[j]:offsets[j + 1]] for j in range(offsets.size - 1)]
-
-
 # a dataset file's CSR records: offsets record -> (the records it splits into
 # rows, what those rows are)
 _DATASET_ROWS = {
     "event_offsets": (("event_items", "event_explicit"), "users"),
-    "excluded_offsets": (("excluded_flat",), "users"),
     "case_neg_offsets": (("case_neg_flat",), "cases"),
-    "case_hist_offsets": (("case_hist_flat",), "cases"),
 }
 _SIDE_ROWS = {
     "side_item_offsets": (("side_item_flat",), "items"),
@@ -547,19 +541,19 @@ _SIDE_ROWS = {
 }
 # records of ids -> what they index (an event's explicit flag is 0 or 1)
 _ID_RECORDS = {
-    "event_items": "items", "event_explicit": "flags", "excluded_flat": "items",
-    "case_users": "users", "case_items": "items", "case_neg_flat": "items",
-    "case_hist_flat": "items", "side_item_flat": "labels", "side_user_idx": "labels",
+    "event_items": "items", "event_explicit": "flags", "case_users": "users", "case_items": "items",
+    "case_neg_flat": "items", "side_item_flat": "labels", "side_user_idx": "labels",
 }
 
 
 def _check_dataset(path: str, config: dict, arrays: dict[str, np.ndarray]) -> None:
     """Raise a one-line FormatError unless the records of a dataset file fit
-    together: every record present, 1-D and of its dtype, offsets that start
-    at 0, never decrease, end at their flat records' length and have one row
-    per user, item or case, and ids inside their range; config
-    ``user_ids``, ``item_ids`` and ``labels`` lists of strings, a bool
-    ``has_side_info`` and a ``meta`` object."""
+    together: every record present (the side records all or none), 1-D and
+    of its dtype, offsets that start at 0, never decrease, end at their flat
+    records' length and have one row per user, item or case, ids inside
+    their range, one history length per case between 0 and its user's event
+    count; config ``user_ids``, ``item_ids`` and ``labels`` lists of
+    strings and a ``meta`` object."""
     missing = [key for key in ("user_ids", "item_ids", "labels", "meta") if key not in config]
     if missing:
         raise FormatError(f"{path}: missing config key(s) {', '.join(missing)}")
@@ -567,12 +561,11 @@ def _check_dataset(path: str, config: dict, arrays: dict[str, np.ndarray]) -> No
         ids = config[key]
         if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
             raise FormatError(f"{path}: config key {key!r} must be a list of strings")
-    if not isinstance(config.get("has_side_info"), bool):
-        raise FormatError(f"{path}: config key 'has_side_info' is {config.get('has_side_info')!r}, not a bool")
     if not isinstance(config["meta"], dict):
         raise FormatError(f"{path}: config key 'meta' must be an object")
-    layout = dict(_DATASET_ROWS, **(_SIDE_ROWS if config["has_side_info"] else {}))
-    names = ["case_users", "case_items", *(n for off, (flat, _) in layout.items() for n in (off, *flat))]
+    layout = dict(_DATASET_ROWS, **(_SIDE_ROWS if any(name.startswith("side_") for name in arrays) else {}))
+    names = ["case_users", "case_items", "case_history_len",
+             *(n for off, (flat, _) in layout.items() for n in (off, *flat))]
     missing = [name for name in names if name not in arrays]
     if missing:
         raise FormatError(f"{path}: missing record(s) {', '.join(missing)}")
@@ -585,7 +578,7 @@ def _check_dataset(path: str, config: dict, arrays: dict[str, np.ndarray]) -> No
             problem = f"is {arr.dtype} of shape {arr.shape}, not a 1-D {want} array"
         elif kind and arr.size and (arr.min() < 0 or arr.max() >= counts[kind]):
             problem = f"holds ids outside [0, {counts[kind]}) {kind}"
-        elif name == "case_items" and arr.size != counts["cases"]:
+        elif name in ("case_items", "case_history_len") and arr.size != counts["cases"]:
             problem = f"has {arr.size} entries for {counts['cases']} case users"
         else:
             continue
@@ -604,25 +597,27 @@ def _check_dataset(path: str, config: dict, arrays: dict[str, np.ndarray]) -> No
                 continue
             problem = f"ends at {offsets[-1]} but {short[0]!r} holds {arrays[short[0]].size} values"
         raise FormatError(f"{path}: record {name!r} {problem}")
+    lengths, events = arrays["case_history_len"], np.diff(arrays["event_offsets"])[arrays["case_users"]]
+    bad = np.flatnonzero((lengths < 0) | (lengths > events))
+    if bad.size:
+        raise FormatError(f"{path}: record 'case_history_len' holds {lengths[bad[0]]} for case {bad[0]}, "
+                          f"whose user has {events[bad[0]]} events")
 
 
 def save_prepared(path: str, prepared: PreparedDataset) -> None:
-    store = prepared.store
-    config = {
-        "user_ids": store.user_ids,
-        "item_ids": store.item_ids,
-        "has_side_info": prepared.side_info is not None,
-        "labels": prepared.side_info.labels if prepared.side_info else [],
-        "meta": prepared.meta,
-    }
+    """Write a split as ``leave_one_out_split`` returns it. Its store holds
+    out exactly the cases' (user, item) pairs, and each case's history is
+    the first events of its user's training row, so the file keeps the
+    pairs once, as the cases, and a history as its length."""
+    store, cases, side = prepared.store, prepared.cases, prepared.side_info
+    config = {"user_ids": store.user_ids, "item_ids": store.item_ids,
+              "labels": side.labels if side else [], "meta": prepared.meta}
     arrays = {"event_offsets": store.offsets, "event_items": store.items,
-              "event_explicit": store.explicit.astype(np.int64)}
-    arrays["excluded_flat"], arrays["excluded_offsets"] = store.excluded_flat, store.excluded_offsets
-    arrays["case_users"] = np.array([c.user for c in prepared.cases], dtype=np.int64)
-    arrays["case_items"] = np.array([c.item for c in prepared.cases], dtype=np.int64)
-    arrays["case_neg_flat"], arrays["case_neg_offsets"] = _flatten([c.negatives for c in prepared.cases])
-    arrays["case_hist_flat"], arrays["case_hist_offsets"] = _flatten([c.history for c in prepared.cases])
-    side = prepared.side_info
+              "event_explicit": store.explicit.astype(np.int64),
+              "case_users": np.array([c.user for c in cases], dtype=np.int64),
+              "case_items": np.array([c.item for c in cases], dtype=np.int64),
+              "case_history_len": np.array([len(c.history) for c in cases], dtype=np.int64)}
+    arrays["case_neg_flat"], arrays["case_neg_offsets"] = _flatten([c.negatives for c in cases])
     if side is not None:
         arrays["side_item_flat"], arrays["side_item_offsets"] = side.item_categories, side.item_offsets
         arrays["side_user_idx"], arrays["side_user_offsets"] = side.user_categories, side.user_offsets
@@ -631,17 +626,18 @@ def save_prepared(path: str, prepared: PreparedDataset) -> None:
 
 
 def load_prepared(path: str) -> PreparedDataset:
+    """The split ``save_prepared`` wrote: the store holds the cases' pairs
+    out, and each case's history is a view of its user's first events."""
     config, arrays = container.read_container(path, "dataset")
     _check_dataset(path, config, arrays)
+    users, items = arrays["case_users"], arrays["case_items"]
     store = InteractionStore(config["user_ids"], config["item_ids"], arrays["event_offsets"],
-                             arrays["event_items"], arrays["event_explicit"],
-                             (_row_ids(arrays["excluded_offsets"]), arrays["excluded_flat"]))
-    negatives = _unflatten(arrays["case_neg_flat"], arrays["case_neg_offsets"])
-    histories = _unflatten(arrays["case_hist_flat"], arrays["case_hist_offsets"])
-    cases = [EvalCase(int(u), int(i), neg, hist) for u, i, neg, hist in
-             zip(arrays["case_users"], arrays["case_items"], negatives, histories)]
+                             arrays["event_items"], arrays["event_explicit"], (users, items))
+    negatives = np.split(arrays["case_neg_flat"], arrays["case_neg_offsets"][1:-1])
+    cases = [EvalCase(int(u), int(i), neg, store.items[start:start + h]) for u, i, neg, start, h in
+             zip(users, items, negatives, store.offsets[users], arrays["case_history_len"])]
     side = None
-    if config["has_side_info"]:
+    if "side_item_flat" in arrays:
         side = SideInfo(config["labels"], arrays["side_item_offsets"], arrays["side_item_flat"],
                         arrays["side_user_offsets"], arrays["side_user_idx"], arrays["side_user_val"])
     return PreparedDataset(store, cases, side, config["meta"])

@@ -95,8 +95,14 @@ def case_ranks(model, cases: Sequence[EvalCase], store: Optional[InteractionStor
         raise ValueError("evaluate needs at least one case")
     if workers <= 1:
         return [case_rank(model, c, store, side_info, seed) for c in cases]
+    state = np.geterr()  # a pool thread starts from numpy's defaults, not the caller's
+
+    def rank(case: EvalCase) -> int:
+        with np.errstate(**state):
+            return case_rank(model, case, store, side_info, seed)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda c: case_rank(model, c, store, side_info, seed), cases))
+        return list(pool.map(rank, cases))
 
 
 def topk_sweep(model, cases: Sequence[EvalCase], store: Optional[InteractionStore] = None,

@@ -286,6 +286,17 @@ class ParameterRegistry:
 # ---------------------------------------------------------------------------
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, with numpy's invalid-value flag ignored when the product
+    has one output column: a BLAS kernel can raise that flag on finite
+    inputs, from lanes it does not return. A NaN the product does return
+    still stops training or evaluation at the non-finite loss or score check."""
+    if b.shape[-1] != 1:
+        return a @ b
+    with np.errstate(invalid="ignore"):
+        return a @ b
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product on the last two axes; leading axes broadcast."""
     if a.ndim < 2 or b.ndim < 2:
@@ -295,24 +306,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     # a 2-D ``b`` takes one GEMM over every leading row of ``a``, forward and
     # backward, not a stack of small products (to sum, for ``b``'s gradient)
     if a.ndim > 2 and b.ndim == 2:
-        data = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+        data = _dot(a.data.reshape(-1, a.shape[-1]), b.data).reshape(a.shape[:-1] + b.shape[1:])
     else:
-        data = a.data @ b.data
+        data = _dot(a.data, b.data)
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
             if b.ndim == 2:
                 # a contiguous bᵀ: BLAS multiplies by it faster than by b's view
-                ga = (g.reshape(-1, g.shape[-1]) @ np.ascontiguousarray(b.data.T)).reshape(a.shape)
+                ga = _dot(g.reshape(-1, g.shape[-1]), np.ascontiguousarray(b.data.T)).reshape(a.shape)
             else:
-                ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+                ga = _unbroadcast(_dot(g, np.swapaxes(b.data, -1, -2)), a.shape)
             _accumulate(a, ga)
         if b.requires_grad:
             if b.ndim == 2:
                 k = a.shape[-1]
-                gb = a.data.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
+                gb = _dot(a.data.reshape(-1, k).T, g.reshape(-1, g.shape[-1]))
             else:
-                gb = np.swapaxes(a.data, -1, -2) @ g
+                gb = _dot(np.swapaxes(a.data, -1, -2), g)
             _accumulate(b, _unbroadcast(gb, b.shape))
 
     return _make(data, (a, b), backward)
@@ -332,9 +343,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     k = x.shape[-1]
     # matmul's forms: one GEMM over every leading row of a 3-D ``x``
     if x.ndim > 2:
-        data = (x.data.reshape(-1, k) @ weight.data.T).reshape(x.shape[:-1] + weight.shape[:1])
+        data = _dot(x.data.reshape(-1, k), weight.data.T).reshape(x.shape[:-1] + weight.shape[:1])
     else:
-        data = x.data @ weight.data.T
+        data = _dot(x.data, weight.data.T)
     data += bias.data
 
     def backward(g: np.ndarray) -> None:
@@ -342,9 +353,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             _accumulate(bias, _unbroadcast(g, bias.shape))
         g2 = g.reshape(-1, g.shape[-1])
         if x.requires_grad:
-            _accumulate(x, (g2 @ weight.data).reshape(x.shape))
+            _accumulate(x, _dot(g2, weight.data).reshape(x.shape))
         if weight.requires_grad:
-            _accumulate(weight, (x.data.reshape(-1, k).T @ g2).T)
+            _accumulate(weight, _dot(x.data.reshape(-1, k).T, g2).T)
 
     return _make(data, (x, weight, bias), backward)
 
@@ -534,7 +545,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         # s * (g - rowsum(g * s)); the row sums are one BLAS product
         g *= s
-        dot = g.reshape(-1, n) @ np.ones((n, 1), dtype=g.dtype)
+        dot = _dot(g.reshape(-1, n), np.ones((n, 1), dtype=g.dtype))
         g -= s * dot.reshape(s.shape[:-1] + (1,))
         _accumulate(x, g)
 

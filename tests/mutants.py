@@ -52,6 +52,15 @@ MUTANTS = (
            "cached = (pairs, pairs.copy(), np.append(rows[first], -1))",
            ("tests/test_data.py::TestStoreAgainstReference::test_matrices_stats_and_held_out_rows",
             "tests/test_training.py::TestSampleNegatives::test_excluded_items_never_sampled")),
+    Mutant("a dataset file's history lengths go unchecked against their users' event counts",
+           "src/feedrank/data.py",
+           "bad = np.flatnonzero((lengths < 0) | (lengths > events))", "bad = np.flatnonzero(lengths < 0)",
+           ("tests/test_data.py::TestMalformedDataset::test_bad_history_length_rejected[too-long]",)),
+    Mutant("a loaded dataset does not hold its cases' pairs out",
+           "src/feedrank/data.py",
+           'arrays["event_explicit"], (users, items))', 'arrays["event_explicit"], ((), ()))',
+           ("tests/test_data.py::TestPreparedRoundTrip::test_split_round_trips",
+            "tests/test_data.py::TestStoreAgainstReference::test_save_load_round_trip")),
     Mutant("ingest puts later file rows first among equal timestamps",
            "src/feedrank/data.py",
            "order = np.lexsort((rows, times[rows], users))",
@@ -142,8 +151,8 @@ MUTANTS = (
             "tests/test_tensor.py::TestLinear::test_gradients_match_finite_differences")),
     Mutant("linear leaves its weight gradient untransposed, which only a square layer survives",
            "src/feedrank/tensor.py",
-           "_accumulate(weight, (x.data.reshape(-1, k).T @ g2).T)",
-           "_accumulate(weight, x.data.reshape(-1, k).T @ g2)",
+           "_accumulate(weight, _dot(x.data.reshape(-1, k).T, g2).T)",
+           "_accumulate(weight, _dot(x.data.reshape(-1, k).T, g2))",
            ("tests/test_tensor.py::TestLinear::test_bit_identical_to_the_composed_form",
             "tests/test_tensor.py::TestLinear::test_gradients_match_finite_differences")),
     Mutant("the backward walk clears a node before its backward runs",
@@ -179,6 +188,11 @@ MUTANTS = (
            "src/feedrank/cli.py",
            'with np.errstate(all="ignore"):', "with np.errstate():",
            ("tests/test_cli.py::TestTrain::test_overflowing_learning_rate_exits_one_with_one_line",)),
+    Mutant("evaluate's pool threads score under numpy's default error state, not the caller's",
+           "src/feedrank/evaluation.py",
+           "with np.errstate(**state):", "with np.errstate():",
+           ("tests/test_cli.py::TestEvaluate::test_workers_print_no_numpy_warnings",
+            "tests/test_evaluation.py::TestIteEvaluation::test_cases_score_under_the_callers_error_state[2]")),
     Mutant("a re-run of train keeps the earlier run's model.ckpt",
            "src/feedrank/cli.py",
            '(out_dir / "model.ckpt").unlink(missing_ok=True)', "pass",

@@ -56,7 +56,7 @@ class TestContainer:
 
     @pytest.mark.parametrize("head, held", [
         (b"FEEDRANK1", "an unnumbered FEEDRANK1 file"),
-        (b"FEEDRANK dataset 3\n", "dataset format 3"),
+        (b"FEEDRANK dataset 2\n", "dataset format 2"),
         (b"FEEDRANK checkpoint 2\n", "checkpoint format 2"),
         (b"FEEDRANK dataset\n", "not a feedrank file"),
         (b"PK\x03\x04", "not a feedrank file"),
@@ -238,20 +238,17 @@ def layout(text):
 # record's name, dtype and rank, in the order the writer puts them. A writer
 # change that keeps the number fails here: bump the kind's number in
 # container.FORMATS and pin the new layout in place of this one.
-PINNED_NUMBERS = {"dataset": 2, "checkpoint": 2}
-DATASET_KEYS = ["user_ids", "item_ids", "has_side_info", "labels", "meta"]
+PINNED_NUMBERS = {"dataset": 3, "checkpoint": 2}
+DATASET_KEYS = ["user_ids", "item_ids", "labels", "meta"]
 DATASET_RECORDS = layout("""
     event_offsets i8 1
     event_items i8 1
     event_explicit i8 1
-    excluded_flat i8 1
-    excluded_offsets i8 1
     case_users i8 1
     case_items i8 1
+    case_history_len i8 1
     case_neg_flat i8 1
     case_neg_offsets i8 1
-    case_hist_flat i8 1
-    case_hist_offsets i8 1
 """)
 SIDE_RECORDS = layout("""
     side_item_flat i8 1

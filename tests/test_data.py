@@ -524,21 +524,19 @@ class TestStoreAgainstReference:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_save_load_round_trip(self, tmp_path, data):
-        store, sets = self.draw_store(data)
+        # the file holds no held-out pairs apart from the cases, so it stores
+        # a split of a store that held nothing out, as ``ingest`` gives one
+        store, _ = self.draw_store(data)
+        store = InteractionStore(store.user_ids, store.item_ids, store.offsets, store.items, store.explicit)
+        train, cases = leave_one_out_split(store, num_negatives=2, seed=data.draw(st.integers(0, 3)))
         path = str(tmp_path / "store.bin")
-        save_prepared(path, PreparedDataset(store, [], None))
+        save_prepared(path, PreparedDataset(train, cases, None))
         loaded = load_prepared(path).store
-        self.check(loaded, sets)
+        self.check(loaded, store_sets(train))
+        assert [loaded.excluded_flat[loaded.excluded_offsets[c.user]:loaded.excluded_offsets[c.user + 1]].tolist()
+                for c in cases] == [[c.item] for c in cases]
         for col in ("items", "explicit", "offsets"):
-            np.testing.assert_array_equal(getattr(loaded, col), getattr(store, col))
-        # a file whose held-out rows are unsorted and repeat items loads normalised
-        config, arrays = read_container(path, "dataset")
-        rows = [data.draw(st.permutations(row.tolist() * data.draw(st.integers(1, 3))))
-                for row in np.split(arrays["excluded_flat"], arrays["excluded_offsets"][1:-1])]
-        arrays["excluded_flat"] = np.array(sum(rows, []), dtype=np.int64)
-        arrays["excluded_offsets"] = np.cumsum([0] + [len(row) for row in rows]).astype(np.int64)
-        write_container(path, "dataset", config, arrays)
-        self.check(load_prepared(path).store, sets)
+            np.testing.assert_array_equal(getattr(loaded, col), getattr(train, col))
 
     def test_cached_keys_are_built_once_and_read_only(self, tiny_store):
         for matrix in ("implicit", "explicit"):
@@ -587,6 +585,39 @@ class TestPreparedRoundTrip:
             np.testing.assert_array_equal(got, want)
         assert loaded.meta == {"seed": 3}
 
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_split_round_trips(self, tmp_path, data):
+        """The split as ``leave_one_out_split`` returns it, through the file.
+        User 0 views another item after its last explicit event, so its
+        history is only the first part of its training row."""
+        num_users, num_items = data.draw(st.integers(1, 5)), data.draw(st.integers(2, 8))
+        events = data.draw(st.lists(st.tuples(st.integers(0, num_users - 1), st.integers(0, num_items - 1),
+                                              st.booleans()), max_size=30))
+        last = data.draw(st.integers(0, num_items - 1))
+        after = data.draw(st.lists(st.integers(0, num_items - 1), max_size=3))
+        events += [(0, last, True), *((0, i, False) for i in after), (0, (last + 1) % num_items, False)]
+        users, items, explicit = ([e[k] for e in events] for k in range(3))
+        store = InteractionStore([f"u{u}" for u in range(num_users)], [f"i{i}" for i in range(num_items)],
+                                 *event_table(num_users, users, items, explicit))
+        train, cases = leave_one_out_split(store, num_negatives=data.draw(st.integers(0, num_items)),
+                                           seed=data.draw(st.integers(0, 3)))
+        assert next(c for c in cases if c.user == 0).history.size < np.diff(train.offsets)[0]
+        path = tmp_path / "split.bin"
+        save_prepared(str(path), PreparedDataset(train, cases, None))
+        loaded = load_prepared(str(path))
+        for col in ("offsets", "items", "explicit", "excluded_offsets", "excluded_flat"):
+            got, want = getattr(loaded.store, col), getattr(train, col)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        for matrix in ("implicit", "explicit"):
+            np.testing.assert_array_equal(loaded.store.observed_keys(matrix), train.observed_keys(matrix))
+        assert [(c.user, c.item) for c in loaded.cases] == [(c.user, c.item) for c in cases]
+        for got, want in zip(loaded.cases, cases):
+            for attr in ("negatives", "history"):
+                assert getattr(got, attr).dtype == getattr(want, attr).dtype == np.int64
+                np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+
     def test_side_vectors_computed_on_training_view_only(self, tmp_path):
         # the held-out item's category must not leak into the user vector
         rows = [(t, "u", "view", item) for t, item in enumerate(["a", "b", "c", "d"])]
@@ -619,14 +650,15 @@ class TestMalformedDataset:
         change(arrays)
         write_container(str(path), "dataset", config, arrays)
 
-    @pytest.mark.parametrize("record", ["event_offsets", "event_items", "event_explicit", "excluded_flat",
-                                        "case_hist_offsets", "side_user_val"])
+    # a side record absent beside the other four is missing, not a file without side info
+    @pytest.mark.parametrize("record", ["event_offsets", "event_items", "event_explicit", "case_items",
+                                        "case_history_len", "side_item_offsets", "side_user_val"])
     def test_missing_record_is_named(self, dataset, record):
         self.rewrite(dataset, lambda arrays: arrays.pop(record))
         with pytest.raises(FormatError, match=f"missing record.*{record}"):
             load_prepared(str(dataset))
 
-    @pytest.mark.parametrize("record", ["event_offsets", "excluded_offsets", "case_neg_offsets",
+    @pytest.mark.parametrize("record", ["event_offsets", "case_neg_offsets",
                                         "side_item_offsets", "side_user_offsets"])
     @pytest.mark.parametrize("change, message", [
         (lambda off: off + 1, "starts at 1, not 0"),
@@ -650,6 +682,27 @@ class TestMalformedDataset:
         self.rewrite(dataset, apply)
         with pytest.raises(FormatError, match=f"{record}.*outside"):
             load_prepared(str(dataset))
+
+    @pytest.mark.parametrize("change", ["negative", "too-long", "wrong-size"])
+    def test_bad_history_length_rejected(self, dataset, change):
+        config, arrays = read_container(str(dataset), "dataset")
+        lengths = arrays["case_history_len"]
+        events = np.diff(arrays["event_offsets"])[arrays["case_users"][0]]
+        if change == "wrong-size":
+            arrays["case_history_len"] = lengths[:-1]
+            message = f"has {lengths.size - 1} entries for {lengths.size} case users"
+        else:
+            lengths[0] = -1 if change == "negative" else events + 1
+            message = f"holds {lengths[0]} for case 0, whose user has {events} events"
+        write_container(str(dataset), "dataset", config, arrays)
+        with pytest.raises(FormatError) as raised:
+            load_prepared(str(dataset))
+        assert str(raised.value) == f"{dataset}: record 'case_history_len' {message}"
+
+    def test_side_info_is_there_exactly_when_its_records_are(self, dataset):
+        assert load_prepared(str(dataset)).side_info is not None
+        self.rewrite(dataset, lambda arrays: [arrays.pop(name) for name in list(arrays) if name.startswith("side_")])
+        assert load_prepared(str(dataset)).side_info is None
 
     def test_wrong_dtype_rejected(self, dataset):
         def apply(arrays):

@@ -227,6 +227,22 @@ class TestIteEvaluation:
         assert ranks == [rank(model, c) for c in cases]
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cases_score_under_the_callers_error_state(self, workers):
+        # every parameter at 1e30 overflows float32 products; a pool thread
+        # starts from numpy's default state unless it takes the caller's
+        from feedrank.models import ITEModel
+
+        model = ITEModel(4, 30, ModelConfig(embedding_dim=4, attention_heads=2), seed=0)
+        for p in model.params:
+            p.data[:] = 1e30
+        cases = [case(u, u, np.arange(10, 20)) for u in range(4)]
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            case_ranks(model, cases, workers=workers)
+        with np.errstate(all="ignore"):
+            assert case_ranks(model, cases, workers=workers) == [case_rank(model, c) for c in cases]
+
+
 class TestTopkSweep:
     def test_metrics_monotone_in_k(self):
         rng = np.random.default_rng(5)
