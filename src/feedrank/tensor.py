@@ -677,13 +677,11 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
 def embedding_bag(table: Tensor, ids: np.ndarray, weights: Optional[np.ndarray] = None) -> Tensor:
     """Weighted bags of rows: ``out[..., :] = sum_j w[..., j] * table[ids[..., j]]``
     over the last axis of ``ids`` ([..., m]), skipping slots whose id is -1;
-    ``weights`` (the shape of ``ids``) default to 1. The bags are one sparse
-    [bags, rows] matrix ``S``: the output is ``S @ table`` and the table's
-    gradient ``S.T @ g``."""
-    # imported here: scipy.sparse adds about 1.7 MB to a process, which the
-    # variants without side information need not pay
-    from scipy import sparse
-
+    ``weights`` (the shape of ``ids``) default to 1. A bag adds its weighted
+    rows into +0.0 in slot order, and the table's gradient takes the bags'
+    weighted gradient rows in bag order, each by one flat ``np.add.at``: the
+    additions, in order, of the CSR products ``S @ table`` and ``S.T @ g``
+    for the [bags, rows] matrix ``S``."""
     ids = np.asarray(ids)
     if table.ndim != 2 or ids.ndim < 1:
         raise ShapeError(f"embedding_bag needs a 2-D table and >=1-D ids, got {table.shape} and {ids.shape}")
@@ -697,22 +695,24 @@ def embedding_bag(table: Tensor, ids: np.ndarray, weights: Optional[np.ndarray] 
             raise IndexError(f"bag id out of range: [{lo}, {hi}] vs table of {table.shape[0]} rows "
                              "(-1 pads)")
     lead, m = ids.shape[:-1], ids.shape[-1]
-    n = math.prod(lead)
-    keep = ids.reshape(n, m) >= 0
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    # per-bag counts as a sum over the m columns of a feature-major copy: one
-    # long inner loop per column, not one short loop per bag
-    np.cumsum(np.ascontiguousarray(keep.T).sum(axis=0), out=indptr[1:])
-    slots = np.flatnonzero(keep)
-    if weights is None:
-        values = np.ones(slots.size, dtype=table.dtype)
-    else:
-        values = np.asarray(weights).reshape(-1)[slots].astype(table.dtype)
-    bags = sparse.csr_matrix((values, ids.reshape(-1)[slots], indptr), shape=(n, table.shape[0]))
-    data = np.asarray(bags @ table.data).reshape(lead + (table.shape[1],))
+    n, k = math.prod(lead), table.shape[1]
+    flat_ids = ids.reshape(n, m)
+    bag, slot = np.nonzero(flat_ids >= 0)   # the kept slots, bag by bag
+    rows = flat_ids[bag, slot].astype(np.intp, copy=False)
+    values = None if weights is None else np.asarray(weights).reshape(n, m)[bag, slot].astype(table.dtype)
+
+    def scatter(src: np.ndarray, at: np.ndarray, out_rows: int) -> np.ndarray:
+        # out[at[i], :] += values[i] * src[i, :], i in order, into +0.0
+        if values is not None:
+            src = src * values[:, None]
+        out = np.zeros(out_rows * k, dtype=src.dtype)
+        np.add.at(out, (at[:, None] * k + np.arange(k)).reshape(-1), src.reshape(-1))
+        return out.reshape(out_rows, k)
+
+    data = scatter(np.take(table.data, rows, axis=0), bag, n).reshape(lead + (k,))
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(table, bags.T @ g.reshape(n, table.shape[1]))
+        _accumulate(table, scatter(g.reshape(n, k)[bag], rows, table.shape[0]))
 
     return _make(data, (table,), backward)
 

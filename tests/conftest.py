@@ -91,6 +91,28 @@ def composed_linear(x, weight, bias):
     return T.add(T.matmul(x, T.transpose_last2(weight)), bias)
 
 
+def csr_embedding_bag(table, ids, weights, g):
+    """``tensor.embedding_bag`` as it computed before it was plain numpy: the
+    bags are one scipy.sparse CSR matrix ``S`` of [bags, rows], the output is
+    ``S @ table`` and the table's gradient from the output's gradient ``g`` is
+    ``S.T @ g``. The numpy scatter must match both bit for bit."""
+    from scipy import sparse
+
+    lead, m = ids.shape[:-1], ids.shape[-1]
+    n = math.prod(lead)
+    keep = ids.reshape(n, m) >= 0
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    slots = np.flatnonzero(keep)
+    if weights is None:
+        values = np.ones(slots.size, dtype=table.dtype)
+    else:
+        values = np.asarray(weights).reshape(-1)[slots].astype(table.dtype)
+    bags = sparse.csr_matrix((values, ids.reshape(-1)[slots], indptr), shape=(n, table.shape[0]))
+    out = np.asarray(bags @ table).reshape(lead + (table.shape[1],))
+    return out, np.asarray(bags.T @ g.reshape(n, table.shape[1]))
+
+
 def scaled_scores_attention(h, layer, query=None):
     """``layers.multi_head_self_attention`` as it was before the scale fold
     and the one-query fold: each head projects every query, key and value

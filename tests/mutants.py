@@ -127,6 +127,16 @@ MUTANTS = (
            "src/feedrank/tensor.py",
            "offsets.reshape(-1), g.reshape(-1))", "offsets.reshape(-1), g.reshape(idx.size, k).T.reshape(-1))",
            ("tests/test_tensor.py::TestGatherScatter::test_gradient_equals_row_wise_scatter_bit_for_bit",)),
+    Mutant("embedding_bag adds each bag's slots in reverse order",
+           "src/feedrank/tensor.py",
+           "bag, slot = np.nonzero(flat_ids >= 0)",
+           "bag, slot = np.nonzero(flat_ids[:, ::-1] >= 0)\n    slot = m - 1 - slot",
+           ("tests/test_tensor.py::TestEmbeddingBag::test_matches_the_csr_product_bit_for_bit",)),
+    Mutant("embedding_bag imports scipy.sparse again",
+           "src/feedrank/tensor.py",
+           "lead, m = ids.shape[:-1], ids.shape[-1]",
+           "from scipy import sparse\n    lead, m = ids.shape[:-1], ids.shape[-1]",
+           ("tests/test_cli.py::TestRuntimeDependencies::test_a_side_information_run_loads_no_scipy",)),
     Mutant("the shared-prefix layer writes its candidate blocks in reverse order",
            "src/feedrank/layers.py",
            "out[block] = rows", "out[c - stop:c - start] = rows",

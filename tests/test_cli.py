@@ -4,9 +4,13 @@ import configparser
 import csv
 import hashlib
 import json
+import os
 import platform
 import resource
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from feedrank.tensor import no_grad
 from feedrank.training import TrainingConfig
 
 from conftest import planted_dataset
+from perfbench.logsynth import LogSpec, write_log
 
 
 @pytest.fixture
@@ -988,3 +993,32 @@ class TestMemoryPolicy:
         monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: order.append(argv[0]) or 0)
         assert main(argv) == 0
         assert order == ["policy", argv[0]]
+
+
+class TestRuntimeDependencies:
+    def test_a_side_information_run_loads_no_scipy(self, tmp_path):
+        # pyproject.toml lists numpy alone at runtime, and scipy.sparse alone
+        # would map about 15 MB into the process: prepare, train and evaluate
+        # bert-ite-si, the variant that reads side information, in a fresh
+        # process, which must not have imported scipy at the end
+        events, categories = write_log(tmp_path, LogSpec(users=30, items=120, median_events=8), 1)
+        prepared, run_dir = tmp_path / "prepared.bin", tmp_path / "run"
+        cfg = write_config(tmp_path / "run.ini", prepared, variant="bert-ite-si", epochs=1, out=run_dir)
+        commands = [
+            ["prepare", "--events", str(events), "--categories", str(categories), "--out", str(prepared),
+             "--eval-negatives", "15"],
+            ["train", "--config", str(cfg), "--no-timestamps"],
+            ["evaluate", "--checkpoint", str(run_dir / "model.ckpt"), "--dataset", str(prepared)],
+        ]
+        script = (
+            "import sys\n"
+            "from feedrank import cli\n"
+            f"for argv in {commands!r}:\n"
+            "    if cli.main(argv) != 0:\n"
+            "        sys.exit(f'{argv[0]} failed')\n"
+            "sys.exit('scipy was imported' if 'scipy' in sys.modules else 0)\n"
+        )
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
+        assert done.returncode == 0, done.stderr

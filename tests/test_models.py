@@ -3,7 +3,7 @@ side-encoding and scoring contracts."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -536,19 +536,22 @@ class TestSharedPrefixForward:
 class TestSessionOrderBlindness:
     """bert-ite has no positional encoding and its attention runs both ways,
     so it sees a session's n context items as a set (ROADMAP item 10):
-    permuting the items of any row leaves every score unchanged up to float32
+    permuting the items of any row leaves every score unchanged up to
     rounding, in the per-row forward and in shared-context scoring, whose
-    sums over the keys run in another order. This states today's behaviour;
-    a positional model flips it on purpose and turns it into a test that
-    order changes the scores."""
+    sums over the keys run in another order. The model runs in float64, whose
+    rounding stays far below the tolerance at every depth drawn; float32's
+    did not. This states today's behaviour; a positional model flips it on
+    purpose and turns it into a test that order changes the scores."""
 
     @settings(max_examples=30, deadline=None)
     @given(b=st.integers(1, 4), n=st.integers(2, 6), layers=st.integers(1, 3), heads=st.integers(1, 2),
            c=st.integers(2, 12), seed=st.integers(0, 2 ** 16))
+    @example(b=3, n=6, layers=3, heads=2, c=2, seed=33440)   # 3.6e-5 relative in float32
     def test_permuted_contexts_score_the_same(self, b, n, layers, heads, c, seed):
         cfg = ModelConfig(embedding_dim=2 * heads, seq_len=n, transformer_layers=layers,
                           attention_heads=heads, explicit_mlp_layers=2, dropout=0.1)
         model = build_model("bert-ite", 5, 9, cfg, seed=seed)
+        to_float64(model.params)
         randomize_away_from_kinks(model, seed, scale=1.0)
         rng = np.random.default_rng(seed)
         users, seqs, targets = rng.integers(0, 5, b), rng.integers(0, 9, (b, n)), rng.integers(0, 9, b)
@@ -558,7 +561,7 @@ class TestSessionOrderBlindness:
             for args, permuted in (((users, seqs, targets), (users, shuffled, targets)),
                                    ((users[:1], seqs[:1], candidates), (users[:1], shuffled[:1], candidates))):
                 want, got = scores_of(model.forward(*args)), scores_of(model.forward(*permuted))
-                np.testing.assert_allclose(got, want, rtol=1e-5, atol=0)
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
 
 class TestConfigValidation:

@@ -16,7 +16,7 @@ from feedrank import tensor as T
 from feedrank.models import BertITEModel, ModelConfig
 from feedrank.tensor import ConfigError, ShapeError, Tensor
 
-from conftest import check_gradients, composed_linear, copying_engine, same_bits
+from conftest import check_gradients, composed_linear, copying_engine, csr_embedding_bag, same_bits
 from test_layers import oracle_layer_norm
 
 
@@ -708,6 +708,38 @@ class TestEmbeddingBag:
         np.testing.assert_allclose(out.data, self.loop_bag(table.data, ids, weights), rtol=0, atol=1e-12)
         check_gradients(lambda: T.l2_sq(T.add_scalar(T.embedding_bag(table, ids, weights), 0.5)),
                         [table], tol=1e-6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           rows=st.integers(min_value=1, max_value=5), k=st.integers(min_value=1, max_value=4),
+           lead=st.sampled_from([(), (0,), (1,), (5,), (2, 3), (3, 0), (2, 2, 2)]),
+           m=st.integers(min_value=0, max_value=6), pads=st.sampled_from([0.0, 0.3, 1.0]),
+           weighted=st.booleans(), transposed=st.booleans(), seed=st.integers(min_value=0, max_value=2**16))
+    # full bags of six: their float32 sums' bits depend on the slot order
+    @example(dtype=np.float32, rows=2, k=3, lead=(5,), m=6, pads=0.0, weighted=False, transposed=True, seed=1)
+    def test_matches_the_csr_product_bit_for_bit(self, dtype, rows, k, lead, m, pads, weighted, transposed,
+                                                 seed):
+        rng = np.random.default_rng(seed)
+        # -1 pads anywhere (every slot at pads=1), and few rows, so most bags
+        # repeat an id
+        shape = lead + (m,)
+        ids = np.where(rng.random(shape) < pads, -1, rng.integers(0, rows, shape))
+        weights = None
+        if weighted:
+            weights = rng.standard_normal(shape)
+            weights[rng.random(shape) < 0.2] = -0.0
+        if transposed:
+            # the side projection [K, T], read through its transposed view
+            leaf = Tensor(rng.standard_normal((k, rows)).astype(dtype), requires_grad=True)
+            table = T.transpose_last2(leaf)
+        else:
+            leaf = table = Tensor(rng.standard_normal((rows, k)).astype(dtype), requires_grad=True)
+        g = rng.standard_normal(lead + (k,)).astype(dtype)
+        want, want_grad = csr_embedding_bag(table.data, ids, weights, g)
+        out = T.embedding_bag(table, ids, weights)
+        T.sum_all(T.elementwise_mul(out, Tensor(g))).backward()
+        assert same_bits(out.data, want)
+        assert same_bits(leaf.grad.T if transposed else leaf.grad, want_grad)
 
     def test_transposed_table_gradient(self):
         # the side projection [K, T] is read through its transposed view
