@@ -264,7 +264,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _check_at_least_one(args.topk, "--topk")
     _check_at_least_one(args.workers, "--workers")
-    _check_non_negative(args.seed, "--seed")
     model, variant, meta = container.load_checkpoint(args.checkpoint)
     prepared = data.load_prepared(args.dataset)
     store = prepared.store
@@ -273,20 +272,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                           f"dataset has {store.num_users} users and {store.num_items} items")
     if VARIANTS[variant][1] != "none" and prepared.side_info is None:
         raise ConfigError(f"checkpoint variant {variant!r} needs a dataset with side info")
-    seed = args.seed if args.seed is not None else meta.get("seed", 0)
     started = time.perf_counter()
     ks = list(range(1, 21)) if args.topk_sweep else [args.topk]
     rows = evaluation.topk_sweep(model, prepared.cases, store=store, side_info=prepared.side_info,
-                                 ks=ks, seed=seed, workers=args.workers)
+                                 ks=ks, seed=meta.get("seed", 0), workers=args.workers)
     seconds = time.perf_counter() - started
     for k, hr, ndcg in rows:
         print(f"K={k} HR={hr:.6f} NDCG={ndcg:.6f}")
     if args.out:
         with container.atomic_write(args.out, "x", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["epoch", "K", "HR", "NDCG", "loss", "seconds"])
+            writer.writerow(["epoch", "K", "HR", "NDCG", "seconds"])
             for k, hr, ndcg in rows:
-                writer.writerow([meta.get("epoch", 0), k, repr(hr), repr(ndcg), "",
+                writer.writerow([meta.get("epoch", 0), k, repr(hr), repr(ndcg),
                                  "" if args.no_timestamps else f"{seconds:.3f}"])
         print(f"wrote {args.out}")
     return 0
@@ -331,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topk", type=int, default=10)
     p.add_argument("--topk-sweep", action="store_true", help="emit metrics for K in 1..20")
     p.add_argument("--out", default=None, help="metrics CSV output path")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--no-timestamps", action="store_true")
     p.set_defaults(func=cmd_evaluate)

@@ -87,10 +87,9 @@ class InteractionStore:
     The table's columns are ``items`` and the behaviour flag ``explicit``;
     user u's events are rows ``offsets[u]:offsets[u + 1]``, kept in the
     order given. The implicit matrix is every event (an explicit one counts
-    as implicit too), the explicit matrix the explicit events. User u's
-    held-out items, kept out of both training data and negative-sampling
-    pools, are the ascending, distinct
-    ``excluded_flat[excluded_offsets[u]:excluded_offsets[u + 1]]``, given as
+    as implicit too), the explicit matrix the explicit events. The held-out
+    pairs, kept out of both training data and negative-sampling pools, are
+    ``held_keys``, their sorted distinct pair keys, given as
     ``excluded`` (users, items) pairs in any order, repeats allowed.
     """
 
@@ -102,9 +101,7 @@ class InteractionStore:
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.items = np.asarray(items, dtype=np.int64)
         self.explicit = np.asarray(explicit, dtype=bool)
-        held = np.unique(self.pair_key(*excluded))
-        held_users, self.excluded_flat = np.divmod(held, self.num_items)
-        self.excluded_offsets = _row_offsets(held_users, len(user_ids))
+        self.held_keys = np.unique(self.pair_key(*excluded))
         self._matrix_keys: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @property
@@ -130,7 +127,7 @@ class InteractionStore:
             pairs, first = np.unique(self.pair_key(_row_ids(self.offsets)[rows], self.items[rows]),
                                      return_index=True)
             pairs = np.append(pairs, self.pair_key(self.num_users, 0))
-            held = self.pair_key(_row_ids(self.excluded_offsets), self.excluded_flat)
+            held = self.held_keys
             held = held[pairs[np.searchsorted(pairs, held)] != held]  # the ones no event has
             cached = (pairs, np.insert(pairs, np.searchsorted(pairs, held), held), np.append(rows[first], -1))
             for arr in cached:
@@ -157,8 +154,8 @@ class InteractionStore:
 
     def observed_items(self, user: int) -> np.ndarray:
         """Ids of the user's events and held-out items; ids may repeat."""
-        held = self.excluded_flat[self.excluded_offsets[user]:self.excluded_offsets[user + 1]]
-        return np.concatenate((self.items[self.offsets[user]:self.offsets[user + 1]], held))
+        held = self.held_keys[slice(*np.searchsorted(self.held_keys, self.pair_key([user, user + 1], 0)))]
+        return np.concatenate((self.items[self.offsets[user]:self.offsets[user + 1]], held % self.num_items))
 
     def observed_any(self, user: int) -> set:
         """Items the user has interacted with in any way, plus held-out ones."""
@@ -187,8 +184,7 @@ class InteractionStore:
         """Training view with every ``(users[j], items[j])`` event dropped and the pair held out."""
         event_users = _row_ids(self.offsets)
         keep = ~np.isin(self.pair_key(event_users, self.items), self.pair_key(users, items))
-        excluded = (np.concatenate((_row_ids(self.excluded_offsets), users)),
-                    np.concatenate((self.excluded_flat, items)))
+        excluded = np.divmod(np.concatenate((self.held_keys, self.pair_key(users, items))), self.num_items)
         offsets = _row_offsets(event_users[keep], self.num_users)
         return InteractionStore(self.user_ids, self.item_ids, offsets, self.items[keep],
                                 self.explicit[keep], excluded)
@@ -605,18 +601,24 @@ def _check_dataset(path: str, config: dict, arrays: dict[str, np.ndarray]) -> No
 
 
 def save_prepared(path: str, prepared: PreparedDataset) -> None:
-    """Write a split as ``leave_one_out_split`` returns it. Its store holds
-    out exactly the cases' (user, item) pairs, and each case's history is
-    the first events of its user's training row, so the file keeps the
-    pairs once, as the cases, and a history as its length."""
+    """Write a split as ``leave_one_out_split`` returns it, or raise DataError:
+    its store must hold out exactly the cases' (user, item) pairs, and each
+    case's history must be the first events of its user's training row, as
+    the file keeps the pairs once, as the cases, and a history as its length."""
     store, cases, side = prepared.store, prepared.cases, prepared.side_info
+    users = np.array([c.user for c in cases], dtype=np.int64)
+    items = np.array([c.item for c in cases], dtype=np.int64)
+    history, starts = _flatten([c.history for c in cases])
+    lengths = np.diff(starts)
+    at = np.arange(history.size) + np.repeat(store.offsets[users] - starts[:-1], lengths)
+    if (not np.array_equal(store.held_keys, np.unique(store.pair_key(users, items)))
+            or np.any(lengths > np.diff(store.offsets)[users]) or not np.array_equal(store.items[at], history)):
+        raise DataError(f"cannot save {path}: it is not a split as leave_one_out_split returns it")
     config = {"user_ids": store.user_ids, "item_ids": store.item_ids,
               "labels": side.labels if side else [], "meta": prepared.meta}
     arrays = {"event_offsets": store.offsets, "event_items": store.items,
               "event_explicit": store.explicit.astype(np.int64),
-              "case_users": np.array([c.user for c in cases], dtype=np.int64),
-              "case_items": np.array([c.item for c in cases], dtype=np.int64),
-              "case_history_len": np.array([len(c.history) for c in cases], dtype=np.int64)}
+              "case_users": users, "case_items": items, "case_history_len": lengths}
     arrays["case_neg_flat"], arrays["case_neg_offsets"] = _flatten([c.negatives for c in cases])
     if side is not None:
         arrays["side_item_flat"], arrays["side_item_offsets"] = side.item_categories, side.item_offsets

@@ -309,11 +309,11 @@ def transformer_layer(x: Tensor, layer: TransformerLayer, training: bool = False
 
 
 def dense_tower(params: ParameterRegistry, name: str, in_dim: int, widths: Sequence[int],
-                activation: str, rng: np.random.Generator) -> list[DenseLayer]:
+                rng: np.random.Generator) -> list[DenseLayer]:
     layers = []
     prev = in_dim
     for j, w in enumerate(widths):
-        layers.append(DenseLayer.build(params, f"{name}.layer{j}", prev, w, activation, rng))
+        layers.append(DenseLayer.build(params, f"{name}.layer{j}", prev, w, "relu", rng))
         prev = w
     return layers
 

@@ -112,7 +112,7 @@ class _ImplicitExplicitModel:
         phi_dim = self._build_encoder(params, rng, user_side, item_side)
         self.implicit_head = params.add("implicit_head", L.glorot_uniform(rng, phi_dim, 1, (phi_dim,)))
         expl_widths = _explicit_tower_widths(phi_dim, config.explicit_mlp_layers)
-        self.explicit_tower = L.dense_tower(params, "explicit_mlp", phi_dim, expl_widths, "relu", rng)
+        self.explicit_tower = L.dense_tower(params, "explicit_mlp", phi_dim, expl_widths, rng)
         self.explicit_head = params.add("explicit_head",
                                         L.glorot_uniform(rng, expl_widths[-1], 1, (expl_widths[-1],)))
 
@@ -174,7 +174,7 @@ class ITEModel(_ImplicitExplicitModel):
         self.gmf_item = L.EmbeddingTable.build(params, "gmf.item", self.num_items, k, rng, item_side)
         self.mlp_user = L.EmbeddingTable.build(params, "mlp.user", self.num_users, mlp_emb, rng, user_side)
         self.mlp_item = L.EmbeddingTable.build(params, "mlp.item", self.num_items, mlp_emb, rng, item_side)
-        self.implicit_tower = L.dense_tower(params, "implicit_mlp", 2 * mlp_emb, mlp_widths, "relu", rng)
+        self.implicit_tower = L.dense_tower(params, "implicit_mlp", 2 * mlp_emb, mlp_widths, rng)
         return 2 * k
 
     def forward(self, users: np.ndarray, items: np.ndarray, side_info=None,

@@ -194,7 +194,7 @@ def _row_major(t: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _layer_norm_features(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                         out: np.ndarray, eps: float = LAYER_NORM_EPS) -> np.ndarray:
+                         out: np.ndarray) -> np.ndarray:
     """Layer norm of the rows a feature-major ``xhat`` ([n, rows]) holds as
     columns: normalises ``xhat`` in place to zero mean and unit variance,
     writes ``xhat * gain + bias`` (``gain`` and ``bias`` [n]) to ``out``,
@@ -210,7 +210,7 @@ def _layer_norm_features(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     xhat -= mean
     inv = (xhat * xhat).sum(axis=0)
     inv /= n
-    inv += eps
+    inv += LAYER_NORM_EPS
     np.sqrt(inv, out=inv)
     np.reciprocal(inv, out=inv)
     xhat *= inv
@@ -552,7 +552,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _make(s, (x,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale by
     ``gain`` and shift by ``bias`` (both [n])."""
     n = x.shape[-1]
@@ -560,7 +560,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
         raise ShapeError(f"layer_norm gain {gain.shape} and bias {bias.shape} must be ({n},)")
     xhat = _feature_major(x.data)
     out = np.empty_like(xhat)
-    inv = _layer_norm_features(xhat, gain.data, bias.data, out, eps)
+    inv = _layer_norm_features(xhat, gain.data, bias.data, out)
     data = _row_major(out, x.shape)
 
     def backward(g: np.ndarray) -> None:

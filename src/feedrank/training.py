@@ -45,9 +45,6 @@ class TrainingConfig:
     negatives_per_positive: int = 9
     epochs: int = 50
     seed: int = 42
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def validate(self) -> None:
         # each float check is written so that NaN fails it
@@ -57,12 +54,6 @@ class TrainingConfig:
             raise ConfigError("implicit_weight must be finite and >= 0")
         if not 0 <= self.l2_weight < math.inf:
             raise ConfigError("l2_weight must be finite and >= 0")
-        if not 0 <= self.adam_beta1 < 1:
-            raise ConfigError("adam_beta1 must be in [0, 1)")
-        if not 0 <= self.adam_beta2 < 1:
-            raise ConfigError("adam_beta2 must be in [0, 1)")
-        if not 0 < self.adam_eps < math.inf:
-            raise ConfigError("adam_eps must be finite and > 0")
         if self.negatives_per_positive < 0:
             raise ConfigError("negatives_per_positive must be >= 0")
         if self.batch_size < 1:
@@ -227,7 +218,7 @@ class Adam:
 
     @classmethod
     def from_config(cls, params: ParameterRegistry, config: TrainingConfig) -> "Adam":
-        return cls(params, config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps)
+        return cls(params, config.learning_rate)
 
     def step(self) -> None:
         self.t += 1

@@ -293,13 +293,11 @@ def reference_sample_unobserved(num_items, excluded, count, rng):
 
 
 def store_sets(store):
-    """``reference_sets`` of a store's own event table and held-out rows."""
-    def owners(offsets):
-        return [u for u in range(store.num_users) for _ in range(offsets[u], offsets[u + 1])]
-
-    return reference_sets(store.num_users, owners(store.offsets), store.items.tolist(),
-                          store.explicit.tolist(),
-                          (owners(store.excluded_offsets), store.excluded_flat.tolist()))
+    """``reference_sets`` of a store's own event table and held-out pairs."""
+    owners = [u for u in range(store.num_users) for _ in range(store.offsets[u], store.offsets[u + 1])]
+    held = store.held_keys.tolist()
+    return reference_sets(store.num_users, owners, store.items.tolist(), store.explicit.tolist(),
+                          ([k // store.num_items for k in held], [k % store.num_items for k in held]))
 
 
 def _first_occurrences(rows):

@@ -61,6 +61,21 @@ MUTANTS = (
            'arrays["event_explicit"], (users, items))', 'arrays["event_explicit"], ((), ()))',
            ("tests/test_data.py::TestPreparedRoundTrip::test_split_round_trips",
             "tests/test_data.py::TestStoreAgainstReference::test_save_load_round_trip")),
+    Mutant("save_prepared writes a store that holds out other pairs than its cases'",
+           "src/feedrank/data.py",
+           "not np.array_equal(store.held_keys, np.unique(store.pair_key(users, items)))", "False",
+           ("tests/test_data.py::TestPreparedRoundTrip::test_split_it_cannot_round_trip_is_refused[nothing-held]",
+            "tests/test_data.py::TestPreparedRoundTrip::test_split_it_cannot_round_trip_is_refused[extra-pair]",
+            "tests/test_data.py::TestPreparedRoundTrip::test_split_it_cannot_round_trip_is_refused[missing-pair]")),
+    Mutant("save_prepared writes a history that is not its user's first events",
+           "src/feedrank/data.py",
+           " or not np.array_equal(store.items[at], history)):", "):",
+           ("tests/test_data.py::TestPreparedRoundTrip::test_split_it_cannot_round_trip_is_refused[skips-an-event]",
+            "tests/test_data.py::TestPreparedRoundTrip::test_split_it_cannot_round_trip_is_refused[reordered]")),
+    Mutant("save_prepared writes a history longer than its user's row",
+           "src/feedrank/data.py",
+           "or np.any(lengths > np.diff(store.offsets)[users]) or not", "or not",
+           ("tests/test_data.py::TestPreparedRoundTrip::test_split_it_cannot_round_trip_is_refused[runs-into-next-row]",)),
     Mutant("ingest puts later file rows first among equal timestamps",
            "src/feedrank/data.py",
            "order = np.lexsort((rows, times[rows], users))",
@@ -137,6 +152,10 @@ MUTANTS = (
            "lead, m = ids.shape[:-1], ids.shape[-1]",
            "from scipy import sparse\n    lead, m = ids.shape[:-1], ids.shape[-1]",
            ("tests/test_cli.py::TestRuntimeDependencies::test_a_side_information_run_loads_no_scipy",)),
+    Mutant("the package imports scipy.sparse at start-up",
+           "src/feedrank/tensor.py",
+           "import numpy as np\n", "import numpy as np\nimport scipy.sparse\n",
+           ("tests/test_cli.py::TestRuntimeDependencies::test_a_side_information_run_needs_no_scipy",)),
     Mutant("the shared-prefix layer writes its candidate blocks in reverse order",
            "src/feedrank/layers.py",
            "out[block] = rows", "out[c - stop:c - start] = rows",
@@ -203,6 +222,10 @@ MUTANTS = (
            "with np.errstate(**state):", "with np.errstate():",
            ("tests/test_cli.py::TestEvaluate::test_workers_print_no_numpy_warnings",
             "tests/test_evaluation.py::TestIteEvaluation::test_cases_score_under_the_callers_error_state[2]")),
+    Mutant("evaluate pads with seed 0, not the checkpoint's",
+           "src/feedrank/cli.py",
+           'seed=meta.get("seed", 0)', "seed=0",
+           ("tests/test_cli.py::TestEvaluate::test_ranks_with_the_pads_of_the_train_run",)),
     Mutant("a re-run of train keeps the earlier run's model.ckpt",
            "src/feedrank/cli.py",
            '(out_dir / "model.ckpt").unlink(missing_ok=True)', "pass",

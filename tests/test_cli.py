@@ -299,6 +299,7 @@ class TestTrain:
         ("learning_rate", "nan"), ("learning_rate", "inf"), ("learning_rate", "0"),
         ("implicit_weight", "nan"), ("implicit_weight", "-0.5"), ("implicit_weight", "inf"),
         ("l2_weight", "nan"), ("l2_weight", "-1e-6"), ("l2_weight", "inf"),
+        # Adam's beta1, beta2 and eps are constants, so any value of theirs is an unknown key
         ("adam_beta1", "nan"), ("adam_beta1", "1.0"), ("adam_beta1", "-0.1"),
         ("adam_beta2", "nan"), ("adam_beta2", "1.0"),
         ("adam_eps", "nan"), ("adam_eps", "0"), ("adam_eps", "-1e-8"), ("adam_eps", "inf"),
@@ -310,7 +311,10 @@ class TestTrain:
         cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
         assert main(["train", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert f"{key} must be" in err and len(err.splitlines()) == 1
+        if key.startswith("adam_"):
+            assert err == f"error: {cfg}: unknown key [training] {key}\n"
+        else:
+            assert f"{key} must be" in err and len(err.splitlines()) == 1
         assert not run_dir.exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -476,7 +480,10 @@ class TestEvaluate:
         assert "K=10 HR=" in printed
         with open(out_csv) as fh:
             rows = list(csv.reader(fh))
+        assert rows[0] == ["epoch", "K", "HR", "NDCG", "seconds"]
         assert len(rows) == 2 and rows[1][1] == "10"
+        # only the wall-clock field is left empty
+        assert [field == "" for field in rows[1]] == [False, False, False, False, True]
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_topk_below_one_exits_one(self, tmp_path, prepared_path, trained, capsys, k):
@@ -498,13 +505,27 @@ class TestEvaluate:
         assert f"--workers must be >= 1, got {value}" in captured.err
         assert len(captured.err.splitlines()) == 1 and "HR=" not in captured.out
 
-    def test_negative_seed_exits_one_before_reading_checkpoint(self, tmp_path, prepared_path, capsys):
-        # a missing checkpoint would exit 2
-        assert main(["evaluate", "--checkpoint", str(tmp_path / "none.ckpt"),
-                     "--dataset", str(prepared_path), "--seed", "-1"]) == 1
-        captured = capsys.readouterr()
-        assert "--seed must be >= 0, got -1" in captured.err
-        assert len(captured.err.splitlines()) == 1 and "HR=" not in captured.out
+    def test_takes_no_seed(self, tmp_path, prepared_path, trained, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["evaluate", "--help"])
+        assert done.value.code == 0 and "--seed" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as done:
+            main(["evaluate", "--checkpoint", str(trained), "--dataset", str(prepared_path), "--seed", "1"])
+        assert done.value.code == 2 and "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    def test_ranks_with_the_pads_of_the_train_run(self, tmp_path, prepared_path, capsys):
+        # the pads come from the checkpoint's seed, the run's [run] seed, so
+        # the figures are those train recorded for its one epoch; each
+        # history holds 6 events, so sequences of 8 give every case two pads,
+        # and pads drawn from seed 0 instead would move NDCG@10
+        run_dir = tmp_path / "bert"
+        cfg = write_config(tmp_path / "bert.ini", prepared_path, variant="bert-ite", epochs=1, out=run_dir)
+        cfg.write_text(cfg.read_text().replace("seq_len = 4", "seq_len = 8"))
+        assert main(["train", "--config", str(cfg), "--no-timestamps"]) == 0
+        record = json.loads((run_dir / "epochs.jsonl").read_text())
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(run_dir / "model.ckpt"), "--dataset", str(prepared_path)]) == 0
+        assert capsys.readouterr().out == f"K=10 HR={record['hr']:.6f} NDCG={record['ndcg']:.6f}\n"
 
     def test_topk_sweep_monotone(self, tmp_path, prepared_path, trained):
         out_csv = tmp_path / "sweep.csv"
@@ -526,7 +547,7 @@ class TestEvaluate:
         from feedrank.models import ITEModel, ModelConfig
         from test_training import store_from_sets
 
-        store = store_from_sets(2, 6, [{0, 3}, {2, 3}], [set(), set()])
+        store = store_from_sets(2, 6, [{0, 3}, {2, 3}], [set(), set()], held_out_sets=[{2}, {1}])
         cases = [EvalCase(0, 2, np.array([3, 4, 5]), np.zeros(0, dtype=np.int64)),
                  EvalCase(1, 1, np.array([0, 4, 5]), np.zeros(0, dtype=np.int64))]
         prepared = PreparedDataset(store, cases, None)
@@ -922,11 +943,10 @@ class TestConfigParsing:
            seed=st.integers(-2**31, 2**31),
            names=st.lists(st.text(alphabet="abz09/._-", max_size=12), min_size=2, max_size=2),
            ints=st.lists(st.integers(-2**31, 2**31), min_size=9, max_size=9),
-           reals=st.lists(st.floats(allow_nan=False), min_size=7, max_size=7))
+           reals=st.lists(st.floats(allow_nan=False), min_size=4, max_size=4))
     def test_written_config_loads_back_equal(self, tmp_path, variant, seed, names, ints, reals):
         model = ModelConfig(*ints[:6], reals[0])
-        training = TrainingConfig(reals[1], ints[6], reals[2], reals[3], ints[7], ints[8], seed,
-                                  *reals[4:])
+        training = TrainingConfig(reals[1], ints[6], reals[2], reals[3], ints[7], ints[8], seed)
         cfg = RunConfig(variant, seed, names[0], ints[0], names[1], model, training)
         path = tmp_path / "round-trip.ini"
         write_run_config(path, cfg)
@@ -996,11 +1016,13 @@ class TestMemoryPolicy:
 
 
 class TestRuntimeDependencies:
-    def test_a_side_information_run_loads_no_scipy(self, tmp_path):
-        # pyproject.toml lists numpy alone at runtime, and scipy.sparse alone
-        # would map about 15 MB into the process: prepare, train and evaluate
-        # bert-ite-si, the variant that reads side information, in a fresh
-        # process, which must not have imported scipy at the end
+    """pyproject.toml lists numpy alone at runtime. Each test prepares,
+    trains and evaluates bert-ite-si, the variant that reads side
+    information, in a fresh process that runs ``prelude`` first and
+    ``check`` last."""
+
+    @staticmethod
+    def run_pipeline(tmp_path, prelude, check):
         events, categories = write_log(tmp_path, LogSpec(users=30, items=120, median_events=8), 1)
         prepared, run_dir = tmp_path / "prepared.bin", tmp_path / "run"
         cfg = write_config(tmp_path / "run.ini", prepared, variant="bert-ite-si", epochs=1, out=run_dir)
@@ -1012,13 +1034,30 @@ class TestRuntimeDependencies:
         ]
         script = (
             "import sys\n"
+            f"{prelude}"
             "from feedrank import cli\n"
             f"for argv in {commands!r}:\n"
             "    if cli.main(argv) != 0:\n"
             "        sys.exit(f'{argv[0]} failed')\n"
-            "sys.exit('scipy was imported' if 'scipy' in sys.modules else 0)\n"
+            f"{check}"
         )
         src = Path(cli.__file__).resolve().parents[1]
         done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=str(src)), timeout=300)
         assert done.returncode == 0, done.stderr
+
+    def test_a_side_information_run_loads_no_scipy(self, tmp_path):
+        # scipy.sparse alone would map about 15 MB into the process
+        self.run_pipeline(tmp_path, "", "sys.exit('scipy was imported' if 'scipy' in sys.modules else 0)\n")
+
+    def test_a_side_information_run_needs_no_scipy(self, tmp_path):
+        # as where scipy is not installed: every import of it fails
+        blocker = (
+            "import importlib.abc\n"
+            "class NoScipy(importlib.abc.MetaPathFinder):\n"
+            "    def find_spec(self, name, path, target=None):\n"
+            "        if name.partition('.')[0] == 'scipy':\n"
+            "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+            "sys.meta_path.insert(0, NoScipy())\n"
+        )
+        self.run_pipeline(tmp_path, blocker, "")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from feedrank.container import FormatError, read_container, write_container
 from feedrank.data import (DEFAULT_CLASSIFICATION, EXPLICIT, ColumnSpec, DataError, DatasetStats,
-                           InteractionStore, PreparedDataset, build_side_info,
+                           EvalCase, InteractionStore, PreparedDataset, build_side_info,
                            ingest, leave_one_out_split, load_prepared,
                            read_category_pairs, read_retailrocket_properties, sample_unobserved,
                            save_prepared)
@@ -490,10 +490,11 @@ class TestStoreAgainstReference:
         assert store.context_ends(users, items).tolist() == [
             events.index((u, i)) if (u, i) in events else store.offsets[u + 1]
             for u, i in zip(users.tolist(), items.tolist())]
-        assert store.excluded_flat.dtype == store.excluded_offsets.dtype == np.int64
+        # the held-out pairs' keys: int64, ascending, distinct
+        held = store.held_keys
+        assert held.dtype == np.int64
+        assert held.tolist() == sorted(u * n + i for u, row in enumerate(held_out) for i in row)
         for u in range(store.num_users):
-            lo, hi = store.excluded_offsets[u], store.excluded_offsets[u + 1]
-            assert store.excluded_flat[lo:hi].tolist() == sorted(held_out[u])
             assert store.observed_any(u) == implicit[u] | held_out[u]
 
     @settings(max_examples=150, deadline=None)
@@ -533,8 +534,7 @@ class TestStoreAgainstReference:
         save_prepared(path, PreparedDataset(train, cases, None))
         loaded = load_prepared(path).store
         self.check(loaded, store_sets(train))
-        assert [loaded.excluded_flat[loaded.excluded_offsets[c.user]:loaded.excluded_offsets[c.user + 1]].tolist()
-                for c in cases] == [[c.item] for c in cases]
+        assert loaded.held_keys.tolist() == sorted(c.user * store.num_items + c.item for c in cases)
         for col in ("items", "explicit", "offsets"):
             np.testing.assert_array_equal(getattr(loaded, col), getattr(train, col))
 
@@ -567,7 +567,7 @@ class TestPreparedRoundTrip:
 
         assert loaded.store.user_ids == train.user_ids
         assert loaded.store.item_ids == train.item_ids
-        for col in ("items", "explicit", "offsets", "excluded_offsets", "excluded_flat"):
+        for col in ("items", "explicit", "offsets", "held_keys"):
             got, want = getattr(loaded.store, col), getattr(train, col)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
@@ -606,7 +606,7 @@ class TestPreparedRoundTrip:
         path = tmp_path / "split.bin"
         save_prepared(str(path), PreparedDataset(train, cases, None))
         loaded = load_prepared(str(path))
-        for col in ("offsets", "items", "explicit", "excluded_offsets", "excluded_flat"):
+        for col in ("offsets", "items", "explicit", "held_keys"):
             got, want = getattr(loaded.store, col), getattr(train, col)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
@@ -617,6 +617,30 @@ class TestPreparedRoundTrip:
             for attr in ("negatives", "history"):
                 assert getattr(got, attr).dtype == getattr(want, attr).dtype == np.int64
                 np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+
+    # user 0's events are items 2, 1, 3 and user 1's 4, 7; the split holds
+    # out (0, 5) and (1, 6), and its cases' histories are [2, 1] and [4]
+    @pytest.mark.parametrize("held, histories", [
+        ([], [[2, 1], [4]]),
+        ([(0, 5), (1, 6), (1, 0)], [[2, 1], [4]]),
+        ([(0, 5)], [[2, 1], [4]]),
+        ([(0, 5), (1, 6)], [[1, 3], [4]]),
+        ([(0, 5), (1, 6)], [[1, 2], [4]]),
+        # as long as the row and then user 1's first event: the events match,
+        # the length does not
+        ([(0, 5), (1, 6)], [[2, 1, 3, 4], [4]]),
+        ([(0, 5), (1, 6)], [[2, 1], [4, 7, 0]]),
+    ], ids=["nothing-held", "extra-pair", "missing-pair", "skips-an-event", "reordered",
+            "runs-into-next-row", "runs-past-last-row"])
+    def test_split_it_cannot_round_trip_is_refused(self, tmp_path, held, histories):
+        store = InteractionStore(["u0", "u1"], [f"i{i}" for i in range(8)], [0, 3, 5], [2, 1, 3, 4, 7],
+                                 [False] * 5, ([u for u, _ in held], [i for _, i in held]))
+        cases = [EvalCase(u, i, np.array([0]), np.array(h)) for (u, i), h in zip([(0, 5), (1, 6)], histories)]
+        path = tmp_path / "split.bin"
+        with pytest.raises(DataError) as raised:
+            save_prepared(str(path), PreparedDataset(store, cases, None))
+        assert str(raised.value) == f"cannot save {path}: it is not a split as leave_one_out_split returns it"
+        assert not path.exists()
 
     def test_side_vectors_computed_on_training_view_only(self, tmp_path):
         # the held-out item's category must not leak into the user vector

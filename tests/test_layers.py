@@ -617,7 +617,7 @@ class TestDenseLayer:
 
     def test_tower_halves_widths(self):
         reg = ParameterRegistry()
-        tower = L.dense_tower(reg, "t", 16, [8, 4, 2], "relu", np.random.default_rng(0))
+        tower = L.dense_tower(reg, "t", 16, [8, 4, 2], np.random.default_rng(0))
         assert [l.weight.shape for l in tower] == [(8, 16), (4, 8), (2, 4)]
 
     def test_unknown_activation(self):
